@@ -16,13 +16,11 @@ import math
 import sys
 
 from wedgecap.bounds import (
+    INCREASING,
     FanCase,
-    adhesion_from_profile,
     case_condition_map,
     corollary1_bound,
-    effective_angle,
-    min_admissible_fan,
-    required_functional_kind,
+    fan_bound_rows,
 )
 from wedgecap.io import load_profile, write_bounds_csv
 from wedgecap.profiles import constant_profile
@@ -50,23 +48,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     profiles = wall_profiles(args)
-    rows = []
+    rows = fan_bound_rows(profiles, list(FanCase), beta_step=args.beta_step)
     print(f"{'side':>4} {'case':>4} {'beta_min':>12} {'closed-form':>12} "
           f"{'worst_lambda':>12} {'sigma_eff':>10}")
-    for case in (FanCase.I, FanCase.D, FanCase.ID, FanCase.DI):
-        for side, cond_kind in case_condition_map(case):
-            kind = required_functional_kind(cond_kind)
-            A = adhesion_from_profile(profiles[side], kind)
-            result = min_admissible_fan(
-                A, cond_kind, beta_step=args.beta_step, side=side, case=case
-            )
-            m, sigma = effective_angle(A)
-            variant = "a" if cond_kind == "increasing" else "c"
-            frozen = corollary1_bound(m, variant)
-            print(f"{side:>4} {case.value:>4} {result.beta_min:12.6f} "
-                  f"{frozen:12.6f} {result.worst_lambda:12.6f} {sigma:10.6f}")
-            rows.append((side, case.value, result.beta_min, result.method,
-                         result.worst_lambda, result.monotone_flag, m, sigma))
+    for side, case, beta_min, _, worst_lambda, _, m, sigma in rows:
+        cond_kind = dict(case_condition_map(FanCase(case)))[side]
+        frozen = corollary1_bound(m, "a" if cond_kind == INCREASING else "c")
+        print(f"{side:>4} {case:>4} {beta_min:12.6f} "
+              f"{frozen:12.6f} {worst_lambda:12.6f} {sigma:10.6f}")
     if args.csv is not None:
         print(write_bounds_csv(args.csv, rows))
     return 0

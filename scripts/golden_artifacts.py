@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI calls and print one sha256 per artifact written.
+
+The inputs (wall profiles and solve configs) are generated inline, so two
+checkouts given the same script produce comparable listings: diff the output
+of the parent commit against the change to prove a refactor left every
+artifact byte-identical.  Each call's exit code is printed too.
+
+Usage:
+    PYTHONPATH=src python3 scripts/golden_artifacts.py OUT_DIR > golden.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from wedgecap.cli import main as wedgecap_main
+from wedgecap.io import profile_from_dict
+
+
+def constant(side, gamma):
+    return {"side": side, "generator": {"type": "constant", "gamma": gamma}}
+
+
+def two_angle(side, kind, g1, g2):
+    return {"side": side, "generator": {"type": kind, "gamma1": g1, "gamma2": g2}}
+
+
+def irregular(rng, side, n=120):
+    """Piecewise-constant wall with random breaks over nine decades."""
+    breaks = sorted({round(10.0 ** rng.uniform(-9.0, 0.0), 15) for _ in range(n - 1)} - {1.0})
+    breaks.append(1.0)
+    return {
+        "side": side,
+        "segments": [{"s_end": b, "gamma": round(rng.uniform(0.35, 2.8), 6)} for b in breaks],
+    }
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    return str(path)
+
+
+def calls(inputs):
+    """(label, argv without --out) for every call, inputs written on the way."""
+    rng = random.Random("golden-artifacts")
+    walls = {
+        "constant": {"+": constant("+", 1.0), "-": constant("-", 2.0)},
+        "example1": {s: two_angle(s, "example1", 0.7, 2.2) for s in "+-"},
+        "example2": {s: two_angle(s, "example2", 0.8, 2.0) for s in "+-"},
+        "irregular": {s: irregular(rng, s) for s in "+-"},
+    }
+    paths = {
+        (family, s): write_json(inputs / f"{family}_{'plus' if s == '+' else 'minus'}.json", w)
+        for family, pair in walls.items()
+        for s, w in pair.items()
+    }
+    out = []
+    for family in walls:
+        out.append((f"profile-{family}", ["profile", paths[family, "+"]]))
+        out.append((f"bounds-{family}", ["bounds", "--plus", paths[family, "+"],
+                                         "--minus", paths[family, "-"], "--case", "all"]))
+    out.append(("bounds-ID-step", ["bounds", "--plus", paths["irregular", "+"],
+                                   "--minus", paths["irregular", "-"], "--case", "ID",
+                                   "--beta-step", "0.05", "--degrees"]))
+    out.append(("verify-default", ["verify-examples"]))
+    out.append(("verify-degrees", ["verify-examples", "--degrees",
+                                   "--gamma1", "50", "--gamma2", "130"]))
+
+    for case in ("I", "D", "ID", "DI"):
+        for side in "+-":
+            tag = "p" if side == "+" else "m"
+            # small claims on the + wall and large ones on the - wall, so both
+            # verdicts (contradiction and consistent) are covered
+            small = side == "+"
+            out.append((f"blowup-{case}{tag}-gamma0",
+                        ["blowup", "--case", case, "--side", side,
+                         "--beta", "0.4" if small else "2.5", "--gamma0", "1.2"]))
+            out.append((f"blowup-{case}{tag}-irregular",
+                        ["blowup", "--case", case, "--side", side,
+                         "--beta", "1.1" if small else "3.0",
+                         "--profile", paths["irregular", side], "--points", "256"]))
+    out.append(("blowup-example2", ["blowup", "--case", "I", "--beta", "0.9",
+                                    "--profile", paths["example2", "+"]]))
+
+    # kappa = 0 pins the mean: lambda must balance the net wall flux exactly
+    r_min, r_max, alpha = 0.05, 1.0, 1.0
+    flux = sum(
+        float(p.integral_many([r_max])[0] - p.integral_many([r_min])[0])
+        for p in (profile_from_dict(walls["example2"][s]) for s in "+-")
+    )
+    base = {"alpha": alpha, "r_min": r_min, "r_max": r_max,
+            "plus": walls["example2"]["+"], "minus": walls["example2"]["-"]}
+    configs = {
+        "solve-16": {**base, "m": 16, "n_theta": 16, "kappa": 1.0, "lambda": 2.0},
+        "solve-capillary": {**base, "m": 48, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
+        "solve-pinned": {**base, "m": 48, "n_theta": 48, "kappa": 0.0,
+                         "lambda": flux / (alpha * (r_max**2 - r_min**2))},
+        "solve-pmc": {**base, "m": 48, "n_theta": 48, "pmc": "tanh",
+                      "kappa": 1.0, "lambda": 0.0},
+    }
+    for label, cfg in configs.items():
+        out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))
+    out.append(("solve-mms", ["solve", "--mms"]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="directory for inputs and artifacts (kept)")
+    args = parser.parse_args(argv)
+    root = Path(args.out)
+    inputs = root / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for label, argv_ in calls(inputs):
+        out = root / label
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = wedgecap_main(argv_ + ["--out", str(out)])
+        print(f"exit {code}  {label}")
+        for path in sorted(out.iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,8 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
-    _golden_min,
+    _condition_for,
+    _grid_min,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
@@ -228,13 +229,14 @@ def contradiction_witness(
 
     Returns (lambda, gain) when the claimed fan width ``beta_claim`` is
     inadmissible for the given case and wall, and None when every direction
-    has nonpositive gain.  The search maximizes the limiting gain on the grid
-    plus a golden-section polish, so its verdict is the exact complement of
-    the all-lambda admissibility check on the same grid.
+    has nonpositive gain.  The gain is minus the admissibility condition, so
+    the search minimizes that condition exactly as the all-lambda check does
+    (grid plus golden-section polish) and its verdict is the exact complement
+    of that check on the same grid.
     """
     if not (0.0 <= beta_claim < math.pi):
         raise ValueError(f"claimed fan width must lie in [0, pi), got {beta_claim}")
-    fn, cond_kind = _limit_fn_for(case, side)
+    _, cond_kind = _limit_fn_for(case, side)
     if A.kind != required_functional_kind(cond_kind):
         raise ValueError(
             f"case {case.value} on side {side} needs a kind-"
@@ -243,19 +245,10 @@ def contradiction_witness(
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta_claim)
     grid = np.asarray(lambda_grid, dtype=float)
-    gains = np.asarray(fn(A, beta_claim, grid), dtype=float)
-    i = int(np.argmax(gains))
-    lam_best, gain_best = float(grid[i]), float(gains[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    if hi > lo:
-        lam_ref, neg_ref = _golden_min(
-            lambda x: -float(fn(A, beta_claim, x)), lo, hi
-        )
-        if -neg_ref > gain_best:
-            lam_best, gain_best = lam_ref, -neg_ref
-    if gain_best > WITNESS_TOL:
-        return lam_best, gain_best
+    cond = _condition_for(cond_kind)
+    lam_best, v_best = _grid_min(lambda lam: cond(A, beta_claim, lam), grid)
+    if -v_best > WITNESS_TOL:
+        return lam_best, -v_best
     return None
 
 

@@ -198,21 +198,43 @@ def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    a, b = lo, hi
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12):
+    """Golden-section minimum of f on each bracket [lo[k], hi[k]].
+
+    ``f`` maps an array of points to an array of values.  Each step evaluates
+    one new probe per bracket, and the search stops once every bracket is
+    narrower than ``tol``.  Returns (argmin, min) arrays.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    while np.any(b - a > tol):
+        # left: the minimum lies in [a, d], whose upper probe is the old c
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    pick = fc <= fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
+
+
+def _grid_min(f, grid: np.ndarray) -> tuple[float, float]:
+    """Minimum of f over a grid, golden-section polished between the grid
+    neighbours of the grid minimizer; returns (point, value)."""
+    vals = np.asarray(f(grid), dtype=float)
+    i = int(np.argmin(vals))
+    x_best, v_best = float(grid[i]), float(vals[i])
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    if hi > lo:
+        x_ref, v_ref = _golden_min(f, np.array([lo]), np.array([hi]))
+        if v_ref[0] < v_best:
+            x_best, v_best = float(x_ref[0]), float(v_ref[0])
+    return x_best, v_best
 
 
 def holds_for_all_lambda(
@@ -230,36 +252,8 @@ def holds_for_all_lambda(
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size < 3:
         raise ValueError("lambda grid needs at least 3 points")
-    vals = np.asarray(cond(lambda_grid), dtype=float)
-    i = int(np.argmin(vals))
-    lam_best, v_best = float(lambda_grid[i]), float(vals[i])
-    lo = float(lambda_grid[max(i - 1, 0)])
-    hi = float(lambda_grid[min(i + 1, lambda_grid.size - 1)])
-    if hi > lo:
-        lam_ref, v_ref = _golden_min(lambda x: float(cond(x)), lo, hi)
-        if v_ref < v_best:
-            lam_best, v_best = lam_ref, v_ref
+    lam_best, v_best = _grid_min(cond, lambda_grid)
     return v_best >= FEASIBLE_TOL, lam_best
-
-
-def _batch_golden_min(f2, lo: np.ndarray, hi: np.ndarray, iters: int = 64):
-    """Vectorized golden-section minimum of f2(lam_array) per bracket."""
-    a, b = lo.copy(), hi.copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f2(c), f2(d)
-    for _ in range(iters):
-        left = fc <= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        # both probes re-evaluated each step: wasteful but branch-free
-        fc = f2(c)
-        fd = f2(d)
-    lam = np.where(fc <= fd, c, d)
-    val = np.minimum(fc, fd)
-    return lam, val
 
 
 def _condition_for(kind: str):
@@ -320,9 +314,7 @@ def min_admissible_fan(
         blo = lam2d[rows[cand], li]
         bhi = lam2d[rows[cand], hi_i]
         bet = betas[cand]
-        lam_ref, val_ref = _batch_golden_min(
-            lambda lam: cond(A, bet, lam), blo, bhi
-        )
+        lam_ref, val_ref = _golden_min(lambda lam: cond(A, bet, lam), blo, bhi)
         better = val_ref < grid_min[cand]
         worst[cand] = np.where(better, lam_ref, worst[cand])
         refined_min = np.minimum(val_ref, grid_min[cand])
@@ -408,3 +400,37 @@ def adhesion_from_profile(
         return AdhesionFunction.from_sweep_table(
             profile, kind, eps_lo=eps_lo, points_per_decade=points_per_decade
         )
+
+
+def fan_bound_rows(
+    profiles: dict[str, ContactProfile],
+    cases,
+    beta_step: float = 1e-3,
+    *,
+    eps_lo: float = 1e-10,
+) -> list[tuple]:
+    """The ``bounds.csv`` rows for ``cases`` on walls ``profiles["+"/"-"]``.
+
+    Each row is (side, case, beta_min, method, worst_lambda, monotone_flag,
+    effective_m, effective_sigma), in case order and then in the case's
+    (side, condition) order.  Each distinct (side, condition) pair is scanned
+    once; ID and DI repeat the pairs of I and D and reuse their results.
+    """
+    scans: dict[tuple[str, str], tuple] = {}
+    rows = []
+    for case in cases:
+        for side, cond_kind in case_condition_map(case):
+            if (side, cond_kind) not in scans:
+                A = adhesion_from_profile(
+                    profiles[side], required_functional_kind(cond_kind), eps_lo=eps_lo
+                )
+                result = min_admissible_fan(
+                    A, cond_kind, beta_step=beta_step, side=side, case=case
+                )
+                scans[side, cond_kind] = (result, *effective_angle(A))
+            result, m, sigma = scans[side, cond_kind]
+            rows.append(
+                (side, case.value, result.beta_min, result.method,
+                 result.worst_lambda, result.monotone_flag, m, sigma)
+            )
+    return rows

@@ -23,16 +23,15 @@ import numpy as np
 
 from . import io as wio
 from .bounds import (
+    AdhesionFunction,
     FanCase,
     InfeasibleScanError,
     adhesion_from_profile,
     case_condition_map,
     default_lambda_grid,
-    effective_angle,
-    min_admissible_fan,
+    fan_bound_rows,
     required_functional_kind,
 )
-from .bounds import AdhesionFunction
 from .blowup import contradiction_witness, limit_difference_table
 from .functionals import (
     SweepConfig,
@@ -85,29 +84,23 @@ def _angle(value: float | None, degrees: bool, default: float) -> float:
     return math.radians(value) if degrees else value
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--config", default=None, help="JSON config file (solve)")
-    parser.add_argument(
-        "--degrees",
+#: flags read by several subcommands; each subcommand registers only those it
+#: reads, so a stray flag is a usage error rather than silently ignored
+_SHARED_FLAGS = {
+    "--degrees": dict(
         action="store_true",
         help="interpret angle flags as degrees (config files stay radians)",
-    )
-    parser.add_argument(
-        "--tol", type=float, default=None, help="tolerance override (solve)"
-    )
-    parser.add_argument(
-        "--eps-floor",
-        type=float,
-        default=1e-10,
-        help="smallest scale used by averaging sweeps",
-    )
-    parser.add_argument(
-        "--beta-step",
-        type=float,
-        default=None,
-        help="fan-scan step (radians unless --degrees)",
-    )
+    ),
+    "--eps-floor": dict(
+        type=float, default=1e-10, help="smallest scale used by averaging sweeps"
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *shared: str) -> None:
+    parser.add_argument("--out", default="out", help="output directory")
+    for name in shared:
+        parser.add_argument(name, **_SHARED_FLAGS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +161,7 @@ def cmd_bounds(args) -> int:
         math.radians(args.beta_step) if args.degrees else args.beta_step
     )
     cases = _CASE_ORDER if args.case == "all" else (FanCase(args.case),)
-    rows = []
-    for case in cases:
-        for side, cond_kind in case_condition_map(case):
-            kind = required_functional_kind(cond_kind)
-            A = adhesion_from_profile(
-                profiles[side], kind, eps_lo=args.eps_floor
-            )
-            result = min_admissible_fan(
-                A, cond_kind, beta_step=beta_step, side=side, case=case
-            )
-            m, sigma = effective_angle(A)
-            rows.append(
-                (
-                    side,
-                    case.value,
-                    result.beta_min,
-                    result.method,
-                    result.worst_lambda,
-                    result.monotone_flag,
-                    m,
-                    sigma,
-                )
-            )
+    rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
     out = Path(args.out)
     csv_path = wio.write_bounds_csv(out / "bounds.csv", rows)
     manifest = wio.write_manifest(
@@ -547,13 +518,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="sweep a wall profile and its A curves")
-    _common_flags(p)
+    _add_flags(p, "--eps-floor")
     p.add_argument("file", help="profile JSON file")
     p.add_argument("--points-per-decade", type=int, default=64)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("bounds", help="minimal admissible fan widths per case")
-    _common_flags(p)
+    _add_flags(p, "--degrees", "--eps-floor")
+    p.add_argument(
+        "--beta-step",
+        type=float,
+        default=None,
+        help="fan-scan step (radians unless --degrees)",
+    )
     p.add_argument("--plus", required=True, help="profile JSON for the + wall")
     p.add_argument("--minus", required=True, help="profile JSON for the - wall")
     p.add_argument(
@@ -564,13 +541,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "verify-examples", help="recheck the closed-form oscillation identities"
     )
-    _common_flags(p)
+    _add_flags(p, "--degrees", "--eps-floor")
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
     p.set_defaults(func=cmd_verify_examples)
 
     p = sub.add_parser("solve", help="solve the wedge problem and trace r -> 0")
-    _common_flags(p)
+    _add_flags(p)
+    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.add_argument(
         "--mms",
         action="store_true",
@@ -580,7 +559,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("blowup", help="limiting comparison sweep for one wall")
-    _common_flags(p)
+    _add_flags(p, "--degrees", "--eps-floor")
     p.add_argument("--side", choices=["+", "-"], default="+")
     p.add_argument("--case", choices=["I", "D", "ID", "DI"], required=True)
     p.add_argument("--beta", type=float, required=True)

@@ -236,11 +236,14 @@ class _Discretization:
         self,
         mesh: SectorMesh,
         rhs_fn,  # (r, theta, t) -> value, vectorized
-        wall_minus,  # per-row exact wall-flux integrals, theta = -alpha
-        wall_plus,  # theta = +alpha
-        arc_outer,  # per-column flux integrals through r = r_max
-        arc_inner,  # through r = r_min
-        source_fn=None,  # extra right-hand side g(r, theta), for manufactured runs
+        profile_plus: ContactProfile | None,
+        profile_minus: ContactProfile | None,
+        *,
+        source=None,  # extra right-hand side g(r, theta), for manufactured runs
+        wall_flux_plus=None,  # callables overriding the profiles' wall flux
+        wall_flux_minus=None,
+        arc_flux_inner=None,  # callables of theta; None closes the arc
+        arc_flux_outer=None,
     ):
         if mesh.m < 2 or mesh.n_theta < 2:
             raise ValueError("solver needs at least 3 nodes per direction")
@@ -275,16 +278,17 @@ class _Discretization:
         )
         self.area = 0.5 * (self.b_out**2 - self.b_in**2)[:, None] * w[None, :]
         # boundary face integrals are solution-independent
-        self.wall_minus = wall_minus
-        self.wall_plus = wall_plus
-        self.arc_outer = arc_outer
-        self.arc_inner = arc_inner
+        spans = (self.b_in, self.b_out)
+        self.wall_minus = _wall_integrals(spans, profile_minus, wall_flux_minus, mesh.r_max, "-")
+        self.wall_plus = _wall_integrals(spans, profile_plus, wall_flux_plus, mesh.r_max, "+")
+        self.arc_outer = _arc_integrals(mesh, arc_flux_outer, mesh.r_max)
+        self.arc_inner = _arc_integrals(mesh, arc_flux_inner, mesh.r_min)
         self.source = (
             None
-            if source_fn is None
+            if source is None
             else np.asarray(
-                source_fn(np.broadcast_to(self.r_col, self.shape),
-                          np.broadcast_to(self.t_row, self.shape)),
+                source(np.broadcast_to(self.r_col, self.shape),
+                       np.broadcast_to(self.t_row, self.shape)),
                 dtype=float,
             )
             * self.area
@@ -462,29 +466,6 @@ def _arc_integrals(
     return out
 
 
-def _build_disc(
-    mesh: SectorMesh,
-    rhs_fn,
-    profile_plus,
-    profile_minus,
-    *,
-    source=None,
-    wall_flux_plus=None,
-    wall_flux_minus=None,
-    arc_flux_inner=None,
-    arc_flux_outer=None,
-) -> _Discretization:
-    r = mesh.radii
-    s_face = 0.5 * (r[:-1] + r[1:])
-    b_out = np.concatenate([[r[0]], s_face])
-    b_in = np.concatenate([s_face, [r[-1]]])
-    wall_m = _wall_integrals((b_in, b_out), profile_minus, wall_flux_minus, mesh.r_max, "-")
-    wall_p = _wall_integrals((b_in, b_out), profile_plus, wall_flux_plus, mesh.r_max, "+")
-    arc_o = _arc_integrals(mesh, arc_flux_outer, mesh.r_max)
-    arc_i = _arc_integrals(mesh, arc_flux_inner, mesh.r_min)
-    return _Discretization(mesh, rhs_fn, wall_m, wall_p, arc_o, arc_i, source)
-
-
 def _check_balance(disc: _Discretization, lam_total: float, config: SolverConfig):
     """Flux/source compatibility for the rank-deficient (pinned) problem."""
     influx = float(
@@ -516,8 +497,60 @@ def _applicability_note(mesh, profile_plus, profile_minus, diagnostics):
             "contact-angle data violate the corner hypothesis; radial limits "
             "may not exist",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public solver
         )
+
+
+def _solve(
+    problem: str,
+    mesh: SectorMesh,
+    rhs_fn,
+    profile_plus: ContactProfile | None,
+    profile_minus: ContactProfile | None,
+    config: SolverConfig | None,
+    boundary: dict,
+    *,
+    start: float,
+    pinned_total: Callable[[_Discretization, np.ndarray], float | None],
+    check: Callable[[_Discretization, np.ndarray], dict] | None = None,
+    kappa: float | None = None,
+    lam: float | None = None,
+) -> SolutionField:
+    """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
+
+    ``start`` is the starting constant unless the config sets one.
+    ``pinned_total(disc, f0)`` returns the source integral the boundary flux
+    must balance when the problem is pure Neumann (its mean is then pinned),
+    and None otherwise.  ``check(disc, f)`` returns extra diagnostics read
+    off the solution.
+    """
+    config = config or SolverConfig()
+    disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, **boundary)
+    diagnostics: dict = {"problem": problem}
+    _applicability_note(mesh, profile_plus, profile_minus, diagnostics)
+    if config.initial is not None:
+        start = config.initial
+    f0 = np.full(disc.shape, float(start))
+    total = pinned_total(disc, f0)
+    if total is not None:
+        diagnostics["nullspace"] = _PIN_NOTE
+        diagnostics["balance_mismatch"] = _check_balance(disc, total, config)
+    f, ok, history, iters = _newton_solve(disc, f0, config, total is not None)
+    if check is not None:
+        diagnostics.update(check(disc, f))
+    return SolutionField(
+        mesh=mesh,
+        values=f,
+        kappa=kappa,
+        lam=lam,
+        converged=ok,
+        residual_norm=history[-1],
+        newton_iterations=iters,
+        tol=config.tol,
+        rhs_values=disc.rhs_at(f),
+        residual_history=tuple(history),
+        diagnostics=diagnostics,
+    )
 
 
 def solve_capillary(
@@ -544,45 +577,26 @@ def solve_capillary(
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    config = config or SolverConfig()
-    rhs_fn = lambda r, t, z: kappa * z + lam
-    disc = _build_disc(
+    return _solve(
+        "capillary",
         mesh,
-        rhs_fn,
+        lambda r, t, z: kappa * z + lam,
         profile_plus,
         profile_minus,
-        source=source,
-        wall_flux_plus=wall_flux_plus,
-        wall_flux_minus=wall_flux_minus,
-        arc_flux_inner=arc_flux_inner,
-        arc_flux_outer=arc_flux_outer,
-    )
-    diagnostics: dict = {"problem": "capillary"}
-    _applicability_note(mesh, profile_plus, profile_minus, diagnostics)
-    pin = kappa == 0.0
-    if pin:
-        diagnostics["nullspace"] = _PIN_NOTE
-        diagnostics["balance_mismatch"] = _check_balance(
-            disc, lam * float(disc.area.sum()), config
-        )
-    if config.initial is not None:
-        start = config.initial
-    else:
-        start = -lam / kappa if kappa > 0.0 else 0.0
-    f0 = np.full(disc.shape, float(start))
-    f, ok, history, iters = _newton_solve(disc, f0, config, pin)
-    return SolutionField(
-        mesh=mesh,
-        values=f,
+        config,
+        dict(
+            source=source,
+            wall_flux_plus=wall_flux_plus,
+            wall_flux_minus=wall_flux_minus,
+            arc_flux_inner=arc_flux_inner,
+            arc_flux_outer=arc_flux_outer,
+        ),
+        start=-lam / kappa if kappa > 0.0 else 0.0,
+        pinned_total=lambda disc, f0: (
+            lam * float(disc.area.sum()) if kappa == 0.0 else None
+        ),
         kappa=kappa,
         lam=lam,
-        converged=ok,
-        residual_norm=history[-1],
-        newton_iterations=iters,
-        tol=config.tol,
-        rhs_values=disc.rhs_at(f),
-        residual_history=tuple(history),
-        diagnostics=diagnostics,
     )
 
 
@@ -604,97 +618,56 @@ def solve_pmc(
     Reduces exactly to solve_capillary when curvature(x,y,t) = (kappa*t+lam)/2
     and the same config (including ``initial``) is used.  Monotonicity is the
     caller's assertion; a sampled check over the solution range lands in
-    diagnostics["monotone_ok"].
+    diagnostics["monotone_ok"].  The boundary keywords are as for
+    solve_capillary.
     """
-    config = config or SolverConfig()
 
     def rhs_fn(r, t, z):
         return 2.0 * curvature(r * np.cos(t), r * np.sin(t), z)
 
-    disc = _build_disc(
+    def pinned_total(disc, f0):
+        # flat sampled curvature slope means a pure Neumann problem: pin the mean
+        probe = 1e-6
+        rhs0 = disc.rhs_at(f0)
+        slope = np.abs(disc.rhs_at(f0 + probe) - rhs0) / probe
+        if float(np.max(slope)) < 1e-13:
+            return float((rhs0 * disc.area).sum())
+        return None
+
+    def monotone(disc, f):
+        lo, hi = float(np.min(f)), float(np.max(f))
+        ts = np.linspace(lo, hi, 5) if hi > lo else np.array([lo, lo + 1.0])
+        samples = [disc.rhs_at(np.full(disc.shape, tv)) for tv in ts]
+        mono = all(
+            np.all(b >= a - 1e-12 * (1.0 + np.abs(a)))
+            for a, b in zip(samples, samples[1:])
+        )
+        if not mono:
+            warnings.warn(
+                "sampled curvature decreases in the height argument on the "
+                "solution range",
+                RuntimeWarning,
+                stacklevel=4,  # the caller of solve_pmc
+            )
+        return {"monotone_ok": bool(mono)}
+
+    return _solve(
+        "pmc",
         mesh,
         rhs_fn,
         profile_plus,
         profile_minus,
-        source=source,
-        wall_flux_plus=wall_flux_plus,
-        wall_flux_minus=wall_flux_minus,
-        arc_flux_inner=arc_flux_inner,
-        arc_flux_outer=arc_flux_outer,
-    )
-    diagnostics: dict = {"problem": "pmc"}
-    _applicability_note(mesh, profile_plus, profile_minus, diagnostics)
-    start = config.initial if config.initial is not None else 0.0
-    f0 = np.full(disc.shape, float(start))
-    # flat sampled curvature slope means a pure Neumann problem: pin the mean
-    probe = 1e-6
-    slope = np.abs(
-        np.asarray(rhs_fn(disc.r_col, disc.t_row, f0 + probe), dtype=float)
-        - np.asarray(rhs_fn(disc.r_col, disc.t_row, f0), dtype=float)
-    ) / probe
-    pin = float(np.max(slope)) < 1e-13
-    if pin:
-        diagnostics["nullspace"] = _PIN_NOTE
-        rhs0 = np.asarray(rhs_fn(disc.r_col, disc.t_row, f0), dtype=float)
-        diagnostics["balance_mismatch"] = _check_balance(
-            disc, float((rhs0 * disc.area).sum()), config
-        )
-    f, ok, history, iters = _newton_solve(disc, f0, config, pin)
-    rhs_final = disc.rhs_at(f)
-    lo, hi = float(np.min(f)), float(np.max(f))
-    ts = np.linspace(lo, hi, 5) if hi > lo else np.array([lo, lo + 1.0])
-    samples = [
-        np.asarray(rhs_fn(disc.r_col, disc.t_row, np.full(disc.shape, tv)), dtype=float)
-        for tv in ts
-    ]
-    mono = all(
-        np.all(b >= a - 1e-12 * (1.0 + np.abs(a)))
-        for a, b in zip(samples, samples[1:])
-    )
-    diagnostics["monotone_ok"] = bool(mono)
-    if not mono:
-        warnings.warn(
-            "sampled curvature decreases in the height argument on the "
-            "solution range",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return SolutionField(
-        mesh=mesh,
-        values=f,
-        kappa=None,
-        lam=None,
-        converged=ok,
-        residual_norm=history[-1],
-        newton_iterations=iters,
-        tol=config.tol,
-        rhs_values=rhs_final,
-        residual_history=tuple(history),
-        diagnostics=diagnostics,
-    )
-
-
-def synthetic_field(
-    mesh: SectorMesh,
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    kappa: float = 0.0,
-    lam: float = 0.0,
-) -> SolutionField:
-    """Field with prescribed nodal values, marked converged; for trace tests."""
-    r = mesh.radii[:, None]
-    t = mesh.thetas[None, :]
-    vals = np.asarray(fn(r, t), dtype=float) * np.ones((mesh.m + 1, mesh.n_theta + 1))
-    return SolutionField(
-        mesh=mesh,
-        values=vals,
-        kappa=kappa,
-        lam=lam,
-        converged=True,
-        residual_norm=0.0,
-        newton_iterations=0,
-        tol=1e-10,
-        rhs_values=kappa * vals + lam,
-        diagnostics={"problem": "synthetic"},
+        config,
+        dict(
+            source=source,
+            wall_flux_plus=wall_flux_plus,
+            wall_flux_minus=wall_flux_minus,
+            arc_flux_inner=arc_flux_inner,
+            arc_flux_outer=arc_flux_outer,
+        ),
+        start=0.0,
+        pinned_total=pinned_total,
+        check=monotone,
     )
 
 

@@ -71,6 +71,22 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["solve", "--out", str(tmp_path)]) == 1  # no config, no --mms
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "WALL", "--tol", "1"],
+        ["verify-examples", "--config", "x"],
+        ["blowup", "--case", "I", "--beta", "0.1", "--gamma0", "0.5",
+         "--beta-step", "0.01"],
+        ["solve", "--mms", "--mms-sizes", "4,8", "--degrees"],
+    ],
+)
+def test_flag_the_subcommand_ignores_exits_1(tmp_path, argv):
+    wall = constant_wall(tmp_path, "+", 1.0)
+    argv = [wall if a == "WALL" else a for a in argv]
+    assert run(argv + ["--out", tmp_path / "out"]) == 1
+
+
 def test_solve_config_usage_errors(tmp_path, capsys):
     assert run(["solve", "--config", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -240,6 +256,31 @@ def test_bounds_rows_match_library(tmp_path):
         assert float(row[6]) == m and float(row[7]) == sigma
         # neutral walls: the admissible fan opens to a right angle
         assert abs(direct.beta_min - math.pi / 2) <= 2e-3
+
+
+def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
+    """ID and DI repeat the (side, condition) pairs of I and D: 4 scans, not 8."""
+    import wedgecap.bounds
+
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args[1])
+        return min_admissible_fan(*args, **kwargs)
+
+    monkeypatch.setattr(wedgecap.bounds, "min_admissible_fan", counted)
+    plus = constant_wall(tmp_path, "+", 1.0)
+    minus = constant_wall(tmp_path, "-", 2.0)
+    out = tmp_path / "out"
+    assert run(["bounds", "--plus", plus, "--minus", minus, "--case", "all",
+                "--out", out]) == 0
+    assert len(scans) == 4
+    rows = {(r[0], r[1]): r[2:] for r in read_rows(out / "bounds.csv")[1:]}
+    assert len(rows) == 8
+    for mixed in (FanCase.ID, FanCase.DI):
+        for pair in case_condition_map(mixed):
+            pure = next(c for c in (FanCase.I, FanCase.D) if pair in case_condition_map(c))
+            assert rows[pair[0], mixed.value] == rows[pair[0], pure.value]
 
 
 def test_bounds_infeasible_exit_4(tmp_path, capsys):

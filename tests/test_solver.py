@@ -17,6 +17,7 @@ from wedgecap.solver import (
     ManufacturedCase,
     RadialTrace,
     SectorMesh,
+    SolutionField,
     SolverConfig,
     bounds_estimate,
     build_sector_mesh,
@@ -28,13 +29,31 @@ from wedgecap.solver import (
     radial_trace,
     solve_capillary,
     solve_pmc,
-    synthetic_field,
     torus_minor_radius,
 )
 
 GEO = WedgeGeometry(1.0)
 NEUTRAL_P = constant_profile("+", math.pi / 2)
 NEUTRAL_M = constant_profile("-", math.pi / 2)
+
+
+def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
+    """Field with prescribed nodal values, marked converged; for trace tests."""
+    r = mesh.radii[:, None]
+    t = mesh.thetas[None, :]
+    vals = np.asarray(fn(r, t), dtype=float) * np.ones((mesh.m + 1, mesh.n_theta + 1))
+    return SolutionField(
+        mesh=mesh,
+        values=vals,
+        kappa=kappa,
+        lam=lam,
+        converged=True,
+        residual_norm=0.0,
+        newton_iterations=0,
+        tol=1e-10,
+        rhs_values=kappa * vals + lam,
+        diagnostics={"problem": "synthetic"},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +221,13 @@ def test_solver_input_validation():
 def test_fails_tag_warns():
     mesh = build_sector_mesh(WedgeGeometry(math.pi / 4), 0.1, 1.0, 6, 6)
     wet_p, wet_m = constant_profile("+", 0.0), constant_profile("-", 0.0)
-    with pytest.warns(RuntimeWarning, match="corner hypothesis"):
+    with pytest.warns(RuntimeWarning, match="corner hypothesis") as record:
         field = solve_capillary(
             mesh, 1.0, 0.0, wet_p, wet_m, SolverConfig(max_iter=2)
         )
     assert field.diagnostics["applicability"] == FAILS
+    # attributed to the caller of the public solver
+    assert {w.filename for w in record} == {__file__}
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +285,12 @@ def test_pmc_tanh_curvature_keeps_zero():
 
 def test_pmc_detects_monotonicity_violation():
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 10, 10)
-    with pytest.warns(RuntimeWarning, match="decreases"):
+    with pytest.warns(RuntimeWarning, match="decreases") as record:
         field = solve_pmc(
             mesh, lambda x, y, t: -0.5 * np.tanh(t), NEUTRAL_P, NEUTRAL_M
         )
     assert not field.diagnostics["monotone_ok"]
+    assert {w.filename for w in record} == {__file__}
 
 
 # ---------------------------------------------------------------------------
