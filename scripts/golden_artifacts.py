@@ -98,6 +98,8 @@ def calls(inputs):
             "plus": walls["example2"]["+"], "minus": walls["example2"]["-"]}
     configs = {
         "solve-16": {**base, "m": 16, "n_theta": 16, "kappa": 1.0, "lambda": 2.0},
+        # m != n_theta, so a swapped row/column bound in the solver shows
+        "solve-24x12": {**base, "m": 24, "n_theta": 12, "kappa": 1.0, "lambda": 2.0},
         "solve-capillary": {**base, "m": 48, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
         "solve-pinned": {**base, "m": 48, "n_theta": 48, "kappa": 0.0,
                          "lambda": flux / (alpha * (r_max**2 - r_min**2))},

@@ -21,6 +21,8 @@ import numpy as np
 from .functionals import (
     KIND_LOWER,
     KIND_UPPER,
+    LOG_PERIODIC_RATIO,
+    SweepConfig,
     exact_A_example1,
     exact_A_log_periodic,
 )
@@ -113,17 +115,15 @@ class AdhesionFunction:
         kind: str,
         eps_lo: float = 1e-10,
         points_per_decade: int = 64,
-        x_floor: float = 1e-14,
     ) -> "AdhesionFunction":
         """Sweep-backed evaluator with precomputed envelope tables.
 
         A(b) over the grid eps in [eps_lo, s_max/b] equals b * (envelope of
         F(x)/x over x in [b*eps_lo, s_max]), so one table of F(x)/x on a
-        geometric x-grid plus running envelopes answers every b by bisection.
+        geometric x-grid down to 1e-14 plus running envelopes answers every b
+        by bisection.
         """
-        p = points_per_decade
-        n = math.floor(p * math.log10(profile.s_max / x_floor) + 1e-9)
-        xs = profile.s_max * 10.0 ** (-(np.arange(n + 1) / p))
+        xs = SweepConfig(profile.s_max, 1e-14, points_per_decade).grid()
         g = profile.integral_many(xs) / xs
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
         run_min = np.minimum.accumulate(g)
@@ -276,11 +276,11 @@ def min_admissible_fan(
     *,
     side: str | None = None,
     case: FanCase | None = None,
-    lambda_points: int = LAMBDA_POINTS,
 ) -> FanBoundResult:
     """Smallest fan width passing the chosen condition for all lambda.
 
-    Scans beta ascending from 0 in steps of ``beta_step`` over [0, pi).  The
+    Scans beta ascending from 0 in steps of ``beta_step`` over [0, pi), each
+    on a grid of LAMBDA_POINTS lambdas refined around its minimum.  The
     whole range is scanned so the result also reports whether feasibility was
     monotone in beta (observed, never assumed).  Raises InfeasibleScanError
     when no width passes.
@@ -296,7 +296,7 @@ def min_admissible_fan(
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
     lo = betas[:, None] + LAMBDA_MARGIN
     hi = math.pi - LAMBDA_MARGIN
-    u = np.linspace(0.0, 1.0, lambda_points)[None, :]
+    u = np.linspace(0.0, 1.0, LAMBDA_POINTS)[None, :]
     lam2d = lo + (hi - lo) * u
     vals2d = cond(A, betas[:, None], lam2d)
     idx = np.argmin(vals2d, axis=1)
@@ -309,8 +309,8 @@ def min_admissible_fan(
     feasible = np.zeros(len(betas), dtype=bool)
     worst = lam2d[rows, idx].copy()
     if np.any(cand):
-        li = np.clip(idx[cand] - 1, 0, lambda_points - 1)
-        hi_i = np.clip(idx[cand] + 1, 0, lambda_points - 1)
+        li = np.clip(idx[cand] - 1, 0, LAMBDA_POINTS - 1)
+        hi_i = np.clip(idx[cand] + 1, 0, LAMBDA_POINTS - 1)
         blo = lam2d[rows[cand], li]
         bhi = lam2d[rows[cand], hi_i]
         bet = betas[cand]
@@ -384,18 +384,22 @@ def adhesion_from_profile(
     profile: ContactProfile,
     kind: str,
     *,
-    ratio: float = 4.0,
     eps_lo: float = 1e-10,
     points_per_decade: int = 64,
 ) -> AdhesionFunction:
-    """Best available evaluator for a profile: exact when structure allows."""
+    """Best available evaluator for a profile: exact when structure allows.
+
+    Constant and example1 walls get their closed forms, walls self-similar
+    at LOG_PERIODIC_RATIO the log-periodic one, and any other wall a sweep
+    table from ``eps_lo`` at ``points_per_decade``.
+    """
     if profile.generator == "constant" or profile.n_segments == 1:
         return AdhesionFunction.constant_angle(float(profile.values[0]), kind)
     if profile.generator == "example1":
         g1, g2 = profile.recurrent_values
         return AdhesionFunction.from_example1(g1, g2, kind)
     try:
-        return AdhesionFunction.from_log_periodic(profile, ratio, kind)
+        return AdhesionFunction.from_log_periodic(profile, LOG_PERIODIC_RATIO, kind)
     except ValueError:
         return AdhesionFunction.from_sweep_table(
             profile, kind, eps_lo=eps_lo, points_per_decade=points_per_decade

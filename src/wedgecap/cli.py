@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .blowup import contradiction_witness, limit_difference_table
 from .functionals import (
+    LOG_PERIODIC_RATIO,
     SweepConfig,
     best_estimates,
     estimate_AI,
@@ -208,7 +209,7 @@ def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, flo
     prof2 = example2_profile(g1, g2)
     err_exact2 = [0.0, 0.0]
     for b in bs:
-        lower, upper = exact_A_log_periodic(prof2, b, 4.0)
+        lower, upper = exact_A_log_periodic(prof2, b, LOG_PERIODIC_RATIO)
         err_exact2[0] = max(err_exact2[0], abs(lower.value - want_ex2[b][0]))
         err_exact2[1] = max(err_exact2[1], abs(upper.value - want_ex2[b][1]))
 
@@ -291,7 +292,11 @@ def _load_solve_config(args):
 
 def _config_profile(entry, base: Path, side: str):
     if entry is None:
-        return None
+        key = "plus" if side == "+" else "minus"
+        raise ProfileFormatError(
+            f"solve config key {key!r} is null; a no-flux wall is a constant "
+            "profile with gamma = pi/2"
+        )
     if isinstance(entry, str):
         p = Path(entry)
         return wio.load_profile(p if p.is_absolute() else base / p)
@@ -316,10 +321,6 @@ def _curvature_for(tag: str, kappa: float, lam: float):
 
 
 def _mirror_profiles(plus, minus) -> bool:
-    if plus is None and minus is None:
-        return True
-    if plus is None or minus is None:
-        return False
     return np.array_equal(plus.bounds, minus.bounds) and np.array_equal(
         plus.values, minus.values
     )
@@ -422,8 +423,8 @@ def cmd_solve(args) -> int:
             },
             "physics": physics,
             "profiles": {
-                "plus": "closed" if plus is None else wio.profile_summary(plus),
-                "minus": "closed" if minus is None else wio.profile_summary(minus),
+                "plus": wio.profile_summary(plus),
+                "minus": wio.profile_summary(minus),
             },
             "solver": {
                 "tol": tol,

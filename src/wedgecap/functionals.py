@@ -23,6 +23,9 @@ METHOD_SWEEP = "sweep"
 METHOD_LOG_PERIODIC = "log_periodic_exact"
 METHOD_SEQUENCE = "sequence_exact"
 
+#: scale ratio at which the exact routes test a wall for self-similarity
+LOG_PERIODIC_RATIO = 4.0
+
 #: admitted relative overshoot of |value| past b before we call it a bug
 _VALUE_SLACK = 1e-9
 
@@ -233,13 +236,12 @@ def best_estimates(
     b: float,
     eps_lo: float = 1e-10,
     points_per_decade: int = 64,
-    ratio: float = 4.0,
 ) -> tuple[AdhesionEstimate, AdhesionEstimate]:
     """(lower, upper) adhesion values via the tightest applicable route.
 
     Profiles with recognized structure (constant, the two generated families,
-    anything self-similar at ``ratio``) get exact values; everything else
-    falls back to a sweep between ``eps_lo`` and the wall.
+    anything self-similar at LOG_PERIODIC_RATIO) get exact values; everything
+    else falls back to a sweep between ``eps_lo`` and the wall.
     """
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
@@ -251,7 +253,7 @@ def best_estimates(
             AdhesionEstimate(b, KIND_UPPER, value, METHOD_SEQUENCE, 0.0),
         )
     try:
-        return exact_A_log_periodic(profile, b, ratio)
+        return exact_A_log_periodic(profile, b, LOG_PERIODIC_RATIO)
     except ValueError:
         pass
     sweep = SweepConfig(

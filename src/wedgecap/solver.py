@@ -35,6 +35,8 @@ from .profiles import (
 #: cell counts below this are fine for plumbing but not for solve accuracy
 RECOMMENDED_MIN_CELLS = 16
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
+#: relative flux/source mismatch a pinned (pure Neumann) problem may carry
+_BALANCE_TOL = 1e-8
 # unknown (i,j) can influence residuals up to 2 nodes away (one-sided
 # boundary stencils), so a 5x5 index tiling gives independent FD columns
 _COLOR_STRIDE = 5
@@ -219,12 +221,11 @@ class SolverConfig:
 
     tol: float = 1e-10
     max_iter: int = 200
-    balance_tol: float = 1e-8
     initial: float | None = None  # starting constant; None picks the default
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0.0 and self.balance_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol > 0.0:
+            raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -293,6 +294,21 @@ class _Discretization:
             )
             * self.area
         )
+        # Jacobian colouring and footprint, fixed by the mesh: node (i, j) has
+        # colour (i % 5, j % 5) and its column holds the rows of the clipped
+        # 5x5 block around it
+        ni, nj = self.shape
+        ii, jj = np.indices(self.shape)
+        self.color = (ii % _COLOR_STRIDE) * _COLOR_STRIDE + jj % _COLOR_STRIDE
+        off = np.arange(_COLOR_STRIDE) - _COLOR_STRIDE // 2
+        ri, rj = np.broadcast_arrays(
+            ii[:, :, None, None] + off[:, None], jj[:, :, None, None] + off[None, :]
+        )
+        inside = (ri >= 0) & (ri < ni) & (rj >= 0) & (rj < nj)
+        self.footprint = (
+            (ri * nj + rj)[inside],
+            np.broadcast_to((ii * nj + jj)[:, :, None, None], ri.shape)[inside],
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -357,34 +373,20 @@ class _Discretization:
         ) * np.ones(self.shape)
 
     def jacobian(self, f: np.ndarray, base: np.ndarray) -> sp.csr_matrix:
-        """Forward-difference Jacobian assembled color by color."""
-        ni, nj = self.shape
-        n = ni * nj
+        """Forward-difference Jacobian assembled color by color.
+
+        One residual evaluation per colour perturbs every node of that colour;
+        the footprint entries are stored even where the difference is zero.
+        """
+        n = f.size
         step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-        color = (ii % _COLOR_STRIDE) * _COLOR_STRIDE + jj % _COLOR_STRIDE
-        reach = _COLOR_STRIDE // 2
-        for c in range(_COLOR_STRIDE * _COLOR_STRIDE):
-            mask = color == c
-            if not np.any(mask):
-                continue
-            fp = f + np.where(mask, step, 0.0)
-            dr = (self.residual(fp) - base).ravel()
-            for i0, j0 in zip(ii[mask], jj[mask]):
-                di = np.arange(max(i0 - reach, 0), min(i0 + reach, ni - 1) + 1)
-                dj = np.arange(max(j0 - reach, 0), min(j0 + reach, nj - 1) + 1)
-                rid = (di[:, None] * nj + dj[None, :]).ravel()
-                rows.append(rid)
-                cols.append(np.full(rid.size, i0 * nj + j0))
-                vals.append(dr[rid] / step[i0, j0])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        return mat.tocsr()
+        diffs = np.zeros((_COLOR_STRIDE * _COLOR_STRIDE, n))
+        for c in np.unique(self.color):
+            fp = f + np.where(self.color == c, step, 0.0)
+            diffs[c] = (self.residual(fp) - base).ravel()
+        rows, cols = self.footprint
+        vals = diffs[self.color.ravel()[cols], rows] / step.ravel()[cols]
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
@@ -466,7 +468,7 @@ def _arc_integrals(
     return out
 
 
-def _check_balance(disc: _Discretization, lam_total: float, config: SolverConfig):
+def _check_balance(disc: _Discretization, lam_total: float):
     """Flux/source compatibility for the rank-deficient (pinned) problem."""
     influx = float(
         disc.wall_minus.sum()
@@ -477,7 +479,7 @@ def _check_balance(disc: _Discretization, lam_total: float, config: SolverConfig
     src = lam_total + (0.0 if disc.source is None else float(disc.source.sum()))
     mismatch = influx - src
     scale = 1.0 + abs(influx) + abs(src)
-    if abs(mismatch) > config.balance_tol * scale:
+    if abs(mismatch) > _BALANCE_TOL * scale:
         raise ValueError(
             f"solvability balance violated: net boundary flux {influx} vs "
             f"source integral {src}"
@@ -508,13 +510,13 @@ def _solve(
     profile_plus: ContactProfile | None,
     profile_minus: ContactProfile | None,
     config: SolverConfig | None,
-    boundary: dict,
     *,
     start: float,
     pinned_total: Callable[[_Discretization, np.ndarray], float | None],
     check: Callable[[_Discretization, np.ndarray], dict] | None = None,
     kappa: float | None = None,
     lam: float | None = None,
+    **boundary,
 ) -> SolutionField:
     """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
 
@@ -522,7 +524,8 @@ def _solve(
     ``pinned_total(disc, f0)`` returns the source integral the boundary flux
     must balance when the problem is pure Neumann (its mean is then pinned),
     and None otherwise.  ``check(disc, f)`` returns extra diagnostics read
-    off the solution.
+    off the solution.  ``boundary`` holds the boundary keywords of
+    solve_capillary.
     """
     config = config or SolverConfig()
     disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, **boundary)
@@ -534,7 +537,7 @@ def _solve(
     total = pinned_total(disc, f0)
     if total is not None:
         diagnostics["nullspace"] = _PIN_NOTE
-        diagnostics["balance_mismatch"] = _check_balance(disc, total, config)
+        diagnostics["balance_mismatch"] = _check_balance(disc, total)
     f, ok, history, iters = _newton_solve(disc, f0, config, total is not None)
     if check is not None:
         diagnostics.update(check(disc, f))
@@ -584,19 +587,17 @@ def solve_capillary(
         profile_plus,
         profile_minus,
         config,
-        dict(
-            source=source,
-            wall_flux_plus=wall_flux_plus,
-            wall_flux_minus=wall_flux_minus,
-            arc_flux_inner=arc_flux_inner,
-            arc_flux_outer=arc_flux_outer,
-        ),
         start=-lam / kappa if kappa > 0.0 else 0.0,
         pinned_total=lambda disc, f0: (
             lam * float(disc.area.sum()) if kappa == 0.0 else None
         ),
         kappa=kappa,
         lam=lam,
+        source=source,
+        wall_flux_plus=wall_flux_plus,
+        wall_flux_minus=wall_flux_minus,
+        arc_flux_inner=arc_flux_inner,
+        arc_flux_outer=arc_flux_outer,
     )
 
 
@@ -606,20 +607,14 @@ def solve_pmc(
     profile_plus: ContactProfile | None,
     profile_minus: ContactProfile | None,
     config: SolverConfig | None = None,
-    *,
-    source=None,
-    wall_flux_plus=None,
-    wall_flux_minus=None,
-    arc_flux_inner=None,
-    arc_flux_outer=None,
 ) -> SolutionField:
     """Solve div(Tf) = 2 * curvature(x, y, f); curvature weakly increasing in f.
 
     Reduces exactly to solve_capillary when curvature(x,y,t) = (kappa*t+lam)/2
-    and the same config (including ``initial``) is used.  Monotonicity is the
-    caller's assertion; a sampled check over the solution range lands in
-    diagnostics["monotone_ok"].  The boundary keywords are as for
-    solve_capillary.
+    and the same config (including ``initial``) is used.  Wall fluxes always
+    come from the profiles and both circular arcs are closed.  Monotonicity
+    is the caller's assertion; a sampled check over the solution range lands
+    in diagnostics["monotone_ok"].
     """
 
     def rhs_fn(r, t, z):
@@ -658,13 +653,6 @@ def solve_pmc(
         profile_plus,
         profile_minus,
         config,
-        dict(
-            source=source,
-            wall_flux_plus=wall_flux_plus,
-            wall_flux_minus=wall_flux_minus,
-            arc_flux_inner=arc_flux_inner,
-            arc_flux_outer=arc_flux_outer,
-        ),
         start=0.0,
         pinned_total=pinned_total,
         check=monotone,
@@ -899,26 +887,16 @@ def measure_fans(rf: np.ndarray, thetas: np.ndarray, tol: float) -> FanMeasureme
         if left_mono_dn and right_mono_up:
             return classified("DI", al=float(thetas[a]), ar=float(thetas[b]))
     diag["gate_2alpha_gt_pi"] = gate
-    return FanMeasurement(
-        case=CASE_UNCLASSIFIED,
-        alpha=alpha,
-        alpha1=a1,
-        alpha2=a2,
-        alpha_l=None,
-        alpha_r=None,
-        tolerance=tol,
-        diagnostics=diag,
-    )
+    return classified(CASE_UNCLASSIFIED)
 
 
-def fans_from_trace(trace: RadialTrace, tol: float | None = None) -> FanMeasurement:
-    """Fan classification with the noise-aware default tolerance.
+def fans_from_trace(trace: RadialTrace) -> FanMeasurement:
+    """Fan classification with a noise-aware tolerance.
 
-    When ``tol`` is omitted it defaults to 10x the median extrapolation
-    residual (floored at 1e-12) so plateaus must clear extrapolation noise.
+    The tolerance is 10x the median extrapolation residual (floored at
+    1e-12), so plateaus must clear extrapolation noise.
     """
-    if tol is None:
-        tol = max(10.0 * float(np.median(trace.residual)), 1e-12)
+    tol = max(10.0 * float(np.median(trace.residual)), 1e-12)
     return measure_fans(trace.rf, trace.thetas, tol)
 
 
@@ -965,14 +943,13 @@ def manufactured_case(alpha: float = 1.0, kappa: float = 1.0, lam: float = 0.3):
 
 
 def manufactured_solve(
-    case: ManufacturedCase,
-    m: int,
-    n_theta: int,
-    r_min: float = 0.1,
-    r_max: float = 1.0,
-    config: SolverConfig | None = None,
+    case: ManufacturedCase, m: int, n_theta: int
 ) -> tuple[SolutionField, float]:
-    """Solve one manufactured run; returns (field, max nodal error)."""
+    """Solve one manufactured run on r in [0.1, 1] from a zero start.
+
+    Returns (field, max nodal error).
+    """
+    r_min, r_max = 0.1, 1.0
     mesh = build_sector_mesh(WedgeGeometry(case.alpha), r_min, r_max, m, n_theta)
     field = solve_capillary(
         mesh,
@@ -980,7 +957,7 @@ def manufactured_solve(
         case.lam,
         None,
         None,
-        config or SolverConfig(initial=0.0),
+        SolverConfig(initial=0.0),
         source=case.source,
         wall_flux_plus=case.wall_flux,
         wall_flux_minus=case.wall_flux,
@@ -992,18 +969,11 @@ def manufactured_solve(
     return field, err
 
 
-def manufactured_convergence(
-    sizes: tuple[int, ...] = (32, 64, 128),
-    case: ManufacturedCase | None = None,
-    r_min: float = 0.1,
-    r_max: float = 1.0,
-) -> dict:
-    """Max-norm errors across refinements and the observed order per doubling."""
-    case = case or manufactured_case()
-    errors = []
-    for s in sizes:
-        _, err = manufactured_solve(case, s, s, r_min=r_min, r_max=r_max)
-        errors.append(err)
+def manufactured_convergence(sizes: tuple[int, ...] = (32, 64, 128)) -> dict:
+    """Max-norm errors of the default manufactured case on s x s meshes, and
+    the observed order per refinement."""
+    case = manufactured_case()
+    errors = [manufactured_solve(case, s, s)[1] for s in sizes]
     rates = [
         math.log(errors[i] / errors[i + 1])
         / math.log(sizes[i + 1] / sizes[i])

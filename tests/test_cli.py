@@ -384,6 +384,14 @@ def test_solve_config_validation(tmp_path):
     assert run(["solve", "--config", badk]) == 3
 
 
+@pytest.mark.parametrize("key", ["plus", "minus"])
+def test_solve_null_wall_is_a_profile_error(tmp_path, capsys, key):
+    cfg = solve_config(tmp_path, m=8, n_theta=8, **{key: None})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "profile error" in err and repr(key) in err
+
+
 def test_solve_nonconvergence_exit_6(tmp_path, capsys):
     cfg = solve_config(
         tmp_path,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
     CONVEX_OK,
     FAILS,
@@ -19,6 +20,7 @@ from wedgecap.solver import (
     SectorMesh,
     SolutionField,
     SolverConfig,
+    _Discretization,
     bounds_estimate,
     build_sector_mesh,
     fans_from_trace,
@@ -202,6 +204,32 @@ def test_face_averaged_wall_flux():
     fa = solve_capillary(mesh, 1.0, 0.5, jumpy, NEUTRAL_M)
     fb = solve_capillary(mesh, 1.0, 0.5, averaged, NEUTRAL_M)
     assert np.allclose(fa.values, fb.values, atol=1e-12, rtol=0.0)
+
+
+@pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4)])
+def test_colored_jacobian_matches_column_by_column(m, n_theta):
+    """Nodes sharing a colour are 5 apart, beyond the stencil reach of 2, so
+    the coloured Jacobian equals the one perturbing one node at a time."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, m, n_theta)
+    disc = _Discretization(
+        mesh,
+        lambda r, t, z: np.tanh(z) + 0.3,
+        *(
+            profile_from_dict(
+                {"side": side, "generator": {"type": "example2", "gamma1": 0.8, "gamma2": 2.0}}
+            )
+            for side in "+-"
+        ),
+    )
+    f = np.sin(3.0 * mesh.radii[:, None]) * np.cos(2.0 * mesh.thetas[None, :])
+    base = disc.residual(f)
+    step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
+    dense = np.empty((f.size, f.size))
+    for k in range(f.size):
+        fp = f.copy()
+        fp.flat[k] += step.flat[k]
+        dense[:, k] = (disc.residual(fp) - base).ravel() / step.flat[k]
+    assert np.array_equal(disc.jacobian(f, base).toarray(), dense)
 
 
 def test_solver_input_validation():
