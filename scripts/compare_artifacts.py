@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Show how far the artifacts of two golden_artifacts.py runs moved.
+
+For every file under either directory it prints `same` when the two copies
+are byte-identical; otherwise, for a CSV, the largest |difference| in each
+column (non-numeric cells must match), and for any other file (manifests)
+the lines that differ.  Exits 1 if a file exists on one side only or two
+CSVs differ in shape or in a non-numeric cell.
+
+Usage:
+    python3 scripts/compare_artifacts.py BASE_DIR NEW_DIR
+"""
+
+import argparse
+import csv
+import difflib
+import math
+import sys
+from pathlib import Path
+
+
+def csv_moves(a: Path, b: Path) -> str | None:
+    """'column=max|delta| ...', or None if the tables do not line up."""
+    ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if len(ra) != len(rb) or ra[0] != rb[0] or any(len(x) != len(y) for x, y in zip(ra, rb)):
+        return None
+    worst = [0.0] * len(ra[0])
+    for x, y in zip(ra[1:], rb[1:]):
+        for k, (u, v) in enumerate(zip(x, y)):
+            if u == v:
+                continue
+            try:
+                d = abs(float(u) - float(v))
+            except ValueError:
+                return None
+            worst[k] = max(worst[k], d if not math.isnan(d) else math.inf)
+    return " ".join(f"{name}={w:.3g}" for name, w in zip(ra[0], worst))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="output directory of the first run")
+    parser.add_argument("new", type=Path, help="output directory of the second run")
+    args = parser.parse_args(argv)
+    base, new = args.base, args.new
+    names = {
+        p.relative_to(root).as_posix()
+        for root in (base, new)
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+    status = 0
+    for name in sorted(names):
+        a, b = base / name, new / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {base if a.is_file() else new}")
+            status = 1
+        elif a.read_bytes() == b.read_bytes():
+            print(f"{name}: same")
+        elif name.endswith(".csv"):
+            moves = csv_moves(a, b)
+            status |= moves is None
+            print(f"{name}: {'shape or non-numeric cells differ' if moves is None else moves}")
+        else:
+            print(f"{name}: differs")
+            lines = (p.read_text().splitlines() for p in (a, b))
+            for line in difflib.unified_diff(*lines, lineterm="", n=0):
+                if not line.startswith(("---", "+++", "@@")):
+                    print(f"  {line}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

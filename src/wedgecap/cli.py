@@ -6,9 +6,10 @@ files and manifests (repr-formatted numbers, sorted keys, no timestamps).
 Angles on the command line are radians unless --degrees is given; config
 files are always radians.
 
-Exit codes: 0 success, 1 usage error, 2 malformed profile (including a
-missing profile file), 3 numeric-range violation, 4 infeasible fan scan,
-5 verification failure, 6 solver non-convergence (artifacts still written).
+Exit codes: 0 success, 1 usage error, 2 malformed profile or solve config
+(including a missing profile file), 3 numeric-range violation, 4 infeasible
+fan scan, 5 verification failure, 6 solver non-convergence (artifacts still
+written).
 """
 
 from __future__ import annotations
@@ -158,9 +159,7 @@ def cmd_profile(args) -> int:
 
 def cmd_bounds(args) -> int:
     profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
-    beta_step = 1e-3 if args.beta_step is None else (
-        math.radians(args.beta_step) if args.degrees else args.beta_step
-    )
+    beta_step = _angle(args.beta_step, args.degrees, 1e-3)
     cases = _CASE_ORDER if args.case == "all" else (FanCase(args.case),)
     rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
     out = Path(args.out)
@@ -312,6 +311,14 @@ class _Usage(Exception):
     pass
 
 
+def _config_number(data: dict, key: str, default, integer: bool = False):
+    """A solve-config number; counts must be JSON ints, as profile depths are."""
+    value, what = data.get(key, default), f"solve config key {key!r}"
+    if integer and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ProfileFormatError(f"{what} must be an int, got {value!r}")
+    return value if integer else wio._number(value, what)
+
+
 def _curvature_for(tag: str, kappa: float, lam: float):
     if tag == "tanh":
         return lambda x, y, t: 0.5 * (kappa * np.tanh(t) + lam)
@@ -351,40 +358,37 @@ def cmd_solve(args) -> int:
     for key in ("alpha", "plus", "minus"):
         if key not in data:
             raise ProfileFormatError(f"solve config is missing key {key!r}")
-    alpha = float(data["alpha"])
+    alpha = _config_number(data, "alpha", None)
     geometry = WedgeGeometry(alpha)
-    m = int(data.get("m", 48))
-    n_theta = int(data.get("n_theta", 48))
+    m = _config_number(data, "m", 48, integer=True)
+    n_theta = _config_number(data, "n_theta", 48, integer=True)
     if m < 2 or n_theta < 2:
         raise ValueError(f"need m, n_theta >= 2, got ({m}, {n_theta})")
     mesh = build_sector_mesh(
         geometry,
-        float(data.get("r_min", 0.05)),
-        float(data.get("r_max", 1.0)),
+        _config_number(data, "r_min", 0.05),
+        _config_number(data, "r_max", 1.0),
         m,
         n_theta,
     )
     plus = _config_profile(data["plus"], base, "+")
     minus = _config_profile(data["minus"], base, "-")
-    tol = args.tol if args.tol is not None else float(data.get("tol", 1e-10))
-    initial = data.get("initial")
+    tol = _config_number(data, "tol", 1e-10) if args.tol is None else args.tol
     config = SolverConfig(
         tol=tol,
-        max_iter=int(data.get("max_iter", 200)),
-        initial=None if initial is None else float(initial),
+        max_iter=_config_number(data, "max_iter", 200, integer=True),
+        initial=None if data.get("initial") is None else _config_number(data, "initial", None),
     )
 
     pmc = data.get("pmc")
+    if pmc is None and ("kappa" not in data or "lambda" not in data):
+        raise ProfileFormatError("solve config needs kappa and lambda")
+    kappa = _config_number(data, "kappa", 1.0)
+    lam = _config_number(data, "lambda", 0.0)
     if pmc is None:
-        if "kappa" not in data or "lambda" not in data:
-            raise ProfileFormatError("solve config needs kappa and lambda")
-        field = solve_capillary(
-            mesh, float(data["kappa"]), float(data["lambda"]), plus, minus, config
-        )
-        physics = {"kappa": float(data["kappa"]), "lambda": float(data["lambda"])}
+        field = solve_capillary(mesh, kappa, lam, plus, minus, config)
+        physics = {"kappa": kappa, "lambda": lam}
     else:
-        kappa = float(data.get("kappa", 1.0))
-        lam = float(data.get("lambda", 0.0))
         if kappa < 0.0:
             raise ValueError(f"kappa must be nonnegative, got {kappa}")
         field = solve_pmc(
@@ -392,7 +396,7 @@ def cmd_solve(args) -> int:
         )
         physics = {"pmc": str(pmc), "kappa": kappa, "lambda": lam}
 
-    n_radii = int(data.get("n_radii", min(8, m)))
+    n_radii = _config_number(data, "n_radii", min(8, m), integer=True)
     trace = radial_trace(field, n_radii, allow_unconverged=True)
     fans = fans_from_trace(trace)
 

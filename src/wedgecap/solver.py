@@ -6,9 +6,10 @@ each control volume balances the slope fluxes grad f / sqrt(1 + |grad f|^2)
 through its faces against the prescribed right-hand side.  Wall faces carry
 the contact flux cos(gamma(r)) integrated exactly along the face, the two
 circular arcs default to a no-flux closure, and a damped Newton iteration
-with a colored finite-difference Jacobian drives the residual down.  Radial
-limits at the corner are then read off by geometric-sequence extrapolation
-and classified into wall fans.
+with a colored finite-difference Jacobian (its pattern the product of the
+radial and angular 3-point stencils, 9 colours) drives the residual down.
+Radial limits at the corner are then read off by geometric-sequence
+extrapolation and classified into wall fans.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ RECOMMENDED_MIN_CELLS = 16
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
 _BALANCE_TOL = 1e-8
-# unknown (i,j) can influence residuals up to 2 nodes away (one-sided
-# boundary stencils), so a 5x5 index tiling gives independent FD columns
-_COLOR_STRIDE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +292,16 @@ class _Discretization:
             )
             * self.area
         )
-        # Jacobian colouring and footprint, fixed by the mesh: node (i, j) has
-        # colour (i % 5, j % 5) and its column holds the rows of the clipped
-        # 5x5 block around it
-        ni, nj = self.shape
+        # Jacobian footprint and colouring, fixed by the mesh: residual (i, j)
+        # reads exactly the unknowns ridx[i] x tidx[j], two windows of 3
+        # consecutive indices, so nodes of colour (i % 3, j % 3) never share a
+        # residual and one evaluation perturbs them all
+        nj = self.shape[1]
         ii, jj = np.indices(self.shape)
-        self.color = (ii % _COLOR_STRIDE) * _COLOR_STRIDE + jj % _COLOR_STRIDE
-        off = np.arange(_COLOR_STRIDE) - _COLOR_STRIDE // 2
-        ri, rj = np.broadcast_arrays(
-            ii[:, :, None, None] + off[:, None], jj[:, :, None, None] + off[None, :]
-        )
-        inside = (ri >= 0) & (ri < ni) & (rj >= 0) & (rj < nj)
-        self.footprint = (
-            (ri * nj + rj)[inside],
-            np.broadcast_to((ii * nj + jj)[:, :, None, None], ri.shape)[inside],
-        )
+        self.color = (ii % 3) * 3 + jj % 3
+        cols = self.ridx[:, None, :, None] * nj + self.tidx[None, :, None, :]
+        rows = np.broadcast_to((ii * nj + jj)[:, :, None, None], cols.shape)
+        self.footprint = rows.ravel(), cols.ravel()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -372,21 +365,22 @@ class _Discretization:
             self.rhs_fn(self.r_col, self.t_row, f), dtype=float
         ) * np.ones(self.shape)
 
-    def jacobian(self, f: np.ndarray, base: np.ndarray) -> sp.csr_matrix:
-        """Forward-difference Jacobian assembled color by color.
+    def jacobian(self, f: np.ndarray, base: np.ndarray) -> sp.csc_matrix:
+        """Forward-difference Jacobian assembled colour by colour.
 
-        One residual evaluation per colour perturbs every node of that colour;
-        the footprint entries are stored even where the difference is zero.
+        Its pattern is the product of the radial and angular derivative
+        stencils, 9 entries per row; one residual evaluation per colour (of
+        9) perturbs every node of that colour.
         """
         n = f.size
         step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
-        diffs = np.zeros((_COLOR_STRIDE * _COLOR_STRIDE, n))
-        for c in np.unique(self.color):
+        diffs = np.empty((9, n))
+        for c in range(9):
             fp = f + np.where(self.color == c, step, 0.0)
             diffs[c] = (self.residual(fp) - base).ravel()
         rows, cols = self.footprint
         vals = diffs[self.color.ravel()[cols], rows] / step.ravel()[cols]
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
@@ -402,13 +396,12 @@ def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, p
         if norm <= config.tol:
             break
         jac = disc.jacobian(f, res)
-        if pin:
-            w = sp.csr_matrix(weights[:, None])
-            k = sp.bmat([[jac, w], [w.T, None]], format="csc")
-            rhs = np.concatenate([-res.ravel(), [-(weights @ f.ravel())]])
-            delta = spla.spsolve(k, rhs)[:n].reshape(f.shape)
-        else:
-            delta = spla.spsolve(jac.tocsc(), -res.ravel()).reshape(f.shape)
+        rhs = -res.ravel()
+        if pin:  # border with the mean constraint
+            w = sp.csc_matrix(weights[:, None])
+            jac = sp.bmat([[jac, w], [w.T, None]], format="csc")
+            rhs = np.append(rhs, -(weights @ f.ravel()))
+        delta = spla.spsolve(jac, rhs)[:n].reshape(f.shape)
         if not np.all(np.isfinite(delta)):
             break
         t = 1.0

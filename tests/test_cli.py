@@ -392,6 +392,18 @@ def test_solve_null_wall_is_a_profile_error(tmp_path, capsys, key):
     assert "profile error" in err and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", None), ("m", [1]), ("kappa", "x"), ("lambda", "2"),
+     ("alpha", True), ("m", 24.7), ("n_radii", 3.9)],
+)
+def test_solve_malformed_number_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = solve_config(tmp_path, **{"m": 8, "n_theta": 8, key: value})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "profile error" in err and repr(key) in err
+
+
 def test_solve_nonconvergence_exit_6(tmp_path, capsys):
     cfg = solve_config(
         tmp_path,
