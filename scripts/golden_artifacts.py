@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -105,6 +106,11 @@ def calls(inputs):
                          "lambda": flux / (alpha * (r_max**2 - r_min**2))},
         "solve-pmc": {**base, "m": 48, "n_theta": 48, "pmc": "tanh",
                       "kappa": 1.0, "lambda": 0.0},
+        # neutral walls give a flat solution, so the fan classifier reports
+        # a constant trace instead of an unclassified one
+        "solve-neutral": {**base, "plus": constant("+", math.pi / 2),
+                          "minus": constant("-", math.pi / 2),
+                          "m": 16, "n_theta": 16, "kappa": 1.0, "lambda": 2.0},
     }
     for label, cfg in configs.items():
         out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))

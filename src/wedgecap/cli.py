@@ -105,16 +105,18 @@ def _add_flags(parser: argparse.ArgumentParser, *shared: str) -> None:
         parser.add_argument(name, **_SHARED_FLAGS[name])
 
 
+def _check_eps_floor(eps_floor: float, s_max: float) -> None:
+    if not (0.0 < eps_floor < s_max):
+        raise ValueError(f"--eps-floor must lie in (0, s_max={s_max}), got {eps_floor}")
+
+
 # ---------------------------------------------------------------------------
 # profile
 
 
 def cmd_profile(args) -> int:
     profile = wio.load_profile(args.file)
-    if not (0.0 < args.eps_floor < profile.s_max):
-        raise ValueError(
-            f"--eps-floor must lie in (0, s_max={profile.s_max}), got {args.eps_floor}"
-        )
+    _check_eps_floor(args.eps_floor, profile.s_max)
     out = Path(args.out)
     cfg = SweepConfig(
         eps_hi=profile.s_max,
@@ -159,6 +161,7 @@ def cmd_profile(args) -> int:
 
 def cmd_bounds(args) -> int:
     profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
+    _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
     beta_step = _angle(args.beta_step, args.degrees, 1e-3)
     cases = _CASE_ORDER if args.case == "all" else (FanCase(args.case),)
     rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
@@ -250,8 +253,7 @@ def cmd_verify_examples(args) -> int:
     for name, g in (("gamma1", g1), ("gamma2", g2)):
         if not (0.0 <= g <= math.pi):
             raise ValueError(f"--{name} must lie in [0, pi], got {g}")
-    if not (0.0 < args.eps_floor < 1.0):
-        raise ValueError(f"--eps-floor must lie in (0, 1), got {args.eps_floor}")
+    _check_eps_floor(args.eps_floor, 1.0)  # the example profiles' s_max
 
     report = []
     all_pass = True
@@ -290,25 +292,33 @@ def _load_solve_config(args):
 
 
 def _config_profile(entry, base: Path, side: str):
+    key = "plus" if side == "+" else "minus"
     if entry is None:
-        key = "plus" if side == "+" else "minus"
         raise ProfileFormatError(
             f"solve config key {key!r} is null; a no-flux wall is a constant "
             "profile with gamma = pi/2"
         )
     if isinstance(entry, str):
         p = Path(entry)
-        return wio.load_profile(p if p.is_absolute() else base / p)
-    profile = wio.profile_from_dict(entry)
+        profile = wio.load_profile(p if p.is_absolute() else base / p)
+    else:
+        profile = wio.profile_from_dict(entry)
     if profile.side != side:
         raise ProfileFormatError(
-            f"profile under key for wall {side!r} declares side {profile.side!r}"
+            f"profile under solve config key {key!r} declares side {profile.side!r}"
         )
     return profile
 
 
 class _Usage(Exception):
     pass
+
+
+#: every key cmd_solve reads; any other key is a malformed config
+_SOLVE_KEYS = frozenset(
+    ("alpha", "plus", "minus", "m", "n_theta", "r_min", "r_max", "tol", "max_iter",
+     "initial", "pmc", "kappa", "lambda", "n_radii")
+)
 
 
 def _config_number(data: dict, key: str, default, integer: bool = False):
@@ -336,7 +346,9 @@ def _mirror_profiles(plus, minus) -> bool:
 def cmd_solve(args) -> int:
     out = Path(args.out)
     if args.mms:
-        sizes = tuple(int(s) for s in args.mms_sizes.split(","))
+        if args.config is not None or args.tol is not None:
+            raise _Usage("solve --mms takes neither --config nor --tol")
+        sizes = tuple(int(s) for s in (args.mms_sizes or "16,32,64").split(","))
         if len(sizes) < 2 or any(s < 4 for s in sizes):
             raise ValueError(f"--mms-sizes needs >= 2 sizes >= 4, got {sizes}")
         table = manufactured_convergence(sizes)
@@ -354,10 +366,16 @@ def cmd_solve(args) -> int:
         print(f"finest observed order: {table['rates'][-1]!r}")
         return EXIT_OK
 
+    if args.mms_sizes is not None:
+        raise _Usage("--mms-sizes needs --mms")
     data, base = _load_solve_config(args)
     for key in ("alpha", "plus", "minus"):
         if key not in data:
             raise ProfileFormatError(f"solve config is missing key {key!r}")
+    unknown = sorted(set(data) - _SOLVE_KEYS)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ProfileFormatError(f"solve config has unknown key(s) {names}")
     alpha = _config_number(data, "alpha", None)
     geometry = WedgeGeometry(alpha)
     m = _config_number(data, "m", 48, integer=True)
@@ -381,6 +399,10 @@ def cmd_solve(args) -> int:
     )
 
     pmc = data.get("pmc")
+    if pmc is not None and not isinstance(pmc, str):
+        raise ProfileFormatError(
+            f"solve config key 'pmc' must be a string, got {pmc!r}"
+        )
     if pmc is None and ("kappa" not in data or "lambda" not in data):
         raise ProfileFormatError("solve config needs kappa and lambda")
     kappa = _config_number(data, "kappa", 1.0)
@@ -392,9 +414,9 @@ def cmd_solve(args) -> int:
         if kappa < 0.0:
             raise ValueError(f"kappa must be nonnegative, got {kappa}")
         field = solve_pmc(
-            mesh, _curvature_for(str(pmc), kappa, lam), plus, minus, config
+            mesh, _curvature_for(pmc, kappa, lam), plus, minus, config
         )
-        physics = {"pmc": str(pmc), "kappa": kappa, "lambda": lam}
+        physics = {"pmc": pmc, "kappa": kappa, "lambda": lam}
 
     n_radii = _config_number(data, "n_radii", min(8, m), integer=True)
     trace = radial_trace(field, n_radii, allow_unconverged=True)
@@ -478,6 +500,7 @@ def cmd_blowup(args) -> int:
         source = {"constant_gamma": gamma0}
     else:
         profile = wio.load_profile(args.profile)
+        _check_eps_floor(args.eps_floor, profile.s_max)
         A = adhesion_from_profile(profile, kind, eps_lo=args.eps_floor)
         source = {"profile": wio.profile_summary(profile)}
 
@@ -560,7 +583,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run the manufactured-solution convergence study instead",
     )
-    p.add_argument("--mms-sizes", default="16,32,64")
+    p.add_argument("--mms-sizes", default=None, help="with --mms (default 16,32,64)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("blowup", help="limiting comparison sweep for one wall")

@@ -5,9 +5,10 @@ geometrically graded radii and uniform angles.  Unknowns live at vertices;
 each control volume balances the slope fluxes grad f / sqrt(1 + |grad f|^2)
 through its faces against the prescribed right-hand side.  Wall faces carry
 the contact flux cos(gamma(r)) integrated exactly along the face, the two
-circular arcs default to a no-flux closure, and a damped Newton iteration
-with a colored finite-difference Jacobian (its pattern the product of the
-radial and angular 3-point stencils, 9 colours) drives the residual down.
+circular arcs are closed (a manufactured case supplies all boundary fluxes
+instead), and a damped Newton iteration with a colored finite-difference
+Jacobian (its pattern the product of the radial and angular 3-point
+stencils, 9 colours) drives the residual down.
 Radial limits at the corner are then read off by geometric-sequence
 extrapolation and classified into wall fans.
 """
@@ -237,12 +238,7 @@ class _Discretization:
         rhs_fn,  # (r, theta, t) -> value, vectorized
         profile_plus: ContactProfile | None,
         profile_minus: ContactProfile | None,
-        *,
-        source=None,  # extra right-hand side g(r, theta), for manufactured runs
-        wall_flux_plus=None,  # callables overriding the profiles' wall flux
-        wall_flux_minus=None,
-        arc_flux_inner=None,  # callables of theta; None closes the arc
-        arc_flux_outer=None,
+        case: ManufacturedCase | None = None,
     ):
         if mesh.m < 2 or mesh.n_theta < 2:
             raise ValueError("solver needs at least 3 nodes per direction")
@@ -276,22 +272,21 @@ class _Discretization:
             (rstarm - r[-1]) / (r[-2] - r[-1]),
         )
         self.area = 0.5 * (self.b_out**2 - self.b_in**2)[:, None] * w[None, :]
-        # boundary face integrals are solution-independent
-        spans = (self.b_in, self.b_out)
-        self.wall_minus = _wall_integrals(spans, profile_minus, wall_flux_minus, mesh.r_max, "-")
-        self.wall_plus = _wall_integrals(spans, profile_plus, wall_flux_plus, mesh.r_max, "+")
-        self.arc_outer = _arc_integrals(mesh, arc_flux_outer, mesh.r_max)
-        self.arc_inner = _arc_integrals(mesh, arc_flux_inner, mesh.r_min)
-        self.source = (
-            None
-            if source is None
-            else np.asarray(
-                source(np.broadcast_to(self.r_col, self.shape),
-                       np.broadcast_to(self.t_row, self.shape)),
-                dtype=float,
-            )
-            * self.area
-        )
+        # boundary face integrals are solution-independent; walls take their
+        # flux from the profiles with closed arcs, or all boundary data and
+        # the extra source g(r, theta) from a manufactured case
+        if case is None:
+            spans = (self.b_in, self.b_out)
+            self.wall_minus = _wall_integrals(spans, profile_minus, mesh.r_max, "-")
+            self.wall_plus = _wall_integrals(spans, profile_plus, mesh.r_max, "+")
+            self.arc_outer = self.arc_inner = np.zeros(mesh.n_theta + 1)
+            self.source = None
+        else:
+            self.wall_minus = self.wall_plus = _gauss2(case.wall_flux, self.b_in, self.b_out)
+            self.arc_outer = _arc_integrals(mesh, case.arc_flux_outer, mesh.r_max)
+            self.arc_inner = _arc_integrals(mesh, case.arc_flux_inner, mesh.r_min)
+            rr, tt = (np.broadcast_to(x, self.shape) for x in (self.r_col, self.t_row))
+            self.source = np.asarray(case.source(rr, tt), dtype=float) * self.area
         # Jacobian footprint and colouring, fixed by the mesh: residual (i, j)
         # reads exactly the unknowns ridx[i] x tidx[j], two windows of 3
         # consecutive indices, so nodes of colour (i % 3, j % 3) never share a
@@ -423,16 +418,13 @@ def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, p
 def _wall_integrals(
     disc_spans: tuple[np.ndarray, np.ndarray],
     profile: ContactProfile | None,
-    override: Callable[[np.ndarray], np.ndarray] | None,
     r_max: float,
     side: str,
 ) -> np.ndarray:
-    """Per-row wall-flux integrals: exact for profiles, Gauss for callables."""
+    """Per-row exact integrals of the profile's cos(gamma) along one wall."""
     b_in, b_out = disc_spans
-    if override is not None:
-        return _gauss2(override, b_in, b_out)
     if profile is None:
-        raise ValueError(f"side {side}: need a contact profile or a flux override")
+        raise ValueError(f"side {side}: need a contact profile")
     if profile.side != side:
         raise ValueError(f"profile tagged {profile.side!r} used on wall {side!r}")
     if profile.s_max < r_max * (1.0 - 1e-12):
@@ -444,12 +436,9 @@ def _wall_integrals(
     return profile.integral_many(hi) - profile.integral_many(b_in)
 
 
-def _arc_integrals(
-    mesh: SectorMesh, fn: Callable[[np.ndarray], np.ndarray] | None, radius: float
-) -> np.ndarray:
-    """Per-column flux integrals through one circular arc (0 when closed)."""
-    if fn is None:
-        return np.zeros(mesh.n_theta + 1)
+def _arc_integrals(mesh: SectorMesh, flux_at: Callable, radius: float) -> np.ndarray:
+    """Per-column integrals of the flux flux_at(radius)(theta) through one arc."""
+    fn = flux_at(radius)
     t = mesh.thetas
     mids = 0.5 * (t[:-1] + t[1:])
     out = np.zeros(t.size)
@@ -509,7 +498,7 @@ def _solve(
     check: Callable[[_Discretization, np.ndarray], dict] | None = None,
     kappa: float | None = None,
     lam: float | None = None,
-    **boundary,
+    case: ManufacturedCase | None = None,
 ) -> SolutionField:
     """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
 
@@ -517,11 +506,11 @@ def _solve(
     ``pinned_total(disc, f0)`` returns the source integral the boundary flux
     must balance when the problem is pure Neumann (its mean is then pinned),
     and None otherwise.  ``check(disc, f)`` returns extra diagnostics read
-    off the solution.  ``boundary`` holds the boundary keywords of
-    solve_capillary.
+    off the solution.  ``case``, when given, supplies the boundary fluxes and
+    the extra source of a manufactured run in place of the profiles.
     """
     config = config or SolverConfig()
-    disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, **boundary)
+    disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, case)
     diagnostics: dict = {"problem": problem}
     _applicability_note(mesh, profile_plus, profile_minus, diagnostics)
     if config.initial is not None:
@@ -557,19 +546,15 @@ def solve_capillary(
     profile_minus: ContactProfile | None,
     config: SolverConfig | None = None,
     *,
-    source=None,
-    wall_flux_plus=None,
-    wall_flux_minus=None,
-    arc_flux_inner=None,
-    arc_flux_outer=None,
+    case: ManufacturedCase | None = None,
 ) -> SolutionField:
     """Solve div(Tf) = kappa*f + lam with contact-flux walls.
 
-    Wall fluxes come from the profiles (exact per-face integrals of
-    cos(gamma)) unless explicit flux callables override them; the circular
-    arcs are closed (no flux) unless arc callables are given.  ``source``
-    adds a solution-independent g(r, theta) to the right-hand side, which is
-    how manufactured-solution runs inject their forcing.
+    Wall fluxes are exact per-face integrals of the profiles' cos(gamma) and
+    the circular arcs are closed (no flux).  A manufactured ``case`` replaces
+    all of that: its wall and arc fluxes drive the boundary, the profiles are
+    ignored, and its solution-independent source g(r, theta) joins the
+    right-hand side.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -586,11 +571,7 @@ def solve_capillary(
         ),
         kappa=kappa,
         lam=lam,
-        source=source,
-        wall_flux_plus=wall_flux_plus,
-        wall_flux_minus=wall_flux_minus,
-        arc_flux_inner=arc_flux_inner,
-        arc_flux_outer=arc_flux_outer,
+        case=case,
     )
 
 
@@ -788,6 +769,23 @@ def _longest_flat_window(vals: np.ndarray, tol: float) -> tuple[int, int]:
     return best
 
 
+def _flat_prefix(vals: np.ndarray, tol: float) -> int:
+    """Last index k such that vals[: k + 1] has value range <= tol."""
+    span = np.maximum.accumulate(vals) - np.minimum.accumulate(vals)
+    return int(np.count_nonzero(span <= tol)) - 1
+
+
+def _trend(vals: np.ndarray, tol: float) -> int:
+    """+1 if vals rise by more than tol with no step down beyond tol, -1 for
+    the mirror image, 0 otherwise."""
+    steps, net = np.diff(vals), vals[-1] - vals[0]
+    if net > tol and np.all(steps >= -tol):
+        return 1
+    if net < -tol and np.all(steps <= tol):
+        return -1
+    return 0
+
+
 def measure_fans(rf: np.ndarray, thetas: np.ndarray, tol: float) -> FanMeasurement:
     """Classify a radial-limit trace into wall fans and a monotone middle.
 
@@ -799,7 +797,9 @@ def measure_fans(rf: np.ndarray, thetas: np.ndarray, tol: float) -> FanMeasureme
     thetas = np.asarray(thetas, dtype=float)
     if rf.shape != thetas.shape or rf.ndim != 1 or rf.size < 3:
         raise ValueError("need matching 1-d rf/theta arrays with >= 3 samples")
-    if tol <= 0.0:
+    if not np.all(np.isfinite(rf)):
+        raise ValueError("radial limits must be finite")
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     alpha = float(thetas[-1])
     dth = float(thetas[1] - thetas[0])
@@ -808,79 +808,38 @@ def measure_fans(rf: np.ndarray, thetas: np.ndarray, tol: float) -> FanMeasureme
         "grid_spacing": dth,
     }
 
-    def constant_case() -> FanMeasurement:
+    def classified(case: str, a1: float, a2: float, al=None, ar=None) -> FanMeasurement:
         return FanMeasurement(
-            case=CASE_CONSTANT,
-            alpha=alpha,
-            alpha1=alpha,
-            alpha2=-alpha,
-            alpha_l=None,
-            alpha_r=None,
-            tolerance=tol,
-            diagnostics=diag,
+            case=case, alpha=alpha, alpha1=a1, alpha2=a2, alpha_l=al, alpha_r=ar,
+            tolerance=tol, diagnostics=diag,
         )
 
-    if diag["total_variation"] <= tol:
-        return constant_case()
-
-    # maximal wall plateaus: cumulative range from each end
-    cum_max = np.maximum.accumulate(rf)
-    cum_min = np.minimum.accumulate(rf)
-    left_ok = (cum_max - cum_min) <= tol
-    k_left = int(np.max(np.nonzero(left_ok)[0])) if left_ok[0] else 0
-    rcum_max = np.maximum.accumulate(rf[::-1])
-    rcum_min = np.minimum.accumulate(rf[::-1])
-    right_ok = (rcum_max - rcum_min) <= tol
-    k_right = (
-        rf.size - 1 - int(np.max(np.nonzero(right_ok)[0])) if right_ok[0] else rf.size - 1
-    )
+    # maximal wall plateaus; they meet or overlap when the whole trace is flat
+    k_left = _flat_prefix(rf, tol)
+    k_right = rf.size - 1 - _flat_prefix(rf[::-1], tol)
     if k_left >= k_right:
-        return constant_case()
+        return classified(CASE_CONSTANT, alpha, -alpha)
 
     mid = rf[k_left : k_right + 1]
-    diffs = np.diff(mid)
-    net = float(mid[-1] - mid[0])
-    diag.update(k_left=k_left, k_right=k_right, net_change=net)
+    diag.update(k_left=k_left, k_right=k_right, net_change=float(mid[-1] - mid[0]))
     a1, a2 = float(thetas[k_left]), float(thetas[k_right])
+    trend = _trend(mid, tol)
+    if trend:
+        return classified("I" if trend > 0 else "D", a1, a2)
 
-    def classified(case: str, al=None, ar=None) -> FanMeasurement:
-        return FanMeasurement(
-            case=case,
-            alpha=alpha,
-            alpha1=a1,
-            alpha2=a2,
-            alpha_l=al,
-            alpha_r=ar,
-            tolerance=tol,
-            diagnostics=diag,
-        )
-
-    if np.all(diffs >= -tol) and net > tol:
-        return classified("I")
-    if np.all(diffs <= tol) and net < -tol:
-        return classified("D")
-
-    # non-monotone middle: look for an interior plateau spanning pi
-    a, b = _longest_flat_window(mid, tol)
-    a += k_left
-    b += k_left
+    # non-monotone middle: look for an interior plateau spanning pi, with a
+    # monotone flank on each side running opposite ways
+    a, b = (k + k_left for k in _longest_flat_window(mid, tol))
     width = float(thetas[b] - thetas[a])
-    diag.update(plateau=(int(a), int(b)), plateau_width=width)
-    width_tol = dth + tol
+    diag.update(plateau=(a, b), plateau_width=width)
     gate = 2.0 * alpha > math.pi
-    left_net = float(rf[a] - rf[k_left])
-    right_net = float(rf[k_right] - rf[b])
-    left_mono_up = np.all(np.diff(rf[k_left : a + 1]) >= -tol) and left_net > tol
-    left_mono_dn = np.all(np.diff(rf[k_left : a + 1]) <= tol) and left_net < -tol
-    right_mono_up = np.all(np.diff(rf[b : k_right + 1]) >= -tol) and right_net > tol
-    right_mono_dn = np.all(np.diff(rf[b : k_right + 1]) <= tol) and right_net < -tol
-    if gate and abs(width - math.pi) <= width_tol and a > k_left and b < k_right:
-        if left_mono_up and right_mono_dn:
-            return classified("ID", al=float(thetas[a]), ar=float(thetas[b]))
-        if left_mono_dn and right_mono_up:
-            return classified("DI", al=float(thetas[a]), ar=float(thetas[b]))
+    if gate and abs(width - math.pi) <= dth + tol:
+        flanks = (_trend(rf[k_left : a + 1], tol), _trend(rf[b : k_right + 1], tol))
+        if flanks in ((1, -1), (-1, 1)):
+            case = "ID" if flanks[0] > 0 else "DI"
+            return classified(case, a1, a2, float(thetas[a]), float(thetas[b]))
     diag["gate_2alpha_gt_pi"] = gate
-    return classified(CASE_UNCLASSIFIED)
+    return classified(CASE_UNCLASSIFIED, a1, a2)
 
 
 def fans_from_trace(trace: RadialTrace) -> FanMeasurement:
@@ -951,11 +910,7 @@ def manufactured_solve(
         None,
         None,
         SolverConfig(initial=0.0),
-        source=case.source,
-        wall_flux_plus=case.wall_flux,
-        wall_flux_minus=case.wall_flux,
-        arc_flux_inner=case.arc_flux_inner(r_min),
-        arc_flux_outer=case.arc_flux_outer(r_max),
+        case=case,
     )
     exact = case.exact(mesh.radii[:, None], mesh.thetas[None, :])
     err = float(np.max(np.abs(field.values - exact)))

@@ -79,11 +79,15 @@ def test_usage_errors_exit_1(tmp_path):
         ["blowup", "--case", "I", "--beta", "0.1", "--gamma0", "0.5",
          "--beta-step", "0.01"],
         ["solve", "--mms", "--mms-sizes", "4,8", "--degrees"],
+        ["solve", "--mms", "--config", "CFG"],
+        ["solve", "--mms", "--tol", "1e-8"],
+        ["solve", "--config", "CFG", "--mms-sizes", "8,16"],
     ],
 )
 def test_flag_the_subcommand_ignores_exits_1(tmp_path, argv):
     wall = constant_wall(tmp_path, "+", 1.0)
-    argv = [wall if a == "WALL" else a for a in argv]
+    cfg = solve_config(tmp_path, m=8, n_theta=8)  # readable, so only the flag is wrong
+    argv = [{"WALL": wall, "CFG": cfg}.get(a, a) for a in argv]
     assert run(argv + ["--out", tmp_path / "out"]) == 1
 
 
@@ -183,6 +187,17 @@ def test_profile_error_exits(tmp_path):
     good = constant_wall(tmp_path, "+", 1.0)
     assert run(["profile", good, "--out", tmp_path, "--eps-floor", "5.0"]) == 3
     assert run(["profile", good, "--out", tmp_path, "--eps-floor=-1e-3"]) == 3
+
+
+@pytest.mark.parametrize("eps_floor", ["0", "-1", "99"])
+@pytest.mark.parametrize("command", ["bounds", "blowup"])
+def test_eps_floor_outside_profile_range_exits_3(tmp_path, command, eps_floor):
+    plus, minus = constant_wall(tmp_path, "+", 1.0), constant_wall(tmp_path, "-", 2.0)
+    argv = {
+        "bounds": ["bounds", "--plus", plus, "--minus", minus, "--case", "I"],
+        "blowup": ["blowup", "--case", "I", "--beta", "0.1", "--profile", plus],
+    }[command]
+    assert run(argv + ["--eps-floor=" + eps_floor, "--out", tmp_path / "out"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +391,9 @@ def test_solve_config_validation(tmp_path):
         plus={"side": "-", "generator": {"type": "constant", "gamma": 1.0}},
     )
     assert run(["solve", "--config", sideflip]) == 2
+    constant_wall(tmp_path, "-", 1.0, name="wm.json")
+    sideflip_path = solve_config(tmp_path, plus="wm.json")
+    assert run(["solve", "--config", sideflip_path]) == 2
 
     tiny = solve_config(tmp_path, m=1)
     assert run(["solve", "--config", tiny]) == 3  # mesh too coarse
@@ -395,7 +413,8 @@ def test_solve_null_wall_is_a_profile_error(tmp_path, capsys, key):
 @pytest.mark.parametrize(
     "key, value",
     [("alpha", None), ("m", [1]), ("kappa", "x"), ("lambda", "2"),
-     ("alpha", True), ("m", 24.7), ("n_radii", 3.9)],
+     ("alpha", True), ("m", 24.7), ("n_radii", 3.9),
+     ("pmc", ["tanh"]), ("pmc", 1), ("n_thetas", 99)],
 )
 def test_solve_malformed_number_is_a_config_error(tmp_path, capsys, key, value):
     cfg = solve_config(tmp_path, **{"m": 8, "n_theta": 8, key: value})

@@ -534,6 +534,10 @@ def test_fans_validation():
     with pytest.raises(ValueError):
         measure_fans(np.zeros(11), thetas, 0.0)
     with pytest.raises(ValueError):
+        measure_fans(np.zeros(11), thetas, math.nan)
+    with pytest.raises(ValueError):
+        measure_fans(np.where(thetas == 0.0, math.nan, 0.0), thetas, 1e-9)
+    with pytest.raises(ValueError):
         FanMeasurement(
             case="ID",
             alpha=2.0,
