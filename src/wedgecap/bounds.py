@@ -34,6 +34,8 @@ FEASIBLE_TOL = -1e-12
 LAMBDA_MARGIN = 1e-4
 #: minimum number of lambda grid points
 LAMBDA_POINTS = 512
+#: beta rows evaluated at once by the fan scan (bounds its memory, not its result)
+_SCAN_ROWS = 128
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -294,27 +296,33 @@ def min_admissible_fan(
             f"{required_functional_kind(condition_kind)} functional, got {A.kind}"
         )
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
-    lo = betas[:, None] + LAMBDA_MARGIN
     hi = math.pi - LAMBDA_MARGIN
-    u = np.linspace(0.0, 1.0, LAMBDA_POINTS)[None, :]
-    lam2d = lo + (hi - lo) * u
-    vals2d = cond(A, betas[:, None], lam2d)
-    idx = np.argmin(vals2d, axis=1)
-    rows = np.arange(len(betas))
-    grid_min = vals2d[rows, idx]
+    u = np.linspace(0.0, 1.0, LAMBDA_POINTS)
+    grid_min = np.empty(len(betas))
+    # per beta row, the grid lambdas at idx - 1, idx and idx + 1 (clipped),
+    # idx the row's grid minimizer
+    near = np.empty((3, len(betas)))
+    for start in range(0, len(betas), _SCAN_ROWS):
+        block = slice(start, start + _SCAN_ROWS)
+        lo = betas[block, None] + LAMBDA_MARGIN
+        lam2d = lo + (hi - lo) * u
+        vals2d = cond(A, betas[block, None], lam2d)
+        idx = np.argmin(vals2d, axis=1)
+        rows = np.arange(len(idx))
+        grid_min[block] = vals2d[rows, idx]
+        for k, offset in enumerate((-1, 0, 1)):
+            near[k, block] = lam2d[rows, np.clip(idx + offset, 0, LAMBDA_POINTS - 1)]
 
     # refinement can only push the minimum lower, so rows already below the
-    # tolerance are infeasible without it
+    # tolerance are infeasible without it; it runs as one call over all rows
     cand = grid_min >= FEASIBLE_TOL
     feasible = np.zeros(len(betas), dtype=bool)
-    worst = lam2d[rows, idx].copy()
+    worst = near[1]
     if np.any(cand):
-        li = np.clip(idx[cand] - 1, 0, LAMBDA_POINTS - 1)
-        hi_i = np.clip(idx[cand] + 1, 0, LAMBDA_POINTS - 1)
-        blo = lam2d[rows[cand], li]
-        bhi = lam2d[rows[cand], hi_i]
         bet = betas[cand]
-        lam_ref, val_ref = _golden_min(lambda lam: cond(A, bet, lam), blo, bhi)
+        lam_ref, val_ref = _golden_min(
+            lambda lam: cond(A, bet, lam), near[0, cand], near[2, cand]
+        )
         better = val_ref < grid_min[cand]
         worst[cand] = np.where(better, lam_ref, worst[cand])
         refined_min = np.minimum(val_ref, grid_min[cand])

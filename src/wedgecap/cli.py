@@ -86,6 +86,9 @@ def _angle(value: float | None, degrees: bool, default: float) -> float:
     return math.radians(value) if degrees else value
 
 
+#: --eps-floor when the flag is not given
+_EPS_FLOOR = 1e-10
+
 #: flags read by several subcommands; each subcommand registers only those it
 #: reads, so a stray flag is a usage error rather than silently ignored
 _SHARED_FLAGS = {
@@ -94,7 +97,7 @@ _SHARED_FLAGS = {
         help="interpret angle flags as degrees (config files stay radians)",
     ),
     "--eps-floor": dict(
-        type=float, default=1e-10, help="smallest scale used by averaging sweeps"
+        type=float, default=_EPS_FLOOR, help="smallest scale used by averaging sweeps"
     ),
 }
 
@@ -486,6 +489,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    if args.profile is None and args.eps_floor is not None:
+        raise _Usage("--eps-floor needs --profile")
     case = FanCase(args.case)
     beta = _angle(args.beta, args.degrees, 0.0)
     if not (0.0 <= beta < math.pi):
@@ -500,8 +505,9 @@ def cmd_blowup(args) -> int:
         source = {"constant_gamma": gamma0}
     else:
         profile = wio.load_profile(args.profile)
-        _check_eps_floor(args.eps_floor, profile.s_max)
-        A = adhesion_from_profile(profile, kind, eps_lo=args.eps_floor)
+        eps_floor = _EPS_FLOOR if args.eps_floor is None else args.eps_floor
+        _check_eps_floor(eps_floor, profile.s_max)
+        A = adhesion_from_profile(profile, kind, eps_lo=eps_floor)
         source = {"profile": wio.profile_summary(profile)}
 
     grid = default_lambda_grid(beta, n=args.points)
@@ -587,7 +593,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("blowup", help="limiting comparison sweep for one wall")
-    _add_flags(p, "--degrees", "--eps-floor")
+    _add_flags(p, "--degrees")
     p.add_argument("--side", choices=["+", "-"], default="+")
     p.add_argument("--case", choices=["I", "D", "ID", "DI"], required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -595,6 +601,10 @@ def build_parser() -> _Parser:
     group.add_argument("--gamma0", type=float, default=None)
     group.add_argument("--profile", default=None)
     p.add_argument("--points", type=int, default=512)
+    p.add_argument(
+        "--eps-floor", type=float, default=None,
+        help=f"with --profile (default {_EPS_FLOOR})",
+    )
     p.set_defaults(func=cmd_blowup)
 
     return parser

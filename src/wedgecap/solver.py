@@ -15,6 +15,7 @@ extrapolation and classified into wall fans.
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from collections import deque
@@ -23,8 +24,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .profiles import (
     FAILS,
@@ -39,6 +38,24 @@ RECOMMENDED_MIN_CELLS = 16
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
 _BALANCE_TOL = 1e-8
+
+
+class _OnFirstUse:
+    """A module imported when one of its attributes is first read.
+
+    SciPy's sparse stack takes longer to import than the rest of wedgecap and
+    only a solve uses it, so the other subcommands never load it.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _OnFirstUse("scipy.sparse")
+spla = _OnFirstUse("scipy.sparse.linalg")
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,30 @@ def test_scan_result_brackets_feasibility():
     assert not ok
 
 
+SCAN_WALLS = {
+    "constant": constant_profile("+", 1.0),
+    "example2": example2_profile(0.4, 2.2),
+    "sweep": make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "wall, cond_kind, beta_step",
+    [(w, k, 1e-3) for w in SCAN_WALLS for k in (INCREASING, DECREASING)]
+    + [("sweep", INCREASING, 9e-4)],  # 3,490 rows: 27 full blocks and 34 left
+)
+def test_scan_block_size_cannot_change_result(monkeypatch, wall, cond_kind, beta_step):
+    import wedgecap.bounds
+
+    A = adhesion_from_profile(SCAN_WALLS[wall], required_functional_kind(cond_kind))
+    results = []
+    for rows in (1, 7, 128, 10**6):
+        monkeypatch.setattr(wedgecap.bounds, "_SCAN_ROWS", rows)
+        results.append(min_admissible_fan(A, cond_kind, beta_step=beta_step))
+    for r in results[1:]:
+        assert r == results[0]  # every field, compared with ==
+
+
 def test_scan_infeasible():
     A = AdhesionFunction.constant_angle(math.pi, "I")  # A(b) = -b
     with pytest.raises(InfeasibleScanError) as err:

@@ -7,11 +7,15 @@ installed module entry point in a subprocess.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wedgecap
+from wedgecap import solver
 from wedgecap.bounds import (
     FanCase,
     adhesion_from_profile,
@@ -22,6 +26,7 @@ from wedgecap.bounds import (
 )
 from wedgecap.cli import main
 from wedgecap.io import load_profile
+from wedgecap.profiles import WedgeGeometry, constant_profile
 
 
 def run(argv):
@@ -82,6 +87,8 @@ def test_usage_errors_exit_1(tmp_path):
         ["solve", "--mms", "--config", "CFG"],
         ["solve", "--mms", "--tol", "1e-8"],
         ["solve", "--config", "CFG", "--mms-sizes", "8,16"],
+        ["blowup", "--case", "I", "--beta", "0.1", "--gamma0", "0.5",
+         "--eps-floor=-1"],
     ],
 )
 def test_flag_the_subcommand_ignores_exits_1(tmp_path, argv):
@@ -517,6 +524,51 @@ def test_blowup_range_validation(tmp_path):
     assert run(base + ["--beta", "3.2"]) == 3  # beta >= pi
     assert run(base + ["--beta", "-0.1"]) == 3
     assert run(base + ["--beta", "0.1", "--points", "4"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# import floor: SciPy loads only when a solve needs it
+
+
+@pytest.mark.parametrize("module", ["wedgecap", "wedgecap.cli"])
+def test_import_loads_no_scipy(module):
+    src = Path(wedgecap.__file__).parents[1]
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
+    """Tracing replaces ``solver.spla``; every linear solve must go through it."""
+    calls = []
+
+    class Counting:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, attr):
+            value = getattr(self.module, attr)
+
+            def counted(*args, **kwargs):
+                calls.append(attr)
+                return value(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(solver, "spla", Counting(solver.spla))
+    mesh = solver.build_sector_mesh(WedgeGeometry(1.0), 0.05, 1.0, 8, 8)
+    field = solver.solve_capillary(
+        mesh, 1.0, 0.5, constant_profile("+", 1.1), constant_profile("-", 1.1)
+    )
+    assert field.converged and field.newton_iterations >= 1
+    assert calls == ["spsolve"] * field.newton_iterations
 
 
 # ---------------------------------------------------------------------------
