@@ -104,6 +104,9 @@ def calls(inputs):
         "solve-capillary": {**base, "m": 48, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
         "solve-pinned": {**base, "m": 48, "n_theta": 48, "kappa": 0.0,
                          "lambda": flux / (alpha * (r_max**2 - r_min**2))},
+        # the bordered system on a non-square node grid
+        "solve-pinned-24x12": {**base, "m": 24, "n_theta": 12, "kappa": 0.0,
+                               "lambda": flux / (alpha * (r_max**2 - r_min**2))},
         "solve-pmc": {**base, "m": 48, "n_theta": 48, "pmc": "tanh",
                       "kappa": 1.0, "lambda": 0.0},
         # neutral walls give a flat solution, so the fan classifier reports

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wedgecap
@@ -463,6 +464,9 @@ def test_solve_mms_study(tmp_path, capsys):
     assert run(["solve", "--mms", "--mms-sizes", "16"]) == 3
     assert run(["solve", "--mms", "--mms-sizes", "16,2"]) == 3
     assert run(["solve", "--mms", "--mms-sizes", "a,b"]) == 3
+    # each size must refine the one before: no log(16/16) rate, no coarsening
+    assert run(["solve", "--mms", "--mms-sizes", "16,16"]) == 3
+    assert run(["solve", "--mms", "--mms-sizes", "32,16"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +567,17 @@ def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
             return counted
 
     monkeypatch.setattr(solver, "spla", Counting(solver.spla))
-    mesh = solver.build_sector_mesh(WedgeGeometry(1.0), 0.05, 1.0, 8, 8)
-    field = solver.solve_capillary(
-        mesh, 1.0, 0.5, constant_profile("+", 1.1), constant_profile("-", 1.1)
-    )
-    assert field.converged and field.newton_iterations >= 1
-    assert calls == ["spsolve"] * field.newton_iterations
+    r_min, r_max = 0.05, 1.0
+    mesh = solver.build_sector_mesh(WedgeGeometry(1.0), r_min, r_max, 8, 8)
+    walls = constant_profile("+", 1.1), constant_profile("-", 1.1)
+    # kappa = 0 pins the mean and borders the system; lambda balances the flux
+    flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
+    for kappa, lam in [(1.0, 0.5), (0.0, flux / (r_max**2 - r_min**2))]:
+        calls.clear()
+        field = solver.solve_capillary(mesh, kappa, lam, *walls)
+        assert field.converged and field.newton_iterations >= 1
+        assert ("nullspace" in field.diagnostics) == (kappa == 0.0)
+        assert calls == ["spsolve"] * field.newton_iterations
 
 
 # ---------------------------------------------------------------------------

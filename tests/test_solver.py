@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wedgecap import solver
 from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
     CONVEX_OK,
@@ -234,6 +235,62 @@ def test_colored_jacobian_matches_column_by_column(m, n_theta):
     jac = disc.jacobian(f, base)
     assert jac.nnz <= 9 * f.size
     assert np.array_equal(jac.toarray(), dense)
+
+
+@pytest.mark.parametrize("ni, nj", [(3, 3), (3, 17), (17, 3), (13, 25), (129, 129)])
+def test_dissection_order_is_a_permutation(ni, nj):
+    order = solver._dissection_order(ni, nj)
+    assert np.array_equal(np.sort(order), np.arange(ni * nj))
+
+
+def example2_walls():
+    return tuple(
+        profile_from_dict(
+            {"side": side, "generator": {"type": "example2", "gamma1": 0.8, "gamma2": 2.0}}
+        )
+        for side in "+-"
+    )
+
+
+def test_dissection_order_fills_less_than_colamd():
+    """L+U entry counts of the first Newton matrix at 64^2: deterministic,
+    unlike timings."""
+    import scipy.sparse.linalg as spla
+
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 64, 64)
+    disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
+    f0 = np.full(disc.shape, -2.0)
+    jac = disc.jacobian(f0, disc.residual(f0))
+    p = disc.order
+    colamd = spla.splu(jac)
+    dissected = spla.splu(jac[p][:, p], permc_spec="NATURAL")
+    assert dissected.L.nnz + dissected.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_dissection_order_cannot_change_a_solve(monkeypatch, kappa):
+    """Any ordering gives the same Newton steps up to roundoff.  For the pinned
+    (kappa = 0) problem the mean-constraint border must be reordered with the
+    unknowns: a border left in natural order still converges, to the wrong
+    mean."""
+    r_min, r_max = 0.05, 1.0
+    walls = example2_walls()
+    mesh = build_sector_mesh(GEO, r_min, r_max, 24, 12)
+    if kappa:
+        lam = 2.0
+    else:  # lambda balances the net wall flux
+        flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
+        lam = flux / (GEO.alpha * (r_max**2 - r_min**2))
+
+    dissected = solve_capillary(mesh, kappa, lam, *walls)
+    monkeypatch.setattr(solver, "_dissection_order", lambda ni, nj: np.arange(ni * nj))
+    natural = solve_capillary(mesh, kappa, lam, *walls)
+    assert dissected.converged and natural.converged
+    assert dissected.newton_iterations == natural.newton_iterations
+    assert np.allclose(dissected.values, natural.values, atol=1e-12, rtol=0.0)
+    if not kappa:
+        area = _Discretization(mesh, lambda r, t, z: 0.0 * z, *walls).area
+        assert abs(float((dissected.values * area).sum() / area.sum())) <= 1e-12
 
 
 def test_solver_input_validation():
