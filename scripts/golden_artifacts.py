@@ -114,6 +114,9 @@ def calls(inputs):
         "solve-neutral": {**base, "plus": constant("+", math.pi / 2),
                           "minus": constant("-", math.pi / 2),
                           "m": 16, "n_theta": 16, "kappa": 1.0, "lambda": 2.0},
+        # the paper's regime: contact angles near 0 and pi, 24 rows per decade
+        "solve-extreme": {**base, "plus": constant("+", 0.3), "minus": constant("-", 2.8),
+                          "r_min": 5e-3, "m": 55, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
     }
     for label, cfg in configs.items():
         out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))

@@ -1,0 +1,316 @@
+"""Direct solve of the Newton matrices by block elimination.
+
+The unknowns live on the row-major ni x nj node grid, and every residual
+reads a 3 x 3 window of it.  The grid is cut by nested dissection (George,
+SIAM J. Numer. Anal. 10, 1973) into a tree of rectangles, and the matrix is
+eliminated along that tree with dense fronts: the multifrontal method (Duff &
+Reid, ACM TOMS 9, 1983) on numpy's LAPACK.  ``Elimination`` plans the solve of
+one matrix pattern once; ``NewtonMatrix`` carries a matrix's values on it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dc_field
+
+import numpy as np
+
+#: leaves of the dissection tree hold at most this many nodes; from 16 up, no
+#: cut falls on a grid line next to an edge (see Elimination)
+_LEAF_NODES = 16
+
+
+def _dissection_tree(ni: int, nj: int) -> np.ndarray:
+    """Nested dissection of the row-major ni x nj node grid.
+
+    One row per tree node, by depth: ``r0, r1, c0, c1``, the rectangle of
+    grid nodes in its subtree; ``o0, o1, p0, p1``, the rectangle of those it
+    eliminates; its height above the leaves; its parent's row (-1 at the
+    root).  A block is cut across its longer side by a
+    one-node-wide separator line, which the node eliminates, and the two
+    halves become its children, so eliminating a half fills in nothing
+    outside it and the separator (George 1973).  Blocks of at most
+    ``_LEAF_NODES`` nodes, or with a side shorter than 3, are leaves.
+    """
+    levels, spans = [], []  # the nodes one depth at a time, and their rows
+    block, parent, start = np.array([[0, ni, 0, nj]]), np.array([-1]), 0
+    while len(block):
+        r0, r1, c0, c1 = block.T
+        a, b = r1 - r0, c1 - c0
+        cut = (a * b > _LEAF_NODES) & (np.minimum(a, b) >= 3)
+        rows = a >= b  # the separator is a row line, else a column line
+        k = np.where(rows, r0 + a // 2, c0 + b // 2)
+        line = np.where(rows, [k, k + 1, c0, c1], [r0, r1, k, k + 1])
+        first = np.where(rows, [r0, k, c0, c1], [r0, r1, c0, k])
+        second = np.where(rows, [k + 1, r1, c0, c1], [r0, r1, k + 1, c1])
+        levels.append(np.vstack([block.T, np.where(cut, line, block.T), parent]).T)
+        spans.append((start, start + len(block)))
+        ids = start + np.flatnonzero(cut)
+        block, parent = np.hstack([first[:, cut], second[:, cut]]).T, np.concatenate([ids, ids])
+        start += len(cut)
+    tree = np.vstack(levels)
+    height = np.zeros(len(tree), dtype=tree.dtype)
+    for lo, hi in spans[:0:-1]:  # children raise their parents, deepest first
+        np.maximum.at(height, tree[lo:hi, 8], height[lo:hi] + 1)
+    return np.column_stack([tree[:, :8], height, tree[:, 8]])
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Item and index within it of every slot, for items holding ``counts``
+    slots one after another."""
+    item = np.repeat(np.arange(counts.size), counts)
+    return item, np.arange(item.size) - (np.cumsum(counts) - counts)[item]
+
+
+def _rect_nodes(rects: np.ndarray, nj: int) -> np.ndarray:
+    """The nodes of the rectangles ``(r0, r1, c0, c1)``, each row-major, one
+    rectangle after another."""
+    r0, r1, c0, c1 = rects.T
+    w = c1 - c0
+    t, q = _ragged((r1 - r0) * w)
+    return (r0[t] + q // w[t]) * nj + c0[t] + q % w[t]
+
+
+def _dissection_order(ni: int, nj: int) -> np.ndarray:
+    """The unknowns of the ni x nj node grid in an order the block
+    elimination can remove them: each tree node's own set, by height."""
+    tree = _dissection_tree(ni, nj)
+    return _rect_nodes(tree[np.argsort(tree[:, 8], kind="stable"), 4:8], nj)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """Fronts of one tree height and one shape, eliminated together.
+
+    Front g eliminates the unknowns ``own[g]`` given their boundary
+    ``bnd[g]`` in ancestor separators.  It is an N x (N+1) block, N = o + b,
+    whose rows and columns follow ``own`` then ``bnd`` and whose last column
+    is the right-hand side.
+    """
+
+    own: np.ndarray  # (G, o)
+    bnd: np.ndarray  # (G, b)
+    sel: np.ndarray  # which of [matrix values, rhs] are assembled here
+    dst: np.ndarray  # and where, in the flattened (G, N, N+1) stack
+    # extend-adds of child Schur complements: (child stack, its fronts,
+    # flattened offsets of their rows here, their columns here)
+    updates: list = dc_field(default_factory=list)
+    done: list = dc_field(default_factory=list)  # child stacks used up here
+
+
+class Elimination:
+    """Direct solve of one matrix pattern by block elimination along the
+    nested-dissection tree of the node grid: the multifrontal method (Duff &
+    Reid 1983) with dense fronts.
+
+    The pattern is the Jacobian footprint, followed, when ``border``, by the
+    mean constraint's border column and row; the border unknown is the
+    root's last.  Each subtree's domain is a rectangle of the grid, so its
+    boundary is the one-node ring around it: no cut falls on the second or
+    second-to-last grid line, so the one-sided end stencils, which reach two
+    lines in, stay inside a block or on its separator.  The plan keeps only
+    1-D position maps, and its constructor checks that every matrix entry
+    and every Schur complement entry has a place.
+    """
+
+    def __init__(self, shape: tuple[int, int], footprint, border: bool):
+        ni, nj = shape
+        n = ni * nj
+        self.footprint, self.border = footprint, border
+        self.size = size = n + border
+        tree = _dissection_tree(ni, nj)
+        r0, r1, c0, c1 = tree[:, :4].T
+        ring = np.column_stack(  # the block grown by one node where the grid allows
+            [np.maximum(r0 - 1, 0), np.minimum(r1 + 1, ni),
+             np.maximum(c0 - 1, 0), np.minimum(c1 + 1, nj)]
+        )
+
+        def area(rects):
+            return (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2])
+
+        root = tree[:, 9] < 0
+        o = area(tree[:, 4:8]) + border * root
+        b = area(ring) - area(tree[:, :4]) + border * ~root
+        # fronts of one height and shape form a stack; stacks go by height,
+        # and within one the fronts whose parents share a stack are adjacent
+        _, stack = np.unique((tree[:, 8] * (size + 1) + o) * (size + 1) + b, return_inverse=True)
+        rank = np.lexsort((stack[tree[:, 9]], stack))
+        tree, ring, o, b, stack = tree[rank], ring[rank], o[rank], b[rank], stack[rank]
+        parent = np.append(np.argsort(rank), -1)[tree[:, 9]]
+        starts = np.searchsorted(stack, np.arange(stack[-1] + 2))
+        local = np.arange(rank.size) - starts[stack]
+
+        # the ring is one node wide: per front, its top row, left column and
+        # width, and the block's offset and size inside it
+        e0, d0, ring_w = ring[:, 0], ring[:, 2], ring[:, 3] - ring[:, 2]
+        top, left = tree[:, 0] - e0, tree[:, 2] - d0
+        blk_h, blk_w = tree[:, 1] - tree[:, 0], tree[:, 3] - tree[:, 2]
+
+        # every front's unknowns, front after front: its own set row-major in
+        # its rectangle, its boundary row-major in the ring less the block;
+        # the border unknown is the last of every front, own at the root
+        own = _rect_nodes(tree[:, 4:8], nj)
+        if border:
+            own = np.append(own, n)
+        t, q = _ragged(o)
+        owner = np.empty(size, dtype=np.intp)  # the front eliminating each unknown
+        where = np.empty(size, dtype=np.intp)  # and its row there
+        owner[own], where[own] = t, q
+        N = o + b
+        t, q = _ragged(b)
+        u = q - top[t] * ring_w[t]  # rank past the row above the block
+        v = u - blk_h[t] * (ring_w[t] - blk_w[t])  # and past the rows beside it
+        above, below = u < 0, v >= 0
+        beside = ~above & ~below
+        side = np.maximum(ring_w[t] - blk_w[t], 1)
+        # masks times values: np.where is several times slower on int arrays
+        di = beside * (top[t] + u // side) + below * (top[t] + blk_h[t])
+        dj = above * q + below * v + beside * (u % side >= left[t]) * (left[t] + blk_w[t])
+        bnd = (e0[t] + di) * nj + d0[t] + dj
+        if border:
+            bnd[q == b[t] - 1] = n
+        dad = parent[t]
+        bnd_at = np.cumsum(b) - b
+        listing = np.append(bnd, -1)  # the root's empty ring reads past the end
+
+        def locate(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+            """Row of grid unknown g in front t, -1 if it has none.  In the
+            boundary part, that is g's row-major rank in the ring rectangle
+            less the block rows passed, checked against the ring's list."""
+            pos = where[g]
+            far = np.flatnonzero(owner[g] != t)
+            t, g = t[far], g[far]
+            i = g // nj
+            di, dj = i - e0[t], g - i * nj - d0[t]
+            passed = np.minimum(np.maximum(di - top[t] + (dj > left[t]), 0), blk_h[t])
+            rank = di * ring_w[t] + dj - passed * blk_w[t]
+            listed = (0 <= rank) & (rank < b[t])
+            listed &= listing[bnd_at[t] + rank * listed] == g
+            pos[far] = listed * (o[t] + rank + 1) - 1
+            return pos
+
+        # a matrix entry belongs to the front that eliminates the first of its
+        # two unknowns (an ancestor always comes later), and so do the border
+        # entries of a grid unknown; a right-hand side entry goes to the last
+        # column of its unknown's front
+        rows, cols = self.footprint
+        front = np.minimum(owner[rows], owner[cols])
+        r, c = locate(front, rows), locate(front, cols)
+        if np.any(r < 0) or np.any(c < 0):
+            raise AssertionError("matrix entry outside its front")
+        grid = owner[:n]
+        if border:
+            front = np.concatenate([front, grid, grid])
+            r = np.concatenate([r, where[:n], N[grid] - 1])
+            c = np.concatenate([c, N[grid] - 1, where[:n]])
+        front = np.concatenate([front, owner])
+        r, c = np.concatenate([r, where]), np.concatenate([c, N[owner]])
+        flat = (local[front] * N[front] + r) * (N[front] + 1) + c
+        # fewer than 2**15 stacks, and a 16-bit stable sort is a radix sort
+        sel = np.argsort(stack[front].astype(np.int16), kind="stable")
+        parts = np.split(sel, np.cumsum(np.bincount(stack[front]))[:-1])
+        own_at = np.cumsum(o) - o
+        self.stacks = [
+            _Stack(
+                own=own[own_at[lo] : own_at[lo] + (hi - lo) * o[lo]].reshape(hi - lo, -1),
+                bnd=bnd[bnd_at[lo] : bnd_at[lo] + (hi - lo) * b[lo]].reshape(hi - lo, -1),
+                sel=part,
+                dst=flat[part],
+            )
+            for lo, hi, part in zip(starts[:-1], starts[1:], parts)
+        ]
+
+        # each front's Schur complement is added into its parent's front: the
+        # flattened offset of every boundary row there, and the columns,
+        # closed by the right-hand side's
+        pos = locate(dad, np.minimum(bnd, n - 1))
+        if border:
+            pos[bnd == n] = N[dad[bnd == n]] - 1
+        if np.any(pos < 0):
+            raise AssertionError("Schur complement entry outside the parent front")
+        offsets = (local[dad] * N[dad] + pos) * (N[dad] + 1)
+        cols = np.insert(pos, (bnd_at + b)[:-1], N[parent[:-1]])  # the root is last
+        col_at = bnd_at + np.arange(rank.size)
+        # runs of fronts in one stack whose parents share a stack
+        key = stack[:-1] * len(self.stacks) + stack[parent[:-1]]
+        run = np.flatnonzero(np.diff(key, prepend=-1))
+        for lo, hi in zip(run, np.append(run[1:], key.size)):
+            s, up, g, k = stack[lo], stack[parent[lo]], hi - lo, lo - starts[stack[lo]]
+            self.stacks[up].updates.append(
+                (
+                    s,
+                    slice(k, k + g),
+                    offsets[bnd_at[lo] : bnd_at[lo] + g * b[lo]].reshape(g, -1),
+                    cols[col_at[lo] : col_at[lo] + g * (b[lo] + 1)].reshape(g, -1),
+                )
+            )
+        last = np.zeros(len(self.stacks), dtype=int)
+        np.maximum.at(last, stack[:-1], stack[parent[:-1]])
+        for s, up in enumerate(last[:-1]):
+            self.stacks[up].done.append(s)
+
+    @property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of every matrix value, in storage order."""
+        rows, cols = self.footprint
+        if self.border:
+            n = self.size - 1
+            edge, last = np.arange(n), np.full(n, n)
+            rows, cols = np.concatenate([rows, edge, last]), np.concatenate([cols, last, edge])
+        return rows, cols
+
+    @property
+    def stored_entries(self) -> int:
+        """Doubles kept from elimination to back substitution: every front's
+        Y = F11^-1 [F12 | g], own x (bnd + 1) entries."""
+        return sum(st.own.size * (st.bnd.shape[1] + 1) for st in self.stacks)
+
+    def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs, where A holds ``data`` on the pattern.
+
+        Stacks go up the tree.  In each, one stacked LAPACK solve (partial
+        pivoting inside each front) gives Y = F11^-1 [F12 | g] and one
+        stacked product the Schur complement that the parents add in.  Back
+        substitution runs top down as x_own = Y_g - Y_12 x_bnd.  A singular
+        front gives NaN, which stops the Newton iteration.
+        """
+        vals = np.concatenate([data, rhs])
+        schur, ys = {}, []
+        for s, st in enumerate(self.stacks):
+            G, o = st.own.shape
+            N = o + st.bnd.shape[1]
+            F = np.zeros((G, N, N + 1))
+            flat = F.reshape(-1)
+            flat[st.dst] = vals[st.sel]
+            for child, part, rows, cols in st.updates:
+                idx = rows[:, :, None] + cols[:, None, :]
+                np.add.at(flat, idx.reshape(-1), schur[child][part].reshape(-1))
+            for child in st.done:
+                del schur[child]
+            try:
+                y = np.linalg.solve(F[:, :o, :o], F[:, :o, o:])
+            except np.linalg.LinAlgError:
+                return np.full(self.size, np.nan)
+            schur[s] = F[:, o:, o:] - F[:, o:, :o] @ y
+            ys.append(y)
+        x = np.empty(self.size)
+        for st, y in zip(self.stacks[::-1], ys[::-1]):
+            b = st.bnd.shape[1]
+            x[st.own] = y[:, :, b] - (y[:, :, :b] @ x[st.bnd][:, :, None])[:, :, 0]
+        return x
+
+
+@dataclass(frozen=True, eq=False)
+class NewtonMatrix:
+    """A Newton matrix as its values on its elimination plan's pattern."""
+
+    plan: Elimination
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.plan.size, self.plan.size))
+        out[self.plan.pattern] = self.data
+        return out

@@ -8,22 +8,22 @@ the contact flux cos(gamma(r)) integrated exactly along the face, the two
 circular arcs are closed (a manufactured case supplies all boundary fluxes
 instead), and a damped Newton iteration with a colored finite-difference
 Jacobian (its pattern the product of the radial and angular 3-point
-stencils, 9 colours) drives the residual down.  The unknowns are ordered once
-per mesh by nested dissection of the node grid, and every Newton step factors
-the Jacobian in that order.
+stencils, 9 colours) drives the residual down.  Each Newton system is solved
+directly by block elimination along a nested dissection of the node grid,
+planned once per mesh, with dense fronts in numpy's LAPACK.
 Radial limits at the corner are then read off by geometric-sequence
 extrapolation and classified into wall fans.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -35,29 +35,14 @@ from .profiles import (
     theorem1_applicability,
 )
 
+if TYPE_CHECKING:
+    from .elimination import Elimination, NewtonMatrix
+
 #: cell counts below this are fine for plumbing but not for solve accuracy
 RECOMMENDED_MIN_CELLS = 16
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
 _BALANCE_TOL = 1e-8
-
-
-class _OnFirstUse:
-    """A module imported when one of its attributes is first read.
-
-    SciPy's sparse stack takes longer to import than the rest of wedgecap and
-    only a solve uses it, so the other subcommands never load it.
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
-
-
-sp = _OnFirstUse("scipy.sparse")
-spla = _OnFirstUse("scipy.sparse.linalg")
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +233,19 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
 
 
-def _dissection_order(ni: int, nj: int) -> np.ndarray:
-    """Nested-dissection order of the row-major ni x nj node grid.
+# ---------------------------------------------------------------------------
+# linear solve
 
-    Each block is cut across its longer side by a one-node-wide separator
-    line; the two halves are ordered first, recursively, and the separator
-    last, so eliminating a half fills in nothing outside it and the
-    separator (George 1973).  Blocks of at most 16 nodes, or with a side
-    shorter than 3, keep their natural order.
-    """
 
-    def order(block: np.ndarray) -> list[np.ndarray]:
-        a, b = block.shape
-        if a * b <= 16 or min(a, b) < 3:
-            return [block.ravel()]
-        if a < b:
-            return order(block.T)
-        k = a // 2
-        return order(block[:k]) + order(block[k + 1 :]) + [block[k]]
+def _spsolve(jac: NewtonMatrix, rhs: np.ndarray) -> np.ndarray:
+    """x with jac x = rhs, by the block elimination planned for jac's mesh."""
+    return jac.plan.solve(jac.data, rhs)
 
-    return np.concatenate(order(np.arange(ni * nj).reshape(ni, nj)))
+
+#: The solver's one linear-solve seam.  The benchmark's tracer
+#: (perfbench/tracing.py) replaces this attribute to time every Newton solve,
+#: so renaming it or its ``spsolve`` is a benchmark change.
+spla = SimpleNamespace(spsolve=_spsolve)
 
 
 class _Discretization:
@@ -338,7 +316,7 @@ class _Discretization:
         cols = self.ridx[:, None, :, None] * nj + self.tidx[None, :, None, :]
         rows = np.broadcast_to((ii * nj + jj)[:, :, None, None], cols.shape)
         self.footprint = rows.ravel(), cols.ravel()
-        self.order = _dissection_order(*self.shape)
+        self._plans: dict[bool, Elimination] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -402,12 +380,16 @@ class _Discretization:
             self.rhs_fn(self.r_col, self.t_row, f), dtype=float
         ) * np.ones(self.shape)
 
-    def jacobian(self, f: np.ndarray, base: np.ndarray) -> sp.csc_matrix:
+    def jacobian(
+        self, f: np.ndarray, base: np.ndarray, border: np.ndarray | None = None
+    ) -> NewtonMatrix:
         """Forward-difference Jacobian assembled colour by colour.
 
         Its pattern is the product of the radial and angular derivative
-        stencils, 9 entries per row; one residual evaluation per colour (of
-        9) perturbs every node of that colour.
+        stencils, 9 entries per row, stored in footprint order; one residual
+        evaluation per colour (of 9) perturbs every node of that colour.  A
+        ``border`` (the pinned mean's weights) becomes the last column and
+        row.
         """
         n = f.size
         step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
@@ -417,7 +399,16 @@ class _Discretization:
             diffs[c] = (self.residual(fp) - base).ravel()
         rows, cols = self.footprint
         vals = diffs[self.color.ravel()[cols], rows] / step.ravel()[cols]
-        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        if border is not None:
+            vals = np.concatenate([vals, border, border])
+        # imported here, so that only a solve compiles it: every CLI call
+        # compiles its modules when bytecode is not cached
+        from .elimination import Elimination, NewtonMatrix
+
+        pinned = border is not None
+        if pinned not in self._plans:  # the mesh's linear-solve plan, built once
+            self._plans[pinned] = Elimination(self.shape, self.footprint, pinned)
+        return NewtonMatrix(self._plans[pinned], vals)
 
 
 def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
@@ -432,18 +423,11 @@ def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, p
     for _ in range(config.max_iter):
         if norm <= config.tol:
             break
-        jac = disc.jacobian(f, res)
+        jac = disc.jacobian(f, res, weights)
         rhs = -res.ravel()
-        order = disc.order
         if pin:  # border with the mean constraint, kept as the last unknown
-            w = sp.csc_matrix(weights[:, None])
-            jac = sp.bmat([[jac, w], [w.T, None]], format="csc")
             rhs = np.append(rhs, -(weights @ f.ravel()))
-            order = np.append(order, n)
-        # factor in the mesh's dissection order instead of a COLAMD order per step
-        x = np.empty(order.size)
-        x[order] = spla.spsolve(jac[order][:, order], rhs[order], permc_spec="NATURAL")
-        delta = x[:n].reshape(f.shape)
+        delta = spla.spsolve(jac, rhs)[:n].reshape(f.shape)
         if not np.all(np.isfinite(delta)):
             break
         t = 1.0

@@ -531,7 +531,7 @@ def test_blowup_range_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# import floor: SciPy loads only when a solve needs it
+# import floor: wedgecap runs on numpy, without SciPy
 
 
 @pytest.mark.parametrize("module", ["wedgecap", "wedgecap.cli"])
@@ -547,6 +547,29 @@ def test_import_loads_no_scipy(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    cfg = solve_config(
+        tmp_path,
+        m=8,
+        n_theta=8,
+        plus={"side": "+", "generator": {"type": "constant", "gamma": 1.0}},
+        minus={"side": "-", "generator": {"type": "constant", "gamma": 2.0}},
+    )
+    src = Path(wedgecap.__file__).parents[1]
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import sys; from wedgecap.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_solve_calls_spsolve_through_solver_spla(monkeypatch):

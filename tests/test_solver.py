@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wedgecap import solver
+from wedgecap import elimination, solver
 from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
     CONVEX_OK,
@@ -239,7 +239,7 @@ def test_colored_jacobian_matches_column_by_column(m, n_theta):
 
 @pytest.mark.parametrize("ni, nj", [(3, 3), (3, 17), (17, 3), (13, 25), (129, 129)])
 def test_dissection_order_is_a_permutation(ni, nj):
-    order = solver._dissection_order(ni, nj)
+    order = elimination._dissection_order(ni, nj)
     assert np.array_equal(np.sort(order), np.arange(ni * nj))
 
 
@@ -254,25 +254,30 @@ def example2_walls():
 
 def test_dissection_order_fills_less_than_colamd():
     """L+U entry counts of the first Newton matrix at 64^2: deterministic,
-    unlike timings."""
+    unlike timings.  SuperLU fills less in the dissection order than in its
+    own COLAMD order, and the block elimination stores fewer entries still."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 64, 64)
     disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
     f0 = np.full(disc.shape, -2.0)
     jac = disc.jacobian(f0, disc.residual(f0))
-    p = disc.order
-    colamd = spla.splu(jac)
-    dissected = spla.splu(jac[p][:, p], permc_spec="NATURAL")
-    assert dissected.L.nnz + dissected.U.nnz < colamd.L.nnz + colamd.U.nnz
+    csc = sp.csc_matrix((jac.data, disc.footprint), shape=(f0.size, f0.size))
+    p = elimination._dissection_order(*disc.shape)
+    colamd = spla.splu(csc)
+    dissected = spla.splu(csc[p][:, p], permc_spec="NATURAL")
+    lu = dissected.L.nnz + dissected.U.nnz
+    assert lu < colamd.L.nnz + colamd.U.nnz
+    assert jac.plan.stored_entries < lu
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0])
 def test_dissection_order_cannot_change_a_solve(monkeypatch, kappa):
-    """Any ordering gives the same Newton steps up to roundoff.  For the pinned
-    (kappa = 0) problem the mean-constraint border must be reordered with the
-    unknowns: a border left in natural order still converges, to the wrong
-    mean."""
+    """Any dissection tree gives the same Newton steps up to roundoff: here
+    the mesh's tree against a single whole-grid front, which is one dense
+    partial-pivot LU.  For the pinned (kappa = 0) problem the mean-constraint
+    border is eliminated last in both, and the mean stays 0."""
     r_min, r_max = 0.05, 1.0
     walls = example2_walls()
     mesh = build_sector_mesh(GEO, r_min, r_max, 24, 12)
@@ -283,14 +288,52 @@ def test_dissection_order_cannot_change_a_solve(monkeypatch, kappa):
         lam = flux / (GEO.alpha * (r_max**2 - r_min**2))
 
     dissected = solve_capillary(mesh, kappa, lam, *walls)
-    monkeypatch.setattr(solver, "_dissection_order", lambda ni, nj: np.arange(ni * nj))
-    natural = solve_capillary(mesh, kappa, lam, *walls)
-    assert dissected.converged and natural.converged
-    assert dissected.newton_iterations == natural.newton_iterations
-    assert np.allclose(dissected.values, natural.values, atol=1e-12, rtol=0.0)
+    monkeypatch.setattr(elimination, "_LEAF_NODES", (mesh.m + 1) * (mesh.n_theta + 1))
+    assert len(elimination._dissection_tree(mesh.m + 1, mesh.n_theta + 1)) == 1
+    whole = solve_capillary(mesh, kappa, lam, *walls)
+    assert dissected.converged and whole.converged
+    assert dissected.newton_iterations == whole.newton_iterations
+    assert np.allclose(dissected.values, whole.values, atol=1e-12, rtol=0.0)
     if not kappa:
         area = _Discretization(mesh, lambda r, t, z: 0.0 * z, *walls).area
         assert abs(float((dissected.values * area).sum() / area.sum())) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4), (24, 12)])
+@pytest.mark.parametrize("walls", ["example2", "constant 0.1/3.0"])
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_elimination_matches_dense_solve(m, n_theta, walls, kappa):
+    """The block elimination solves the full Newton matrix, bordered when
+    kappa = 0 pins the mean, as one dense LU solve does.  The meshes run from
+    a single front to trees cut both ways."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, m, n_theta)
+    if walls == "example2":
+        profiles = example2_walls()
+    else:
+        profiles = constant_profile("+", 0.1), constant_profile("-", 3.0)
+    disc = _Discretization(mesh, lambda r, t, z: kappa * z + 2.0, *profiles)
+    f = np.sin(3.0 * mesh.radii[:, None]) * np.cos(2.0 * mesh.thetas[None, :])
+    res = disc.residual(f)
+    rhs = -res.ravel()
+    weights = None
+    if not kappa:
+        weights = (disc.area / disc.area.sum()).ravel()
+        rhs = np.append(rhs, -(weights @ f.ravel()))
+    jac = disc.jacobian(f, res, weights)
+    x = solver.spla.spsolve(jac, rhs)
+    dense = np.linalg.solve(jac.toarray(), rhs)
+    assert np.allclose(x, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("gammas, iterations", [((0.3, 2.8), 9), ((0.1, 3.0), 11)])
+def test_newton_converges_at_the_papers_angles(gammas, iterations):
+    """Contact angles near 0 and pi, with 24 rows per decade down to r_min =
+    5e-3: Newton converges in as many steps as it did with SuperLU."""
+    mesh = build_sector_mesh(GEO, 5e-3, 1.0, 55, 48)
+    walls = constant_profile("+", gammas[0]), constant_profile("-", gammas[1])
+    field = solve_capillary(mesh, 1.0, 2.0, *walls)
+    assert field.converged
+    assert field.newton_iterations == iterations
 
 
 def test_solver_input_validation():
