@@ -66,6 +66,12 @@ def calls(inputs):
         out.append((f"profile-{family}", ["profile", paths[family, "+"]]))
         out.append((f"bounds-{family}", ["bounds", "--plus", paths[family, "+"],
                                          "--minus", paths[family, "-"], "--case", "all"]))
+    # a subset of the pairs, scanned in a different order than --case all
+    out.append(("bounds-D-example1", ["bounds", "--plus", paths["example1", "+"],
+                                      "--minus", paths["example1", "-"], "--case", "D"]))
+    # the large-file path of the float CSV writer: 10,241 sweep rows
+    out.append(("profile-irregular-dense", ["profile", paths["irregular", "+"],
+                                            "--points-per-decade", "1024"]))
     out.append(("bounds-ID-step", ["bounds", "--plus", paths["irregular", "+"],
                                    "--minus", paths["irregular", "-"], "--case", "ID",
                                    "--beta-step", "0.05", "--degrees"]))

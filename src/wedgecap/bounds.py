@@ -35,7 +35,7 @@ LAMBDA_MARGIN = 1e-4
 #: minimum number of lambda grid points
 LAMBDA_POINTS = 512
 #: beta rows evaluated at once by the fan scan (bounds its memory, not its result)
-_SCAN_ROWS = 128
+_SCAN_ROWS = 64
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -145,8 +145,6 @@ class AdhesionFunction:
 class FanBoundResult:
     """Outcome of one admissible-fan scan."""
 
-    side: str | None
-    case: FanCase | None
     beta_min: float
     method: str
     worst_lambda: float | None
@@ -158,12 +156,19 @@ class FanBoundResult:
             raise ValueError(f"beta_min must lie in [0, pi), got {self.beta_min}")
 
 
-def _check_angles(beta, lam):
+def _geometry(beta, lam):
+    """(b, s) = (sin(lambda-beta), sin(beta)) / sin(lambda), angles checked."""
     beta = np.asarray(beta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if np.any(beta < 0.0) or np.any(beta >= lam) or np.any(lam >= math.pi):
         raise ValueError("need 0 <= beta < lambda < pi")
-    return beta, lam
+    sl = np.sin(lam)
+    return np.sin(lam - beta) / sl, np.sin(beta) / sl
+
+
+def _condition(A, kind, b, s):
+    out = A(b) + s - 1.0 if kind == INCREASING else s - 1.0 - A(b)
+    return float(out) if out.ndim == 0 else out
 
 
 def condition_increasing(A: AdhesionFunction, beta, lam):
@@ -172,11 +177,7 @@ def condition_increasing(A: AdhesionFunction, beta, lam):
     Nonnegative for every lambda in (beta, pi) exactly when a fan of width
     beta is admissible against an increasing middle on that wall.
     """
-    beta, lam = _check_angles(beta, lam)
-    sl = np.sin(lam)
-    b = np.sin(lam - beta) / sl
-    out = A(b) + np.sin(beta) / sl - 1.0
-    return float(out) if out.ndim == 0 else out
+    return _condition(A, INCREASING, *_geometry(beta, lam))
 
 
 def condition_decreasing(A: AdhesionFunction, beta, lam):
@@ -185,11 +186,7 @@ def condition_decreasing(A: AdhesionFunction, beta, lam):
     Nonnegative for every lambda in (beta, pi) exactly when a fan of width
     beta is admissible against a decreasing middle on that wall.
     """
-    beta, lam = _check_angles(beta, lam)
-    sl = np.sin(lam)
-    b = np.sin(lam - beta) / sl
-    out = np.sin(beta) / sl - 1.0 - A(b)
-    return float(out) if out.ndim == 0 else out
+    return _condition(A, DECREASING, *_geometry(beta, lam))
 
 
 def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> np.ndarray:
@@ -271,78 +268,67 @@ def required_functional_kind(condition_kind: str) -> str:
     return KIND_LOWER if condition_kind == INCREASING else KIND_UPPER
 
 
-def min_admissible_fan(
-    A: AdhesionFunction,
-    condition_kind: str,
-    beta_step: float = 1e-3,
-    *,
-    side: str | None = None,
-    case: FanCase | None = None,
-) -> FanBoundResult:
-    """Smallest fan width passing the chosen condition for all lambda.
+def min_admissible_fan(requests, beta_step: float = 1e-3) -> list[FanBoundResult]:
+    """Smallest fan width passing each listed (A, condition kind) for all lambda.
 
     Scans beta ascending from 0 in steps of ``beta_step`` over [0, pi), each
-    on a grid of LAMBDA_POINTS lambdas refined around its minimum.  The
-    whole range is scanned so the result also reports whether feasibility was
-    monotone in beta (observed, never assumed).  Raises InfeasibleScanError
-    when no width passes.
+    on a grid of LAMBDA_POINTS lambdas refined around its minimum; the grid
+    geometry is shared by every request.  The whole range is scanned so each
+    result also reports whether feasibility was monotone in beta (observed,
+    never assumed).  One result per request, in order; InfeasibleScanError
+    for the first request no width passes.
     """
     if not (0.0 < beta_step <= 1e-3):
         raise ValueError("beta_step must lie in (0, 1e-3]")
-    cond = _condition_for(condition_kind)
-    if A.kind != required_functional_kind(condition_kind):
-        raise ValueError(
-            f"{condition_kind} condition needs a kind-"
-            f"{required_functional_kind(condition_kind)} functional, got {A.kind}"
-        )
+    conds = [_condition_for(kind) for _, kind in requests]
+    for A, kind in requests:
+        want = required_functional_kind(kind)
+        if A.kind != want:
+            raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
     hi = math.pi - LAMBDA_MARGIN
     u = np.linspace(0.0, 1.0, LAMBDA_POINTS)
-    grid_min = np.empty(len(betas))
-    # per beta row, the grid lambdas at idx - 1, idx and idx + 1 (clipped),
-    # idx the row's grid minimizer
-    near = np.empty((3, len(betas)))
+    grid_min = np.empty((len(requests), len(betas)))
+    # per request and beta row, the grid lambdas at idx - 1, idx, idx + 1
+    # (clipped), idx the row's grid minimizer
+    near = np.empty((len(requests), 3, len(betas)))
     for start in range(0, len(betas), _SCAN_ROWS):
         block = slice(start, start + _SCAN_ROWS)
         lo = betas[block, None] + LAMBDA_MARGIN
         lam2d = lo + (hi - lo) * u
-        vals2d = cond(A, betas[block, None], lam2d)
-        idx = np.argmin(vals2d, axis=1)
-        rows = np.arange(len(idx))
-        grid_min[block] = vals2d[rows, idx]
-        for k, offset in enumerate((-1, 0, 1)):
-            near[k, block] = lam2d[rows, np.clip(idx + offset, 0, LAMBDA_POINTS - 1)]
+        b, s = _geometry(betas[block, None], lam2d)
+        rows = np.arange(len(lam2d))
+        for r, (A, kind) in enumerate(requests):
+            vals2d = _condition(A, kind, b, s)
+            idx = np.argmin(vals2d, axis=1)
+            grid_min[r, block] = vals2d[rows, idx]
+            near[r, :, block] = lam2d[rows, np.clip(idx + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)]
 
-    # refinement can only push the minimum lower, so rows already below the
-    # tolerance are infeasible without it; it runs as one call over all rows
-    cand = grid_min >= FEASIBLE_TOL
-    feasible = np.zeros(len(betas), dtype=bool)
-    worst = near[1]
-    if np.any(cand):
-        bet = betas[cand]
-        lam_ref, val_ref = _golden_min(
-            lambda lam: cond(A, bet, lam), near[0, cand], near[2, cand]
-        )
-        better = val_ref < grid_min[cand]
-        worst[cand] = np.where(better, lam_ref, worst[cand])
-        refined_min = np.minimum(val_ref, grid_min[cand])
-        feasible[cand] = refined_min >= FEASIBLE_TOL
-
-    if not np.any(feasible):
-        raise InfeasibleScanError(
-            f"no admissible fan width below pi for the {condition_kind} condition"
-        )
-    first = int(np.argmax(feasible))
-    monotone = bool(np.all(np.diff(feasible.astype(int)) >= 0))
-    return FanBoundResult(
-        side=side,
-        case=case,
-        beta_min=float(betas[first]),
-        method="theorem2_scan",
-        worst_lambda=float(worst[first]),
-        monotone_flag=monotone,
-        beta_step=beta_step,
-    )
+    results = []
+    for (A, kind), cond, row_min, (left, worst, right) in zip(requests, conds, grid_min, near):
+        # refinement can only push the minimum lower, so rows already below the
+        # tolerance are infeasible without it; it runs as one call over all rows
+        cand = row_min >= FEASIBLE_TOL
+        feasible = np.zeros(len(betas), dtype=bool)
+        if np.any(cand):
+            bet = betas[cand]
+            lam_ref, val_ref = _golden_min(lambda lam: cond(A, bet, lam), left[cand], right[cand])
+            better = val_ref < row_min[cand]
+            worst[cand] = np.where(better, lam_ref, worst[cand])
+            feasible[cand] = np.minimum(val_ref, row_min[cand]) >= FEASIBLE_TOL
+        if not np.any(feasible):
+            raise InfeasibleScanError(
+                f"no admissible fan width below pi for the {kind} condition"
+            )
+        first = int(np.argmax(feasible))
+        results.append(FanBoundResult(
+            beta_min=float(betas[first]),
+            method="theorem2_scan",
+            worst_lambda=float(worst[first]),
+            monotone_flag=bool(np.all(np.diff(feasible.astype(int)) >= 0)),
+            beta_step=beta_step,
+        ))
+    return results
 
 
 def corollary1_bound(m: float, variant: str) -> float:
@@ -425,24 +411,21 @@ def fan_bound_rows(
 
     Each row is (side, case, beta_min, method, worst_lambda, monotone_flag,
     effective_m, effective_sigma), in case order and then in the case's
-    (side, condition) order.  Each distinct (side, condition) pair is scanned
-    once; ID and DI repeat the pairs of I and D and reuse their results.
+    (side, condition) order.  The distinct (side, condition) pairs share one
+    scan; ID and DI repeat the pairs of I and D and reuse their results.
     """
-    scans: dict[tuple[str, str], tuple] = {}
-    rows = []
-    for case in cases:
-        for side, cond_kind in case_condition_map(case):
-            if (side, cond_kind) not in scans:
-                A = adhesion_from_profile(
-                    profiles[side], required_functional_kind(cond_kind), eps_lo=eps_lo
-                )
-                result = min_admissible_fan(
-                    A, cond_kind, beta_step=beta_step, side=side, case=case
-                )
-                scans[side, cond_kind] = (result, *effective_angle(A))
-            result, m, sigma = scans[side, cond_kind]
-            rows.append(
-                (side, case.value, result.beta_min, result.method,
-                 result.worst_lambda, result.monotone_flag, m, sigma)
-            )
-    return rows
+    pairs = list(dict.fromkeys(p for case in cases for p in case_condition_map(case)))
+    adhesion = [
+        adhesion_from_profile(profiles[side], required_functional_kind(kind), eps_lo=eps_lo)
+        for side, kind in pairs
+    ]
+    results = min_admissible_fan([(A, k) for A, (_, k) in zip(adhesion, pairs)], beta_step)
+    scans = {
+        pair: (r.beta_min, r.method, r.worst_lambda, r.monotone_flag, *effective_angle(A))
+        for pair, A, r in zip(pairs, adhesion, results)
+    }
+    return [
+        (side, case.value, *scans[side, kind])
+        for case in cases
+        for side, kind in case_condition_map(case)
+    ]

@@ -166,13 +166,25 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     with open(p, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        writer.writerows([fmt(x) for x in row] for row in rows)
     return p
 
 
+def _write_lines(path, lines) -> Path:
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_text("\n".join(lines) + "\n", newline="")
+    return p
+
+
+def _write_columns(path, header: str, columns) -> Path:
+    """Fast write_csv for float columns (their reprs never need quoting)."""
+    rows = zip(*(np.ravel(c).astype(float).tolist() for c in columns))
+    return _write_lines(path, [header] + [",".join(map(repr, r)) for r in rows])
+
+
 def write_sweep_csv(path, eps: np.ndarray, averages: np.ndarray) -> Path:
-    return write_csv(path, ["eps", "averaged_cos"], zip(eps, averages))
+    return _write_columns(path, "eps,averaged_cos", (eps, averages))
 
 
 def write_functional_csv(path, rows) -> Path:
@@ -182,41 +194,22 @@ def write_functional_csv(path, rows) -> Path:
 
 def write_bounds_csv(path, rows) -> Path:
     """rows: one fan-scan result per (side, case)."""
-    return write_csv(
-        path,
-        [
-            "side",
-            "case",
-            "beta_min",
-            "method",
-            "worst_lambda",
-            "monotone_flag",
-            "effective_m",
-            "effective_sigma",
-        ],
-        rows,
-    )
+    header = "side case beta_min method worst_lambda monotone_flag effective_m effective_sigma"
+    return write_csv(path, header.split(), rows)
 
 
 def write_limit_sweep_csv(path, table: np.ndarray) -> Path:
-    return write_csv(path, ["lambda", "limit_difference"], table)
+    return _write_columns(path, "lambda,limit_difference", np.transpose(table))
 
 
 def write_solution_csv(path, field: SolutionField) -> Path:
-    mesh = field.mesh
-
-    def rows():
-        for i, r in enumerate(mesh.radii):
-            for j, th in enumerate(mesh.thetas):
-                yield r, th, field.values[i, j]
-
-    return write_csv(path, ["r", "theta", "f"], rows())
+    r, th = field.mesh.radii, field.mesh.thetas
+    columns = (np.repeat(r, len(th)), np.tile(th, len(r)), field.values)
+    return _write_columns(path, "r,theta,f", columns)
 
 
 def write_trace_csv(path, trace: RadialTrace) -> Path:
-    return write_csv(
-        path, ["theta", "Rf", "residual"], zip(trace.thetas, trace.rf, trace.residual)
-    )
+    return _write_columns(path, "theta,Rf,residual", (trace.thetas, trace.rf, trace.residual))
 
 
 def fan_summary(fans: FanMeasurement) -> dict:
@@ -237,29 +230,22 @@ def fan_summary(fans: FanMeasurement) -> dict:
 def _render(value, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
-        for key in sorted(value):
-            item = value[key]
-            if isinstance(item, (dict, list, tuple)):
-                lines.append(f"{pad}{key}:")
-                _render(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{key}: {fmt(item)}")
+        items = [(f"{key}:", value[key]) for key in sorted(value)]
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            if isinstance(item, (dict, list, tuple)):
-                lines.append(f"{pad}-")
-                _render(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {fmt(item)}")
+        items = [("-", item) for item in value]
     else:
         lines.append(f"{pad}{fmt(value)}")
+        return
+    for label, item in items:
+        if isinstance(item, (dict, list, tuple)):
+            lines.append(f"{pad}{label}")
+            _render(item, indent + 1, lines)
+        else:
+            lines.append(f"{pad}{label} {fmt(item)}")
 
 
 def write_manifest(path, sections: dict) -> Path:
     """Human-readable run record: sorted keys, no timestamps."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     lines: list[str] = []
     _render(sections, 0, lines)
-    p.write_text("\n".join(lines) + "\n")
-    return p
+    return _write_lines(path, lines)

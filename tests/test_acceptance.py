@@ -136,12 +136,10 @@ def test_criterion_3_constant_angle_fan_bounds():
     worst = 0.0
     for gamma0 in (math.pi / 6.0, math.pi / 4.0, math.pi / 2.0, 2.0 * math.pi / 3.0):
         m = math.cos(gamma0)
-        inc = min_admissible_fan(
-            AdhesionFunction.constant_angle(gamma0, "I"), "increasing"
-        )
-        dec = min_admissible_fan(
-            AdhesionFunction.constant_angle(gamma0, "S"), "decreasing"
-        )
+        inc, dec = min_admissible_fan([
+            (AdhesionFunction.constant_angle(gamma0, "I"), "increasing"),
+            (AdhesionFunction.constant_angle(gamma0, "S"), "decreasing"),
+        ])
         worst = max(
             worst,
             abs(inc.beta_min - gamma0),

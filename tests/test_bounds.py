@@ -130,20 +130,20 @@ def test_default_lambda_grid():
 @pytest.mark.parametrize("gamma", [math.pi / 6, math.pi / 4, math.pi / 2, 2 * math.pi / 3])
 def test_scan_matches_frozen_slope_bound(gamma):
     A_lo = AdhesionFunction.constant_angle(gamma, "I")
-    res = min_admissible_fan(A_lo, INCREASING, side="+", case=FanCase.I)
+    (res,) = min_admissible_fan([(A_lo, INCREASING)])
     assert res.beta_min == pytest.approx(corollary1_bound(math.cos(gamma), "a"), abs=2e-3)
     assert res.method == "theorem2_scan"
     assert res.monotone_flag
 
     A_hi = AdhesionFunction.constant_angle(gamma, "S")
-    res = min_admissible_fan(A_hi, DECREASING, side="-", case=FanCase.I)
+    (res,) = min_admissible_fan([(A_hi, DECREASING)])
     assert res.beta_min == pytest.approx(corollary1_bound(math.cos(gamma), "c"), abs=2e-3)
 
 
 def test_scan_result_brackets_feasibility():
     """The reported width passes; one step below it does not."""
     A = AdhesionFunction.constant_angle(2 * math.pi / 3, "I")
-    res = min_admissible_fan(A, INCREASING)
+    (res,) = min_admissible_fan([(A, INCREASING)])
     cond = lambda lam: condition_increasing(A, res.beta_min, lam)
     ok, _ = holds_for_all_lambda(cond, res.beta_min)
     assert ok
@@ -164,35 +164,80 @@ SCAN_WALLS = {
 @pytest.mark.parametrize(
     "wall, cond_kind, beta_step",
     [(w, k, 1e-3) for w in SCAN_WALLS for k in (INCREASING, DECREASING)]
-    + [("sweep", INCREASING, 9e-4)],  # 3,490 rows: 27 full blocks and 34 left
+    + [("sweep", INCREASING, 9e-4)],  # 3,490 rows: 54 full blocks of 64 and 34 left
 )
 def test_scan_block_size_cannot_change_result(monkeypatch, wall, cond_kind, beta_step):
     import wedgecap.bounds
 
     A = adhesion_from_profile(SCAN_WALLS[wall], required_functional_kind(cond_kind))
     results = []
-    for rows in (1, 7, 128, 10**6):
+    for rows in (1, 7, 64, 10**6):
         monkeypatch.setattr(wedgecap.bounds, "_SCAN_ROWS", rows)
-        results.append(min_admissible_fan(A, cond_kind, beta_step=beta_step))
+        results.append(min_admissible_fan([(A, cond_kind)], beta_step=beta_step))
     for r in results[1:]:
         assert r == results[0]  # every field, compared with ==
+
+
+def _four_pairs(wall):
+    """The (A, condition) pairs of --case all, with the next SCAN_WALLS wall on -."""
+    names = list(SCAN_WALLS)
+    minus = names[(names.index(wall) + 1) % len(names)]
+    profiles = {"+": SCAN_WALLS[wall], "-": SCAN_WALLS[minus]}
+    pairs = case_condition_map(FanCase.I) + case_condition_map(FanCase.D)
+    return [
+        (adhesion_from_profile(profiles[side], required_functional_kind(kind)), kind)
+        for side, kind in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "wall, beta_step", [(w, 1e-3) for w in SCAN_WALLS] + [("sweep", 9e-4)]
+)
+def test_shared_scan_equals_one_pair_scans(monkeypatch, wall, beta_step):
+    """One pass over four pairs gives what four one-pair scans give, whatever
+    the block size."""
+    import wedgecap.bounds
+
+    requests = _four_pairs(wall)
+    alone = [min_admissible_fan([req], beta_step=beta_step)[0] for req in requests]
+    for rows in (1, 7, 64, 10**6):
+        monkeypatch.setattr(wedgecap.bounds, "_SCAN_ROWS", rows)
+        assert min_admissible_fan(requests, beta_step=beta_step) == alone
+
+
+def test_shared_scan_raises_for_first_infeasible_pair():
+    infeasible = [
+        (AdhesionFunction.constant_angle(math.pi, "I"), INCREASING),  # A(b) = -b
+        (AdhesionFunction.constant_angle(0.0, "S"), DECREASING),  # A(b) = b
+    ]
+    messages = []
+    for req in infeasible:
+        with pytest.raises(InfeasibleScanError) as alone:
+            min_admissible_fan([req])
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    requests = _four_pairs("constant")
+    for order in (infeasible, infeasible[::-1]):
+        with pytest.raises(InfeasibleScanError) as shared:
+            min_admissible_fan(requests[:2] + order + requests[2:])
+        assert str(shared.value) == messages[infeasible.index(order[0])]
 
 
 def test_scan_infeasible():
     A = AdhesionFunction.constant_angle(math.pi, "I")  # A(b) = -b
     with pytest.raises(InfeasibleScanError) as err:
-        min_admissible_fan(A, INCREASING)
+        min_admissible_fan([(A, INCREASING)])
     assert err.value.tag == "infeasible_scan"
     assert isinstance(err.value, RuntimeError)
 
 
 def test_scan_kind_mismatch():
     with pytest.raises(ValueError):
-        min_admissible_fan(A_ZERO_S, INCREASING)
+        min_admissible_fan([(A_ZERO_S, INCREASING)])
     with pytest.raises(ValueError):
-        min_admissible_fan(A_ZERO_I, DECREASING)
+        min_admissible_fan([(A_ZERO_I, DECREASING)])
     with pytest.raises(ValueError):
-        min_admissible_fan(A_ZERO_I, INCREASING, beta_step=0.5)
+        min_admissible_fan([(A_ZERO_I, INCREASING)], beta_step=0.5)
 
 
 def test_scan_monotone_in_functional():
@@ -200,20 +245,20 @@ def test_scan_monotone_in_functional():
     widths = []
     for gamma in (0.5, 1.2, 2.0):
         A = AdhesionFunction.constant_angle(gamma, "I")
-        widths.append(min_admissible_fan(A, INCREASING).beta_min)
+        widths.append(min_admissible_fan([(A, INCREASING)])[0].beta_min)
     assert widths == sorted(widths)
 
 
 def test_zero_functional_fans():
-    res = min_admissible_fan(A_ZERO_I, INCREASING)
+    (res,) = min_admissible_fan([(A_ZERO_I, INCREASING)])
     assert res.beta_min == pytest.approx(math.pi / 2, abs=2e-3)
-    res = min_admissible_fan(A_ZERO_S, DECREASING)
+    (res,) = min_admissible_fan([(A_ZERO_S, DECREASING)])
     assert res.beta_min == pytest.approx(math.pi / 2, abs=2e-3)
 
 
 def test_fan_bound_result_validation():
     with pytest.raises(ValueError):
-        FanBoundResult(None, None, math.pi, "theorem2_scan", None, True)
+        FanBoundResult(math.pi, "theorem2_scan", None, True)
 
 
 # ---------------------------------------------------------------------------

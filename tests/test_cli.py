@@ -268,8 +268,7 @@ def test_bounds_rows_match_library(tmp_path):
     for row, (side, cond_kind) in zip(rows[1:], case_condition_map(FanCase.I)):
         kind = required_functional_kind(cond_kind)
         A = adhesion_from_profile(profiles[side], kind)
-        direct = min_admissible_fan(A, cond_kind, beta_step=1e-3, side=side,
-                                    case=FanCase.I)
+        (direct,) = min_admissible_fan([(A, cond_kind)], beta_step=1e-3)
         m, sigma = effective_angle(A)
         assert row[0] == side and row[1] == "I"
         assert float(row[2]) == direct.beta_min
@@ -282,14 +281,15 @@ def test_bounds_rows_match_library(tmp_path):
 
 
 def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
-    """ID and DI repeat the (side, condition) pairs of I and D: 4 scans, not 8."""
+    """ID and DI repeat the (side, condition) pairs of I and D: one scan call
+    over the 4 distinct pairs, not 8."""
     import wedgecap.bounds
 
     scans = []
 
-    def counted(*args, **kwargs):
-        scans.append(args[1])
-        return min_admissible_fan(*args, **kwargs)
+    def counted(requests, *args, **kwargs):
+        scans.append([(A(1.0), kind) for A, kind in requests])  # A(1) = cos(gamma)
+        return min_admissible_fan(requests, *args, **kwargs)
 
     monkeypatch.setattr(wedgecap.bounds, "min_admissible_fan", counted)
     plus = constant_wall(tmp_path, "+", 1.0)
@@ -297,7 +297,9 @@ def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(["bounds", "--plus", plus, "--minus", minus, "--case", "all",
                 "--out", out]) == 0
-    assert len(scans) == 4
+    plus_m, minus_m = math.cos(1.0), math.cos(2.0)
+    assert scans == [[(plus_m, "increasing"), (minus_m, "decreasing"),
+                      (minus_m, "increasing"), (plus_m, "decreasing")]]
     rows = {(r[0], r[1]): r[2:] for r in read_rows(out / "bounds.csv")[1:]}
     assert len(rows) == 8
     for mixed in (FanCase.ID, FanCase.DI):

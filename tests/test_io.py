@@ -277,6 +277,19 @@ def test_functional_and_bounds_headers(tmp_path):
     assert qlines[1] == "+,I,0.5,theorem2_scan,1.2,True,0.25,1.318116071652818"
 
 
+def test_float_writers_match_write_csv_bytes(tmp_path):
+    """The column path of the all-float writers writes what write_csv writes."""
+    col = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-308, 1.0 / 3.0])
+    other = col[::-1].copy()
+    expect = write_csv(tmp_path / "rows.csv", ["eps", "averaged_cos"], zip(col, other))
+    got = write_sweep_csv(tmp_path / "sweep.csv", col, other)
+    assert got.read_bytes() == expect.read_bytes()
+    table = np.column_stack([col, other])
+    expect = write_csv(tmp_path / "rows2.csv", ["lambda", "limit_difference"], table)
+    got = write_limit_sweep_csv(tmp_path / "limit.csv", table)
+    assert got.read_bytes() == expect.read_bytes()
+
+
 def test_limit_sweep_csv(tmp_path):
     table = np.array([[0.5, -0.125], [0.75, 0.0]])
     p = write_limit_sweep_csv(tmp_path / "l.csv", table)
