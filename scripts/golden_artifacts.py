@@ -94,6 +94,12 @@ def calls(inputs):
                          "--profile", paths["irregular", side], "--points", "256"]))
     out.append(("blowup-example2", ["blowup", "--case", "I", "--beta", "0.9",
                                     "--profile", paths["example2", "+"]]))
+    # the two remaining exact routes of a profile wall: dyadic blocks and a
+    # single segment (the + walls' fan bounds are 2.2 and 1.0)
+    out.append(("blowup-example1", ["blowup", "--case", "I", "--beta", "0.9",
+                                    "--profile", paths["example1", "+"]]))
+    out.append(("blowup-constant", ["blowup", "--case", "I", "--beta", "1.1",
+                                    "--profile", paths["constant", "+"]]))
 
     # kappa = 0 pins the mean: lambda must balance the net wall flux exactly
     r_min, r_max, alpha = 0.05, 1.0, 1.0

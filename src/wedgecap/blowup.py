@@ -19,13 +19,11 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
-    _condition_for,
     _grid_min,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
     default_lambda_grid,
-    required_functional_kind,
 )
 from .functionals import KIND_LOWER, KIND_UPPER
 from .profiles import SIDES
@@ -198,24 +196,22 @@ def phi_limit_difference(A: AdhesionFunction, beta, lam):
     """Limiting + wall gain as C approaches the fan edge: -(increasing cond)."""
     if A.kind != KIND_LOWER:
         raise ValueError("the + wall limit consumes a lower (kind 'I') functional")
-    out = -np.asarray(condition_increasing(A, beta, lam))
-    return float(out) if out.ndim == 0 else out
+    return -condition_increasing(A, beta, lam)
 
 
 def psi_limit_difference(A: AdhesionFunction, beta, lam):
     """Limiting - wall gain as C approaches the fan edge: -(decreasing cond)."""
     if A.kind != KIND_UPPER:
         raise ValueError("the - wall limit consumes an upper (kind 'S') functional")
-    out = -np.asarray(condition_decreasing(A, beta, lam))
-    return float(out) if out.ndim == 0 else out
+    return -condition_decreasing(A, beta, lam)
 
 
 def _limit_fn_for(case: FanCase, side: str):
     if side not in SIDES:
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    cond_kind = dict(case_condition_map(case))[side]
-    fn = phi_limit_difference if cond_kind == INCREASING else psi_limit_difference
-    return fn, cond_kind
+    if dict(case_condition_map(case))[side] == INCREASING:
+        return phi_limit_difference
+    return psi_limit_difference
 
 
 def contradiction_witness(
@@ -236,17 +232,11 @@ def contradiction_witness(
     """
     if not (0.0 <= beta_claim < math.pi):
         raise ValueError(f"claimed fan width must lie in [0, pi), got {beta_claim}")
-    _, cond_kind = _limit_fn_for(case, side)
-    if A.kind != required_functional_kind(cond_kind):
-        raise ValueError(
-            f"case {case.value} on side {side} needs a kind-"
-            f"{required_functional_kind(cond_kind)} functional, got {A.kind}"
-        )
+    gain = _limit_fn_for(case, side)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta_claim)
     grid = np.asarray(lambda_grid, dtype=float)
-    cond = _condition_for(cond_kind)
-    lam_best, v_best = _grid_min(lambda lam: cond(A, beta_claim, lam), grid)
+    lam_best, v_best = _grid_min(lambda lam: -gain(A, beta_claim, lam), grid)
     if -v_best > WITNESS_TOL:
         return lam_best, -v_best
     return None
@@ -262,7 +252,7 @@ def limit_difference_table(
     """(lambda, limiting gain) rows for one wall, ready for CSV output."""
     if not (0.0 <= beta < math.pi):
         raise ValueError(f"fan width must lie in [0, pi), got {beta}")
-    fn, _ = _limit_fn_for(case, side)
+    fn = _limit_fn_for(case, side)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta)
     grid = np.asarray(lambda_grid, dtype=float)

@@ -19,12 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .functionals import (
+    EPS_FLOOR,
     KIND_LOWER,
     KIND_UPPER,
-    LOG_PERIODIC_RATIO,
+    POINTS_PER_DECADE,
     SweepConfig,
-    exact_A_example1,
-    exact_A_log_periodic,
+    _exact_estimates,
 )
 from .profiles import ContactProfile
 
@@ -96,27 +96,12 @@ class AdhesionFunction:
         return cls(kind=kind, fn=lambda b: m * b, method=method)
 
     @classmethod
-    def from_example1(cls, g1: float, g2: float, kind: str) -> "AdhesionFunction":
-        lower, upper = exact_A_example1(g1, g2, 1.0)
-        m = lower.value if kind == KIND_LOWER else upper.value
-        return cls.linear(m, kind, method=lower.method)
-
-    @classmethod
-    def from_log_periodic(
-        cls, profile: ContactProfile, ratio: float, kind: str
-    ) -> "AdhesionFunction":
-        # scale-averages are degree-1 homogeneous in b, so one exact value fixes the slope
-        lower, upper = exact_A_log_periodic(profile, 1.0, ratio)
-        m = lower.value if kind == KIND_LOWER else upper.value
-        return cls.linear(m, kind, method=lower.method)
-
-    @classmethod
     def from_sweep_table(
         cls,
         profile: ContactProfile,
         kind: str,
-        eps_lo: float = 1e-10,
-        points_per_decade: int = 64,
+        eps_lo: float = EPS_FLOOR,
+        points_per_decade: int = POINTS_PER_DECADE,
     ) -> "AdhesionFunction":
         """Sweep-backed evaluator with precomputed envelope tables.
 
@@ -378,26 +363,24 @@ def adhesion_from_profile(
     profile: ContactProfile,
     kind: str,
     *,
-    eps_lo: float = 1e-10,
-    points_per_decade: int = 64,
+    eps_lo: float = EPS_FLOOR,
+    points_per_decade: int = POINTS_PER_DECADE,
 ) -> AdhesionFunction:
     """Best available evaluator for a profile: exact when structure allows.
 
-    Constant and example1 walls get their closed forms, walls self-similar
-    at LOG_PERIODIC_RATIO the log-periodic one, and any other wall a sweep
-    table from ``eps_lo`` at ``points_per_decade``.
+    Walls with a closed form (routed as in ``best_estimates``) get a linear
+    evaluator, any other wall a sweep table from ``eps_lo`` at
+    ``points_per_decade``.
     """
-    if profile.generator == "constant" or profile.n_segments == 1:
-        return AdhesionFunction.constant_angle(float(profile.values[0]), kind)
-    if profile.generator == "example1":
-        g1, g2 = profile.recurrent_values
-        return AdhesionFunction.from_example1(g1, g2, kind)
-    try:
-        return AdhesionFunction.from_log_periodic(profile, LOG_PERIODIC_RATIO, kind)
-    except ValueError:
+    exact = _exact_estimates(profile, 1.0)
+    if exact is None:
         return AdhesionFunction.from_sweep_table(
             profile, kind, eps_lo=eps_lo, points_per_decade=points_per_decade
         )
+    # scale-averages are degree-1 homogeneous in b, so the value at b = 1 is the slope
+    est = exact[0] if kind == KIND_LOWER else exact[1]
+    method = "constant_angle" if profile.n_segments == 1 else est.method
+    return AdhesionFunction.linear(est.value, kind, method)
 
 
 def fan_bound_rows(
@@ -405,7 +388,7 @@ def fan_bound_rows(
     cases,
     beta_step: float = 1e-3,
     *,
-    eps_lo: float = 1e-10,
+    eps_lo: float = EPS_FLOOR,
 ) -> list[tuple]:
     """The ``bounds.csv`` rows for ``cases`` on walls ``profiles["+"/"-"]``.
 

@@ -35,7 +35,9 @@ from .bounds import (
 )
 from .blowup import contradiction_witness, limit_difference_table
 from .functionals import (
+    EPS_FLOOR,
     LOG_PERIODIC_RATIO,
+    POINTS_PER_DECADE,
     SweepConfig,
     best_estimates,
     estimate_AI,
@@ -86,9 +88,6 @@ def _angle(value: float | None, degrees: bool, default: float) -> float:
     return math.radians(value) if degrees else value
 
 
-#: --eps-floor when the flag is not given
-_EPS_FLOOR = 1e-10
-
 #: flags read by several subcommands; each subcommand registers only those it
 #: reads, so a stray flag is a usage error rather than silently ignored
 _SHARED_FLAGS = {
@@ -97,7 +96,7 @@ _SHARED_FLAGS = {
         help="interpret angle flags as degrees (config files stay radians)",
     ),
     "--eps-floor": dict(
-        type=float, default=_EPS_FLOOR, help="smallest scale used by averaging sweeps"
+        type=float, default=EPS_FLOOR, help="smallest scale used by averaging sweeps"
     ),
 }
 
@@ -385,6 +384,9 @@ def cmd_solve(args) -> int:
     n_theta = _config_number(data, "n_theta", 48, integer=True)
     if m < 2 or n_theta < 2:
         raise ValueError(f"need m, n_theta >= 2, got ({m}, {n_theta})")
+    n_radii = _config_number(data, "n_radii", min(8, m), integer=True)
+    if not (2 <= n_radii <= m):
+        raise ValueError(f"n_radii must lie in [2, m={m}], got {n_radii}")
     mesh = build_sector_mesh(
         geometry,
         _config_number(data, "r_min", 0.05),
@@ -421,7 +423,6 @@ def cmd_solve(args) -> int:
         )
         physics = {"pmc": pmc, "kappa": kappa, "lambda": lam}
 
-    n_radii = _config_number(data, "n_radii", min(8, m), integer=True)
     trace = radial_trace(field, n_radii, allow_unconverged=True)
     fans = fans_from_trace(trace)
 
@@ -505,7 +506,7 @@ def cmd_blowup(args) -> int:
         source = {"constant_gamma": gamma0}
     else:
         profile = wio.load_profile(args.profile)
-        eps_floor = _EPS_FLOOR if args.eps_floor is None else args.eps_floor
+        eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
         _check_eps_floor(eps_floor, profile.s_max)
         A = adhesion_from_profile(profile, kind, eps_lo=eps_floor)
         source = {"profile": wio.profile_summary(profile)}
@@ -554,7 +555,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile", help="sweep a wall profile and its A curves")
     _add_flags(p, "--eps-floor")
     p.add_argument("file", help="profile JSON file")
-    p.add_argument("--points-per-decade", type=int, default=64)
+    p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("bounds", help="minimal admissible fan widths per case")
@@ -603,7 +604,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=512)
     p.add_argument(
         "--eps-floor", type=float, default=None,
-        help=f"with --profile (default {_EPS_FLOOR})",
+        help=f"with --profile (default {EPS_FLOOR})",
     )
     p.set_defaults(func=cmd_blowup)
 

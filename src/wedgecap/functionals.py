@@ -25,6 +25,10 @@ METHOD_SEQUENCE = "sequence_exact"
 
 #: scale ratio at which the exact routes test a wall for self-similarity
 LOG_PERIODIC_RATIO = 4.0
+#: smallest scale of a sweep unless the caller picks another
+EPS_FLOOR = 1e-10
+#: sweep grid density unless the caller picks another
+POINTS_PER_DECADE = 64
 
 #: admitted relative overshoot of |value| past b before we call it a bug
 _VALUE_SLACK = 1e-9
@@ -40,8 +44,8 @@ class SweepConfig:
     """
 
     eps_hi: float
-    eps_lo: float = 1e-10
-    points_per_decade: int = 64
+    eps_lo: float = EPS_FLOOR
+    points_per_decade: int = POINTS_PER_DECADE
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_lo < self.eps_hi):
@@ -51,7 +55,7 @@ class SweepConfig:
 
     @classmethod
     def for_profile(cls, profile: ContactProfile, b: float, **kw) -> "SweepConfig":
-        """Default sweep: start where the window fills the wall, descend to 1e-10."""
+        """Default sweep: start where the window fills the wall, descend to EPS_FLOOR."""
         return cls(eps_hi=profile.s_max / b, **kw)
 
     def grid(self) -> np.ndarray:
@@ -231,17 +235,14 @@ def exact_A_example1(
     )
 
 
-def best_estimates(
-    profile: ContactProfile,
-    b: float,
-    eps_lo: float = 1e-10,
-    points_per_decade: int = 64,
-) -> tuple[AdhesionEstimate, AdhesionEstimate]:
-    """(lower, upper) adhesion values via the tightest applicable route.
+def _exact_estimates(
+    profile: ContactProfile, b: float
+) -> tuple[AdhesionEstimate, AdhesionEstimate] | None:
+    """Closed-form (lower, upper) values at ``b``, or None if only a sweep applies.
 
-    Profiles with recognized structure (constant, the two generated families,
-    anything self-similar at LOG_PERIODIC_RATIO) get exact values; everything
-    else falls back to a sweep between ``eps_lo`` and the wall.
+    The one place that routes a wall: example1 walls by their two angles,
+    single-segment walls by cos(gamma), and walls self-similar at
+    LOG_PERIODIC_RATIO by the log-periodic closed form.
     """
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
@@ -255,7 +256,24 @@ def best_estimates(
     try:
         return exact_A_log_periodic(profile, b, LOG_PERIODIC_RATIO)
     except ValueError:
-        pass
+        return None
+
+
+def best_estimates(
+    profile: ContactProfile,
+    b: float,
+    eps_lo: float = EPS_FLOOR,
+    points_per_decade: int = POINTS_PER_DECADE,
+) -> tuple[AdhesionEstimate, AdhesionEstimate]:
+    """(lower, upper) adhesion values via the tightest applicable route.
+
+    Profiles with recognized structure (see ``_exact_estimates``) get exact
+    values; everything else falls back to a sweep between ``eps_lo`` and the
+    wall.
+    """
+    exact = _exact_estimates(profile, b)
+    if exact is not None:
+        return exact
     sweep = SweepConfig(
         eps_hi=profile.s_max / b, eps_lo=eps_lo, points_per_decade=points_per_decade
     )

@@ -7,8 +7,8 @@ given input always produces byte-identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +101,10 @@ def profile_from_dict(data: dict) -> ContactProfile:
 
 
 def _number(x, what: str) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ProfileFormatError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    # JSON admits NaN and Infinity, and ints too large for a float; none is a value
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ProfileFormatError(f"{what} must be a finite number, got {x!r}")
 
 
 def _with_side(profile: ContactProfile, side: str) -> ContactProfile:
@@ -160,16 +161,6 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt(x) for x in row] for row in rows)
-    return p
-
-
 def _write_lines(path, lines) -> Path:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -177,8 +168,13 @@ def _write_lines(path, lines) -> Path:
     return p
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Comma-joined fmt values; no field wedgecap writes needs CSV quoting."""
+    return _write_lines(path, [",".join(header)] + [",".join(map(fmt, row)) for row in rows])
+
+
 def _write_columns(path, header: str, columns) -> Path:
-    """Fast write_csv for float columns (their reprs never need quoting)."""
+    """Fast write_csv for float columns."""
     rows = zip(*(np.ravel(c).astype(float).tolist() for c in columns))
     return _write_lines(path, [header] + [",".join(map(repr, r)) for r in rows])
 

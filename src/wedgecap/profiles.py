@@ -150,7 +150,7 @@ def make_piecewise(
         raise ValueError("breakpoints must be positive")
     if not np.all(np.diff(br) > 0.0):
         raise ValueError("breakpoints must be strictly increasing")
-    if np.any(vals < 0.0) or np.any(vals > math.pi):
+    if not np.all((vals >= 0.0) & (vals <= math.pi)):  # NaN fails too
         raise ValueError("contact angles must lie in [0, pi]")
     last = float(br[-1])
     if s_max is None:

@@ -227,8 +227,8 @@ class SolverConfig:
     initial: float | None = None  # starting constant; None picks the default
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 

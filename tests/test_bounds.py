@@ -25,6 +25,8 @@ from wedgecap.bounds import (
     min_admissible_fan,
     required_functional_kind,
 )
+from wedgecap.functionals import METHOD_LOG_PERIODIC, METHOD_SWEEP, best_estimates
+from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
     constant_profile,
     example1_profile,
@@ -290,10 +292,10 @@ def test_corollary1_complement(m):
 
 def test_effective_angle_example1():
     g1, g2 = math.pi / 3, 2 * math.pi / 3
-    A = AdhesionFunction.from_example1(g1, g2, "I")
+    A = adhesion_from_profile(example1_profile(g1, g2), "I")
     m, sigma = effective_angle(A)
     assert sigma == pytest.approx(max(g1, g2), abs=1e-9)
-    A = AdhesionFunction.from_example1(g1, g2, "S")
+    A = adhesion_from_profile(example1_profile(g1, g2), "S")
     m, sigma = effective_angle(A)
     assert sigma == pytest.approx(min(g1, g2), abs=1e-9)
 
@@ -379,6 +381,42 @@ def test_adhesion_from_profile_routes():
     assert sw.method == "sweep"
     for b in (0.2, 0.7, 1.3):
         assert abs(sw(b)) <= b * (1.0 + 1e-12)
+
+
+def _generated(side, kind, g1, g2):
+    spec = {"side": side, "generator": {"type": kind, "gamma1": g1, "gamma2": g2}}
+    return profile_from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        constant_profile("+", 0.9),
+        constant_profile("-", 2.1, s_max=2.0),
+        make_piecewise("+", [0.7], [1.3]),
+        _generated("+", "example1", 0.4, 2.2),
+        _generated("-", "example1", 0.4, 2.2),
+        _generated("+", "example2", 0.4, 2.2),
+        _generated("-", "example2", 0.4, 2.2),
+        make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]),
+    ],
+    ids=["constant+", "constant-", "one-segment", "example1+", "example1-",
+         "example2+", "example2-", "irregular"],
+)
+def test_adhesion_from_profile_takes_the_best_estimates_route(profile):
+    """Both callers of the wall router pick the same route and exact value."""
+    b = 0.5
+    for kind, est in zip("IS", best_estimates(profile, b)):
+        A = adhesion_from_profile(profile, kind)
+        single = profile.n_segments == 1
+        assert A.method == ("constant_angle" if single else est.method)
+        if est.method == METHOD_SWEEP:
+            continue
+        slope = A(1.0)
+        if est.method == METHOD_LOG_PERIODIC:
+            assert slope == pytest.approx(est.value / b, rel=1e-15)
+        else:
+            assert slope == est.value / b
 
 
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():

@@ -411,6 +411,11 @@ def test_solve_config_validation(tmp_path):
     badk = solve_config(tmp_path, pmc="nope")
     assert run(["solve", "--config", badk]) == 3
 
+    # a tolerance every residual meets would report convergence after 0 steps
+    finite = solve_config(tmp_path, m=8, n_theta=8)
+    for tol in ("inf", "nan", "0"):
+        assert run(["solve", "--config", finite, "--tol", tol]) == 3
+
 
 @pytest.mark.parametrize("key", ["plus", "minus"])
 def test_solve_null_wall_is_a_profile_error(tmp_path, capsys, key):
@@ -431,6 +436,36 @@ def test_solve_malformed_number_is_a_config_error(tmp_path, capsys, key, value):
     assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert "profile error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("call", ["profile", "blowup", "bounds", "s_max", "tol", "kappa"])
+def test_non_finite_json_number_exits_2(tmp_path, capsys, call):
+    """JSON's NaN and Infinity are malformed numbers, whichever file holds them."""
+    nan_wall = {"side": "+", "segments": [{"s_end": 1.0, "gamma": math.nan}]}
+    inf_wall = {"side": "+", "generator": {"type": "constant", "gamma": 1.0}, "s_max": math.inf}
+    wall = write_json(tmp_path / "wall.json", inf_wall if call == "s_max" else nan_wall)
+    argv = {
+        "profile": lambda: ["profile", wall],
+        "blowup": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--profile", wall],
+        "bounds": lambda: ["bounds", "--plus", wall, "--minus", constant_wall(tmp_path, "-", 2.0)],
+        "s_max": lambda: ["profile", wall],
+        "tol": lambda: ["solve", "--config", solve_config(tmp_path, m=8, tol=math.inf)],
+        "kappa": lambda: ["solve", "--config", solve_config(tmp_path, m=8, kappa=math.nan)],
+    }[call]()
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_n_radii_checked_before_the_solve(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before n_radii was checked")
+
+    monkeypatch.setattr("wedgecap.cli.solve_capillary", no_solve)
+    for n_radii in (1, 9):
+        cfg = solve_config(tmp_path, m=8, n_theta=8, n_radii=n_radii)
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 3
 
 
 def test_solve_nonconvergence_exit_6(tmp_path, capsys):

@@ -4,6 +4,8 @@ Artifact determinism is part of the contract, so several tests compare whole
 files against golden byte strings rather than parsing them back.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -277,17 +279,33 @@ def test_functional_and_bounds_headers(tmp_path):
     assert qlines[1] == "+,I,0.5,theorem2_scan,1.2,True,0.25,1.318116071652818"
 
 
+def _csv_module_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(x) for x in row] for row in rows)
+    return buf.getvalue().encode()
+
+
 def test_float_writers_match_write_csv_bytes(tmp_path):
-    """The column path of the all-float writers writes what write_csv writes."""
+    """write_csv and the column path of the all-float writers write what the
+    csv module writes for the same fmt values."""
     col = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-308, 1.0 / 3.0])
     other = col[::-1].copy()
-    expect = write_csv(tmp_path / "rows.csv", ["eps", "averaged_cos"], zip(col, other))
-    got = write_sweep_csv(tmp_path / "sweep.csv", col, other)
-    assert got.read_bytes() == expect.read_bytes()
+    expect = _csv_module_bytes(["eps", "averaged_cos"], zip(col, other))
+    assert write_sweep_csv(tmp_path / "sweep.csv", col, other).read_bytes() == expect
+    got = write_csv(tmp_path / "rows.csv", ["eps", "averaged_cos"], zip(col, other))
+    assert got.read_bytes() == expect
     table = np.column_stack([col, other])
-    expect = write_csv(tmp_path / "rows2.csv", ["lambda", "limit_difference"], table)
-    got = write_limit_sweep_csv(tmp_path / "limit.csv", table)
-    assert got.read_bytes() == expect.read_bytes()
+    expect = _csv_module_bytes(["lambda", "limit_difference"], table)
+    assert write_limit_sweep_csv(tmp_path / "limit.csv", table).read_bytes() == expect
+    mixed = [
+        ("+", "I", 0.5, "theorem2_scan", True, np.False_, 3, np.int64(-7), math.nan),
+        ("-", "DI", -0.0, "sweep", False, np.True_, 0, np.int64(2**40), np.float64(1e-300)),
+    ]
+    header = ["side", "case", "x", "method", "flag", "np_flag", "n", "np_n", "y"]
+    expect = _csv_module_bytes(header, mixed)
+    assert write_csv(tmp_path / "mixed.csv", header, mixed).read_bytes() == expect
 
 
 def test_limit_sweep_csv(tmp_path):

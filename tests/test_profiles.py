@@ -74,6 +74,8 @@ def test_make_piecewise_rejects_bad_input():
     with pytest.raises(ValueError):
         make_piecewise("+", [1.0], [4.0])  # angle outside [0, pi]
     with pytest.raises(ValueError):
+        make_piecewise("+", [0.5, 1.0], [0.5, math.nan])
+    with pytest.raises(ValueError):
         make_piecewise("+", [-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ProfileFormatError):
         make_piecewise("x", [1.0], [0.5])
