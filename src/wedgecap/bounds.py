@@ -11,8 +11,9 @@ arccos(m) (or its supplement), which serves as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -36,6 +37,8 @@ LAMBDA_MARGIN = 1e-4
 LAMBDA_POINTS = 512
 #: beta rows evaluated at once by the fan scan (bounds its memory, not its result)
 _SCAN_ROWS = 64
+#: lambda column stride of the fan scan's coarse pass (sets its speed, not its result)
+_COARSE_STRIDE = 8
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -64,12 +67,15 @@ class AdhesionFunction:
 
     ``kind`` "I" marks a lower (liminf) functional, "S" an upper one.  The
     evaluator must accept numpy arrays; every returned value is clipped to
-    the hard bound |A(b)| <= b after a sanity check.
+    the hard bound |A(b)| <= b after a sanity check.  The ``linear`` and
+    ``from_sweep_table`` evaluators lie within that bound by construction
+    (checked once when they are built), so their values skip both.
     """
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     method: str = "custom"
+    _bounded: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LOWER, KIND_UPPER):
@@ -78,9 +84,10 @@ class AdhesionFunction:
     def __call__(self, b):
         b_arr = np.asarray(b, dtype=float)
         out = np.asarray(self.fn(b_arr), dtype=float)
-        if np.any(np.abs(out) > b_arr * (1.0 + 1e-9)):
-            raise ValueError("adhesion evaluator broke the |A(b)| <= b bound")
-        out = np.clip(out, -b_arr, b_arr)
+        if not self._bounded:
+            if np.any(np.abs(out) > b_arr * (1.0 + 1e-9)):
+                raise ValueError("adhesion evaluator broke the |A(b)| <= b bound")
+            out = np.clip(out, -b_arr, b_arr)
         return float(out) if np.isscalar(b) or out.ndim == 0 else out
 
     @classmethod
@@ -93,7 +100,7 @@ class AdhesionFunction:
     def linear(cls, m: float, kind: str, method: str = "linear") -> "AdhesionFunction":
         if not (-1.0 <= m <= 1.0):
             raise ValueError(f"slope must lie in [-1, 1], got {m}")
-        return cls(kind=kind, fn=lambda b: m * b, method=method)
+        return cls(kind=kind, fn=lambda b: m * b, method=method, _bounded=True)
 
     @classmethod
     def from_sweep_table(
@@ -108,22 +115,47 @@ class AdhesionFunction:
         A(b) over the grid eps in [eps_lo, s_max/b] equals b * (envelope of
         F(x)/x over x in [b*eps_lo, s_max]), so one table of F(x)/x on a
         geometric x-grid down to 1e-14 plus running envelopes answers every b
-        by bisection.
+        by bisection.  Both kinds of one wall share the table.
         """
+        table = _sweep_table(profile, eps_lo, points_per_decade)
+        env = table.upper if kind == KIND_UPPER else table.lower
+        return cls(kind=kind, fn=lambda b: b * env[table.cut(b)], method="sweep", _bounded=True)
+
+
+class _SweepTable:
+    """F(x)/x of one wall with its running min and max envelopes (see
+    ``AdhesionFunction.from_sweep_table``)."""
+
+    def __init__(self, profile: ContactProfile, eps_lo: float, points_per_decade: int):
         xs = SweepConfig(profile.s_max, 1e-14, points_per_decade).grid()
         g = profile.integral_many(xs) / xs
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
-        run_min = np.minimum.accumulate(g)
-        run_max = np.maximum.accumulate(g)
-        asc = xs[::-1]
-        env = (run_min if kind == KIND_LOWER else run_max)[::-1]
+        env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
+        if np.any(np.abs(env) > 1.0 + 1e-9):
+            raise ValueError("sweep table broke the |A(b)| <= b bound")
+        # for b > 0, b * clip(env) is the clip of b * env to [-b, b]
+        self.lower, self.upper = np.clip(env, -1.0, 1.0)
+        self.asc = xs[::-1]
+        self.eps_lo = eps_lo
+        self._last = (None, None)
 
-        def fn(b: np.ndarray) -> np.ndarray:
-            cut = np.searchsorted(asc, np.asarray(b, dtype=float) * eps_lo, side="left")
-            cut = np.clip(cut, 0, len(asc) - 1)
-            return b * env[cut]
+    def cut(self, b: np.ndarray) -> np.ndarray:
+        """Envelope index of each window b.  The search of a read-only b that
+        owns its data, as the fan scan's blocks are, is kept, so the wall's
+        two kinds search each block once."""
+        key, cut = self._last
+        if b is not key:
+            cut = np.searchsorted(self.asc, b * self.eps_lo, side="left")
+            cut = np.clip(cut, 0, len(self.asc) - 1)
+            if b.flags.owndata and not b.flags.writeable:
+                self._last = (b, cut)
+        return cut
 
-        return cls(kind=kind, fn=fn, method="sweep")
+
+@functools.lru_cache(maxsize=2)
+def _sweep_table(profile: ContactProfile, eps_lo: float, points_per_decade: int) -> _SweepTable:
+    """One table per wall and sweep setting (profiles hash by identity)."""
+    return _SweepTable(profile, eps_lo, points_per_decade)
 
 
 @dataclass(frozen=True)
@@ -141,14 +173,23 @@ class FanBoundResult:
             raise ValueError(f"beta_min must lie in [0, pi), got {self.beta_min}")
 
 
-def _geometry(beta, lam):
-    """(b, s) = (sin(lambda-beta), sin(beta)) / sin(lambda), angles checked."""
-    beta = np.asarray(beta, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+def _check_angles(beta, lam) -> None:
     if np.any(beta < 0.0) or np.any(beta >= lam) or np.any(lam >= math.pi):
         raise ValueError("need 0 <= beta < lambda < pi")
+
+
+def _ratios(beta, lam):
+    """(b, s) = (sin(lambda-beta), sin(beta)) / sin(lambda)."""
     sl = np.sin(lam)
     return np.sin(lam - beta) / sl, np.sin(beta) / sl
+
+
+def _geometry(beta, lam):
+    """``_ratios`` with the angles checked."""
+    beta = np.asarray(beta, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    _check_angles(beta, lam)
+    return _ratios(beta, lam)
 
 
 def _condition(A, kind, b, s):
@@ -253,6 +294,27 @@ def required_functional_kind(condition_kind: str) -> str:
     return KIND_LOWER if condition_kind == INCREASING else KIND_UPPER
 
 
+def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
+    """Each request's condition minimum over each beta row, on the lambdas at
+    fractions ``u`` of the way from beta + LAMBDA_MARGIN to pi - LAMBDA_MARGIN,
+    and the index into ``u`` where it falls; ``block_rows`` rows at a time."""
+    hi = math.pi - LAMBDA_MARGIN
+    mins = np.empty((len(requests), len(betas)))
+    where = np.empty((len(requests), len(betas)), dtype=np.intp)
+    for start in range(0, len(betas), block_rows):
+        block = slice(start, start + block_rows)
+        beta = betas[block, None]
+        lo = beta + LAMBDA_MARGIN
+        b, s = _ratios(beta, lo + (hi - lo) * u)
+        b.flags.writeable = False  # every request reads this b; sweep tables key on it
+        rows = np.arange(len(beta))
+        for r, (A, kind) in enumerate(requests):
+            vals2d = _condition(A, kind, b, s)
+            where[r, block] = idx = np.argmin(vals2d, axis=1)
+            mins[r, block] = vals2d[rows, idx]
+    return mins, where
+
+
 def min_admissible_fan(requests, beta_step: float = 1e-3) -> list[FanBoundResult]:
     """Smallest fan width passing each listed (A, condition kind) for all lambda.
 
@@ -273,21 +335,24 @@ def min_admissible_fan(requests, beta_step: float = 1e-3) -> list[FanBoundResult
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
     hi = math.pi - LAMBDA_MARGIN
     u = np.linspace(0.0, 1.0, LAMBDA_POINTS)
-    grid_min = np.empty((len(requests), len(betas)))
+    lo = betas + LAMBDA_MARGIN
+    # lambda ascends along each row, so the row ends bound every grid angle
+    _check_angles(betas[:, None], np.column_stack((lo, lo + (hi - lo) * u[-1])))
+    # Coarse pass on every _COARSE_STRIDE-th lambda and the last: a row whose
+    # coarse minimum is below the tolerance is infeasible, since the full grid
+    # holds the same values and refinement only lowers the minimum.  The full
+    # pass runs on the rows some request leaves open, in blocks of the same
+    # element count.
+    coarse = np.append(np.arange(0, LAMBDA_POINTS - 1, _COARSE_STRIDE), LAMBDA_POINTS - 1)
+    grid_min, _ = _grid_pass(requests, betas, u[coarse], _SCAN_ROWS * LAMBDA_POINTS // coarse.size)
+    open_rows = np.flatnonzero(np.any(grid_min >= FEASIBLE_TOL, axis=0))
+    grid_min[:, open_rows], idx = _grid_pass(requests, betas[open_rows], u, _SCAN_ROWS)
     # per request and beta row, the grid lambdas at idx - 1, idx, idx + 1
-    # (clipped), idx the row's grid minimizer
+    # (clipped), idx the row's grid minimizer; read on open rows only
     near = np.empty((len(requests), 3, len(betas)))
-    for start in range(0, len(betas), _SCAN_ROWS):
-        block = slice(start, start + _SCAN_ROWS)
-        lo = betas[block, None] + LAMBDA_MARGIN
-        lam2d = lo + (hi - lo) * u
-        b, s = _geometry(betas[block, None], lam2d)
-        rows = np.arange(len(lam2d))
-        for r, (A, kind) in enumerate(requests):
-            vals2d = _condition(A, kind, b, s)
-            idx = np.argmin(vals2d, axis=1)
-            grid_min[r, block] = vals2d[rows, idx]
-            near[r, :, block] = lam2d[rows, np.clip(idx + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)]
+    lo_open = lo[open_rows]
+    cols = np.clip(idx[:, None] + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)
+    near[:, :, open_rows] = lo_open + (hi - lo_open) * u[cols]
 
     results = []
     for (A, kind), cond, row_min, (left, worst, right) in zip(requests, conds, grid_min, near):

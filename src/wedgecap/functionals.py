@@ -171,7 +171,9 @@ def verify_log_periodic(profile: ContactProfile, ratio: float) -> None:
             inner * ratio,
         )
     )
-    pts = np.unique(pts)
+    # sorted and deduplicated as np.unique would, which imports numpy.ma on first use
+    pts = np.sort(pts)
+    pts = pts[np.append(True, pts[1:] != pts[:-1])]
     mids = 0.5 * (pts[:-1] + pts[1:])
     for s in mids:
         if profile.value_at(s) != profile.value_at(s / ratio):

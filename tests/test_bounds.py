@@ -180,6 +180,42 @@ def test_scan_block_size_cannot_change_result(monkeypatch, wall, cond_kind, beta
         assert r == results[0]  # every field, compared with ==
 
 
+@pytest.mark.parametrize(
+    "wall, cond_kind, beta_step",
+    [(w, k, 1e-3) for w in SCAN_WALLS for k in (INCREASING, DECREASING)]
+    + [("sweep", INCREASING, 9e-4)],
+)
+def test_coarse_stride_cannot_change_result(monkeypatch, wall, cond_kind, beta_step):
+    """The coarse pass only settles rows the full grid would reject; stride 1
+    is the full grid everywhere, 512 and beyond keep only the row ends."""
+    import wedgecap.bounds
+
+    A = adhesion_from_profile(SCAN_WALLS[wall], required_functional_kind(cond_kind))
+    results = []
+    for stride in (1, 8, 64, 512, 10**6):
+        monkeypatch.setattr(wedgecap.bounds, "_COARSE_STRIDE", stride)
+        results.append(min_admissible_fan([(A, cond_kind)], beta_step=beta_step))
+    for r in results[1:]:
+        assert r == results[0]  # every field, compared with ==
+
+
+def test_scan_raises_when_the_coarse_pass_settles_every_row(monkeypatch):
+    import wedgecap.bounds
+
+    rows = []
+
+    def recorded(requests, betas, *args):
+        rows.append(len(betas))
+        return grid_pass(requests, betas, *args)
+
+    grid_pass = wedgecap.bounds._grid_pass
+    monkeypatch.setattr(wedgecap.bounds, "_grid_pass", recorded)
+    A = AdhesionFunction.constant_angle(math.pi, "I")  # A(b) = -b
+    with pytest.raises(InfeasibleScanError):
+        min_admissible_fan([(A, INCREASING)])
+    assert rows[0] > 3000 and rows[1:] == [0]  # the full pass had no open row
+
+
 def _four_pairs(wall):
     """The (A, condition) pairs of --case all, with the next SCAN_WALLS wall on -."""
     names = list(SCAN_WALLS)
@@ -355,6 +391,42 @@ def test_adhesion_function_bound_enforced():
         AdhesionFunction.linear(1.5, "I")
     with pytest.raises(ValueError):
         AdhesionFunction.constant_angle(-0.2, "I")
+
+
+def test_scan_checks_custom_evaluators():
+    bad = AdhesionFunction(kind="I", fn=lambda b: 2.0 * b)
+    with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
+        min_admissible_fan([(bad, INCREASING)])
+
+
+def test_sweep_table_envelope_checked_when_built(monkeypatch):
+    from wedgecap.profiles import ContactProfile
+
+    def wall():  # a new wall each time, so no table is reused
+        return make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
+
+    monkeypatch.setattr(ContactProfile, "integral_many", lambda self, xs: (1.0 + 1e-8) * xs)
+    for kind in "IS":
+        with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
+            adhesion_from_profile(wall(), kind)
+    # within the slack the envelope is clipped once, as each call clipped it
+    monkeypatch.setattr(ContactProfile, "integral_many", lambda self, xs: (1.0 + 5e-10) * xs)
+    bs = np.linspace(0.05, 3.0, 60)
+    assert np.array_equal(adhesion_from_profile(wall(), "S")(bs), bs)
+
+
+def test_sweep_table_built_once_per_wall(monkeypatch):
+    from wedgecap.profiles import ContactProfile
+
+    calls = []
+    integral_many = ContactProfile.integral_many
+    monkeypatch.setattr(ContactProfile, "integral_many",
+                        lambda self, xs: calls.append(len(xs)) or integral_many(self, xs))
+    irregular = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
+    lower, upper = (adhesion_from_profile(irregular, kind) for kind in "IS")
+    bs = np.linspace(0.05, 3.0, 60)
+    assert len(calls) == 1
+    assert np.all(lower(bs) <= upper(bs))
 
 
 def test_adhesion_function_scalar_and_array():

@@ -609,6 +609,36 @@ def test_solve_loads_no_scipy(tmp_path):
     assert result.stdout.strip().splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("command", ["bounds", "blowup"])
+def test_multi_segment_walls_load_no_numpy_ma(tmp_path, command):
+    """Self-similarity checks on multi-segment walls must not import numpy.ma
+    (np.unique does on its first call in a process)."""
+    if command == "bounds":
+        walls = [
+            write_json(tmp_path / f"w{i}.json", {"side": side, "generator": {
+                "type": "example2", "gamma1": 0.4, "gamma2": 2.2}})
+            for i, side in enumerate("+-")
+        ]
+        argv = ["bounds", "--plus", walls[0], "--minus", walls[1], "--case", "all"]
+    else:
+        s_ends = [1e-6, 3e-5, 2e-4, 0.01, 0.3, 1.0]
+        wall = write_json(tmp_path / "w.json", {"side": "+", "segments": [
+            {"s_end": s, "gamma": g} for s, g in zip(s_ends, [0.4, 2.1, 1.0, 2.6, 0.7, 1.5])]})
+        argv = ["blowup", "--case", "I", "--side", "+", "--beta", "0.5", "--profile", wall]
+    argv = [str(a) for a in argv + ["--out", tmp_path / "out"]]
+    src = Path(wedgecap.__file__).parents[1]
+    code = ("import sys; from wedgecap.cli import main; "
+            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
     """Tracing replaces ``solver.spla``; every linear solve must go through it."""
     calls = []
