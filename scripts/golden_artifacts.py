@@ -75,9 +75,15 @@ def calls(inputs):
     out.append(("bounds-ID-step", ["bounds", "--plus", paths["irregular", "+"],
                                    "--minus", paths["irregular", "-"], "--case", "ID",
                                    "--beta-step", "0.05", "--degrees"]))
+    # a sweep table at a floor other than the default
+    out.append(("bounds-irregular-floor", ["bounds", "--plus", paths["irregular", "+"],
+                                           "--minus", paths["irregular", "-"], "--case", "all",
+                                           "--eps-floor", "1e-8"]))
     out.append(("verify-default", ["verify-examples"]))
     out.append(("verify-degrees", ["verify-examples", "--degrees",
                                    "--gamma1", "50", "--gamma2", "130"]))
+    # high angle contrast: the example1 sweep line fails (exit 5)
+    out.append(("verify-contrast", ["verify-examples", "--gamma1", "0.3", "--gamma2", "2.9"]))
 
     for case in ("I", "D", "ID", "DI"):
         for side in "+-":

@@ -23,7 +23,6 @@ from .functionals import (
     EPS_FLOOR,
     KIND_LOWER,
     KIND_UPPER,
-    POINTS_PER_DECADE,
     SweepConfig,
     _exact_estimates,
 )
@@ -68,8 +67,9 @@ class AdhesionFunction:
     ``kind`` "I" marks a lower (liminf) functional, "S" an upper one.  The
     evaluator must accept numpy arrays; every returned value is clipped to
     the hard bound |A(b)| <= b after a sanity check.  The ``linear`` and
-    ``from_sweep_table`` evaluators lie within that bound by construction
-    (checked once when they are built), so their values skip both.
+    sweep-table evaluators (see ``adhesion_from_profile``) lie within that
+    bound by construction (checked once when they are built), so their
+    values skip both.
     """
 
     kind: str
@@ -102,32 +102,13 @@ class AdhesionFunction:
             raise ValueError(f"slope must lie in [-1, 1], got {m}")
         return cls(kind=kind, fn=lambda b: m * b, method=method, _bounded=True)
 
-    @classmethod
-    def from_sweep_table(
-        cls,
-        profile: ContactProfile,
-        kind: str,
-        eps_lo: float = EPS_FLOOR,
-        points_per_decade: int = POINTS_PER_DECADE,
-    ) -> "AdhesionFunction":
-        """Sweep-backed evaluator with precomputed envelope tables.
-
-        A(b) over the grid eps in [eps_lo, s_max/b] equals b * (envelope of
-        F(x)/x over x in [b*eps_lo, s_max]), so one table of F(x)/x on a
-        geometric x-grid down to 1e-14 plus running envelopes answers every b
-        by bisection.  Both kinds of one wall share the table.
-        """
-        table = _sweep_table(profile, eps_lo, points_per_decade)
-        env = table.upper if kind == KIND_UPPER else table.lower
-        return cls(kind=kind, fn=lambda b: b * env[table.cut(b)], method="sweep", _bounded=True)
-
 
 class _SweepTable:
     """F(x)/x of one wall with its running min and max envelopes (see
-    ``AdhesionFunction.from_sweep_table``)."""
+    ``adhesion_from_profile``)."""
 
-    def __init__(self, profile: ContactProfile, eps_lo: float, points_per_decade: int):
-        xs = SweepConfig(profile.s_max, 1e-14, points_per_decade).grid()
+    def __init__(self, profile: ContactProfile, eps_lo: float):
+        xs = SweepConfig(profile.s_max, 1e-14).grid()
         g = profile.integral_many(xs) / xs
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
         env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
@@ -153,9 +134,9 @@ class _SweepTable:
 
 
 @functools.lru_cache(maxsize=2)
-def _sweep_table(profile: ContactProfile, eps_lo: float, points_per_decade: int) -> _SweepTable:
-    """One table per wall and sweep setting (profiles hash by identity)."""
-    return _SweepTable(profile, eps_lo, points_per_decade)
+def _sweep_table(profile: ContactProfile, eps_lo: float) -> _SweepTable:
+    """One table per wall and sweep floor (profiles hash by identity)."""
+    return _SweepTable(profile, eps_lo)
 
 
 @dataclass(frozen=True)
@@ -223,18 +204,18 @@ def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12):
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray):
     """Golden-section minimum of f on each bracket [lo[k], hi[k]].
 
     ``f`` maps an array of points to an array of values.  Each step evaluates
     one new probe per bracket, and the search stops once every bracket is
-    narrower than ``tol``.  Returns (argmin, min) arrays.
+    narrower than 1e-12.  Returns (argmin, min) arrays.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(b - a > tol):
+    while np.any(b - a > 1e-12):
         # left: the minimum lies in [a, d], whose upper probe is the old c
         left = fc <= fd
         a = np.where(left, a, c)
@@ -395,19 +376,14 @@ def corollary1_bound(m: float, variant: str) -> float:
     return sigma if variant in ("a", "b") else math.pi - sigma
 
 
-def effective_angle(
-    A: AdhesionFunction, b_grid: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Extremal cosine slope of A over a window grid and its arccos.
+def effective_angle(A: AdhesionFunction) -> tuple[float, float]:
+    """Extremal cosine slope of A over the windows b = k/33, k = 1..32, and
+    its arccos.
 
     Lower functionals report min A(b)/b, upper ones max A(b)/b; the returned
     angle is the effective constant contact angle matching that slope.
     """
-    if b_grid is None:
-        b_grid = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
-    b_grid = np.asarray(b_grid, dtype=float)
-    if b_grid.size < 32 or np.any(b_grid <= 0.0) or np.any(b_grid >= 1.0):
-        raise ValueError("b grid must have >= 32 points inside (0, 1)")
+    b_grid = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
     ratios = A(b_grid) / b_grid
     m = float(np.min(ratios) if A.kind == KIND_LOWER else np.max(ratios))
     return m, math.acos(min(1.0, max(-1.0, m)))
@@ -425,23 +401,22 @@ def case_condition_map(case: FanCase) -> tuple[tuple[str, str], ...]:
 
 
 def adhesion_from_profile(
-    profile: ContactProfile,
-    kind: str,
-    *,
-    eps_lo: float = EPS_FLOOR,
-    points_per_decade: int = POINTS_PER_DECADE,
+    profile: ContactProfile, kind: str, *, eps_lo: float = EPS_FLOOR
 ) -> AdhesionFunction:
     """Best available evaluator for a profile: exact when structure allows.
 
     Walls with a closed form (routed as in ``best_estimates``) get a linear
-    evaluator, any other wall a sweep table from ``eps_lo`` at
-    ``points_per_decade``.
+    evaluator.  Any other wall gets a sweep table: A(b) over the grid eps in
+    [eps_lo, s_max/b] equals b * (envelope of F(x)/x over x in [b*eps_lo,
+    s_max]), so one table of F(x)/x on a geometric x-grid down to 1e-14, at
+    POINTS_PER_DECADE, plus running envelopes answers every b by bisection.
+    Both kinds of one wall share the table.
     """
     exact = _exact_estimates(profile, 1.0)
     if exact is None:
-        return AdhesionFunction.from_sweep_table(
-            profile, kind, eps_lo=eps_lo, points_per_decade=points_per_decade
-        )
+        table = _sweep_table(profile, eps_lo)
+        env = table.upper if kind == KIND_UPPER else table.lower
+        return AdhesionFunction(kind, lambda b: b * env[table.cut(b)], "sweep", _bounded=True)
     # scale-averages are degree-1 homogeneous in b, so the value at b = 1 is the slope
     est = exact[0] if kind == KIND_LOWER else exact[1]
     method = "constant_angle" if profile.n_segments == 1 else est.method

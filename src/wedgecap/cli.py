@@ -40,8 +40,6 @@ from .functionals import (
     POINTS_PER_DECADE,
     SweepConfig,
     best_estimates,
-    estimate_AI,
-    estimate_AS,
     exact_A_example1,
     exact_A_log_periodic,
     sweep_table,
@@ -217,27 +215,14 @@ def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, flo
         err_exact2[0] = max(err_exact2[0], abs(lower.value - want_ex2[b][0]))
         err_exact2[1] = max(err_exact2[1], abs(upper.value - want_ex2[b][1]))
 
-    prof1 = example1_profile(g1, g2)
-    rel1 = 0.0
-    for b in bs:
-        cfg = SweepConfig.for_profile(prof1, b, eps_lo=eps_floor)
-        lo = estimate_AI(prof1, b, cfg)
-        hi = estimate_AS(prof1, b, cfg)
-        worst = max(
-            abs(lo.value - want_ex1[b][0]), abs(hi.value - want_ex1[b][1])
-        )
-        rel1 = max(rel1, worst / (0.05 * b))
+    def sweep_error(prof, b, want, **kw):
+        """Larger error of one sweep's min and max against want = (lower, upper)."""
+        _, vals = sweep_table(prof, b, SweepConfig.for_profile(prof, b, eps_lo=eps_floor, **kw))
+        return max(abs(float(np.min(vals)) - want[0]), abs(float(np.max(vals)) - want[1]))
 
-    err2 = 0.0
-    for b in bs:
-        cfg = SweepConfig.for_profile(
-            prof2, b, eps_lo=eps_floor, points_per_decade=4096
-        )
-        lo = estimate_AI(prof2, b, cfg)
-        hi = estimate_AS(prof2, b, cfg)
-        err2 = max(
-            err2, abs(lo.value - want_ex2[b][0]), abs(hi.value - want_ex2[b][1])
-        )
+    prof1 = example1_profile(g1, g2)
+    rel1 = max(sweep_error(prof1, b, want_ex1[b]) / (0.05 * b) for b in bs)
+    err2 = max(sweep_error(prof2, b, want_ex2[b], points_per_decade=4096) for b in bs)
 
     return [
         ("example1 exact A_I", err_exact1[0], 1e-12),

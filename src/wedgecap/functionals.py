@@ -99,48 +99,48 @@ class AdhesionEstimate:
             raise ValueError("uncertainty must be zero iff the method is exact")
 
 
-def _sweep_values(profile, b, sweep):
+def _sweep(profile, b, sweep):
+    """The sweep's eps grid, its averaged values and the config used."""
     if sweep is None:
         sweep = SweepConfig.for_profile(profile, b)
     if sweep.eps_hi > profile.s_max / b * (1.0 + 1e-12):
         raise ValueError("sweep eps_hi pushes the window past the wall")
-    return averaged_cos_many(profile, sweep.grid(), b), sweep
+    eps = sweep.grid()
+    return eps, averaged_cos_many(profile, eps, b), sweep
+
+
+def _envelopes(
+    profile: ContactProfile, b: float, sweep: SweepConfig | None
+) -> tuple[AdhesionEstimate, AdhesionEstimate]:
+    """Grid (lower, upper) envelopes of one sweep: the min and max of its values."""
+    _, vals, sweep = _sweep(profile, b, sweep)
+    spread = b * sweep.relative_spacing
+    return (
+        AdhesionEstimate(b, KIND_LOWER, float(np.min(vals)), METHOD_SWEEP, spread),
+        AdhesionEstimate(b, KIND_UPPER, float(np.max(vals)), METHOD_SWEEP, spread),
+    )
 
 
 def estimate_AI(
     profile: ContactProfile, b: float, sweep: SweepConfig | None = None
 ) -> AdhesionEstimate:
     """Grid lower envelope of the scale-averages (liminf bracket)."""
-    vals, sweep = _sweep_values(profile, b, sweep)
-    return AdhesionEstimate(
-        b=b,
-        kind=KIND_LOWER,
-        value=float(np.min(vals)),
-        method=METHOD_SWEEP,
-        uncertainty=b * sweep.relative_spacing,
-    )
+    return _envelopes(profile, b, sweep)[0]
 
 
 def estimate_AS(
     profile: ContactProfile, b: float, sweep: SweepConfig | None = None
 ) -> AdhesionEstimate:
     """Grid upper envelope of the scale-averages (limsup bracket)."""
-    vals, sweep = _sweep_values(profile, b, sweep)
-    return AdhesionEstimate(
-        b=b,
-        kind=KIND_UPPER,
-        value=float(np.max(vals)),
-        method=METHOD_SWEEP,
-        uncertainty=b * sweep.relative_spacing,
-    )
+    return _envelopes(profile, b, sweep)[1]
 
 
 def sweep_table(
     profile: ContactProfile, b: float, sweep: SweepConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(eps, averaged value) pairs of the sweep, for inspection or export."""
-    vals, sweep = _sweep_values(profile, b, sweep)
-    return sweep.grid(), vals
+    eps, vals, _ = _sweep(profile, b, sweep)
+    return eps, vals
 
 
 def verify_log_periodic(profile: ContactProfile, ratio: float) -> None:
@@ -276,7 +276,7 @@ def best_estimates(
     exact = _exact_estimates(profile, b)
     if exact is not None:
         return exact
-    sweep = SweepConfig(
-        eps_hi=profile.s_max / b, eps_lo=eps_lo, points_per_decade=points_per_decade
+    sweep = SweepConfig.for_profile(
+        profile, b, eps_lo=eps_lo, points_per_decade=points_per_decade
     )
-    return estimate_AI(profile, b, sweep), estimate_AS(profile, b, sweep)
+    return _envelopes(profile, b, sweep)

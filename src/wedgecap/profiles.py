@@ -125,18 +125,15 @@ def make_piecewise(
     side: str,
     breaks,
     values,
-    s_max: float | None = None,
     *,
     annotations=(),
-    tail: float | None = None,
     recurrent_values: tuple[float, ...] | None = None,
     generator: str | None = None,
 ) -> ContactProfile:
     """Build a validated piecewise-constant profile.
 
-    ``values[i]`` applies on (breaks[i-1], breaks[i]] with breaks[-1] <= s_max.
-    When s_max exceeds the last break, the remaining stretch takes ``tail``
-    (defaulting to the last listed value).
+    ``values[i]`` applies on (breaks[i-1], breaks[i]]; the wall ends at the
+    last break.
     """
     if side not in SIDES:
         raise ProfileFormatError(f"side must be '+' or '-', got {side!r}")
@@ -152,17 +149,7 @@ def make_piecewise(
         raise ValueError("breakpoints must be strictly increasing")
     if not np.all((vals >= 0.0) & (vals <= math.pi)):  # NaN fails too
         raise ValueError("contact angles must lie in [0, pi]")
-    last = float(br[-1])
-    if s_max is None:
-        s_max = last
-    if s_max < last:
-        raise ValueError(f"s_max={s_max} smaller than last break {last}")
-    if s_max > last:
-        tval = float(vals[-1]) if tail is None else float(tail)
-        if not (0.0 <= tval <= math.pi):
-            raise ValueError("tail angle must lie in [0, pi]")
-        br = np.append(br, s_max)
-        vals = np.append(vals, tval)
+    s_max = float(br[-1])
     ann = tuple(sorted((float(s), float(g)) for s, g in annotations))
     for s, g in ann:
         if not (0.0 < s <= s_max):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from types import SimpleNamespace
@@ -38,8 +37,6 @@ from .profiles import (
 if TYPE_CHECKING:
     from .elimination import Elimination, NewtonMatrix
 
-#: cell counts below this are fine for plumbing but not for solve accuracy
-RECOMMENDED_MIN_CELLS = 16
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
 _BALANCE_TOL = 1e-8
@@ -776,34 +773,18 @@ class FanMeasurement:
         return self.alpha - self.alpha2
 
 
-def _longest_flat_window(vals: np.ndarray, tol: float) -> tuple[int, int]:
-    """Indices [a, b] of the widest window with value range <= tol."""
-    best = (0, 0)
-    lo = 0
-    mins: deque = deque()
-    maxs: deque = deque()
-    for hi, v in enumerate(vals):
-        while mins and vals[mins[-1]] >= v:
-            mins.pop()
-        mins.append(hi)
-        while maxs and vals[maxs[-1]] <= v:
-            maxs.pop()
-        maxs.append(hi)
-        while vals[maxs[0]] - vals[mins[0]] > tol:
-            lo += 1
-            if mins[0] < lo:
-                mins.popleft()
-            if maxs[0] < lo:
-                maxs.popleft()
-        if hi - lo > best[1] - best[0]:
-            best = (lo, hi)
-    return best
-
-
 def _flat_prefix(vals: np.ndarray, tol: float) -> int:
     """Last index k such that vals[: k + 1] has value range <= tol."""
     span = np.maximum.accumulate(vals) - np.minimum.accumulate(vals)
     return int(np.count_nonzero(span <= tol)) - 1
+
+
+def _longest_flat_window(vals: np.ndarray, tol: float) -> tuple[int, int]:
+    """Indices [a, b] of the widest window with value range <= tol, the
+    first of them on ties."""
+    ends = np.array([a + _flat_prefix(vals[a:], tol) for a in range(vals.size)])
+    a = int(np.argmax(ends - np.arange(vals.size)))
+    return a, int(ends[a])
 
 
 def _trend(vals: np.ndarray, tol: float) -> int:
@@ -877,9 +858,16 @@ def fans_from_trace(trace: RadialTrace) -> FanMeasurement:
     """Fan classification with a noise-aware tolerance.
 
     The tolerance is 10x the median extrapolation residual (floored at
-    1e-12), so plateaus must clear extrapolation noise.
+    1e-12), so plateaus must clear extrapolation noise.  The median is taken
+    by hand: np.median imports numpy.ma on its first call.
     """
-    tol = max(10.0 * float(np.median(trace.residual)), 1e-12)
+    res = np.sort(trace.residual)  # NaN sorts last
+    if res.size == 0 or np.isnan(res[-1]):
+        median = math.nan  # as np.median gives; measure_fans then rejects the trace
+    else:
+        half = res.size // 2
+        median = float(res[half] if res.size % 2 else (res[half - 1] + res[half]) / 2.0)
+    tol = max(10.0 * median, 1e-12)
     return measure_fans(trace.rf, trace.thetas, tol)
 
 

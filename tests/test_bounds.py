@@ -353,13 +353,6 @@ def test_effective_angle_constant():
     assert sigma == pytest.approx(1.234, rel=1e-12)
 
 
-def test_effective_angle_grid_validation():
-    with pytest.raises(ValueError):
-        effective_angle(A_ZERO_I, np.linspace(0.1, 0.9, 8))
-    with pytest.raises(ValueError):
-        effective_angle(A_ZERO_I, np.linspace(0.0, 0.9, 40))
-
-
 # ---------------------------------------------------------------------------
 # case plumbing
 
@@ -494,7 +487,7 @@ def test_adhesion_from_profile_takes_the_best_estimates_route(profile):
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():
     """Sweep-backed A(b) tracks m*b within the grid envelope slack."""
     irregular = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
-    A = adhesion_from_profile(irregular, "I", points_per_decade=256)
+    A = adhesion_from_profile(irregular, "I")
     bs = np.linspace(0.05, 0.95, 19)
     ratios = A(bs) / bs
     assert np.max(ratios) - np.min(ratios) < 5e-2

@@ -25,7 +25,7 @@ from wedgecap.bounds import (
     min_admissible_fan,
     required_functional_kind,
 )
-from wedgecap.cli import main
+from wedgecap.cli import _verify_lines, main
 from wedgecap.io import load_profile
 from wedgecap.profiles import WedgeGeometry, constant_profile
 
@@ -229,6 +229,30 @@ def test_verify_examples_degraded_sweep_fails(tmp_path, capsys):
     assert any(line.startswith("FAIL example1 sweep") for line in lines)
     for line in lines[:4]:
         assert line.startswith("PASS ")
+
+
+def test_verify_example1_sweep_error_scales_with_angle_contrast():
+    """The example1 sweep line reads c(floor) * |cos g1 - cos g2|, and c halves
+    with each deeper super-block the floor reaches.  So at the default floor
+    the line fails exactly when the contrast exceeds 1 / c = 1.6045: the
+    fixed 5%-of-b allowance ignores the contrast (ROADMAP item 9)."""
+
+    def sweep_line(g1, g2, floor):
+        lines = {label: (achieved, allowed)
+                 for label, achieved, allowed in _verify_lines(g1, g2, floor)}
+        return lines["example1 sweep"]
+
+    pairs = [(math.pi / 3, 2 * math.pi / 3), (0.3, 2.9), (2.9, 0.3), (0.7, 2.2),
+             (1.0, 1.2), (0.1, 3.0)]
+    for floor, want in ((1e-6, 1.245081), (1e-10, 0.623229), (1e-12, 0.314877)):
+        ratios = [sweep_line(g1, g2, floor)[0] / abs(math.cos(g1) - math.cos(g2))
+                  for g1, g2 in pairs]
+        assert max(ratios) - min(ratios) <= 1e-13 * max(ratios)
+        assert ratios[0] == pytest.approx(want, abs=1e-6)
+    # contrasts 1.353 and 1.926 lie either side of 1.6045
+    for (g1, g2), passes in (((0.7, 2.2), True), ((0.3, 2.9), False)):
+        achieved, allowed = sweep_line(g1, g2, 1e-10)
+        assert (achieved <= allowed) == passes
 
 
 def test_verify_examples_angle_validation(tmp_path):
@@ -586,19 +610,13 @@ def test_import_loads_no_scipy(module):
     assert result.stdout.strip() == "[]"
 
 
-def test_solve_loads_no_scipy(tmp_path):
-    cfg = solve_config(
-        tmp_path,
-        m=8,
-        n_theta=8,
-        plus={"side": "+", "generator": {"type": "constant", "gamma": 1.0}},
-        minus={"side": "-", "generator": {"type": "constant", "gamma": 2.0}},
-    )
+def run_in_child(argv, report):
+    """Run ``main(argv)`` in a fresh interpreter and return the line "<exit
+    code> <report>", ``report`` being an expression evaluated there after."""
+    argv = [str(a) for a in argv]
     src = Path(wedgecap.__file__).parents[1]
-    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     code = ("import sys; from wedgecap.cli import main; "
-            f"code = main({argv!r}); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"code = main({argv!r}); print(code, {report})")
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -606,7 +624,28 @@ def test_solve_loads_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "0 []"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def small_solve_argv(tmp_path):
+    cfg = solve_config(
+        tmp_path,
+        m=8,
+        n_theta=8,
+        plus={"side": "+", "generator": {"type": "constant", "gamma": 1.0}},
+        minus={"side": "-", "generator": {"type": "constant", "gamma": 2.0}},
+    )
+    return ["solve", "--config", cfg, "--out", tmp_path / "out"]
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    report = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    assert run_in_child(small_solve_argv(tmp_path), report) == "0 []"
+
+
+def test_solve_loads_no_numpy_ma(tmp_path):
+    """The fan tolerance's median must not import numpy.ma (np.median does)."""
+    assert run_in_child(small_solve_argv(tmp_path), "'numpy.ma' in sys.modules") == "0 False"
 
 
 @pytest.mark.parametrize("command", ["bounds", "blowup"])
@@ -625,18 +664,8 @@ def test_multi_segment_walls_load_no_numpy_ma(tmp_path, command):
         wall = write_json(tmp_path / "w.json", {"side": "+", "segments": [
             {"s_end": s, "gamma": g} for s, g in zip(s_ends, [0.4, 2.1, 1.0, 2.6, 0.7, 1.5])]})
         argv = ["blowup", "--case", "I", "--side", "+", "--beta", "0.5", "--profile", wall]
-    argv = [str(a) for a in argv + ["--out", tmp_path / "out"]]
-    src = Path(wedgecap.__file__).parents[1]
-    code = ("import sys; from wedgecap.cli import main; "
-            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "0 False"
+    argv += ["--out", tmp_path / "out"]
+    assert run_in_child(argv, "'numpy.ma' in sys.modules") == "0 False"
 
 
 def test_solve_calls_spsolve_through_solver_spla(monkeypatch):

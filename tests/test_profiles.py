@@ -51,7 +51,7 @@ def segment_profiles(draw):
 
 
 def test_make_piecewise_single_segment():
-    p = make_piecewise("+", [1.0], [math.pi / 2], 1.0)
+    p = make_piecewise("+", [1.0], [math.pi / 2])
     assert p.s_max == 1.0
     assert p.n_segments == 1
     assert p.value_at(0.3) == math.pi / 2
@@ -81,12 +81,6 @@ def test_make_piecewise_rejects_bad_input():
         make_piecewise("x", [1.0], [0.5])
     with pytest.raises(ProfileFormatError):
         make_piecewise("+", [1.0], [0.5, 0.6])
-
-
-def test_make_piecewise_tail_fill():
-    p = make_piecewise("+", [0.5], [1.0], s_max=2.0, tail=0.25)
-    assert p.s_max == 2.0
-    assert p.value_at(1.7) == 0.25
 
 
 def test_constant_profile():

@@ -649,6 +649,62 @@ def test_fans_validation():
         )
 
 
+def _widest_flat_window_by_brute_force(vals, tol):
+    """First (a, b) of greatest b - a whose window vals[a..b] has range <= tol."""
+    best = (0, 0)
+    for a in range(vals.size):
+        for b in range(a, vals.size):
+            window = vals[a : b + 1]
+            if window.max() - window.min() <= tol and b - a > best[1] - best[0]:
+                best = (a, b)
+    return best
+
+
+def test_longest_flat_window_matches_brute_force():
+    rng = np.random.default_rng(12)
+    tol = 0.5
+    ties = 0
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        shape = trial % 4
+        if shape == 0:  # noisy
+            vals = rng.normal(scale=0.6, size=n)
+        elif shape == 1:  # quantised: many equally wide windows
+            vals = 0.5 * rng.integers(0, 4, size=n)
+        elif shape == 2:  # stepped
+            vals = np.cumsum(rng.choice([0.0, 0.0, 0.3, -0.3, 1.0], size=n))
+        else:  # plateaus of random height and length
+            vals = np.repeat(rng.uniform(0.0, 2.0, size=n), rng.integers(1, 5, size=n))[:n]
+        want = _widest_flat_window_by_brute_force(vals, tol)
+        assert solver._longest_flat_window(vals, tol) == want
+        # count the traces with more than one widest window
+        width = want[1] - want[0]
+        ties += sum(np.ptp(vals[a : a + width + 1]) <= tol for a in range(n - width)) > 1
+    assert ties > 50
+
+
+@pytest.mark.parametrize("residual", [
+    [3e-9, 1e-9, 2e-9],
+    [4e-9, 1e-9, 7e-9, 2e-9],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1e-3, math.inf, 2e-3, 5.0],
+])
+def test_fans_from_trace_tolerance_is_ten_medians(residual):
+    """The hand-taken median is the float np.median returns, odd or even."""
+    res = np.asarray(residual)
+    thetas = np.linspace(-1.0, 1.0, res.size)
+    trace = RadialTrace(np.array([0.1]), thetas, thetas[None, :], thetas.copy(), res)
+    assert fans_from_trace(trace).tolerance == max(10.0 * float(np.median(res)), 1e-12)
+
+
+def test_fans_from_trace_rejects_a_nan_residual():
+    thetas = np.linspace(-1.0, 1.0, 5)
+    res = np.array([1e-9, math.nan, 0.0, 1e-9, 2e-9])
+    trace = RadialTrace(np.array([0.1]), thetas, thetas[None, :], thetas.copy(), res)
+    with pytest.raises(ValueError, match="tolerance"):
+        fans_from_trace(trace)
+
+
 def test_fans_from_trace_end_to_end():
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
     field = solve_capillary(mesh, 1.0, 2.0, NEUTRAL_P, NEUTRAL_M)
