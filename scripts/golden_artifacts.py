@@ -135,6 +135,11 @@ def calls(inputs):
         # the paper's regime: contact angles near 0 and pi, 24 rows per decade
         "solve-extreme": {**base, "plus": constant("+", 0.3), "minus": constant("-", 2.8),
                           "r_min": 5e-3, "m": 55, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
+        # the benchmark's meshes, on which the elimination splits its larger
+        # stacks of fronts into batches
+        "solve-capillary-128": {**base, "m": 128, "n_theta": 128, "kappa": 1.0, "lambda": 2.0},
+        "solve-pinned-128": {**base, "m": 128, "n_theta": 128, "kappa": 0.0,
+                             "lambda": flux / (alpha * (r_max**2 - r_min**2))},
     }
     for label, cfg in configs.items():
         out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))

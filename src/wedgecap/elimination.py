@@ -17,6 +17,10 @@ import numpy as np
 #: leaves of the dissection tree hold at most this many nodes; from 16 up, no
 #: cut falls on a grid line next to an edge (see Elimination)
 _LEAF_NODES = 16
+#: a stack of fronts is assembled and eliminated in batches of at most this
+#: many doubles of front, or of one front, so that a solve's working storage
+#: stays small beside the fronts Y it keeps
+_BATCH_DOUBLES = 2**16
 
 
 def _dissection_tree(ni: int, nj: int) -> np.ndarray:
@@ -56,9 +60,10 @@ def _dissection_tree(ni: int, nj: int) -> np.ndarray:
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Item and index within it of every slot, for items holding ``counts``
-    slots one after another."""
+    slots one after another; the indices take the dtype of ``counts``."""
     item = np.repeat(np.arange(counts.size), counts)
-    return item, np.arange(item.size) - (np.cumsum(counts) - counts)[item]
+    at = np.cumsum(counts, dtype=counts.dtype) - counts
+    return item, np.arange(item.size, dtype=counts.dtype) - at[item]
 
 
 def _rect_nodes(rects: np.ndarray, nj: int) -> np.ndarray:
@@ -78,22 +83,31 @@ def _dissection_order(ni: int, nj: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Batch:
+    """Fronts ``part`` of a stack, eliminated together in one block."""
+
+    part: slice
+    sel: np.ndarray  # which matrix values are assembled here
+    dst: np.ndarray  # and where, in the flattened (fronts, N, N+1) block
+    # extend-adds of child Schur complements: (child stack, its fronts,
+    # flattened offsets of their rows here, their columns here)
+    updates: list = dc_field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False)
 class _Stack:
-    """Fronts of one tree height and one shape, eliminated together.
+    """Fronts of one tree height and one shape, eliminated in batches.
 
     Front g eliminates the unknowns ``own[g]`` given their boundary
     ``bnd[g]`` in ancestor separators.  It is an N x (N+1) block, N = o + b,
     whose rows and columns follow ``own`` then ``bnd`` and whose last column
-    is the right-hand side.
+    is the right-hand side.  The fronts are assembled in ``batches`` of at
+    most ``_BATCH_DOUBLES`` doubles each, or of one front.
     """
 
     own: np.ndarray  # (G, o)
     bnd: np.ndarray  # (G, b)
-    sel: np.ndarray  # which of [matrix values, rhs] are assembled here
-    dst: np.ndarray  # and where, in the flattened (G, N, N+1) stack
-    # extend-adds of child Schur complements: (child stack, its fronts,
-    # flattened offsets of their rows here, their columns here)
-    updates: list = dc_field(default_factory=list)
+    batches: list
     done: list = dc_field(default_factory=list)  # child stacks used up here
 
 
@@ -109,7 +123,8 @@ class Elimination:
     second-to-last grid line, so the one-sided end stencils, which reach two
     lines in, stay inside a block or on its separator.  The plan keeps only
     1-D position maps, and its constructor checks that every matrix entry
-    and every Schur complement entry has a place.
+    and every Schur complement entry has a place.  It works in int32 and
+    keeps its maps as numpy's index type, which indexes fastest.
     """
 
     def __init__(self, shape: tuple[int, int], footprint, border: bool):
@@ -130,14 +145,34 @@ class Elimination:
         root = tree[:, 9] < 0
         o = area(tree[:, 4:8]) + border * root
         b = area(ring) - area(tree[:, :4]) + border * ~root
-        # fronts of one height and shape form a stack; stacks go by height,
-        # and within one the fronts whose parents share a stack are adjacent
+        # fronts of one height and shape form a stack; stacks go by height
+        # (the key is int64: it passes 2**31 from a 128 x 128 grid)
         _, stack = np.unique((tree[:, 8] * (size + 1) + o) * (size + 1) + b, return_inverse=True)
-        rank = np.lexsort((stack[tree[:, 9]], stack))
-        tree, ring, o, b, stack = tree[rank], ring[rank], o[rank], b[rank], stack[rank]
+        # within a stack, fronts go by their parent's stack, then by their
+        # parent's place, so that the children of one batch of parents are
+        # adjacent; siblings keep their order, and with it every sum
+        height, up = tree[:, 8], tree[:, 9]
+        seat, levels = np.zeros(len(tree), dtype=np.intp), []
+        for h in range(height[0], -1, -1):  # the root, row 0, is highest
+            ids = np.flatnonzero(height == h)
+            ids = ids[np.lexsort((seat[up[ids]], stack[up[ids]], stack[ids]))]
+            seat[ids] = np.arange(ids.size)
+            levels.append(ids)
+        rank = np.concatenate(levels[::-1])
+        i4 = np.int32
+        tree, ring, o, b, stack = (a[rank].astype(i4) for a in (tree, ring, o, b, stack))
         parent = np.append(np.argsort(rank), -1)[tree[:, 9]]
         starts = np.searchsorted(stack, np.arange(stack[-1] + 2))
         local = np.arange(rank.size) - starts[stack]
+        N = o + b
+
+        # a stack's fronts are eliminated in batches of at most _BATCH_DOUBLES
+        # doubles, or of one front: per front, its batch and place there
+        fronts, width = np.diff(starts), N[starts[:-1]].astype(np.int64)
+        per = np.maximum(_BATCH_DOUBLES // (width * (width + 1)), 1)
+        count = -(-fronts // per)
+        batch = ((np.cumsum(count) - count)[stack] + local // per[stack]).astype(i4)
+        slot = (local % per[stack]).astype(i4)
 
         # the ring is one node wide: per front, its top row, left column and
         # width, and the block's offset and size inside it
@@ -151,25 +186,28 @@ class Elimination:
         own = _rect_nodes(tree[:, 4:8], nj)
         if border:
             own = np.append(own, n)
-        t, q = _ragged(o)
-        owner = np.empty(size, dtype=np.intp)  # the front eliminating each unknown
-        where = np.empty(size, dtype=np.intp)  # and its row there
-        owner[own], where[own] = t, q
-        N = o + b
-        t, q = _ragged(b)
-        u = q - top[t] * ring_w[t]  # rank past the row above the block
-        v = u - blk_h[t] * (ring_w[t] - blk_w[t])  # and past the rows beside it
-        above, below = u < 0, v >= 0
-        beside = ~above & ~below
-        side = np.maximum(ring_w[t] - blk_w[t], 1)
-        # masks times values: np.where is several times slower on int arrays
-        di = beside * (top[t] + u // side) + below * (top[t] + blk_h[t])
-        dj = above * q + below * v + beside * (u % side >= left[t]) * (left[t] + blk_w[t])
-        bnd = (e0[t] + di) * nj + d0[t] + dj
-        if border:
-            bnd[q == b[t] - 1] = n
-        dad = parent[t]
-        bnd_at = np.cumsum(b) - b
+        owner = np.empty(size, dtype=i4)  # the front eliminating each unknown
+        where = np.empty(size, dtype=i4)  # and its row there
+        owner[own], where[own] = _ragged(o)
+
+        def boundary():
+            """Every front's boundary unknowns, and the front of each slot."""
+            t, q = _ragged(b)
+            u = q - top[t] * ring_w[t]  # rank past the row above the block
+            v = u - blk_h[t] * (ring_w[t] - blk_w[t])  # and past the rows beside it
+            above, below = u < 0, v >= 0
+            beside = ~above & ~below
+            side = np.maximum(ring_w[t] - blk_w[t], 1)
+            # masks times values: np.where is several times slower on int arrays
+            di = beside * (top[t] + u // side) + below * (top[t] + blk_h[t])
+            dj = above * q + below * v + beside * (u % side >= left[t]) * (left[t] + blk_w[t])
+            bnd = (e0[t] + di) * nj + d0[t] + dj
+            if border:
+                bnd[q == b[t] - 1] = n
+            return bnd, t
+
+        bnd, slot_front = boundary()
+        bnd_at = np.cumsum(b, dtype=np.int64) - b
         listing = np.append(bnd, -1)  # the root's empty ring reads past the end
 
         def locate(t: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -178,7 +216,7 @@ class Elimination:
             less the block rows passed, checked against the ring's list."""
             pos = where[g]
             far = np.flatnonzero(owner[g] != t)
-            t, g = t[far], g[far]
+            t, g = t[far], g[far].astype(i4)
             i = g // nj
             di, dj = i - e0[t], g - i * nj - d0[t]
             passed = np.minimum(np.maximum(di - top[t] + (dj > left[t]), 0), blk_h[t])
@@ -188,61 +226,73 @@ class Elimination:
             pos[far] = listed * (o[t] + rank + 1) - 1
             return pos
 
-        # a matrix entry belongs to the front that eliminates the first of its
-        # two unknowns (an ancestor always comes later), and so do the border
-        # entries of a grid unknown; a right-hand side entry goes to the last
-        # column of its unknown's front
-        rows, cols = self.footprint
-        front = np.minimum(owner[rows], owner[cols])
-        r, c = locate(front, rows), locate(front, cols)
-        if np.any(r < 0) or np.any(c < 0):
-            raise AssertionError("matrix entry outside its front")
-        grid = owner[:n]
+        def place(t, r, c):
+            """Batch of the entries at row r, column c of front t, and their
+            offsets in its flattened block."""
+            m = N[t]
+            return batch[t], (slot[t] * m + r) * (m + 1) + c
+
+        def matrix_entries():
+            # a matrix entry belongs to the front that eliminates the first of
+            # its two unknowns (an ancestor always comes later)
+            rows, cols = self.footprint
+            front = np.minimum(owner[rows], owner[cols])
+            r, c = locate(front, rows), locate(front, cols)
+            if np.any(r < 0) or np.any(c < 0):
+                raise AssertionError("matrix entry outside its front")
+            return place(front, r, c)
+
+        # so do the border entries of a grid unknown; the right-hand side
+        # fills the last column of each front's own rows
+        groups = [matrix_entries()]
         if border:
-            front = np.concatenate([front, grid, grid])
-            r = np.concatenate([r, where[:n], N[grid] - 1])
-            c = np.concatenate([c, N[grid] - 1, where[:n]])
-        front = np.concatenate([front, owner])
-        r, c = np.concatenate([r, where]), np.concatenate([c, N[owner]])
-        flat = (local[front] * N[front] + r) * (N[front] + 1) + c
-        # fewer than 2**15 stacks, and a 16-bit stable sort is a radix sort
-        sel = np.argsort(stack[front].astype(np.int16), kind="stable")
-        parts = np.split(sel, np.cumsum(np.bincount(stack[front]))[:-1])
-        own_at = np.cumsum(o) - o
-        self.stacks = [
-            _Stack(
-                own=own[own_at[lo] : own_at[lo] + (hi - lo) * o[lo]].reshape(hi - lo, -1),
-                bnd=bnd[bnd_at[lo] : bnd_at[lo] + (hi - lo) * b[lo]].reshape(hi - lo, -1),
-                sel=part,
-                dst=flat[part],
-            )
-            for lo, hi, part in zip(starts[:-1], starts[1:], parts)
-        ]
+            edge = N[owner[:n]] - 1
+            groups += [place(owner[:n], where[:n], edge), place(owner[:n], edge, where[:n])]
+        into, flat = (np.concatenate(g) for g in zip(*groups))
+        del groups
+        # a stable sort of 8- or 16-bit keys is a radix sort
+        sel = np.argsort(into.astype(np.min_scalar_type(batch[-1])), kind="stable")
+        cuts = np.cumsum(np.bincount(into))[:-1]
+        del into
+        dst = flat[sel].astype(np.intp)
+        del flat
+        parts = [slice(k, min(k + p, g)) for g, p in zip(fronts, per) for k in range(0, g, p)]
+        batches = [_Batch(*a) for a in zip(parts, np.split(sel, cuts), np.split(dst, cuts))]
 
         # each front's Schur complement is added into its parent's front: the
         # flattened offset of every boundary row there, and the columns,
         # closed by the right-hand side's
+        dad = parent[slot_front]
         pos = locate(dad, np.minimum(bnd, n - 1))
         if border:
             pos[bnd == n] = N[dad[bnd == n]] - 1
         if np.any(pos < 0):
             raise AssertionError("Schur complement entry outside the parent front")
-        offsets = (local[dad] * N[dad] + pos) * (N[dad] + 1)
-        cols = np.insert(pos, (bnd_at + b)[:-1], N[parent[:-1]])  # the root is last
+        offsets = ((slot[dad] * N[dad] + pos) * (N[dad] + 1)).astype(np.intp)
+        cols = np.insert(pos, (bnd_at + b)[:-1], N[parent[:-1]]).astype(np.intp)
         col_at = bnd_at + np.arange(rank.size)
-        # runs of fronts in one stack whose parents share a stack
-        key = stack[:-1] * len(self.stacks) + stack[parent[:-1]]
-        run = np.flatnonzero(np.diff(key, prepend=-1))
-        for lo, hi in zip(run, np.append(run[1:], key.size)):
-            s, up, g, k = stack[lo], stack[parent[lo]], hi - lo, lo - starts[stack[lo]]
-            self.stacks[up].updates.append(
-                (
-                    s,
-                    slice(k, k + g),
-                    offsets[bnd_at[lo] : bnd_at[lo] + g * b[lo]].reshape(g, -1),
-                    cols[col_at[lo] : col_at[lo] + g * (b[lo] + 1)].reshape(g, -1),
-                )
+        # the fronts of one stack whose parents share a batch are adjacent,
+        # and are added in there together
+        to = batch[parent[:-1]]
+        run = np.flatnonzero((np.diff(stack[:-1], prepend=-1) != 0) | (np.diff(to, prepend=-1) != 0))
+        for lo, hi in zip(run, np.append(run[1:], to.size)):
+            g, k = hi - lo, lo - starts[stack[lo]]
+            batches[to[lo]].updates.append((
+                stack[lo],
+                slice(k, k + g),
+                offsets[bnd_at[lo] : bnd_at[lo] + g * b[lo]].reshape(g, -1),
+                cols[col_at[lo] : col_at[lo] + g * (b[lo] + 1)].reshape(g, -1),
+            ))
+        own, bnd = own.astype(np.intp), bnd.astype(np.intp)
+        own_at, first = np.cumsum(o, dtype=np.int64) - o, np.cumsum(count) - count
+        self.stacks = [
+            _Stack(
+                own=own[own_at[lo] : own_at[lo] + (hi - lo) * o[lo]].reshape(hi - lo, -1),
+                bnd=bnd[bnd_at[lo] : bnd_at[lo] + (hi - lo) * b[lo]].reshape(hi - lo, -1),
+                batches=batches[f : f + c],
             )
+            for lo, hi, f, c in zip(starts[:-1], starts[1:], first, count)
+        ]
         last = np.zeros(len(self.stacks), dtype=int)
         np.maximum.at(last, stack[:-1], stack[parent[:-1]])
         for s, up in enumerate(last[:-1]):
@@ -267,35 +317,41 @@ class Elimination:
     def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs, where A holds ``data`` on the pattern.
 
-        Stacks go up the tree.  In each, one stacked LAPACK solve (partial
-        pivoting inside each front) gives Y = F11^-1 [F12 | g] and one
-        stacked product the Schur complement that the parents add in.  Back
+        Stacks go up the tree, each in its batches.  In each batch, one
+        stacked LAPACK solve (partial pivoting inside each front) gives
+        Y = F11^-1 [F12 | g] and one stacked product the Schur complement
+        that the parents add in, written straight into the stack's.  Back
         substitution runs top down as x_own = Y_g - Y_12 x_bnd.  A singular
         front gives NaN, which stops the Newton iteration.
         """
-        vals = np.concatenate([data, rhs])
         schur, ys = {}, []
         for s, st in enumerate(self.stacks):
             G, o = st.own.shape
-            N = o + st.bnd.shape[1]
-            F = np.zeros((G, N, N + 1))
-            flat = F.reshape(-1)
-            flat[st.dst] = vals[st.sel]
-            for child, part, rows, cols in st.updates:
-                idx = rows[:, :, None] + cols[:, None, :]
-                np.add.at(flat, idx.reshape(-1), schur[child][part].reshape(-1))
+            b = st.bnd.shape[1]
+            N = o + b
+            z = np.empty((G, b, b + 1))
+            for bt in st.batches:
+                F = np.zeros((bt.part.stop - bt.part.start, N, N + 1))
+                flat = F.reshape(-1)
+                flat[bt.dst] = data[bt.sel]
+                F[:, :o, N] = rhs[st.own[bt.part]]
+                for child, take, rows, cols in bt.updates:
+                    idx = rows[:, :, None] + cols[:, None, :]
+                    np.add.at(flat, idx.reshape(-1), schur[child][take].reshape(-1))
+                try:
+                    y = np.linalg.solve(F[:, :o, :o], F[:, :o, o:])
+                except np.linalg.LinAlgError:
+                    return np.full(self.size, np.nan)
+                zb = z[bt.part]
+                np.subtract(F[:, o:, o:], np.matmul(F[:, o:, :o], y, out=zb), out=zb)
+                ys.append((st.own[bt.part], st.bnd[bt.part], y))
             for child in st.done:
                 del schur[child]
-            try:
-                y = np.linalg.solve(F[:, :o, :o], F[:, :o, o:])
-            except np.linalg.LinAlgError:
-                return np.full(self.size, np.nan)
-            schur[s] = F[:, o:, o:] - F[:, o:, :o] @ y
-            ys.append(y)
+            schur[s] = z
         x = np.empty(self.size)
-        for st, y in zip(self.stacks[::-1], ys[::-1]):
-            b = st.bnd.shape[1]
-            x[st.own] = y[:, :, b] - (y[:, :, :b] @ x[st.bnd][:, :, None])[:, :, 0]
+        for own, bnd, y in ys[::-1]:
+            b = bnd.shape[1]
+            x[own] = y[:, :, b] - (y[:, :, :b] @ x[bnd][:, :, None])[:, :, 0]
         return x
 
 

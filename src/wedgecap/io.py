@@ -199,9 +199,13 @@ def write_limit_sweep_csv(path, table: np.ndarray) -> Path:
 
 
 def write_solution_csv(path, field: SolutionField) -> Path:
-    r, th = field.mesh.radii, field.mesh.thetas
-    columns = (np.repeat(r, len(th)), np.tile(th, len(r)), field.values)
-    return _write_columns(path, "r,theta,f", columns)
+    """One row per node, outer radii first and theta inner; each r and theta
+    is formatted once."""
+    thetas = [f",{t}," for t in map(repr, field.mesh.thetas.tolist())]
+    lines = ["r,theta,f"]
+    for r, row in zip(map(repr, field.mesh.radii.tolist()), field.values.tolist()):
+        lines += [r + t + f for t, f in zip(thetas, map(repr, row))]
+    return _write_lines(path, lines)
 
 
 def write_trace_csv(path, trace: RadialTrace) -> Path:

@@ -306,6 +306,14 @@ def test_float_writers_match_write_csv_bytes(tmp_path):
     header = ["side", "case", "x", "method", "flag", "np_flag", "n", "np_n", "y"]
     expect = _csv_module_bytes(header, mixed)
     assert write_csv(tmp_path / "mixed.csv", header, mixed).read_bytes() == expect
+    field = _tiny_field(2, 3, np.resize(col, (3, 4)))  # m != n_theta
+    nodes = [
+        (r, t, f)
+        for r, row in zip(field.mesh.radii, field.values)
+        for t, f in zip(field.mesh.thetas, row)
+    ]
+    expect = _csv_module_bytes(["r", "theta", "f"], nodes)
+    assert write_solution_csv(tmp_path / "solution.csv", field).read_bytes() == expect
 
 
 def test_limit_sweep_csv(tmp_path):
@@ -319,9 +327,9 @@ def test_write_csv_creates_parent_dirs(tmp_path):
     assert p.read_text() == "a\n1.0\n"
 
 
-def _tiny_field():
-    mesh = build_sector_mesh(WedgeGeometry(1.0), 0.5, 1.0, 1, 1)
-    values = np.array([[0.0, 1.0], [2.0, 3.0]])
+def _tiny_field(m=1, n_theta=1, values=((0.0, 1.0), (2.0, 3.0))):
+    mesh = build_sector_mesh(WedgeGeometry(1.0), 0.5, 1.0, m, n_theta)
+    values = np.array(values)
     return SolutionField(
         mesh=mesh,
         values=values,

@@ -1,6 +1,7 @@
 """Finite-volume corner solver, radial traces, and fan classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,67 @@ def test_dissection_order_cannot_change_a_solve(monkeypatch, kappa):
     if not kappa:
         area = _Discretization(mesh, lambda r, t, z: 0.0 * z, *walls).area
         assert abs(float((dissected.values * area).sum() / area.sum())) <= 1e-12
+
+
+@pytest.mark.parametrize("problem", ["capillary", "pinned", "pmc"])
+def test_batch_bound_cannot_change_a_solve(monkeypatch, problem):
+    """Batches of fronts bound only the working storage: one front per batch,
+    the default bound and no bound give the same bits in as many Newton
+    steps.  The default bound splits a stack on this mesh."""
+    r_min, r_max = 0.05, 1.0
+    walls = example2_walls()
+    mesh = build_sector_mesh(GEO, r_min, r_max, 64, 48)
+    kappa, lam = 1.0, 2.0
+    if problem == "pinned":  # lambda balances the net wall flux
+        flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
+        kappa, lam = 0.0, flux / (GEO.alpha * (r_max**2 - r_min**2))
+    disc = _Discretization(mesh, lambda r, t, z: z, *walls)
+    plan = elimination.Elimination(disc.shape, disc.footprint, problem == "pinned")
+    assert max(len(st.batches) for st in plan.stacks) > 1
+
+    fields = []
+    for bound in (1, elimination._BATCH_DOUBLES, 2**62):
+        monkeypatch.setattr(elimination, "_BATCH_DOUBLES", bound)
+        if problem == "pmc":
+            fields.append(solve_pmc(mesh, lambda x, y, t: 0.5 * np.tanh(t), *walls))
+        else:
+            fields.append(solve_capillary(mesh, kappa, lam, *walls))
+    assert all(f.converged for f in fields)
+    for f in fields[1:]:
+        assert np.array_equal(f.values, fields[0].values)
+        assert f.newton_iterations == fields[0].newton_iterations
+
+
+@pytest.mark.parametrize("border, plan_mb, solve_mb", [(False, 12.0, 10.0), (True, 13.0, 11.0)])
+def test_elimination_working_storage(border, plan_mb, solve_mb):
+    """tracemalloc peaks at 128^2, the benchmark's mesh, of the plan build and
+    of one solve of a Newton matrix.  The plan is built from int32
+    temporaries that die early, and big stacks are eliminated in batches.
+    The budgets lie between the peaks so measured (7.4 / 8.1 and 7.2 / 7.6
+    MB) and those of int64 temporaries and whole-stack blocks (16.8 / 18.7
+    and 13.2 / 14.6 MB)."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 128, 128)
+    disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
+    f = np.full(disc.shape, -2.0)
+    res = disc.residual(f)
+    rhs = -res.ravel()
+    weights = None
+    if border:
+        weights = (disc.area / disc.area.sum()).ravel()
+        rhs = np.append(rhs, -(weights @ f.ravel()))
+    jac = disc.jacobian(f, res, weights)
+    tracemalloc.start()
+    try:
+        elimination.Elimination(disc.shape, disc.footprint, border)
+        plan_peak = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.reset_peak()
+        x = jac.plan.solve(jac.data, rhs)
+        solve_peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(x))
+    assert plan_peak < plan_mb
+    assert solve_peak < solve_mb
 
 
 @pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4), (24, 12)])
