@@ -42,6 +42,14 @@ def irregular(rng, side, n=120):
     }
 
 
+def deep(side, g1, g2):
+    """Segments ending at 10^-k (1 + 0.3 (k mod 3)), k = 20..1, and at 1, with
+    alternating angles: the innermost ends at 1.6e-20."""
+    ends = [10.0**-k * (1.0 + 0.3 * (k % 3)) for k in range(20, 0, -1)] + [1.0]
+    return {"side": side,
+            "segments": [{"s_end": e, "gamma": (g1, g2)[i % 2]} for i, e in enumerate(ends)]}
+
+
 def write_json(path, data):
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return str(path)
@@ -79,6 +87,16 @@ def calls(inputs):
     out.append(("bounds-irregular-floor", ["bounds", "--plus", paths["irregular", "+"],
                                            "--minus", paths["irregular", "-"], "--case", "all",
                                            "--eps-floor", "1e-8"]))
+    # below the default floor: the bounds and blowup windows near sin(1e-4)
+    # reach the deep wall's innermost segment at 1e-16
+    deep_paths = {s: write_json(inputs / f"deep_{'plus' if s == '+' else 'minus'}.json", w)
+                  for s, w in (("+", deep("+", 2.5, 0.5)), ("-", deep("-", 0.9, 2.2)))}
+    floor = ["--eps-floor", "1e-16"]
+    out.append(("profile-deep-floor", ["profile", deep_paths["+"], *floor]))
+    out.append(("bounds-deep-floor", ["bounds", "--plus", deep_paths["+"],
+                                      "--minus", deep_paths["-"], "--case", "all", *floor]))
+    out.append(("blowup-deep-floor", ["blowup", "--case", "I", "--beta", "1.2",
+                                      "--profile", deep_paths["+"], *floor]))
     out.append(("verify-default", ["verify-examples"]))
     out.append(("verify-degrees", ["verify-examples", "--degrees",
                                    "--gamma1", "50", "--gamma2", "130"]))
@@ -135,6 +153,10 @@ def calls(inputs):
         # the paper's regime: contact angles near 0 and pi, 24 rows per decade
         "solve-extreme": {**base, "plus": constant("+", 0.3), "minus": constant("-", 2.8),
                           "r_min": 5e-3, "m": 55, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
+        # angles 0.1 and 3.0 down to r_min = 5e-4: the line search stalls
+        # before the iteration cap (exit 6)
+        "solve-stalled": {**base, "plus": constant("+", 0.1), "minus": constant("-", 3.0),
+                          "r_min": 5e-4, "m": 79, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
         # the benchmark's meshes, on which the elimination splits its larger
         # stacks of fronts into batches
         "solve-capillary-128": {**base, "m": 128, "n_theta": 128, "kappa": 1.0, "lambda": 2.0},

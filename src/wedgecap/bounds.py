@@ -34,6 +34,8 @@ FEASIBLE_TOL = -1e-12
 LAMBDA_MARGIN = 1e-4
 #: minimum number of lambda grid points
 LAMBDA_POINTS = 512
+#: fan-scan step in beta: the default and the coarsest allowed
+BETA_STEP = 1e-3
 #: beta rows evaluated at once by the fan scan (bounds its memory, not its result)
 _SCAN_ROWS = 64
 #: lambda column stride of the fan scan's coarse pass (sets its speed, not its result)
@@ -108,7 +110,13 @@ class _SweepTable:
     ``adhesion_from_profile``)."""
 
     def __init__(self, profile: ContactProfile, eps_lo: float):
-        xs = SweepConfig(profile.s_max, 1e-14).grid()
+        # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
+        # smallest, at this floor and at the default one
+        sweep = SweepConfig(profile.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
+        xs = sweep.grid()
+        # the sweep of window b reads the grid down to b * eps_lo, with the
+        # grid's slack: past the table when b * eps_lo is at most this
+        self.reach = profile.s_max * 10.0 ** ((1e-9 - xs.size) / sweep.points_per_decade)
         g = profile.integral_many(xs) / xs
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
         env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
@@ -126,6 +134,11 @@ class _SweepTable:
         two kinds search each block once."""
         key, cut = self._last
         if b is not key:
+            smallest = float(np.min(b, initial=np.inf))
+            if smallest * self.eps_lo <= self.reach:
+                raise ValueError(
+                    f"window {smallest!r} lies below the sweep table at eps_lo={self.eps_lo!r}"
+                )
             cut = np.searchsorted(self.asc, b * self.eps_lo, side="left")
             cut = np.clip(cut, 0, len(self.asc) - 1)
             if b.flags.owndata and not b.flags.writeable:
@@ -296,7 +309,7 @@ def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
     return mins, where
 
 
-def min_admissible_fan(requests, beta_step: float = 1e-3) -> list[FanBoundResult]:
+def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundResult]:
     """Smallest fan width passing each listed (A, condition kind) for all lambda.
 
     Scans beta ascending from 0 in steps of ``beta_step`` over [0, pi), each
@@ -306,8 +319,8 @@ def min_admissible_fan(requests, beta_step: float = 1e-3) -> list[FanBoundResult
     never assumed).  One result per request, in order; InfeasibleScanError
     for the first request no width passes.
     """
-    if not (0.0 < beta_step <= 1e-3):
-        raise ValueError("beta_step must lie in (0, 1e-3]")
+    if not (0.0 < beta_step <= BETA_STEP):
+        raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
     conds = [_condition_for(kind) for _, kind in requests]
     for A, kind in requests:
         want = required_functional_kind(kind)
@@ -408,9 +421,11 @@ def adhesion_from_profile(
     Walls with a closed form (routed as in ``best_estimates``) get a linear
     evaluator.  Any other wall gets a sweep table: A(b) over the grid eps in
     [eps_lo, s_max/b] equals b * (envelope of F(x)/x over x in [b*eps_lo,
-    s_max]), so one table of F(x)/x on a geometric x-grid down to 1e-14, at
+    s_max]), so one table of F(x)/x on a geometric x-grid, at
     POINTS_PER_DECADE, plus running envelopes answers every b by bisection.
-    Both kinds of one wall share the table.
+    The grid serves every window from sin(LAMBDA_MARGIN) up; a window whose
+    sweep would read below it raises ValueError.  Both kinds of one wall
+    share the table.
     """
     exact = _exact_estimates(profile, 1.0)
     if exact is None:
@@ -426,7 +441,7 @@ def adhesion_from_profile(
 def fan_bound_rows(
     profiles: dict[str, ContactProfile],
     cases,
-    beta_step: float = 1e-3,
+    beta_step: float = BETA_STEP,
     *,
     eps_lo: float = EPS_FLOOR,
 ) -> list[tuple]:

@@ -24,6 +24,8 @@ import numpy as np
 
 from . import io as wio
 from .bounds import (
+    BETA_STEP,
+    LAMBDA_POINTS,
     AdhesionFunction,
     FanCase,
     InfeasibleScanError,
@@ -51,6 +53,7 @@ from .profiles import (
     example2_profile,
 )
 from .solver import (
+    MMS_SIZES,
     SolverConfig,
     build_sector_mesh,
     fans_from_trace,
@@ -162,7 +165,7 @@ def cmd_profile(args) -> int:
 def cmd_bounds(args) -> int:
     profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
     _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
-    beta_step = _angle(args.beta_step, args.degrees, 1e-3)
+    beta_step = _angle(args.beta_step, args.degrees, BETA_STEP)
     cases = _CASE_ORDER if args.case == "all" else (FanCase(args.case),)
     rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
     out = Path(args.out)
@@ -335,7 +338,9 @@ def cmd_solve(args) -> int:
     if args.mms:
         if args.config is not None or args.tol is not None:
             raise _Usage("solve --mms takes neither --config nor --tol")
-        sizes = tuple(int(s) for s in (args.mms_sizes or "16,32,64").split(","))
+        sizes = MMS_SIZES
+        if args.mms_sizes:
+            sizes = tuple(int(s) for s in args.mms_sizes.split(","))
         if len(sizes) < 2 or any(s < 4 for s in sizes):
             raise ValueError(f"--mms-sizes needs >= 2 sizes >= 4, got {sizes}")
         table = manufactured_convergence(sizes)
@@ -381,10 +386,10 @@ def cmd_solve(args) -> int:
     )
     plus = _config_profile(data["plus"], base, "+")
     minus = _config_profile(data["minus"], base, "-")
-    tol = _config_number(data, "tol", 1e-10) if args.tol is None else args.tol
+    tol = _config_number(data, "tol", SolverConfig.tol) if args.tol is None else args.tol
     config = SolverConfig(
         tol=tol,
-        max_iter=_config_number(data, "max_iter", 200, integer=True),
+        max_iter=_config_number(data, "max_iter", SolverConfig.max_iter, integer=True),
         initial=None if data.get("initial") is None else _config_number(data, "initial", None),
     )
 
@@ -462,8 +467,8 @@ def cmd_solve(args) -> int:
         print(p)
     if not field.converged:
         print(
-            f"solver did not converge within {config.max_iter} iterations "
-            f"(residual {field.residual_norm!r})",
+            f"solver did not converge: stopped after {field.newton_iterations} of at "
+            f"most {config.max_iter} iterations (residual {field.residual_norm!r})",
             file=sys.stderr,
         )
         return EXIT_SOLVER
@@ -575,7 +580,8 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run the manufactured-solution convergence study instead",
     )
-    p.add_argument("--mms-sizes", default=None, help="with --mms (default 16,32,64)")
+    sizes = ",".join(map(str, MMS_SIZES))
+    p.add_argument("--mms-sizes", default=None, help=f"with --mms (default {sizes})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("blowup", help="limiting comparison sweep for one wall")
@@ -586,7 +592,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma0", type=float, default=None)
     group.add_argument("--profile", default=None)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=int, default=LAMBDA_POINTS)
     p.add_argument(
         "--eps-floor", type=float, default=None,
         help=f"with --profile (default {EPS_FLOOR})",

@@ -174,15 +174,9 @@ class Elimination:
         batch = ((np.cumsum(count) - count)[stack] + local // per[stack]).astype(i4)
         slot = (local % per[stack]).astype(i4)
 
-        # the ring is one node wide: per front, its top row, left column and
-        # width, and the block's offset and size inside it
-        e0, d0, ring_w = ring[:, 0], ring[:, 2], ring[:, 3] - ring[:, 2]
-        top, left = tree[:, 0] - e0, tree[:, 2] - d0
-        blk_h, blk_w = tree[:, 1] - tree[:, 0], tree[:, 3] - tree[:, 2]
-
         # every front's unknowns, front after front: its own set row-major in
-        # its rectangle, its boundary row-major in the ring less the block;
-        # the border unknown is the last of every front, own at the root
+        # its rectangle, its boundary in node order; the border unknown is the
+        # last of every front, own at the root
         own = _rect_nodes(tree[:, 4:8], nj)
         if border:
             own = np.append(own, n)
@@ -190,40 +184,29 @@ class Elimination:
         where = np.empty(size, dtype=i4)  # and its row there
         owner[own], where[own] = _ragged(o)
 
-        def boundary():
-            """Every front's boundary unknowns, and the front of each slot."""
-            t, q = _ragged(b)
-            u = q - top[t] * ring_w[t]  # rank past the row above the block
-            v = u - blk_h[t] * (ring_w[t] - blk_w[t])  # and past the rows beside it
-            above, below = u < 0, v >= 0
-            beside = ~above & ~below
-            side = np.maximum(ring_w[t] - blk_w[t], 1)
-            # masks times values: np.where is several times slower on int arrays
-            di = beside * (top[t] + u // side) + below * (top[t] + blk_h[t])
-            dj = above * q + below * v + beside * (u % side >= left[t]) * (left[t] + blk_w[t])
-            bnd = (e0[t] + di) * nj + d0[t] + dj
-            if border:
-                bnd[q == b[t] - 1] = n
-            return bnd, t
-
-        bnd, slot_front = boundary()
+        # the boundary is the ring less the block: the strips above, left of,
+        # right of and below it.  Keyed by (front, unknown) and sorted once,
+        # the boundary slots list each front's unknowns in node order, the
+        # border unknown n, the largest, last
+        (r0, r1, c0, c1), (e0, e1, d0, d1) = tree[:, :4].T, ring.T
+        strips = np.array([[e0, r0, d0, d1], [r0, r1, d0, c0], [r0, r1, c1, d1], [r1, e1, d0, d1]])
+        keys = np.repeat(np.arange(rank.size, dtype=np.int64) * size, b - border * (parent >= 0))
+        keys += _rect_nodes(strips.transpose(2, 0, 1).reshape(-1, 4), nj)
+        del strips
+        if border:
+            keys = np.append(keys, np.flatnonzero(parent >= 0) * size + n)
+        keys.sort()
         bnd_at = np.cumsum(b, dtype=np.int64) - b
-        listing = np.append(bnd, -1)  # the root's empty ring reads past the end
 
         def locate(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-            """Row of grid unknown g in front t, -1 if it has none.  In the
-            boundary part, that is g's row-major rank in the ring rectangle
-            less the block rows passed, checked against the ring's list."""
+            """Row of unknown g in front t, -1 if it has none.  In the
+            boundary part, that is where the key of (t, g) is found."""
             pos = where[g]
             far = np.flatnonzero(owner[g] != t)
-            t, g = t[far], g[far].astype(i4)
-            i = g // nj
-            di, dj = i - e0[t], g - i * nj - d0[t]
-            passed = np.minimum(np.maximum(di - top[t] + (dj > left[t]), 0), blk_h[t])
-            rank = di * ring_w[t] + dj - passed * blk_w[t]
-            listed = (0 <= rank) & (rank < b[t])
-            listed &= listing[bnd_at[t] + rank * listed] == g
-            pos[far] = listed * (o[t] + rank + 1) - 1
+            t = t[far]
+            key = t * np.int64(size) + g[far]  # int64: it passes 2**31 at 512 x 512
+            k = np.searchsorted(keys, key)
+            pos[far] = (keys.take(k, mode="clip") == key) * (o[t] + k - bnd_at[t] + 1) - 1
             return pos
 
         def place(t, r, c):
@@ -262,10 +245,9 @@ class Elimination:
         # each front's Schur complement is added into its parent's front: the
         # flattened offset of every boundary row there, and the columns,
         # closed by the right-hand side's
+        slot_front, bnd = np.divmod(keys, size)
         dad = parent[slot_front]
-        pos = locate(dad, np.minimum(bnd, n - 1))
-        if border:
-            pos[bnd == n] = N[dad[bnd == n]] - 1
+        pos = locate(dad, bnd)
         if np.any(pos < 0):
             raise AssertionError("Schur complement entry outside the parent front")
         offsets = ((slot[dad] * N[dad] + pos) * (N[dad] + 1)).astype(np.intp)

@@ -13,6 +13,7 @@ from wedgecap.bounds import (
     AdhesionFunction,
     FanBoundResult,
     FanCase,
+    LAMBDA_MARGIN,
     InfeasibleScanError,
     adhesion_from_profile,
     case_condition_map,
@@ -476,12 +477,42 @@ def test_adhesion_from_profile_takes_the_best_estimates_route(profile):
         single = profile.n_segments == 1
         assert A.method == ("constant_angle" if single else est.method)
         if est.method == METHOD_SWEEP:
+            assert A(b) == pytest.approx(est.value, rel=0.0, abs=1e-12 * b)
             continue
         slope = A(1.0)
         if est.method == METHOD_LOG_PERIODIC:
             assert slope == pytest.approx(est.value / b, rel=1e-15)
         else:
             assert slope == est.value / b
+
+
+def deep_wall(side, gammas):
+    """Segments ending at 10^-k (1 + 0.3 (k mod 3)), k = 20..1, and at 1,
+    their angles alternating; only a sweep that reaches below 1.6e-20 sees
+    the innermost one whole."""
+    ends = [10.0**-k * (1.0 + 0.3 * (k % 3)) for k in range(20, 0, -1)] + [1.0]
+    return make_piecewise(side, ends, [gammas[i % 2] for i in range(len(ends))])
+
+
+DEEP_WALLS = [deep_wall("+", (2.5, 0.5)), deep_wall("-", (0.9, 2.2))]
+
+
+@pytest.mark.parametrize("eps_lo", [1e-10, 1e-13, 1e-16])
+@pytest.mark.parametrize("wall", DEEP_WALLS, ids=["plus", "minus"])
+def test_sweep_table_reaches_deep_floors(wall, eps_lo):
+    """The table holds every window the scan asks, down to sin(LAMBDA_MARGIN),
+    at any floor: it gives what a sweep of that window gives."""
+    for b in (math.sin(LAMBDA_MARGIN), 1.0 / 33.0, 0.5, 1.0):
+        for kind, est in zip("IS", best_estimates(wall, b, eps_lo=eps_lo)):
+            A = adhesion_from_profile(wall, kind, eps_lo=eps_lo)
+            assert A(b) == pytest.approx(est.value, rel=0.0, abs=1e-12 * b)
+
+
+def test_sweep_table_refuses_a_window_it_cannot_reach():
+    A = adhesion_from_profile(DEEP_WALLS[0], "I", eps_lo=1e-10)
+    A(np.array([math.sin(LAMBDA_MARGIN), 1.0]))
+    with pytest.raises(ValueError, match="below the sweep table"):
+        A(np.array([1e-5, 1.0]))
 
 
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():

@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from wedgecap.bounds import (
     min_admissible_fan,
     required_functional_kind,
 )
+from wedgecap.blowup import contradiction_witness
 from wedgecap.cli import _verify_lines, main
 from wedgecap.io import load_profile
 from wedgecap.profiles import WedgeGeometry, constant_profile
@@ -332,6 +334,47 @@ def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
             assert rows[pair[0], mixed.value] == rows[pair[0], pure.value]
 
 
+def fan_scan_walls(seed):
+    """The irregular and example2 wall pairs that the benchmark's fan-scan
+    workload (perfbench/workloads.py) writes for ``seed``."""
+    rng = random.Random(f"fan-scan/{seed}")
+    irregular = {}
+    for side in "+-":
+        breaks = sorted({round(10.0 ** rng.uniform(-9.0, 0.0), 15) for _ in range(239)} - {1.0})
+        segments = [{"s_end": b, "gamma": round(rng.uniform(0.35, 2.8), 6)}
+                    for b in breaks + [1.0]]
+        irregular[side] = {"side": side, "segments": segments}
+    example2 = {
+        side: {"side": side, "generator": {"type": "example2",
+                                           "gamma1": round(rng.uniform(0.5, 1.1), 6),
+                                           "gamma2": round(rng.uniform(1.8, 2.5), 6)}}
+        for side in "+-"
+    }
+    return {"irregular": irregular, "example2": example2}
+
+
+@pytest.mark.parametrize("family", ["irregular", "example2"])
+def test_bounds_agree_with_the_blowup_witness(tmp_path, family):
+    """The scan and the witness build their lambda grids with different
+    arithmetic, yet agree: no witness at beta_min, and, when feasibility is
+    monotone, one a step below it."""
+    walls = fan_scan_walls(1)[family]
+    paths = {side: write_json(tmp_path / f"wall{i}.json", walls[side])
+             for i, side in enumerate("+-")}
+    out = tmp_path / "out"
+    assert run(["bounds", "--plus", paths["+"], "--minus", paths["-"], "--case", "all",
+                "--out", out]) == 0
+    rows = read_rows(out / "bounds.csv")[1:]
+    assert len(rows) == 8
+    for side, case, beta_min, _, _, monotone, _, _ in rows:
+        case, beta_min = FanCase(case), float(beta_min)
+        kind = required_functional_kind(dict(case_condition_map(case))[side])
+        A = adhesion_from_profile(load_profile(paths[side]), kind)
+        assert contradiction_witness(A, case, side, beta_min) is None
+        if monotone == "True" and beta_min > 0.0:
+            assert contradiction_witness(A, case, side, beta_min - 1e-3) is not None
+
+
 def test_bounds_infeasible_exit_4(tmp_path, capsys):
     plus = constant_wall(tmp_path, "+", math.pi)
     minus = constant_wall(tmp_path, "-", math.pi)
@@ -510,6 +553,25 @@ def test_solve_nonconvergence_exit_6(tmp_path, capsys):
     for name in ("solution.csv", "trace.csv", "manifest.txt"):
         assert (out / name).exists()
     assert "converged: False" in (out / "manifest.txt").read_text()
+
+
+def test_solve_nonconvergence_reports_the_iterations_run(tmp_path, capsys):
+    """At contact angles 0.1 and 3.0 down to r_min = 5e-4 the line search
+    stalls long before the iteration cap; the message says when."""
+    cfg = solve_config(
+        tmp_path,
+        r_min=5e-4,
+        m=79,
+        n_theta=48,
+        plus={"side": "+", "generator": {"type": "constant", "gamma": 0.1}},
+        minus={"side": "-", "generator": {"type": "constant", "gamma": 3.0}},
+    )
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 6
+    manifest = (out / "manifest.txt").read_text()
+    iterations = int(manifest.split("iterations: ")[1].split()[0])
+    assert iterations < 200
+    assert f"after {iterations} of at most 200 iterations" in capsys.readouterr().err
 
 
 def test_solve_mms_study(tmp_path, capsys):

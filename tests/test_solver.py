@@ -361,6 +361,41 @@ def test_elimination_working_storage(border, plan_mb, solve_mb):
     assert solve_peak < solve_mb
 
 
+@pytest.mark.parametrize("border", [False, True])
+def test_plan_rejects_an_entry_outside_its_front(border):
+    """A coupling between opposite grid corners lies in no front: the front
+    that eliminates one corner has the other neither as its own nor on its
+    boundary, whichever of the two is the row."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 24, 12)
+    disc = _Discretization(mesh, lambda r, t, z: z, *example2_walls())
+    rows, cols = disc.footprint
+    corners = 0, disc.shape[0] * disc.shape[1] - 1
+    for r, c in (corners, corners[::-1]):
+        footprint = np.append(rows, r), np.append(cols, c)
+        with pytest.raises(AssertionError, match="matrix entry outside its front"):
+            elimination.Elimination(disc.shape, footprint, border)
+
+
+@pytest.mark.parametrize("border", [False, True])
+def test_plan_rejects_a_parent_without_the_childs_boundary(monkeypatch, border):
+    """A deepest leaf hung under the root: its boundary holds nodes of its
+    own parent's separator, which the root's front lacks, so its Schur
+    complement has no place."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 24, 12)
+    disc = _Discretization(mesh, lambda r, t, z: z, *example2_walls())
+    tree_of = elimination._dissection_tree
+
+    def rehung(ni, nj):
+        tree = tree_of(ni, nj)
+        assert tree[tree[-1, 9], 9] > 0  # the deepest leaf's parent is not the root's child
+        tree[-1, 9] = 0
+        return tree
+
+    monkeypatch.setattr(elimination, "_dissection_tree", rehung)
+    with pytest.raises(AssertionError, match="Schur complement entry outside the parent front"):
+        elimination.Elimination(disc.shape, disc.footprint, border)
+
+
 @pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4), (24, 12)])
 @pytest.mark.parametrize("walls", ["example2", "constant 0.1/3.0"])
 @pytest.mark.parametrize("kappa", [1.0, 0.0])
