@@ -4,7 +4,8 @@
 The inputs (wall profiles and solve configs) are generated inline, so two
 checkouts given the same script produce comparable listings: diff the output
 of the parent commit against the change to prove a refactor left every
-artifact byte-identical.  Each call's exit code is printed too.
+artifact byte-identical.  Each call's exit code is printed too, alone for
+a call that writes no output directory.
 
 Usage:
     PYTHONPATH=src python3 scripts/golden_artifacts.py OUT_DIR > golden.txt
@@ -166,6 +167,22 @@ def calls(inputs):
     for label, cfg in configs.items():
         out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))
     out.append(("solve-mms", ["solve", "--mms"]))
+
+    # calls that fail before writing anything, so only their exit codes show
+    out.append(("solve-mms-sizes-empty", ["solve", "--mms", "--mms-sizes", ""]))
+    out.append(("solve-mms-sizes-gap", ["solve", "--mms", "--mms-sizes", "16,,32"]))
+    # walls at pi on both sides: no fan width below pi is admissible (exit 4)
+    walls_pi = {s: write_json(inputs / f"pi_{'plus' if s == '+' else 'minus'}.json",
+                              constant(s, math.pi)) for s in "+-"}
+    out.append(("bounds-infeasible", ["bounds", "--plus", walls_pi["+"],
+                                      "--minus", walls_pi["-"], "--case", "I"]))
+    zero_depth = two_angle("-", "example1", 0.7, 2.2)
+    zero_depth["generator"]["depth"] = 0
+    out.append(("profile-malformed", ["profile", write_json(inputs / "zero_depth.json",
+                                                            zero_depth)]))
+    # the closed-form router's edges: angles 0 and pi, and two equal angles
+    out.append(("verify-extremes", ["verify-examples", "--gamma1", "0", "--gamma2", "3.14159"]))
+    out.append(("verify-equal", ["verify-examples", "--gamma1", "1.5", "--gamma2", "1.5"]))
     return out
 
 
@@ -182,7 +199,7 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = wedgecap_main(argv_ + ["--out", str(out)])
         print(f"exit {code}  {label}")
-        for path in sorted(out.iterdir()):
+        for path in sorted(out.iterdir()) if out.is_dir() else ():
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}")
     return 0
 

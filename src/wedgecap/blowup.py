@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    FEASIBLE_TOL,
     INCREASING,
     AdhesionFunction,
     FanCase,
@@ -25,11 +26,12 @@ from .bounds import (
     condition_increasing,
     default_lambda_grid,
 )
-from .functionals import KIND_LOWER, KIND_UPPER
+from .functionals import KIND_LOWER, KIND_UPPER, _VALUE_SLACK
 from .profiles import SIDES
 
-#: a limiting energy gain above this certifies an inadmissible fan claim
-WITNESS_TOL = 1e-12
+#: a limiting energy gain above this certifies an inadmissible fan claim: the
+#: complement of the fan scan's feasibility test
+WITNESS_TOL = -FEASIBLE_TOL
 _COLLINEAR_TOL = 1e-14
 
 
@@ -157,7 +159,7 @@ def sine_rule_bc(cmp: TriangleComparison) -> float:
 
 
 def _check_adhesion_value(cmp: TriangleComparison, value: float) -> None:
-    if abs(value) > cmp.b * (1.0 + 1e-9):
+    if abs(value) > cmp.b * (1.0 + _VALUE_SLACK):
         raise ValueError(
             f"adhesion value {value} exceeds the window bound |A| <= b = {cmp.b}"
         )

@@ -23,8 +23,10 @@ from .functionals import (
     EPS_FLOOR,
     KIND_LOWER,
     KIND_UPPER,
+    _VALUE_SLACK,
     SweepConfig,
     _exact_estimates,
+    sweep_table,
 )
 from .profiles import ContactProfile
 
@@ -87,7 +89,7 @@ class AdhesionFunction:
         b_arr = np.asarray(b, dtype=float)
         out = np.asarray(self.fn(b_arr), dtype=float)
         if not self._bounded:
-            if np.any(np.abs(out) > b_arr * (1.0 + 1e-9)):
+            if np.any(np.abs(out) > b_arr * (1.0 + _VALUE_SLACK)):
                 raise ValueError("adhesion evaluator broke the |A(b)| <= b bound")
             out = np.clip(out, -b_arr, b_arr)
         return float(out) if np.isscalar(b) or out.ndim == 0 else out
@@ -106,21 +108,20 @@ class AdhesionFunction:
 
 
 class _SweepTable:
-    """F(x)/x of one wall with its running min and max envelopes (see
+    """Running min and max envelopes of one wall's window-1 sweep (see
     ``adhesion_from_profile``)."""
 
     def __init__(self, profile: ContactProfile, eps_lo: float):
         # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
         # smallest, at this floor and at the default one
         sweep = SweepConfig(profile.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
-        xs = sweep.grid()
-        # the sweep of window b reads the grid down to b * eps_lo, with the
-        # grid's slack: past the table when b * eps_lo is at most this
-        self.reach = profile.s_max * 10.0 ** ((1e-9 - xs.size) / sweep.points_per_decade)
-        g = profile.integral_many(xs) / xs
+        # at b = 1 the sweep's grid is x and its values are F(x)/x
+        xs, g = sweep_table(profile, 1.0, sweep)
+        # the sweep of window b reads the grid down to b * eps_lo
+        self.reach = sweep.reach
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
         env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
-        if np.any(np.abs(env) > 1.0 + 1e-9):
+        if np.any(np.abs(env) > 1.0 + _VALUE_SLACK):
             raise ValueError("sweep table broke the |A(b)| <= b bound")
         # for b > 0, b * clip(env) is the clip of b * env to [-b, b]
         self.lower, self.upper = np.clip(env, -1.0, 1.0)
@@ -421,8 +422,8 @@ def adhesion_from_profile(
     Walls with a closed form (routed as in ``best_estimates``) get a linear
     evaluator.  Any other wall gets a sweep table: A(b) over the grid eps in
     [eps_lo, s_max/b] equals b * (envelope of F(x)/x over x in [b*eps_lo,
-    s_max]), so one table of F(x)/x on a geometric x-grid, at
-    POINTS_PER_DECADE, plus running envelopes answers every b by bisection.
+    s_max]), so the window-1 sweep (values F(x)/x at POINTS_PER_DECADE) plus
+    running envelopes answers every b by bisection.
     The grid serves every window from sin(LAMBDA_MARGIN) up; a window whose
     sweep would read below it raises ValueError.  Both kinds of one wall
     share the table.

@@ -38,12 +38,9 @@ from .bounds import (
 from .blowup import contradiction_witness, limit_difference_table
 from .functionals import (
     EPS_FLOOR,
-    LOG_PERIODIC_RATIO,
     POINTS_PER_DECADE,
     SweepConfig,
     best_estimates,
-    exact_A_example1,
-    exact_A_log_periodic,
     sweep_table,
 )
 from .profiles import (
@@ -194,36 +191,25 @@ def cmd_bounds(args) -> int:
 def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, float, float]]:
     """(label, achieved, allowed) per identity; PASS iff achieved <= allowed."""
     bs = (0.25, 0.5, 0.75)
-    ex1_lo = min(g1, g2)
-    ex1_hi = max(g1, g2)
-    want_ex1 = {b: (b * math.cos(ex1_hi), b * math.cos(ex1_lo)) for b in bs}
-    want_ex2 = {
-        b: (
-            b * (math.cos(g1) / 3.0 + 2.0 * math.cos(g2) / 3.0),
-            b * (2.0 * math.cos(g1) / 3.0 + math.cos(g2) / 3.0),
-        )
-        for b in bs
-    }
+    want_ex1 = {b: (b * math.cos(max(g1, g2)), b * math.cos(min(g1, g2))) for b in bs}
+    c1, c2 = math.cos(g1), math.cos(g2)
+    want_ex2 = {b: (b * (c1 / 3.0 + 2.0 * c2 / 3.0), b * (2.0 * c1 / 3.0 + c2 / 3.0)) for b in bs}
 
-    err_exact1 = [0.0, 0.0]
-    for b in bs:
-        lower, upper = exact_A_example1(g1, g2, b)
-        err_exact1[0] = max(err_exact1[0], abs(lower.value - want_ex1[b][0]))
-        err_exact1[1] = max(err_exact1[1], abs(upper.value - want_ex1[b][1]))
+    prof1, prof2 = example1_profile(g1, g2), example2_profile(g1, g2)
 
-    prof2 = example2_profile(g1, g2)
-    err_exact2 = [0.0, 0.0]
-    for b in bs:
-        lower, upper = exact_A_log_periodic(prof2, b, LOG_PERIODIC_RATIO)
-        err_exact2[0] = max(err_exact2[0], abs(lower.value - want_ex2[b][0]))
-        err_exact2[1] = max(err_exact2[1], abs(upper.value - want_ex2[b][1]))
+    def exact_errors(prof, want):
+        """Worst errors of the router's (lower, upper) values over bs."""
+        est = {b: best_estimates(prof, b) for b in bs}
+        return [max(abs(est[b][k].value - want[b][k]) for b in bs) for k in (0, 1)]
+
+    err_exact1 = exact_errors(prof1, want_ex1)
+    err_exact2 = exact_errors(prof2, want_ex2)
 
     def sweep_error(prof, b, want, **kw):
         """Larger error of one sweep's min and max against want = (lower, upper)."""
         _, vals = sweep_table(prof, b, SweepConfig.for_profile(prof, b, eps_lo=eps_floor, **kw))
         return max(abs(float(np.min(vals)) - want[0]), abs(float(np.max(vals)) - want[1]))
 
-    prof1 = example1_profile(g1, g2)
     rel1 = max(sweep_error(prof1, b, want_ex1[b]) / (0.05 * b) for b in bs)
     err2 = max(sweep_error(prof2, b, want_ex2[b], points_per_decade=4096) for b in bs)
 
@@ -338,9 +324,11 @@ def cmd_solve(args) -> int:
     if args.mms:
         if args.config is not None or args.tol is not None:
             raise _Usage("solve --mms takes neither --config nor --tol")
-        sizes = MMS_SIZES
-        if args.mms_sizes:
-            sizes = tuple(int(s) for s in args.mms_sizes.split(","))
+        text = args.mms_sizes
+        try:
+            sizes = MMS_SIZES if text is None else tuple(map(int, text.split(",")))
+        except ValueError:
+            raise ValueError(f"--mms-sizes takes comma-separated integers, got {text!r}") from None
         if len(sizes) < 2 or any(s < 4 for s in sizes):
             raise ValueError(f"--mms-sizes needs >= 2 sizes >= 4, got {sizes}")
         table = manufactured_convergence(sizes)
@@ -416,15 +404,10 @@ def cmd_solve(args) -> int:
     trace = radial_trace(field, n_radii, allow_unconverged=True)
     fans = fans_from_trace(trace)
 
-    sym_applicable = _mirror_profiles(plus, minus)
-    sym_err = (
-        float(np.max(np.abs(field.values - field.values[:, ::-1])))
-        if sym_applicable
-        else None
-    )
-    scale = max(1.0, float(np.max(np.abs(field.values))))
-    symmetry = {"applicable": sym_applicable}
-    if sym_applicable:
+    symmetry = {"applicable": _mirror_profiles(plus, minus)}
+    if symmetry["applicable"]:
+        sym_err = float(np.max(np.abs(field.values - field.values[:, ::-1])))
+        scale = max(1.0, float(np.max(np.abs(field.values))))
         symmetry["max_asymmetry"] = sym_err
         symmetry["verdict"] = "PASS" if sym_err <= 1e-10 * scale else "FAIL"
 

@@ -32,6 +32,8 @@ POINTS_PER_DECADE = 64
 
 #: admitted relative overshoot of |value| past b before we call it a bug
 _VALUE_SLACK = 1e-9
+#: rounding slack of a sweep's step count, so a floor a whole number of steps down is on its grid
+_STEP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,14 @@ class SweepConfig:
 
     def grid(self) -> np.ndarray:
         p = self.points_per_decade
-        n_steps = math.floor(p * math.log10(self.eps_hi / self.eps_lo) + 1e-9)
+        n_steps = math.floor(p * math.log10(self.eps_hi / self.eps_lo) + _STEP_SLACK)
         k = np.arange(n_steps + 1)
         return self.eps_hi * 10.0 ** (-(k / p))
+
+    @property
+    def reach(self) -> float:
+        """A sweep from ``eps_hi`` to a floor at or below this reads past this grid."""
+        return self.eps_hi * 10.0 ** ((_STEP_SLACK - self.grid().size) / self.points_per_decade)
 
     @property
     def relative_spacing(self) -> float:
@@ -246,6 +253,8 @@ def _exact_estimates(
     single-segment walls by cos(gamma), and walls self-similar at
     LOG_PERIODIC_RATIO by the log-periodic closed form.
     """
+    if b <= 0.0:
+        raise ValueError(f"window factor must be positive, got {b}")
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
         return exact_A_example1(g1, g2, b)

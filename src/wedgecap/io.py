@@ -7,6 +7,7 @@ given input always produces byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,8 +23,6 @@ from .profiles import (
     make_piecewise,
 )
 from .solver import FanMeasurement, RadialTrace, SolutionField
-
-_GENERATOR_DEPTHS = {"example1": 8, "example2": 24}
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -82,9 +81,10 @@ def profile_from_dict(data: dict) -> ContactProfile:
     if gtype in ("example1", "example2"):
         g1 = _number(gen.get("gamma1"), "gamma1")
         g2 = _number(gen.get("gamma2"), "gamma2")
-        depth = gen.get("depth", _GENERATOR_DEPTHS[gtype])
+        # a depth left out is the generator's own default
+        kw = {"depth": gen["depth"]} if "depth" in gen else {}
         _require(
-            isinstance(depth, int) and not isinstance(depth, bool) and depth >= 1,
+            all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in kw.values()),
             "depth must be a positive int",
         )
         _require(
@@ -93,10 +93,10 @@ def profile_from_dict(data: dict) -> ContactProfile:
         )
         maker = example1_profile if gtype == "example1" else example2_profile
         try:
-            prof = maker(g1, g2, depth)
+            prof = maker(g1, g2, **kw)
         except ValueError as exc:
             raise ProfileFormatError(str(exc)) from exc
-        return prof if side == prof.side else _with_side(prof, side)
+        return dataclasses.replace(prof, side=side)
     raise ProfileFormatError(f"unknown generator type {gtype!r}")
 
 
@@ -105,17 +105,6 @@ def _number(x, what: str) -> float:
     if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
         return float(x)
     raise ProfileFormatError(f"{what} must be a finite number, got {x!r}")
-
-
-def _with_side(profile: ContactProfile, side: str) -> ContactProfile:
-    return ContactProfile(
-        side=side,
-        bounds=profile.bounds,
-        values=profile.values,
-        annotations=profile.annotations,
-        recurrent_values=profile.recurrent_values,
-        generator=profile.generator,
-    )
 
 
 def load_profile(path: str | Path) -> ContactProfile:

@@ -296,13 +296,13 @@ class _Discretization:
             self.wall_minus = _wall_integrals(spans, profile_minus, mesh.r_max, "-")
             self.wall_plus = _wall_integrals(spans, profile_plus, mesh.r_max, "+")
             self.arc_outer = self.arc_inner = np.zeros(mesh.n_theta + 1)
-            self.source = None
+            self.source = np.zeros(self.shape)
         else:
             self.wall_minus = self.wall_plus = _gauss2(case.wall_flux, self.b_in, self.b_out)
-            self.arc_outer = _arc_integrals(mesh, case.arc_flux_outer, mesh.r_max)
-            self.arc_inner = _arc_integrals(mesh, case.arc_flux_inner, mesh.r_min)
-            rr, tt = (np.broadcast_to(x, self.shape) for x in (self.r_col, self.t_row))
-            self.source = np.asarray(case.source(rr, tt), dtype=float) * self.area
+            # the flux along +r leaves through the outer arc and enters through the inner one
+            self.arc_outer = _arc_integrals(mesh, case.arc_flux, mesh.r_max)
+            self.arc_inner = -_arc_integrals(mesh, case.arc_flux, mesh.r_min)
+            self.source = case.source(self.r_col, self.t_row) * self.area
         # Jacobian footprint and colouring, fixed by the mesh: residual (i, j)
         # reads exactly the unknowns ridx[i] x tidx[j], two windows of 3
         # consecutive indices, so nodes of colour (i % 3, j % 3) never share a
@@ -368,8 +368,7 @@ class _Discretization:
 
         rhs = np.asarray(self.rhs_fn(self.r_col, self.t_row, f), dtype=float)
         out -= rhs * self.area
-        if self.source is not None:
-            out -= self.source
+        out -= self.source
         return out
 
     def rhs_at(self, f: np.ndarray) -> np.ndarray:
@@ -464,17 +463,14 @@ def _wall_integrals(
     return profile.integral_many(hi) - profile.integral_many(b_in)
 
 
-def _arc_integrals(mesh: SectorMesh, flux_at: Callable, radius: float) -> np.ndarray:
-    """Per-column integrals of the flux flux_at(radius)(theta) through one arc."""
-    fn = flux_at(radius)
+def _arc_integrals(mesh: SectorMesh, flux: Callable, radius: float) -> np.ndarray:
+    """Per-column integrals of the flux flux(radius, theta) through one arc."""
     t = mesh.thetas
     mids = 0.5 * (t[:-1] + t[1:])
     out = np.zeros(t.size)
     # each node owns the halves of its adjacent angular cells
-    left = _gauss2(lambda x: np.asarray(fn(x), dtype=float), t[:-1], mids) * radius
-    right = _gauss2(lambda x: np.asarray(fn(x), dtype=float), mids, t[1:]) * radius
-    out[:-1] += left
-    out[1:] += right
+    out[:-1] += _gauss2(lambda x: flux(radius, x), t[:-1], mids) * radius
+    out[1:] += _gauss2(lambda x: flux(radius, x), mids, t[1:]) * radius
     return out
 
 
@@ -486,7 +482,7 @@ def _check_balance(disc: _Discretization, lam_total: float):
         + disc.arc_outer.sum()
         + disc.arc_inner.sum()
     )
-    src = lam_total + (0.0 if disc.source is None else float(disc.source.sum()))
+    src = lam_total + float(disc.source.sum())
     mismatch = influx - src
     scale = 1.0 + abs(influx) + abs(src)
     if abs(mismatch) > _BALANCE_TOL * scale:
@@ -902,11 +898,9 @@ class ManufacturedCase:
         # outward slope flux on either wall; symmetric because cos is even
         return -r * math.sin(self.alpha) / self._w(r, self.alpha)
 
-    def arc_flux_outer(self, r_max: float):
-        return lambda theta: 2.0 * r_max * np.cos(theta) / self._w(r_max, theta)
-
-    def arc_flux_inner(self, r_min: float):
-        return lambda theta: -2.0 * r_min * np.cos(theta) / self._w(r_min, theta)
+    def arc_flux(self, r, theta):
+        # slope flux along +r through the arc of radius r
+        return 2.0 * r * np.cos(theta) / self._w(r, theta)
 
 
 def manufactured_case(alpha: float = 1.0, kappa: float = 1.0, lam: float = 0.3):

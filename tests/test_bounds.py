@@ -15,6 +15,7 @@ from wedgecap.bounds import (
     FanCase,
     LAMBDA_MARGIN,
     InfeasibleScanError,
+    _sweep_table,
     adhesion_from_profile,
     case_condition_map,
     condition_decreasing,
@@ -26,7 +27,14 @@ from wedgecap.bounds import (
     min_admissible_fan,
     required_functional_kind,
 )
-from wedgecap.functionals import METHOD_LOG_PERIODIC, METHOD_SWEEP, best_estimates
+from wedgecap.functionals import (
+    EPS_FLOOR,
+    METHOD_LOG_PERIODIC,
+    METHOD_SWEEP,
+    SweepConfig,
+    best_estimates,
+    sweep_table,
+)
 from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
     constant_profile,
@@ -513,6 +521,39 @@ def test_sweep_table_refuses_a_window_it_cannot_reach():
     A(np.array([math.sin(LAMBDA_MARGIN), 1.0]))
     with pytest.raises(ValueError, match="below the sweep table"):
         A(np.array([1e-5, 1.0]))
+
+
+IRREGULAR = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("eps_lo", [1e-8, 1e-10, 1e-16])
+@pytest.mark.parametrize("wall", [*DEEP_WALLS, IRREGULAR], ids=["plus", "minus", "irregular"])
+def test_sweep_table_is_the_window_one_sweep(wall, eps_lo):
+    """The table is functionals' sweep at b = 1, down to the scan's smallest
+    window at the floor, and refuses a window exactly from SweepConfig's reach."""
+    sweep = SweepConfig(wall.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
+    xs, g = sweep_table(wall, 1.0, sweep)
+    table = _sweep_table(wall, eps_lo)
+    assert np.array_equal(table.asc, xs[::-1])
+    assert np.array_equal(table.lower, np.minimum.accumulate(g)[::-1])
+    assert np.array_equal(table.upper, np.maximum.accumulate(g)[::-1])
+
+    # a window's sweep reads past the grid once b * eps_lo is at the reach
+    for factor, longer in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        window_sweep = SweepConfig.for_profile(wall, sweep.reach * factor / eps_lo, eps_lo=eps_lo)
+        assert (window_sweep.grid().size > xs.size) == longer
+
+    at = sweep.reach / eps_lo
+    while at * eps_lo > sweep.reach:
+        at = np.nextafter(at, 0.0)
+    above = np.nextafter(at, np.inf)
+    while above * eps_lo <= sweep.reach:
+        above = np.nextafter(above, np.inf)
+    for kind in "IS":
+        A = adhesion_from_profile(wall, kind, eps_lo=eps_lo)
+        assert np.isfinite(A(np.array([above, 1.0]))).all()
+        with pytest.raises(ValueError, match="below the sweep table"):
+            A(np.array([at, 1.0]))
 
 
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():

@@ -592,6 +592,14 @@ def test_solve_mms_study(tmp_path, capsys):
     assert run(["solve", "--mms", "--mms-sizes", "32,16"]) == 3
 
 
+@pytest.mark.parametrize("sizes", ["", "16,,32"])
+def test_solve_mms_empty_sizes_are_a_range_error(tmp_path, capsys, sizes):
+    out = tmp_path / "out"
+    assert main(["solve", "--mms", "--mms-sizes", sizes, "--out", str(out)]) == 3
+    assert "--mms-sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # blowup command
 

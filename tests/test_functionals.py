@@ -273,3 +273,19 @@ def test_best_estimates_routes():
     assert lo.method == METHOD_SWEEP
     assert lo.uncertainty > 0.0
     assert lo.kind == KIND_LOWER and hi.kind == KIND_UPPER
+
+
+@pytest.mark.parametrize("b", [0.0, -0.5])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        constant_profile("+", 1.3),
+        make_piecewise("+", [0.5, 1.0], [0.4, 2.2]),
+        example1_profile(0.4, 2.2),
+        example2_profile(0.4, 2.2),
+    ],
+    ids=["constant", "two-segment", "example1", "example2"],
+)
+def test_best_estimates_refuses_a_nonpositive_window_on_every_route(profile, b):
+    with pytest.raises(ValueError, match="window factor must be positive"):
+        best_estimates(profile, b)

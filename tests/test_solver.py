@@ -551,10 +551,9 @@ def test_manufactured_closed_forms_against_sympy():
             assert case.wall_flux(rv) == pytest.approx(
                 tfx * nu[0] + tfy * nu[1], abs=1e-12
             )
-        # arc flux: radial component of the normalized slope
+        # arc flux: radial component of the normalized slope, along +r
         radial = tfx * math.cos(tv) + tfy * math.sin(tv)
-        assert case.arc_flux_outer(rv)(tv) == pytest.approx(radial, abs=1e-12)
-        assert case.arc_flux_inner(rv)(tv) == pytest.approx(-radial, abs=1e-12)
+        assert case.arc_flux(rv, tv) == pytest.approx(radial, abs=1e-12)
 
 
 def test_manufactured_solve_small():
