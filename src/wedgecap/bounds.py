@@ -276,14 +276,6 @@ def holds_for_all_lambda(
     return v_best >= FEASIBLE_TOL, lam_best
 
 
-def _condition_for(kind: str):
-    if kind == INCREASING:
-        return condition_increasing
-    if kind == DECREASING:
-        return condition_decreasing
-    raise ValueError(f"unknown condition kind {kind!r}")
-
-
 def required_functional_kind(condition_kind: str) -> str:
     """Which adhesion flavour a condition consumes: lower for increasing."""
     return KIND_LOWER if condition_kind == INCREASING else KIND_UPPER
@@ -322,8 +314,9 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     """
     if not (0.0 < beta_step <= BETA_STEP):
         raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
-    conds = [_condition_for(kind) for _, kind in requests]
     for A, kind in requests:
+        if kind not in (INCREASING, DECREASING):
+            raise ValueError(f"unknown condition kind {kind!r}")
         want = required_functional_kind(kind)
         if A.kind != want:
             raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
@@ -331,7 +324,8 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     hi = math.pi - LAMBDA_MARGIN
     u = np.linspace(0.0, 1.0, LAMBDA_POINTS)
     lo = betas + LAMBDA_MARGIN
-    # lambda ascends along each row, so the row ends bound every grid angle
+    # lambda ascends along each row, so the row ends bound every grid angle,
+    # and every refinement probe, which lies between two grid angles
     _check_angles(betas[:, None], np.column_stack((lo, lo + (hi - lo) * u[-1])))
     # Coarse pass on every _COARSE_STRIDE-th lambda and the last: a row whose
     # coarse minimum is below the tolerance is infeasible, since the full grid
@@ -341,36 +335,31 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     coarse = np.append(np.arange(0, LAMBDA_POINTS - 1, _COARSE_STRIDE), LAMBDA_POINTS - 1)
     grid_min, _ = _grid_pass(requests, betas, u[coarse], _SCAN_ROWS * LAMBDA_POINTS // coarse.size)
     open_rows = np.flatnonzero(np.any(grid_min >= FEASIBLE_TOL, axis=0))
-    grid_min[:, open_rows], idx = _grid_pass(requests, betas[open_rows], u, _SCAN_ROWS)
-    # per request and beta row, the grid lambdas at idx - 1, idx, idx + 1
-    # (clipped), idx the row's grid minimizer; read on open rows only
-    near = np.empty((len(requests), 3, len(betas)))
-    lo_open = lo[open_rows]
-    cols = np.clip(idx[:, None] + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)
-    near[:, :, open_rows] = lo_open + (hi - lo_open) * u[cols]
+    grid_min[:, open_rows], where = _grid_pass(requests, betas[open_rows], u, _SCAN_ROWS)
 
     results = []
-    for (A, kind), cond, row_min, (left, worst, right) in zip(requests, conds, grid_min, near):
+    for (A, kind), row_min, at in zip(requests, grid_min, where):
         # refinement can only push the minimum lower, so rows already below the
-        # tolerance are infeasible without it; it runs as one call over all rows
-        cand = row_min >= FEASIBLE_TOL
-        feasible = np.zeros(len(betas), dtype=bool)
-        if np.any(cand):
-            bet = betas[cand]
-            lam_ref, val_ref = _golden_min(lambda lam: cond(A, bet, lam), left[cand], right[cand])
-            better = val_ref < row_min[cand]
-            worst[cand] = np.where(better, lam_ref, worst[cand])
-            feasible[cand] = np.minimum(val_ref, row_min[cand]) >= FEASIBLE_TOL
-        if not np.any(feasible):
-            raise InfeasibleScanError(
-                f"no admissible fan width below pi for the {kind} condition"
-            )
-        first = int(np.argmax(feasible))
+        # tolerance are infeasible without it.  The others, all open, are
+        # refined in one call, each between the grid neighbours of its grid
+        # minimizer
+        cand = row_min[open_rows] >= FEASIBLE_TOL
+        rows = open_rows[cand]
+        beta, grid_val = betas[rows], row_min[rows]
+        cols = np.clip(at[cand] + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)
+        left, worst, right = lo[rows] + (hi - lo[rows]) * u[cols]
+        lam_ref, val_ref = _golden_min(lambda lam: _condition(A, kind, *_ratios(beta, lam)), left, right)
+        worst = np.where(val_ref < grid_val, lam_ref, worst)
+        ok = np.minimum(val_ref, grid_val) >= FEASIBLE_TOL
+        if not np.any(ok):
+            raise InfeasibleScanError(f"no admissible fan width below pi for the {kind} condition")
+        first = int(np.argmax(ok))
         results.append(FanBoundResult(
-            beta_min=float(betas[first]),
+            beta_min=float(beta[first]),
             method="theorem2_scan",
             worst_lambda=float(worst[first]),
-            monotone_flag=bool(np.all(np.diff(feasible.astype(int)) >= 0)),
+            # monotone: every row from the first feasible one on is feasible
+            monotone_flag=bool(np.count_nonzero(ok) == len(betas) - rows[first]),
             beta_step=beta_step,
         ))
     return results

@@ -1,7 +1,8 @@
 """Direct solve of the Newton matrices by block elimination.
 
 The unknowns live on the row-major ni x nj node grid, and every residual
-reads a 3 x 3 window of it.  The grid is cut by nested dissection (George,
+reads a 3 x 3 window of it (``_stencil_windows``), which fixes the matrix
+pattern (``_grid_pattern``).  The grid is cut by nested dissection (George,
 SIAM J. Numer. Anal. 10, 1973) into a tree of rectangles, and the matrix is
 eliminated along that tree with dense fronts: the multifrontal method (Duff &
 Reid, ACM TOMS 9, 1983) on numpy's LAPACK.  ``Elimination`` plans the solve of
@@ -21,6 +22,21 @@ _LEAF_NODES = 16
 #: many doubles of front, or of one front, so that a solve's working storage
 #: stays small beside the fronts Y it keeps
 _BATCH_DOUBLES = 2**16
+
+
+def _stencil_windows(n: int) -> np.ndarray:
+    """The 3 consecutive grid lines that each of n lines' derivative stencils
+    read, one row per line: centred inside, one-sided at the two ends."""
+    return np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)
+
+
+def _grid_pattern(ni: int, nj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every entry of the ni x nj grid's 9-point matrix,
+    in (i, j, a, b) order: residual (i, j) reads the unknowns in the rows
+    ``_stencil_windows(ni)[i]`` x the columns ``_stencil_windows(nj)[j]``."""
+    rw, tw = _stencil_windows(ni), _stencil_windows(nj)
+    cols = rw[:, None, :, None] * nj + tw[None, :, None, :]
+    return np.arange(ni * nj).repeat(9), cols.ravel()
 
 
 def _dissection_tree(ni: int, nj: int) -> np.ndarray:
@@ -116,8 +132,8 @@ class Elimination:
     nested-dissection tree of the node grid: the multifrontal method (Duff &
     Reid 1983) with dense fronts.
 
-    The pattern is the Jacobian footprint, followed, when ``border``, by the
-    mean constraint's border column and row; the border unknown is the
+    The pattern is the grid's 9-point pattern, followed, when ``border``, by
+    the mean constraint's border column and row; the border unknown is the
     root's last.  Each subtree's domain is a rectangle of the grid, so its
     boundary is the one-node ring around it: no cut falls on the second or
     second-to-last grid line, so the one-sided end stencils, which reach two
@@ -127,10 +143,10 @@ class Elimination:
     keeps its maps as numpy's index type, which indexes fastest.
     """
 
-    def __init__(self, shape: tuple[int, int], footprint, border: bool):
-        ni, nj = shape
+    def __init__(self, shape: tuple[int, int], border: bool):
+        ni, nj = self.shape = shape
         n = ni * nj
-        self.footprint, self.border = footprint, border
+        self.border = border
         self.size = size = n + border
         tree = _dissection_tree(ni, nj)
         r0, r1, c0, c1 = tree[:, :4].T
@@ -218,7 +234,7 @@ class Elimination:
         def matrix_entries():
             # a matrix entry belongs to the front that eliminates the first of
             # its two unknowns (an ancestor always comes later)
-            rows, cols = self.footprint
+            rows, cols = _grid_pattern(ni, nj)
             front = np.minimum(owner[rows], owner[cols])
             r, c = locate(front, rows), locate(front, cols)
             if np.any(r < 0) or np.any(c < 0):
@@ -283,7 +299,7 @@ class Elimination:
     @property
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column of every matrix value, in storage order."""
-        rows, cols = self.footprint
+        rows, cols = _grid_pattern(*self.shape)
         if self.border:
             n = self.size - 1
             edge, last = np.arange(n), np.full(n, n)

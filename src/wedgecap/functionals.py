@@ -106,8 +106,15 @@ class AdhesionEstimate:
             raise ValueError("uncertainty must be zero iff the method is exact")
 
 
+def _check_window(b: float) -> None:
+    """Refuse a window factor that is not a positive number (NaN included)."""
+    if not b > 0.0:
+        raise ValueError(f"window factor must be positive, got {b}")
+
+
 def _sweep(profile, b, sweep):
     """The sweep's eps grid, its averaged values and the config used."""
+    _check_window(b)
     if sweep is None:
         sweep = SweepConfig.for_profile(profile, b)
     if sweep.eps_hi > profile.s_max / b * (1.0 + 1e-12):
@@ -201,8 +208,7 @@ def exact_A_log_periodic(
     period is piecewise of the form c1 + c2/eps, monotone between breakpoints,
     so its extrema sit at segment endpoints and are evaluated exactly.
     """
-    if b <= 0.0:
-        raise ValueError(f"window factor must be positive, got {b}")
+    _check_window(b)
     verify_log_periodic(profile, ratio)
     s0 = profile.s_max
     lo = s0 / ratio
@@ -236,8 +242,7 @@ def exact_A_example1(
     for name, g in (("g1", g1), ("g2", g2)):
         if not (0.0 <= g <= math.pi):
             raise ValueError(f"{name} must lie in [0, pi], got {g}")
-    if b <= 0.0:
-        raise ValueError(f"window factor must be positive, got {b}")
+    _check_window(b)
     return (
         AdhesionEstimate(b, KIND_LOWER, b * math.cos(max(g1, g2)), METHOD_SEQUENCE, 0.0),
         AdhesionEstimate(b, KIND_UPPER, b * math.cos(min(g1, g2)), METHOD_SEQUENCE, 0.0),
@@ -253,8 +258,7 @@ def _exact_estimates(
     single-segment walls by cos(gamma), and walls self-similar at
     LOG_PERIODIC_RATIO by the log-periodic closed form.
     """
-    if b <= 0.0:
-        raise ValueError(f"window factor must be positive, got {b}")
+    _check_window(b)
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
         return exact_A_example1(g1, g2, b)

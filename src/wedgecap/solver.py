@@ -191,13 +191,13 @@ def _deriv_stencils(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Interior nodes get the nonuniform central stencil, the two ends get
     one-sided ones; all are exact for quadratics.
     """
+    # imported here for the reason ``_Discretization.jacobian`` gives
+    from .elimination import _stencil_windows
+
     n = xs.size
     if n < 3:
         raise ValueError("derivative stencils need at least 3 nodes")
-    idx = np.empty((n, 3), dtype=int)
-    idx[:, 0] = np.clip(np.arange(n) - 1, 0, n - 3)
-    idx[:, 1] = idx[:, 0] + 1
-    idx[:, 2] = idx[:, 0] + 2
+    idx = _stencil_windows(n)
     a, b, c = xs[idx[:, 0]], xs[idx[:, 1]], xs[idx[:, 2]]
     p = xs
     w = np.empty((n, 3))
@@ -272,7 +272,6 @@ class _Discretization:
         dth = mesh.dtheta
         w = np.full(mesh.n_theta + 1, dth)
         w[0] = w[-1] = 0.5 * dth
-        self.w_th = w
         self.dth = dth
         # nodal derivative stencils
         self.ridx, self.rw = _deriv_stencils(r)
@@ -303,16 +302,6 @@ class _Discretization:
             self.arc_outer = _arc_integrals(mesh, case.arc_flux, mesh.r_max)
             self.arc_inner = -_arc_integrals(mesh, case.arc_flux, mesh.r_min)
             self.source = case.source(self.r_col, self.t_row) * self.area
-        # Jacobian footprint and colouring, fixed by the mesh: residual (i, j)
-        # reads exactly the unknowns ridx[i] x tidx[j], two windows of 3
-        # consecutive indices, so nodes of colour (i % 3, j % 3) never share a
-        # residual and one evaluation perturbs them all
-        nj = self.shape[1]
-        ii, jj = np.indices(self.shape)
-        self.color = (ii % 3) * 3 + jj % 3
-        cols = self.ridx[:, None, :, None] * nj + self.tidx[None, :, None, :]
-        rows = np.broadcast_to((ii * nj + jj)[:, :, None, None], cols.shape)
-        self.footprint = rows.ravel(), cols.ravel()
         self._plans: dict[bool, Elimination] = {}
 
     @property
@@ -381,20 +370,26 @@ class _Discretization:
     ) -> NewtonMatrix:
         """Forward-difference Jacobian assembled colour by colour.
 
-        Its pattern is the product of the radial and angular derivative
-        stencils, 9 entries per row, stored in footprint order; one residual
-        evaluation per colour (of 9) perturbs every node of that colour.  A
-        ``border`` (the pinned mean's weights) becomes the last column and
-        row.
+        Residual (i, j) reads exactly the nodes ridx[i] x tidx[j], two
+        windows of 3 consecutive indices, so it reads one node (p, q) of
+        each colour (p % 3, q % 3).  One residual evaluation per colour (of
+        9) perturbs every node of that colour, and gives the value of each
+        residual (i, j) by its node (p, q) of that colour: the difference at
+        (i, j) over the step at (p, q).  The values follow the grid's 9-point
+        pattern (``elimination._grid_pattern``).  A ``border`` (the pinned
+        mean's weights) becomes the last column and row.
         """
-        n = f.size
         step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
-        diffs = np.empty((9, n))
-        for c in range(9):
-            fp = f + np.where(self.color == c, step, 0.0)
-            diffs[c] = (self.residual(fp) - base).ravel()
-        rows, cols = self.footprint
-        vals = diffs[self.color.ravel()[cols], rows] / step.ravel()[cols]
+        vals = np.empty(self.shape + (3, 3))
+        i, j = np.indices(self.shape, sparse=True)
+        r0, t0 = self.ridx[:, 0], self.tidx[:, 0]
+        for cr, ct in np.ndindex(3, 3):  # colour (cr, ct): the nodes f[cr::3, ct::3]
+            bump = np.zeros(self.shape)
+            bump[cr::3, ct::3] = step[cr::3, ct::3]
+            # residual (i, j) reads this colour's node at window entry (a[i], b[j])
+            a, b = (cr - r0) % 3, (ct - t0) % 3
+            vals[i, j, a[:, None], b] = (self.residual(f + bump) - base) / step[r0 + a][:, t0 + b]
+        vals = vals.ravel()
         if border is not None:
             vals = np.concatenate([vals, border, border])
         # imported here, so that only a solve compiles it: every CLI call
@@ -403,7 +398,7 @@ class _Discretization:
 
         pinned = border is not None
         if pinned not in self._plans:  # the mesh's linear-solve plan, built once
-            self._plans[pinned] = Elimination(self.shape, self.footprint, pinned)
+            self._plans[pinned] = Elimination(self.shape, pinned)
         return NewtonMatrix(self._plans[pinned], vals)
 
 

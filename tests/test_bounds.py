@@ -23,6 +23,7 @@ from wedgecap.bounds import (
     corollary1_bound,
     default_lambda_grid,
     effective_angle,
+    fan_bound_rows,
     holds_for_all_lambda,
     min_admissible_fan,
     required_functional_kind,
@@ -285,6 +286,34 @@ def test_scan_kind_mismatch():
         min_admissible_fan([(A_ZERO_I, DECREASING)])
     with pytest.raises(ValueError):
         min_admissible_fan([(A_ZERO_I, INCREASING)], beta_step=0.5)
+
+
+def test_scan_refuses_an_unknown_condition_kind():
+    with pytest.raises(ValueError, match="unknown condition kind 'sideways'"):
+        min_admissible_fan([(A_ZERO_I, "sideways")])
+
+
+def test_every_scan_probe_lies_in_the_checked_angles(monkeypatch):
+    """The scan checks 0 <= beta < lambda < pi once, on the grid's row ends.
+    Every grid and refinement probe, feasible or not, lies inside that span."""
+    import wedgecap.bounds
+
+    ratios = wedgecap.bounds._ratios
+    probes = []
+
+    def checked(beta, lam):
+        beta, lam = np.broadcast_arrays(beta, lam)
+        assert np.all((0.0 <= beta) & (beta < lam) & (lam < math.pi))
+        probes.append(lam.size)
+        return ratios(beta, lam)
+
+    monkeypatch.setattr(wedgecap.bounds, "_ratios", checked)
+    for plus, minus in (("constant", "example2"), ("sweep", "constant")):
+        walls = {"+": SCAN_WALLS[plus], "-": SCAN_WALLS[minus]}
+        assert len(fan_bound_rows(walls, list(FanCase))) == 8
+    with pytest.raises(InfeasibleScanError):
+        min_admissible_fan([(AdhesionFunction.constant_angle(math.pi, "I"), INCREASING)])
+    assert sum(probes) > 0
 
 
 def test_scan_monotone_in_functional():

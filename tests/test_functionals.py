@@ -289,3 +289,24 @@ def test_best_estimates_routes():
 def test_best_estimates_refuses_a_nonpositive_window_on_every_route(profile, b):
     with pytest.raises(ValueError, match="window factor must be positive"):
         best_estimates(profile, b)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda b: estimate_AI(make_piecewise("+", [0.5, 1.0], [0.4, 2.2]), b),
+        lambda b: estimate_AS(make_piecewise("+", [0.5, 1.0], [0.4, 2.2]), b),
+        lambda b: sweep_table(make_piecewise("+", [0.5, 1.0], [0.4, 2.2]), b),
+        lambda b: best_estimates(constant_profile("+", 1.3), b),
+        lambda b: exact_A_log_periodic(example2_profile(0.4, 2.2), b, 4.0),
+        lambda b: exact_A_example1(0.4, 2.2, b),
+    ],
+    ids=["estimate_AI", "estimate_AS", "sweep_table", "best_estimates",
+         "exact_A_log_periodic", "exact_A_example1"],
+)
+def test_every_entry_point_refuses_a_window_that_is_not_positive(entry, b):
+    """b = 0 and b < 0 hold no window, and NaN is no number: each is refused
+    with one message, not divided by or carried into NaN estimates."""
+    with pytest.raises(ValueError, match="window factor must be positive"):
+        entry(b)

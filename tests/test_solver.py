@@ -264,7 +264,7 @@ def test_dissection_order_fills_less_than_colamd():
     disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
     f0 = np.full(disc.shape, -2.0)
     jac = disc.jacobian(f0, disc.residual(f0))
-    csc = sp.csc_matrix((jac.data, disc.footprint), shape=(f0.size, f0.size))
+    csc = sp.csc_matrix((jac.data, jac.plan.pattern), shape=(f0.size, f0.size))
     p = elimination._dissection_order(*disc.shape)
     colamd = spla.splu(csc)
     dissected = spla.splu(csc[p][:, p], permc_spec="NATURAL")
@@ -313,7 +313,7 @@ def test_batch_bound_cannot_change_a_solve(monkeypatch, problem):
         flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
         kappa, lam = 0.0, flux / (GEO.alpha * (r_max**2 - r_min**2))
     disc = _Discretization(mesh, lambda r, t, z: z, *walls)
-    plan = elimination.Elimination(disc.shape, disc.footprint, problem == "pinned")
+    plan = elimination.Elimination(disc.shape, problem == "pinned")
     assert max(len(st.batches) for st in plan.stacks) > 1
 
     fields = []
@@ -334,9 +334,9 @@ def test_elimination_working_storage(border, plan_mb, solve_mb):
     """tracemalloc peaks at 128^2, the benchmark's mesh, of the plan build and
     of one solve of a Newton matrix.  The plan is built from int32
     temporaries that die early, and big stacks are eliminated in batches.
-    The budgets lie between the peaks so measured (7.4 / 8.1 and 7.2 / 7.6
-    MB) and those of int64 temporaries and whole-stack blocks (16.8 / 18.7
-    and 13.2 / 14.6 MB)."""
+    The budgets lie between the peaks so measured (7.6 / 7.7 MB, with the
+    matrix pattern the plan builds, and 7.2 / 7.6 MB) and those of int64
+    temporaries and whole-stack blocks (16.8 / 18.7 and 13.2 / 14.6 MB)."""
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 128, 128)
     disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
     f = np.full(disc.shape, -2.0)
@@ -349,7 +349,7 @@ def test_elimination_working_storage(border, plan_mb, solve_mb):
     jac = disc.jacobian(f, res, weights)
     tracemalloc.start()
     try:
-        elimination.Elimination(disc.shape, disc.footprint, border)
+        elimination.Elimination(disc.shape, border)
         plan_peak = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.reset_peak()
         x = jac.plan.solve(jac.data, rhs)
@@ -362,18 +362,23 @@ def test_elimination_working_storage(border, plan_mb, solve_mb):
 
 
 @pytest.mark.parametrize("border", [False, True])
-def test_plan_rejects_an_entry_outside_its_front(border):
+def test_plan_rejects_an_entry_outside_its_front(monkeypatch, border):
     """A coupling between opposite grid corners lies in no front: the front
     that eliminates one corner has the other neither as its own nor on its
     boundary, whichever of the two is the row."""
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 24, 12)
     disc = _Discretization(mesh, lambda r, t, z: z, *example2_walls())
-    rows, cols = disc.footprint
+    pattern_of = elimination._grid_pattern
     corners = 0, disc.shape[0] * disc.shape[1] - 1
     for r, c in (corners, corners[::-1]):
-        footprint = np.append(rows, r), np.append(cols, c)
+
+        def with_corner(ni, nj, r=r, c=c):
+            rows, cols = pattern_of(ni, nj)
+            return np.append(rows, r), np.append(cols, c)
+
+        monkeypatch.setattr(elimination, "_grid_pattern", with_corner)
         with pytest.raises(AssertionError, match="matrix entry outside its front"):
-            elimination.Elimination(disc.shape, footprint, border)
+            elimination.Elimination(disc.shape, border)
 
 
 @pytest.mark.parametrize("border", [False, True])
@@ -393,7 +398,26 @@ def test_plan_rejects_a_parent_without_the_childs_boundary(monkeypatch, border):
 
     monkeypatch.setattr(elimination, "_dissection_tree", rehung)
     with pytest.raises(AssertionError, match="Schur complement entry outside the parent front"):
-        elimination.Elimination(disc.shape, disc.footprint, border)
+        elimination.Elimination(disc.shape, border)
+
+
+def test_discretization_holds_no_matrix_pattern():
+    """A 128^2 discretization holds its geometry factors (0.29 MB measured),
+    not the Newton matrix's pattern and colouring (2.8 MB with them): the
+    plan derives the pattern from the grid shape, and the Jacobian reads its
+    values colour by colour from the stencil windows."""
+    walls = example2_walls()
+    # a small build first, so that the modules it imports are not counted
+    _Discretization(build_sector_mesh(GEO, 0.05, 1.0, 4, 4), lambda r, t, z: z, *walls)
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 128, 128)
+    tracemalloc.start()
+    try:
+        disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *walls)
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert disc.shape == (129, 129)
+    assert held < 1.0
 
 
 @pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4), (24, 12)])
