@@ -7,153 +7,62 @@ effective-angle bounds (:mod:`wedgecap.bounds`), the blow-up comparison
 geometry (:mod:`wedgecap.blowup`), and a finite-volume solver with radial
 limit extraction (:mod:`wedgecap.solver`).  :mod:`wedgecap.cli` exposes all
 of it as the ``wedgecap`` command.
+
+``import wedgecap`` loads none of these layers: each exported name imports
+its home module when it is first used (PEP 562).
 """
 
-from .blowup import (
-    RescaleSpec,
-    TriangleComparison,
-    bc_length,
-    contradiction_witness,
-    limit_difference_table,
-    phi_difference,
-    phi_limit_difference,
-    psi_difference,
-    psi_limit_difference,
-    rescale_solution,
-    sine_rule_bc,
-    triangle_omega,
-)
-from .bounds import (
-    AdhesionFunction,
-    FanBoundResult,
-    FanCase,
-    InfeasibleScanError,
-    adhesion_from_profile,
-    case_condition_map,
-    condition_decreasing,
-    condition_increasing,
-    corollary1_bound,
-    default_lambda_grid,
-    effective_angle,
-    holds_for_all_lambda,
-    min_admissible_fan,
-    required_functional_kind,
-)
-from .functionals import (
-    AdhesionEstimate,
-    SweepConfig,
-    best_estimates,
-    estimate_AI,
-    estimate_AS,
-    exact_A_example1,
-    exact_A_log_periodic,
-    sweep_table,
-    verify_log_periodic,
-)
-from .io import load_profile, profile_from_dict
-from .profiles import (
-    ContactProfile,
-    GammaBoundsHypothesis,
-    ProfileFormatError,
-    WedgeGeometry,
-    averaged_cos,
-    averaged_cos_many,
-    constant_profile,
-    cos_integral,
-    essential_range,
-    example1_profile,
-    example2_profile,
-    hypothesis_from_profiles,
-    make_piecewise,
-    theorem1_applicability,
-)
-from .solver import (
-    FanMeasurement,
-    ManufacturedCase,
-    RadialTrace,
-    SectorMesh,
-    SolutionField,
-    SolverConfig,
-    build_sector_mesh,
-    fans_from_trace,
-    manufactured_case,
-    manufactured_convergence,
-    manufactured_solve,
-    measure_fans,
-    radial_trace,
-    solve_capillary,
-    solve_pmc,
-    torus_minor_radius,
-)
+import importlib
 
-__all__ = [
-    "AdhesionEstimate",
-    "AdhesionFunction",
-    "ContactProfile",
-    "FanBoundResult",
-    "FanCase",
-    "FanMeasurement",
-    "GammaBoundsHypothesis",
-    "InfeasibleScanError",
-    "ManufacturedCase",
-    "ProfileFormatError",
-    "RadialTrace",
-    "RescaleSpec",
-    "SectorMesh",
-    "SolutionField",
-    "SolverConfig",
-    "SweepConfig",
-    "TriangleComparison",
-    "WedgeGeometry",
-    "adhesion_from_profile",
-    "averaged_cos",
-    "averaged_cos_many",
-    "bc_length",
-    "best_estimates",
-    "build_sector_mesh",
-    "case_condition_map",
-    "condition_decreasing",
-    "condition_increasing",
-    "constant_profile",
-    "contradiction_witness",
-    "corollary1_bound",
-    "cos_integral",
-    "default_lambda_grid",
-    "effective_angle",
-    "essential_range",
-    "estimate_AI",
-    "estimate_AS",
-    "exact_A_example1",
-    "exact_A_log_periodic",
-    "example1_profile",
-    "example2_profile",
-    "fans_from_trace",
-    "holds_for_all_lambda",
-    "hypothesis_from_profiles",
-    "limit_difference_table",
-    "load_profile",
-    "make_piecewise",
-    "manufactured_case",
-    "manufactured_convergence",
-    "manufactured_solve",
-    "measure_fans",
-    "min_admissible_fan",
-    "phi_difference",
-    "phi_limit_difference",
-    "profile_from_dict",
-    "psi_difference",
-    "psi_limit_difference",
-    "radial_trace",
-    "required_functional_kind",
-    "rescale_solution",
-    "sine_rule_bc",
-    "solve_capillary",
-    "solve_pmc",
-    "sweep_table",
-    "theorem1_applicability",
-    "torus_minor_radius",
-    "triangle_omega",
-    "verify_log_periodic",
-]
+#: every exported name, by the module that defines it
+_EXPORTS = {
+    "blowup": (
+        "RescaleSpec", "TriangleComparison", "bc_length", "contradiction_witness",
+        "limit_difference_table", "phi_difference", "phi_limit_difference",
+        "psi_difference", "psi_limit_difference", "rescale_solution", "sine_rule_bc",
+        "triangle_omega",
+    ),
+    "bounds": (
+        "AdhesionFunction", "FanBoundResult", "FanCase", "InfeasibleScanError",
+        "adhesion_from_profile", "case_condition_map", "condition_decreasing",
+        "condition_increasing", "corollary1_bound", "default_lambda_grid",
+        "effective_angle", "holds_for_all_lambda", "min_admissible_fan",
+        "required_functional_kind",
+    ),
+    "functionals": (
+        "AdhesionEstimate", "SweepConfig", "best_estimates", "estimate_AI",
+        "estimate_AS", "exact_A_example1", "exact_A_log_periodic", "sweep_table",
+        "verify_log_periodic",
+    ),
+    "io": ("load_profile", "profile_from_dict"),
+    "profiles": (
+        "ContactProfile", "GammaBoundsHypothesis", "ProfileFormatError",
+        "WedgeGeometry", "averaged_cos", "averaged_cos_many", "constant_profile",
+        "cos_integral", "essential_range", "example1_profile", "example2_profile",
+        "hypothesis_from_profiles", "make_piecewise", "theorem1_applicability",
+    ),
+    "solver": (
+        "FanMeasurement", "ManufacturedCase", "RadialTrace", "SectorMesh",
+        "SolutionField", "SolverConfig", "build_sector_mesh", "fans_from_trace",
+        "manufactured_case", "manufactured_convergence", "manufactured_solve",
+        "measure_fans", "radial_trace", "solve_capillary", "solve_pmc",
+        "torus_minor_radius",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -277,8 +277,13 @@ def holds_for_all_lambda(
 
 
 def required_functional_kind(condition_kind: str) -> str:
-    """Which adhesion flavour a condition consumes: lower for increasing."""
-    return KIND_LOWER if condition_kind == INCREASING else KIND_UPPER
+    """Which adhesion flavour a condition consumes: lower for increasing,
+    upper for decreasing; ValueError for any other kind."""
+    if condition_kind == INCREASING:
+        return KIND_LOWER
+    if condition_kind == DECREASING:
+        return KIND_UPPER
+    raise ValueError(f"unknown condition kind {condition_kind!r}")
 
 
 def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
@@ -315,8 +320,6 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     if not (0.0 < beta_step <= BETA_STEP):
         raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
     for A, kind in requests:
-        if kind not in (INCREASING, DECREASING):
-            raise ValueError(f"unknown condition kind {kind!r}")
         want = required_functional_kind(kind)
         if A.kind != want:
             raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")

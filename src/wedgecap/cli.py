@@ -22,43 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io as wio
-from .bounds import (
-    BETA_STEP,
-    LAMBDA_POINTS,
-    AdhesionFunction,
-    FanCase,
-    InfeasibleScanError,
-    adhesion_from_profile,
-    case_condition_map,
-    default_lambda_grid,
-    fan_bound_rows,
-    required_functional_kind,
-)
-from .blowup import contradiction_witness, limit_difference_table
-from .functionals import (
-    EPS_FLOOR,
-    POINTS_PER_DECADE,
-    SweepConfig,
-    best_estimates,
-    sweep_table,
-)
-from .profiles import (
-    ProfileFormatError,
-    WedgeGeometry,
-    example1_profile,
-    example2_profile,
-)
-from .solver import (
-    MMS_SIZES,
-    SolverConfig,
-    build_sector_mesh,
-    fans_from_trace,
-    manufactured_convergence,
-    radial_trace,
-    solve_capillary,
-    solve_pmc,
-)
+# Only what the parser and main need is imported here; each command imports
+# the layers it calls, so a short call runs no module it does not use.
+from .functionals import EPS_FLOOR, POINTS_PER_DECADE
+from .profiles import ProfileFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,7 +35,8 @@ EXIT_INFEASIBLE = 4
 EXIT_VERIFY = 5
 EXIT_SOLVER = 6
 
-_CASE_ORDER = (FanCase.I, FanCase.D, FanCase.ID, FanCase.DI)
+#: mesh sizes of the manufactured-solution study unless --mms-sizes picks others
+MMS_SIZES = (16, 32, 64)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +83,9 @@ def _check_eps_floor(eps_floor: float, s_max: float) -> None:
 
 
 def cmd_profile(args) -> int:
+    from . import io as wio
+    from .functionals import SweepConfig, best_estimates, sweep_table
+
     profile = wio.load_profile(args.file)
     _check_eps_floor(args.eps_floor, profile.s_max)
     out = Path(args.out)
@@ -160,10 +131,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import io as wio
+    from .bounds import BETA_STEP, FanCase, fan_bound_rows
+
     profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
     _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
     beta_step = _angle(args.beta_step, args.degrees, BETA_STEP)
-    cases = _CASE_ORDER if args.case == "all" else (FanCase(args.case),)
+    cases = tuple(FanCase) if args.case == "all" else (FanCase(args.case),)
     rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
     out = Path(args.out)
     csv_path = wio.write_bounds_csv(out / "bounds.csv", rows)
@@ -190,6 +164,9 @@ def cmd_bounds(args) -> int:
 
 def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, float, float]]:
     """(label, achieved, allowed) per identity; PASS iff achieved <= allowed."""
+    from .functionals import SweepConfig, best_estimates, sweep_table
+    from .profiles import example1_profile, example2_profile
+
     bs = (0.25, 0.5, 0.75)
     want_ex1 = {b: (b * math.cos(max(g1, g2)), b * math.cos(min(g1, g2))) for b in bs}
     c1, c2 = math.cos(g1), math.cos(g2)
@@ -268,6 +245,8 @@ def _load_solve_config(args):
 
 
 def _config_profile(entry, base: Path, side: str):
+    from . import io as wio
+
     key = "plus" if side == "+" else "minus"
     if entry is None:
         raise ProfileFormatError(
@@ -299,6 +278,8 @@ _SOLVE_KEYS = frozenset(
 
 def _config_number(data: dict, key: str, default, integer: bool = False):
     """A solve-config number; counts must be JSON ints, as profile depths are."""
+    from . import io as wio
+
     value, what = data.get(key, default), f"solve config key {key!r}"
     if integer and (not isinstance(value, int) or isinstance(value, bool)):
         raise ProfileFormatError(f"{what} must be an int, got {value!r}")
@@ -331,6 +312,9 @@ def cmd_solve(args) -> int:
             raise ValueError(f"--mms-sizes takes comma-separated integers, got {text!r}") from None
         if len(sizes) < 2 or any(s < 4 for s in sizes):
             raise ValueError(f"--mms-sizes needs >= 2 sizes >= 4, got {sizes}")
+        from . import io as wio
+        from .solver import manufactured_convergence
+
         table = manufactured_convergence(sizes)
         rows = []
         for i, (size, err) in enumerate(zip(table["sizes"], table["errors"])):
@@ -349,6 +333,17 @@ def cmd_solve(args) -> int:
     if args.mms_sizes is not None:
         raise _Usage("--mms-sizes needs --mms")
     data, base = _load_solve_config(args)
+    from . import io as wio
+    from .profiles import WedgeGeometry
+    from .solver import (
+        SolverConfig,
+        build_sector_mesh,
+        fans_from_trace,
+        radial_trace,
+        solve_capillary,
+        solve_pmc,
+    )
+
     for key in ("alpha", "plus", "minus"):
         if key not in data:
             raise ProfileFormatError(f"solve config is missing key {key!r}")
@@ -465,12 +460,25 @@ def cmd_solve(args) -> int:
 def cmd_blowup(args) -> int:
     if args.profile is None and args.eps_floor is not None:
         raise _Usage("--eps-floor needs --profile")
+    from . import io as wio
+    from .blowup import contradiction_witness, limit_difference_table
+    from .bounds import (
+        LAMBDA_POINTS,
+        AdhesionFunction,
+        FanCase,
+        adhesion_from_profile,
+        case_condition_map,
+        default_lambda_grid,
+        required_functional_kind,
+    )
+
     case = FanCase(args.case)
     beta = _angle(args.beta, args.degrees, 0.0)
     if not (0.0 <= beta < math.pi):
         raise ValueError(f"--beta must lie in [0, pi), got {beta}")
-    if args.points < 8:
-        raise ValueError(f"--points must be >= 8, got {args.points}")
+    points = LAMBDA_POINTS if args.points is None else args.points
+    if points < 8:
+        raise ValueError(f"--points must be >= 8, got {points}")
     cond_kind = dict(case_condition_map(case))[args.side]
     kind = required_functional_kind(cond_kind)
     if args.gamma0 is not None:
@@ -484,7 +492,7 @@ def cmd_blowup(args) -> int:
         A = adhesion_from_profile(profile, kind, eps_lo=eps_floor)
         source = {"profile": wio.profile_summary(profile)}
 
-    grid = default_lambda_grid(beta, n=args.points)
+    grid = default_lambda_grid(beta, n=points)
     table = limit_difference_table(A, case, args.side, beta, grid)
     witness = contradiction_witness(A, case, args.side, beta, grid)
 
@@ -495,7 +503,7 @@ def cmd_blowup(args) -> int:
         "side": args.side,
         "case": case.value,
         "beta": beta,
-        "points": args.points,
+        "points": points,
         "source": source,
         "verdict": "consistent" if witness is None else "contradiction",
     }
@@ -575,7 +583,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma0", type=float, default=None)
     group.add_argument("--profile", default=None)
-    p.add_argument("--points", type=int, default=LAMBDA_POINTS)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument(
         "--eps-floor", type=float, default=None,
         help=f"with --profile (default {EPS_FLOOR})",
@@ -596,15 +604,14 @@ def main(argv=None) -> int:
     except ProfileFormatError as exc:
         print(f"wedgecap: profile error: {exc}", file=sys.stderr)
         return EXIT_PROFILE
-    except InfeasibleScanError as exc:
-        print(f"wedgecap: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"wedgecap: range error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     except RuntimeError as exc:
+        from .bounds import InfeasibleScanError
+
         print(f"wedgecap: {exc}", file=sys.stderr)
-        return EXIT_RANGE
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleScanError) else EXIT_RANGE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .profiles import (
     example2_profile,
     make_piecewise,
 )
-from .solver import FanMeasurement, RadialTrace, SolutionField
+
+if TYPE_CHECKING:
+    from .solver import FanMeasurement, RadialTrace, SolutionField
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -925,11 +925,7 @@ def manufactured_solve(
     return field, err
 
 
-#: mesh sizes of the manufactured-solution study unless the caller picks others
-MMS_SIZES = (16, 32, 64)
-
-
-def manufactured_convergence(sizes: tuple[int, ...] = MMS_SIZES) -> dict:
+def manufactured_convergence(sizes: tuple[int, ...]) -> dict:
     """Max-norm errors of the default manufactured case on s x s meshes, and
     the observed order per refinement; each size must refine the one before."""
     if any(a >= b for a, b in zip(sizes, sizes[1:])):

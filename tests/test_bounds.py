@@ -408,6 +408,11 @@ def test_required_functional_kind():
     assert required_functional_kind(DECREASING) == "S"
 
 
+def test_required_functional_kind_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown condition kind 'sideways'"):
+        required_functional_kind("sideways")
+
+
 # ---------------------------------------------------------------------------
 # adhesion evaluators
 

@@ -529,7 +529,7 @@ def test_solve_n_radii_checked_before_the_solve(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran before n_radii was checked")
 
-    monkeypatch.setattr("wedgecap.cli.solve_capillary", no_solve)
+    monkeypatch.setattr("wedgecap.solver.solve_capillary", no_solve)
     for n_radii in (1, 9):
         cfg = solve_config(tmp_path, m=8, n_theta=8, n_radii=n_radii)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 3
@@ -662,7 +662,8 @@ def test_blowup_range_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# import floor: wedgecap runs on numpy, without SciPy
+# import floor: wedgecap runs on numpy, without SciPy, and a call loads only
+# the wedgecap modules it runs
 
 
 @pytest.mark.parametrize("module", ["wedgecap", "wedgecap.cli"])
@@ -738,6 +739,57 @@ def test_multi_segment_walls_load_no_numpy_ma(tmp_path, command):
     assert run_in_child(argv, "'numpy.ma' in sys.modules") == "0 False"
 
 
+#: the wedgecap modules a child has loaded, comma-separated, without "wedgecap."
+LOADED = "','.join(sorted(m[9:] for m in sys.modules if m.startswith('wedgecap.')))"
+
+#: the wedgecap modules a call may load beyond cli, functionals and profiles,
+#: and its exit code
+IMPORT_BUDGET = {
+    "verify-examples": ((), 0),
+    "solve without --config": ((), 1),
+    "profile": (("io",), 0),
+    "bad profile": (("io",), 2),
+    "bounds": (("io", "bounds"), 0),
+    "blowup --gamma0": (("io", "bounds", "blowup"), 0),
+    "solve --config": (("io", "solver", "elimination"), 0),
+}
+
+
+@pytest.mark.parametrize("call", IMPORT_BUDGET)
+def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
+    plus, minus = constant_wall(tmp_path, "+", 1.0), constant_wall(tmp_path, "-", 2.0)
+    out = ["--out", tmp_path / "out"]
+    argv = {
+        "verify-examples": lambda: ["verify-examples", *out],
+        "solve without --config": lambda: ["solve", *out],
+        "profile": lambda: ["profile", plus, *out],
+        "bad profile": lambda: ["profile", write_json(tmp_path / "bad.json", {"side": "x"}), *out],
+        "bounds": lambda: ["bounds", "--plus", plus, "--minus", minus, "--case", "I", *out],
+        "blowup --gamma0": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--gamma0", "1.0", *out],
+        "solve --config": lambda: small_solve_argv(tmp_path),
+    }[call]()
+    allowed, code = IMPORT_BUDGET[call]
+    loaded = ",".join(sorted({"cli", "functionals", "profiles", *allowed}))
+    assert run_in_child(argv, LOADED) == f"{code} {loaded}"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("wedgecap", ""),
+    ("wedgecap.cli", "cli,functionals,profiles"),
+])
+def test_import_loads_only_what_it_names(module, loaded):
+    src = Path(wedgecap.__file__).parents[1]
+    code = f"import sys, {module}; print({LOADED})"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == loaded
+
+
 def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
     """Tracing replaces ``solver.spla``; every linear solve must go through it."""
     calls = []
@@ -767,6 +819,48 @@ def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
         assert field.converged and field.newton_iterations >= 1
         assert ("nullspace" in field.diagnostics) == (kappa == 0.0)
         assert calls == ["spsolve"] * field.newton_iterations
+
+
+# ---------------------------------------------------------------------------
+# package surface: each exported name is loaded from its home module on use
+
+PACKAGE_EXPORTS = """
+AdhesionEstimate AdhesionFunction ContactProfile FanBoundResult FanCase
+FanMeasurement GammaBoundsHypothesis InfeasibleScanError ManufacturedCase
+ProfileFormatError RadialTrace RescaleSpec SectorMesh SolutionField SolverConfig
+SweepConfig TriangleComparison WedgeGeometry adhesion_from_profile averaged_cos
+averaged_cos_many bc_length best_estimates build_sector_mesh case_condition_map
+condition_decreasing condition_increasing constant_profile contradiction_witness
+corollary1_bound cos_integral default_lambda_grid effective_angle essential_range
+estimate_AI estimate_AS exact_A_example1 exact_A_log_periodic example1_profile
+example2_profile fans_from_trace holds_for_all_lambda hypothesis_from_profiles
+limit_difference_table load_profile make_piecewise manufactured_case
+manufactured_convergence manufactured_solve measure_fans min_admissible_fan
+phi_difference phi_limit_difference profile_from_dict psi_difference
+psi_limit_difference radial_trace required_functional_kind rescale_solution
+sine_rule_bc solve_capillary solve_pmc sweep_table theorem1_applicability
+torus_minor_radius triangle_omega verify_log_periodic
+""".split()
+
+
+def test_package_exports_are_their_home_modules_objects():
+    assert len(PACKAGE_EXPORTS) == 67
+    assert set(wedgecap.__all__) == set(PACKAGE_EXPORTS)
+    for name in wedgecap.__all__:
+        value = getattr(wedgecap, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_package_lists_and_star_imports_every_export():
+    assert set(wedgecap.__all__) <= set(dir(wedgecap))
+    namespace = {}
+    exec("from wedgecap import *", namespace)
+    assert set(wedgecap.__all__) <= set(namespace)
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wedgecap.no_such_name
 
 
 # ---------------------------------------------------------------------------
