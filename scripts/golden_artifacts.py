@@ -101,7 +101,7 @@ def calls(inputs):
     out.append(("verify-default", ["verify-examples"]))
     out.append(("verify-degrees", ["verify-examples", "--degrees",
                                    "--gamma1", "50", "--gamma2", "130"]))
-    # high angle contrast: the example1 sweep line fails (exit 5)
+    # high angle contrast: the example1 sweep line reads its error against the swing
     out.append(("verify-contrast", ["verify-examples", "--gamma1", "0.3", "--gamma2", "2.9"]))
 
     for case in ("I", "D", "ID", "DI"):

@@ -26,7 +26,7 @@ from .bounds import (
     condition_increasing,
     default_lambda_grid,
 )
-from .functionals import KIND_LOWER, KIND_UPPER, _VALUE_SLACK
+from .functionals import KIND_LOWER, KIND_UPPER, check_adhesion_bound
 from .profiles import SIDES
 
 #: a limiting energy gain above this certifies an inadmissible fan claim: the
@@ -158,13 +158,6 @@ def sine_rule_bc(cmp: TriangleComparison) -> float:
     return math.sin(cmp.opening) / math.sin(triangle_omega(cmp))
 
 
-def _check_adhesion_value(cmp: TriangleComparison, value: float) -> None:
-    if abs(value) > cmp.b * (1.0 + _VALUE_SLACK):
-        raise ValueError(
-            f"adhesion value {value} exceeds the window bound |A| <= b = {cmp.b}"
-        )
-
-
 def phi_difference(cmp: TriangleComparison, a_lower_value: float) -> float:
     """Energy gain of the triangle cut on the + wall: (1 - A) - |BC|.
 
@@ -174,7 +167,7 @@ def phi_difference(cmp: TriangleComparison, a_lower_value: float) -> float:
     """
     if cmp.side != "+":
         raise ValueError("phi_difference applies to the + wall")
-    _check_adhesion_value(cmp, a_lower_value)
+    check_adhesion_bound(a_lower_value, cmp.b)
     if cmp.degenerate:
         return 1.0 - a_lower_value
     return (1.0 - a_lower_value) - sine_rule_bc(cmp)
@@ -188,7 +181,7 @@ def psi_difference(cmp: TriangleComparison, a_upper_value: float) -> float:
     """
     if cmp.side != "-":
         raise ValueError("psi_difference applies to the - wall")
-    _check_adhesion_value(cmp, a_upper_value)
+    check_adhesion_bound(a_upper_value, cmp.b)
     if cmp.degenerate:
         return 1.0 + a_upper_value
     return (1.0 + a_upper_value) - sine_rule_bc(cmp)
@@ -232,8 +225,6 @@ def contradiction_witness(
     (grid plus golden-section polish) and its verdict is the exact complement
     of that check on the same grid.
     """
-    if not (0.0 <= beta_claim < math.pi):
-        raise ValueError(f"claimed fan width must lie in [0, pi), got {beta_claim}")
     gain = _limit_fn_for(case, side)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta_claim)
@@ -252,8 +243,6 @@ def limit_difference_table(
     lambda_grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """(lambda, limiting gain) rows for one wall, ready for CSV output."""
-    if not (0.0 <= beta < math.pi):
-        raise ValueError(f"fan width must lie in [0, pi), got {beta}")
     fn = _limit_fn_for(case, side)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta)

@@ -23,9 +23,9 @@ from .functionals import (
     EPS_FLOOR,
     KIND_LOWER,
     KIND_UPPER,
-    _VALUE_SLACK,
     SweepConfig,
     _exact_estimates,
+    check_adhesion_bound,
     sweep_table,
 )
 from .profiles import ContactProfile
@@ -89,8 +89,7 @@ class AdhesionFunction:
         b_arr = np.asarray(b, dtype=float)
         out = np.asarray(self.fn(b_arr), dtype=float)
         if not self._bounded:
-            if np.any(np.abs(out) > b_arr * (1.0 + _VALUE_SLACK)):
-                raise ValueError("adhesion evaluator broke the |A(b)| <= b bound")
+            check_adhesion_bound(out, b_arr)
             out = np.clip(out, -b_arr, b_arr)
         return float(out) if np.isscalar(b) or out.ndim == 0 else out
 
@@ -121,8 +120,7 @@ class _SweepTable:
         self.reach = sweep.reach
         # xs descends; envelope over x >= b*eps_lo is a prefix along this order
         env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
-        if np.any(np.abs(env) > 1.0 + _VALUE_SLACK):
-            raise ValueError("sweep table broke the |A(b)| <= b bound")
+        check_adhesion_bound(env, 1.0)
         # for b > 0, b * clip(env) is the clip of b * env to [-b, b]
         self.lower, self.upper = np.clip(env, -1.0, 1.0)
         self.asc = xs[::-1]
@@ -164,12 +162,18 @@ class FanBoundResult:
     beta_step: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.beta_min < math.pi):
-            raise ValueError(f"beta_min must lie in [0, pi), got {self.beta_min}")
+        check_fan_width(self.beta_min)
+
+
+def check_fan_width(beta) -> None:
+    """Refuse a fan width, or an array of them, outside [0, pi) (NaN included)."""
+    if not np.all((beta >= 0.0) & (beta < math.pi)):
+        raise ValueError(f"fan width must lie in [0, pi), got {beta}")
 
 
 def _check_angles(beta, lam) -> None:
-    if np.any(beta < 0.0) or np.any(beta >= lam) or np.any(lam >= math.pi):
+    check_fan_width(beta)
+    if not np.all((beta < lam) & (lam < math.pi)):  # NaN fails too
         raise ValueError("need 0 <= beta < lambda < pi")
 
 
@@ -211,6 +215,7 @@ def condition_decreasing(A: AdhesionFunction, beta, lam):
 
 
 def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> np.ndarray:
+    check_fan_width(beta)
     lo = beta + LAMBDA_MARGIN
     hi = math.pi - LAMBDA_MARGIN
     if lo >= hi:
@@ -267,6 +272,7 @@ def holds_for_all_lambda(
     The condition is evaluated on the grid, then golden-section refined around
     the grid minimizer; returns (verdict, refined worst lambda).
     """
+    check_fan_width(beta)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(beta)
     lambda_grid = np.asarray(lambda_grid, dtype=float)

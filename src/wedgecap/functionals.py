@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import ContactProfile, averaged_cos_many, cos_integral
+from .profiles import ContactProfile, averaged_cos_many, check_window, cos_integral
 
 KIND_LOWER = "I"  # liminf flavour
 KIND_UPPER = "S"  # limsup flavour
@@ -58,6 +58,7 @@ class SweepConfig:
     @classmethod
     def for_profile(cls, profile: ContactProfile, b: float, **kw) -> "SweepConfig":
         """Default sweep: start where the window fills the wall, descend to EPS_FLOOR."""
+        check_window(b)
         return cls(eps_hi=profile.s_max / b, **kw)
 
     def grid(self) -> np.ndarray:
@@ -74,6 +75,13 @@ class SweepConfig:
     @property
     def relative_spacing(self) -> float:
         return 10.0 ** (1.0 / self.points_per_decade) - 1.0
+
+
+def check_adhesion_bound(value, b) -> None:
+    """Refuse an adhesion value, or an array of them, past |A(b)| <= b by more
+    than the slack (NaN included)."""
+    if not np.all(np.abs(value) <= b * (1.0 + _VALUE_SLACK)):
+        raise ValueError(f"adhesion value {value} breaks |A(b)| <= b for b = {b}")
 
 
 @dataclass(frozen=True)
@@ -95,30 +103,19 @@ class AdhesionEstimate:
             raise ValueError(f"kind must be 'I' or 'S', got {self.kind!r}")
         if self.method not in (METHOD_SWEEP, METHOD_LOG_PERIODIC, METHOD_SEQUENCE):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.uncertainty < 0.0:
+        if not self.uncertainty >= 0.0:
             raise ValueError("uncertainty must be nonnegative")
-        if abs(self.value) > self.b * (1.0 + _VALUE_SLACK):
-            raise ValueError(
-                f"value {self.value} outside [-b, b] for b={self.b}"
-            )
+        check_window(self.b)
+        check_adhesion_bound(self.value, self.b)
         exact = self.method in (METHOD_LOG_PERIODIC, METHOD_SEQUENCE)
         if exact != (self.uncertainty == 0.0):
             raise ValueError("uncertainty must be zero iff the method is exact")
 
 
-def _check_window(b: float) -> None:
-    """Refuse a window factor that is not a positive number (NaN included)."""
-    if not b > 0.0:
-        raise ValueError(f"window factor must be positive, got {b}")
-
-
 def _sweep(profile, b, sweep):
     """The sweep's eps grid, its averaged values and the config used."""
-    _check_window(b)
     if sweep is None:
         sweep = SweepConfig.for_profile(profile, b)
-    if sweep.eps_hi > profile.s_max / b * (1.0 + 1e-12):
-        raise ValueError("sweep eps_hi pushes the window past the wall")
     eps = sweep.grid()
     return eps, averaged_cos_many(profile, eps, b), sweep
 
@@ -208,7 +205,6 @@ def exact_A_log_periodic(
     period is piecewise of the form c1 + c2/eps, monotone between breakpoints,
     so its extrema sit at segment endpoints and are evaluated exactly.
     """
-    _check_window(b)
     verify_log_periodic(profile, ratio)
     s0 = profile.s_max
     lo = s0 / ratio
@@ -219,14 +215,9 @@ def exact_A_log_periodic(
     xs = np.concatenate(([lo], inner, [s0]))
     f_vals = f_lo + (profile.integral_many(xs) - f_lo_trunc)
     avgs = b * f_vals / xs
-    vmin = float(np.min(avgs))
-    vmax = float(np.max(avgs))
-    bcap = b * (1.0 + _VALUE_SLACK)
-    vmin = min(max(vmin, -bcap), bcap)
-    vmax = min(max(vmax, -bcap), bcap)
     return (
-        AdhesionEstimate(b, KIND_LOWER, vmin, METHOD_LOG_PERIODIC, 0.0),
-        AdhesionEstimate(b, KIND_UPPER, vmax, METHOD_LOG_PERIODIC, 0.0),
+        AdhesionEstimate(b, KIND_LOWER, float(np.min(avgs)), METHOD_LOG_PERIODIC, 0.0),
+        AdhesionEstimate(b, KIND_UPPER, float(np.max(avgs)), METHOD_LOG_PERIODIC, 0.0),
     )
 
 
@@ -242,7 +233,6 @@ def exact_A_example1(
     for name, g in (("g1", g1), ("g2", g2)):
         if not (0.0 <= g <= math.pi):
             raise ValueError(f"{name} must lie in [0, pi], got {g}")
-    _check_window(b)
     return (
         AdhesionEstimate(b, KIND_LOWER, b * math.cos(max(g1, g2)), METHOD_SEQUENCE, 0.0),
         AdhesionEstimate(b, KIND_UPPER, b * math.cos(min(g1, g2)), METHOD_SEQUENCE, 0.0),
@@ -258,7 +248,7 @@ def _exact_estimates(
     single-segment walls by cos(gamma), and walls self-similar at
     LOG_PERIODIC_RATIO by the log-periodic closed form.
     """
-    _check_window(b)
+    check_window(b)  # before the log-periodic route, whose ValueError means "no closed form"
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
         return exact_A_example1(g1, g2, b)

@@ -33,18 +33,54 @@ def _require(cond: bool, msg: str) -> None:
         raise ProfileFormatError(msg)
 
 
+def _names(keys) -> str:
+    return ", ".join(map(repr, keys))
+
+
+def json_keys(data, what: str, required=(), optional=(), one_of=()) -> None:
+    """Check that ``data`` is a JSON object holding every ``required`` key,
+    exactly one key of ``one_of`` when that is given, and no key but these and
+    the ``optional`` ones; else raise ProfileFormatError naming the key."""
+    _require(isinstance(data, dict), f"{what} must be a JSON object")
+    unknown = sorted(set(data).difference(required, optional, one_of))
+    _require(not unknown, f"{what} has unknown key(s) {_names(unknown)}")
+    missing = [key for key in required if key not in data]
+    _require(not missing, f"{what} is missing key(s) {_names(missing)}")
+    _require(
+        not one_of or sum(key in data for key in one_of) == 1,
+        f"{what} needs exactly one of {_names(one_of)}",
+    )
+
+
+def json_number(x, what: str) -> float:
+    """A finite JSON number as a float; else ProfileFormatError."""
+    # JSON admits NaN and Infinity, and ints too large for a float; none is a value
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ProfileFormatError(f"{what} must be a finite number, got {x!r}")
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer (not a boolean); else ProfileFormatError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ProfileFormatError(f"{what} must be an int, got {x!r}")
+
+
+#: each generator type's (required, optional, one-of) keys besides "type"
+_GENERATOR_KEYS = {
+    "constant": ((), (), ("gamma", "gamma1")),
+    "example1": (("gamma1", "gamma2"), ("depth",), ()),
+    "example2": (("gamma1", "gamma2"), ("depth",), ()),
+}
+
+
 def profile_from_dict(data: dict) -> ContactProfile:
     """Build a wall profile from the JSON-schema dictionary."""
-    _require(isinstance(data, dict), "profile spec must be a JSON object")
-    side = data.get("side")
+    json_keys(data, "profile spec", ("side",), ("s_max",), ("segments", "generator"))
+    side = data["side"]
     _require(side in ("+", "-"), f"side must be '+' or '-', got {side!r}")
-    has_segments = "segments" in data
-    has_generator = "generator" in data
-    _require(
-        has_segments != has_generator,
-        "profile spec needs exactly one of 'segments' or 'generator'",
-    )
-    if has_segments:
+    if "segments" in data:
         segs = data["segments"]
         _require(
             isinstance(segs, list) and len(segs) > 0,
@@ -53,15 +89,12 @@ def profile_from_dict(data: dict) -> ContactProfile:
         breaks = []
         values = []
         for k, seg in enumerate(segs):
-            _require(
-                isinstance(seg, dict) and {"s_end", "gamma"} <= set(seg),
-                f"segment {k} must carry s_end and gamma",
-            )
-            breaks.append(_number(seg["s_end"], f"segment {k} s_end"))
-            values.append(_number(seg["gamma"], f"segment {k} gamma"))
+            json_keys(seg, f"segment {k}", ("s_end", "gamma"))
+            breaks.append(json_number(seg["s_end"], f"segment {k} s_end"))
+            values.append(json_number(seg["gamma"], f"segment {k} gamma"))
         s_max = data.get("s_max", breaks[-1])
         _require(
-            abs(_number(s_max, "s_max") - breaks[-1]) <= 1e-12 * max(1.0, breaks[-1]),
+            abs(json_number(s_max, "s_max") - breaks[-1]) <= 1e-12 * max(1.0, breaks[-1]),
             "s_max must equal the last segment end",
         )
         try:
@@ -74,40 +107,33 @@ def profile_from_dict(data: dict) -> ContactProfile:
     gen = data["generator"]
     _require(isinstance(gen, dict) and "type" in gen, "'generator' needs a type")
     gtype = gen["type"]
+    _require(
+        isinstance(gtype, str) and gtype in _GENERATOR_KEYS,
+        f"unknown generator type {gtype!r}",
+    )
+    required, optional, one_of = _GENERATOR_KEYS[gtype]
+    json_keys(gen, f"{gtype} generator", ("type", *required), optional, one_of)
     if gtype == "constant":
-        gamma = _number(gen.get("gamma1", gen.get("gamma")), "constant gamma")
-        s_max = _number(data.get("s_max", 1.0), "s_max")
+        gamma = json_number(gen["gamma"] if "gamma" in gen else gen["gamma1"], "constant gamma")
+        s_max = json_number(data.get("s_max", 1.0), "s_max")
         try:
             return constant_profile(side, gamma, s_max)
         except ValueError as exc:
             raise ProfileFormatError(str(exc)) from exc
-    if gtype in ("example1", "example2"):
-        g1 = _number(gen.get("gamma1"), "gamma1")
-        g2 = _number(gen.get("gamma2"), "gamma2")
-        # a depth left out is the generator's own default
-        kw = {"depth": gen["depth"]} if "depth" in gen else {}
-        _require(
-            all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in kw.values()),
-            "depth must be a positive int",
-        )
-        _require(
-            abs(_number(data.get("s_max", 1.0), "s_max") - 1.0) <= 1e-12,
-            f"{gtype} profiles are parametrized on arclength [0, 1]",
-        )
-        maker = example1_profile if gtype == "example1" else example2_profile
-        try:
-            prof = maker(g1, g2, **kw)
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc)) from exc
-        return dataclasses.replace(prof, side=side)
-    raise ProfileFormatError(f"unknown generator type {gtype!r}")
-
-
-def _number(x, what: str) -> float:
-    # JSON admits NaN and Infinity, and ints too large for a float; none is a value
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
-        return float(x)
-    raise ProfileFormatError(f"{what} must be a finite number, got {x!r}")
+    g1 = json_number(gen["gamma1"], "gamma1")
+    g2 = json_number(gen["gamma2"], "gamma2")
+    # a depth left out is the generator's own default
+    kw = {"depth": json_int(gen["depth"], "depth")} if "depth" in gen else {}
+    _require(
+        abs(json_number(data.get("s_max", 1.0), "s_max") - 1.0) <= 1e-12,
+        f"{gtype} profiles are parametrized on arclength [0, 1]",
+    )
+    maker = example1_profile if gtype == "example1" else example2_profile
+    try:
+        prof = maker(g1, g2, **kw)
+    except ValueError as exc:
+        raise ProfileFormatError(str(exc)) from exc
+    return dataclasses.replace(prof, side=side)
 
 
 def load_profile(path: str | Path) -> ContactProfile:

@@ -113,7 +113,7 @@ class ContactProfile:
     def integral_many(self, xs: np.ndarray) -> np.ndarray:
         """Exact integral of cos(gamma) over (0, x] for each x (vectorized)."""
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > self.s_max * (1.0 + 1e-12)):
+        if not np.all((xs >= 0.0) & (xs <= self.s_max * (1.0 + 1e-12))):  # NaN fails too
             raise ValueError("integration endpoint outside [0, s_max]")
         xs = np.minimum(xs, self.s_max)
         idx = np.searchsorted(self.bounds, xs, side="left") - 1
@@ -239,22 +239,25 @@ def cos_integral(profile: ContactProfile, x: float) -> float:
     return float(profile.integral_many(np.asarray([x]))[0])
 
 
+def check_window(b: float) -> None:
+    """Refuse a window factor that is not a positive number (NaN included)."""
+    if not b > 0.0:
+        raise ValueError(f"window factor must be positive, got {b}")
+
+
 def averaged_cos(profile: ContactProfile, eps: float, b: float) -> float:
     """Scale-average (1/eps) * integral of cos(gamma) over (0, b*eps]."""
-    if eps <= 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if b <= 0.0:
-        raise ValueError(f"window factor must be positive, got {b}")
     return float(averaged_cos_many(profile, np.asarray([eps]), b)[0])
 
 
 def averaged_cos_many(profile: ContactProfile, eps: np.ndarray, b: float) -> np.ndarray:
-    """Vectorized ``averaged_cos`` over an array of scales."""
+    """Vectorized ``averaged_cos`` over an array of scales; every window
+    b*eps must lie in (0, s_max]."""
+    check_window(b)
     eps = np.asarray(eps, dtype=float)
-    xs = b * eps
-    if np.any(xs > profile.s_max * (1.0 + 1e-12)):
-        raise ValueError("window b*eps exceeds the profile domain")
-    return profile.integral_many(xs) / eps
+    if not np.all(eps > 0.0):  # NaN fails too
+        raise ValueError("scales must be positive")
+    return profile.integral_many(b * eps) / eps
 
 
 def essential_range(profile: ContactProfile) -> tuple[float, float]:

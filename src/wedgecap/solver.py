@@ -22,10 +22,11 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from .elimination import Elimination, NewtonMatrix, _stencil_windows
 from .profiles import (
     FAILS,
     ContactProfile,
@@ -33,9 +34,6 @@ from .profiles import (
     hypothesis_from_profiles,
     theorem1_applicability,
 )
-
-if TYPE_CHECKING:
-    from .elimination import Elimination, NewtonMatrix
 
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
@@ -191,9 +189,6 @@ def _deriv_stencils(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Interior nodes get the nonuniform central stencil, the two ends get
     one-sided ones; all are exact for quadratics.
     """
-    # imported here for the reason ``_Discretization.jacobian`` gives
-    from .elimination import _stencil_windows
-
     n = xs.size
     if n < 3:
         raise ValueError("derivative stencils need at least 3 nodes")
@@ -392,10 +387,6 @@ class _Discretization:
         vals = vals.ravel()
         if border is not None:
             vals = np.concatenate([vals, border, border])
-        # imported here, so that only a solve compiles it: every CLI call
-        # compiles its modules when bytecode is not cached
-        from .elimination import Elimination, NewtonMatrix
-
         pinned = border is not None
         if pinned not in self._plans:  # the mesh's linear-solve plan, built once
             self._plans[pinned] = Elimination(self.shape, pinned)

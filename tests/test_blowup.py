@@ -194,6 +194,8 @@ def test_difference_side_and_value_guards():
         psi_difference(tri(1.0, 0.0, 0.5, "+"), 0.0)
     with pytest.raises(ValueError):
         phi_difference(tri(1.0, 0.0, 0.5, "+"), 0.7)  # |A| > b
+    with pytest.raises(ValueError):
+        psi_difference(tri(1.0, -1.0, 0.5, "-"), math.nan)  # NaN is no value
     assert psi_difference(tri(1.0, -1.0, 0.5, "-"), 0.2) == pytest.approx(1.2)
 
 
@@ -269,6 +271,11 @@ def test_witness_validation():
         contradiction_witness(A, FanCase.I, "-", 0.5)  # needs kind S there
     with pytest.raises(ValueError):
         contradiction_witness(A, FanCase.I, "+", math.pi)
+    # a fan width that is no number is refused with or without a grid
+    for grid in (None, np.linspace(0.5, 3.0, 8)):
+        for call in (contradiction_witness, limit_difference_table):
+            with pytest.raises(ValueError, match="fan width"):
+                call(A, FanCase.I, "+", math.nan, grid)
 
 
 def test_witness_complements_admissibility_check():

@@ -28,6 +28,7 @@ from wedgecap.bounds import (
     min_admissible_fan,
     required_functional_kind,
 )
+from wedgecap.blowup import contradiction_witness
 from wedgecap.functionals import (
     EPS_FLOOR,
     METHOD_LOG_PERIODIC,
@@ -38,6 +39,8 @@ from wedgecap.functionals import (
 )
 from wedgecap.io import profile_from_dict
 from wedgecap.profiles import (
+    averaged_cos,
+    averaged_cos_many,
     constant_profile,
     example1_profile,
     example2_profile,
@@ -92,6 +95,38 @@ def test_condition_domain_checks():
         condition_increasing(A_ZERO_I, 0.5, math.pi)
     with pytest.raises(ValueError):
         condition_increasing(A_ZERO_I, -0.1, 0.5)
+    # NaN is no angle: refused, not carried into a NaN condition
+    for condition, A in ((condition_increasing, A_ZERO_I), (condition_decreasing, A_ZERO_S)):
+        with pytest.raises(ValueError, match="fan width"):
+            condition(A, math.nan, 1.0)
+        for lam in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                condition(A, 0.5, lam)
+
+
+_WALL = make_piecewise("+", [0.5, 1.0], [0.4, 2.2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _WALL.integral_many([math.nan]),
+        lambda: averaged_cos(_WALL, math.nan, 0.5),
+        lambda: averaged_cos(_WALL, 0.5, math.nan),
+        lambda: averaged_cos_many(_WALL, [0.5], 0.0),
+        lambda: averaged_cos_many(_WALL, [0.0], 1.0),
+        lambda: default_lambda_grid(math.nan),
+        lambda: holds_for_all_lambda(lambda lam: condition_increasing(A_ZERO_I, 0.5, lam), math.nan),
+    ],
+    ids=["integral_many-nan", "averaged_cos-nan-scale", "averaged_cos-nan-window",
+         "averaged_cos_many-zero-window", "averaged_cos_many-zero-scale",
+         "default_lambda_grid-nan", "holds_for_all_lambda-nan"],
+)
+def test_input_rules_refuse_what_is_not_a_value(call):
+    """A zero window or scale and a NaN endpoint, scale, window or fan width
+    raise, not return zeros or NaN."""
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_conditions_vectorize():
@@ -152,25 +187,29 @@ def test_scan_matches_frozen_slope_bound(gamma):
     assert res.beta_min == pytest.approx(corollary1_bound(math.cos(gamma), "c"), abs=2e-3)
 
 
-def test_scan_result_brackets_feasibility():
-    """The reported width passes; one step below it does not."""
-    A = AdhesionFunction.constant_angle(2 * math.pi / 3, "I")
-    (res,) = min_admissible_fan([(A, INCREASING)])
-    cond = lambda lam: condition_increasing(A, res.beta_min, lam)
-    ok, _ = holds_for_all_lambda(cond, res.beta_min)
-    assert ok
-    below = res.beta_min - res.beta_step
-    assert below >= 0.0
-    cond = lambda lam: condition_increasing(A, below, lam)
-    ok, _ = holds_for_all_lambda(cond, below)
-    assert not ok
-
-
 SCAN_WALLS = {
     "constant": constant_profile("+", 1.0),
     "example2": example2_profile(0.4, 2.2),
     "sweep": make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]),
 }
+
+
+def test_scan_result_brackets_feasibility():
+    """On every scan wall and for both conditions, the reported width passes
+    and has no contradiction witness; one step below it fails and has one."""
+    side_of = {kind: side for side, kind in case_condition_map(FanCase.I)}
+    for wall in SCAN_WALLS.values():
+        for cond_kind, condition in ((INCREASING, condition_increasing),
+                                     (DECREASING, condition_decreasing)):
+            A = adhesion_from_profile(wall, required_functional_kind(cond_kind))
+            (res,) = min_admissible_fan([(A, cond_kind)])
+            below = res.beta_min - res.beta_step
+            assert below >= 0.0
+            for beta, feasible in ((res.beta_min, True), (below, False)):
+                ok, _ = holds_for_all_lambda(lambda lam: condition(A, beta, lam), beta)
+                assert ok == feasible
+                witness = contradiction_witness(A, FanCase.I, side_of[cond_kind], beta)
+                assert (witness is None) == feasible
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from wedgecap.functionals import (
     verify_log_periodic,
 )
 from wedgecap.profiles import (
+    ContactProfile,
     constant_profile,
     essential_range,
     example1_profile,
@@ -241,11 +242,24 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         AdhesionEstimate(1.0, "I", 2.0, METHOD_SWEEP, 0.1)  # |value| > b
     with pytest.raises(ValueError):
+        AdhesionEstimate(1.0, "I", math.nan, METHOD_SEQUENCE, 0.0)  # NaN is no value
+    with pytest.raises(ValueError):
         AdhesionEstimate(1.0, "I", 0.5, METHOD_SEQUENCE, 0.1)  # exact needs 0
     with pytest.raises(ValueError):
         AdhesionEstimate(1.0, "I", 0.5, METHOD_SWEEP, 0.0)  # sweep needs > 0
     ok = AdhesionEstimate(1.0, "I", 0.5, METHOD_SEQUENCE, 0.0)
     assert ok.kind == KIND_LOWER
+
+
+def test_closed_form_past_the_bound_is_refused_not_clamped(monkeypatch):
+    """Integrals that overshoot by a relative 1e-8 put a log-periodic wall's
+    closed form past |A(b)| <= b; the estimate refuses it, as no closed form
+    clamps its values."""
+    integral_many = ContactProfile.integral_many
+    monkeypatch.setattr(ContactProfile, "integral_many",
+                        lambda self, xs: integral_many(self, xs) * (1.0 + 1e-8))
+    with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
+        best_estimates(example2_profile(0.0, 0.0), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,25 @@ def test_exactly_one_profile_source():
         profile_from_dict({"side": "+"})
 
 
+MISSPELT = {
+    "top-level": ({"side": "+", "segments": [{"s_end": 1.0, "gamma": 1.0}], "smax": 1.0}, "smax"),
+    "segment": ({"side": "+", "segments": [{"s_end": 1.0, "gama": 1.0}]}, "gama"),
+    "generator": ({"side": "+", "generator": {"type": "example1", "gamma1": 0.4,
+                                              "gamma2": 2.2, "depht": 3}}, "depht"),
+    "gamma-and-gamma1": ({"side": "+", "generator": {"type": "constant", "gamma": 1.0,
+                                                     "gamma1": 2.0}}, "gamma1"),
+}
+
+
+@pytest.mark.parametrize("level", MISSPELT)
+def test_a_key_the_schema_does_not_read_is_a_format_error(level):
+    """A misspelt key is refused, not skipped, at every level; so is a constant
+    generator that gives its angle twice."""
+    spec, key = MISSPELT[level]
+    with pytest.raises(ProfileFormatError, match=repr(key)):
+        profile_from_dict(spec)
+
+
 def test_side_is_validated():
     with pytest.raises(ProfileFormatError, match="side"):
         profile_from_dict({"side": "x", "segments": [{"s_end": 1.0, "gamma": 1.0}]})
