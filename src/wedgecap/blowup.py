@@ -20,7 +20,7 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
-    _grid_min,
+    _worst_lambda,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
@@ -29,9 +29,6 @@ from .bounds import (
 from .functionals import KIND_LOWER, KIND_UPPER, check_adhesion_bound
 from .profiles import SIDES
 
-#: a limiting energy gain above this certifies an inadmissible fan claim: the
-#: complement of the fan scan's feasibility test
-WITNESS_TOL = -FEASIBLE_TOL
 _COLLINEAR_TOL = 1e-14
 
 
@@ -158,6 +155,17 @@ def sine_rule_bc(cmp: TriangleComparison) -> float:
     return math.sin(cmp.opening) / math.sin(triangle_omega(cmp))
 
 
+def _cut_gain(name: str, wall: str, cmp: TriangleComparison, a_value: float) -> float:
+    """(1 -/+ A) - |BC| on the +/- wall, or its limit 1 -/+ A when C sits on
+    the wall and the cut edge vanishes."""
+    if cmp.side != wall:
+        raise ValueError(f"{name} applies to the {wall} wall")
+    check_adhesion_bound(a_value, cmp.b)
+    # 1 + (-A) is 1 - A exactly
+    edge = 1.0 + (-a_value if wall == "+" else a_value)
+    return edge if cmp.degenerate else edge - sine_rule_bc(cmp)
+
+
 def phi_difference(cmp: TriangleComparison, a_lower_value: float) -> float:
     """Energy gain of the triangle cut on the + wall: (1 - A) - |BC|.
 
@@ -165,12 +173,7 @@ def phi_difference(cmp: TriangleComparison, a_lower_value: float) -> float:
     sits on the + wall the cut edge vanishes and the gain is 1 - A (the
     continuous limit of the formula).
     """
-    if cmp.side != "+":
-        raise ValueError("phi_difference applies to the + wall")
-    check_adhesion_bound(a_lower_value, cmp.b)
-    if cmp.degenerate:
-        return 1.0 - a_lower_value
-    return (1.0 - a_lower_value) - sine_rule_bc(cmp)
+    return _cut_gain("phi_difference", "+", cmp, a_lower_value)
 
 
 def psi_difference(cmp: TriangleComparison, a_upper_value: float) -> float:
@@ -179,12 +182,7 @@ def psi_difference(cmp: TriangleComparison, a_upper_value: float) -> float:
     ``a_upper_value`` is the upper scale-average at window ``cmp.b``; the
     wall-degenerate state returns the limit 1 + A.
     """
-    if cmp.side != "-":
-        raise ValueError("psi_difference applies to the - wall")
-    check_adhesion_bound(a_upper_value, cmp.b)
-    if cmp.degenerate:
-        return 1.0 + a_upper_value
-    return (1.0 + a_upper_value) - sine_rule_bc(cmp)
+    return _cut_gain("psi_difference", "-", cmp, a_upper_value)
 
 
 def phi_limit_difference(A: AdhesionFunction, beta, lam):
@@ -220,19 +218,14 @@ def contradiction_witness(
 
     Returns (lambda, gain) when the claimed fan width ``beta_claim`` is
     inadmissible for the given case and wall, and None when every direction
-    has nonpositive gain.  The gain is minus the admissibility condition, so
-    the search minimizes that condition exactly as the all-lambda check does
-    (grid plus golden-section polish) and its verdict is the exact complement
-    of that check on the same grid.
+    has nonpositive gain.  The gain is minus the admissibility condition, and
+    the condition's minimum is found by ``bounds._worst_lambda``, the search
+    ``holds_for_all_lambda`` reads, so on the same grid a witness exists
+    exactly when that check fails.
     """
     gain = _limit_fn_for(case, side)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(beta_claim)
-    grid = np.asarray(lambda_grid, dtype=float)
-    lam_best, v_best = _grid_min(lambda lam: -gain(A, beta_claim, lam), grid)
-    if -v_best > WITNESS_TOL:
-        return lam_best, -v_best
-    return None
+    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, lambda_grid)
+    return (lam, -value) if value < FEASIBLE_TOL else None
 
 
 def limit_difference_table(

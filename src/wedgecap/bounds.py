@@ -28,7 +28,7 @@ from .functionals import (
     check_adhesion_bound,
     sweep_table,
 )
-from .profiles import ContactProfile
+from .profiles import ContactProfile, check_angle
 
 #: a refined condition minimum at or above this counts as "holds"
 FEASIBLE_TOL = -1e-12
@@ -95,8 +95,7 @@ class AdhesionFunction:
 
     @classmethod
     def constant_angle(cls, gamma: float, kind: str) -> "AdhesionFunction":
-        if not (0.0 <= gamma <= math.pi):
-            raise ValueError(f"angle must lie in [0, pi], got {gamma}")
+        check_angle(gamma, "angle")
         return cls.linear(math.cos(gamma), kind, method="constant_angle")
 
     @classmethod
@@ -247,19 +246,32 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray):
     return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
-def _grid_min(f, grid: np.ndarray) -> tuple[float, float]:
-    """Minimum of f over a grid, golden-section polished between the grid
-    neighbours of the grid minimizer; returns (point, value)."""
-    vals = np.asarray(f(grid), dtype=float)
+def _keep_lower(x_grid, v_grid, x_golden, v_golden):
+    """(point, value) of the golden-section minimum where it is lower than the
+    grid one, else of the grid minimum."""
+    lower = v_golden < v_grid
+    return np.where(lower, x_golden, x_grid), np.where(lower, v_golden, v_grid)
+
+
+def _worst_lambda(cond, beta: float, lambda_grid) -> tuple[float, float]:
+    """The worst lambda of ``cond`` on (beta, pi) and its value there.
+
+    ``cond`` is evaluated on ``lambda_grid`` (``default_lambda_grid(beta)``
+    when None, at least 3 points), then golden-section polished between the
+    grid neighbours of the grid minimizer.  ``holds_for_all_lambda`` and
+    ``blowup.contradiction_witness`` both read this one search.
+    """
+    check_fan_width(beta)
+    grid = np.asarray(default_lambda_grid(beta) if lambda_grid is None else lambda_grid, dtype=float)
+    if grid.size < 3:
+        raise ValueError("lambda grid needs at least 3 points")
+    vals = np.asarray(cond(grid), dtype=float)
     i = int(np.argmin(vals))
-    x_best, v_best = float(grid[i]), float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if hi > lo:
-        x_ref, v_ref = _golden_min(f, np.array([lo]), np.array([hi]))
-        if v_ref[0] < v_best:
-            x_best, v_best = float(x_ref[0]), float(v_ref[0])
-    return x_best, v_best
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    if not hi > lo:
+        return float(grid[i]), float(vals[i])
+    lam, value = _keep_lower(grid[i], vals[i], *_golden_min(cond, np.array([lo]), np.array([hi])))
+    return float(lam[0]), float(value[0])
 
 
 def holds_for_all_lambda(
@@ -267,19 +279,10 @@ def holds_for_all_lambda(
     beta: float,
     lambda_grid: np.ndarray | None = None,
 ) -> tuple[bool, float]:
-    """Whether ``cond(lambda) >= -1e-12`` across (beta, pi).
-
-    The condition is evaluated on the grid, then golden-section refined around
-    the grid minimizer; returns (verdict, refined worst lambda).
-    """
-    check_fan_width(beta)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(beta)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size < 3:
-        raise ValueError("lambda grid needs at least 3 points")
-    lam_best, v_best = _grid_min(cond, lambda_grid)
-    return v_best >= FEASIBLE_TOL, lam_best
+    """Whether ``cond(lambda) >= -1e-12`` across (beta, pi), by ``_worst_lambda``;
+    returns (verdict, refined worst lambda)."""
+    lam, value = _worst_lambda(cond, beta, lambda_grid)
+    return value >= FEASIBLE_TOL, lam
 
 
 def required_functional_kind(condition_kind: str) -> str:
@@ -357,9 +360,9 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
         beta, grid_val = betas[rows], row_min[rows]
         cols = np.clip(at[cand] + [[-1], [0], [1]], 0, LAMBDA_POINTS - 1)
         left, worst, right = lo[rows] + (hi - lo[rows]) * u[cols]
-        lam_ref, val_ref = _golden_min(lambda lam: _condition(A, kind, *_ratios(beta, lam)), left, right)
-        worst = np.where(val_ref < grid_val, lam_ref, worst)
-        ok = np.minimum(val_ref, grid_val) >= FEASIBLE_TOL
+        refined = _golden_min(lambda lam: _condition(A, kind, *_ratios(beta, lam)), left, right)
+        worst, value = _keep_lower(worst, grid_val, *refined)
+        ok = value >= FEASIBLE_TOL
         if not np.any(ok):
             raise InfeasibleScanError(f"no admissible fan width below pi for the {kind} condition")
         first = int(np.argmax(ok))

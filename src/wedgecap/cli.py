@@ -7,15 +7,14 @@ Angles on the command line are radians unless --degrees is given; config
 files are always radians.
 
 Exit codes: 0 success, 1 usage error, 2 malformed profile or solve config
-(including a missing profile file), 3 numeric-range violation, 4 infeasible
-fan scan, 5 verification failure, 6 solver non-convergence (artifacts still
-written).
+(including a missing, unreadable or non-JSON profile or config file), 3
+numeric-range violation, 4 infeasible fan scan, 5 verification failure, 6
+solver non-convergence (artifacts still written).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -234,22 +233,8 @@ def cmd_verify_examples(args) -> int:
 # solve
 
 
-def _load_solve_config(args):
-    if args.config is None:
-        raise _Usage("solve requires --config FILE (or --mms)")
-    path = Path(args.config)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise _Usage(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _Usage(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise _Usage(f"config {path} must hold a JSON object")
-    return data, path.parent
-
-
-def _config_profile(entry, base: Path, side: str):
+def _config_profile(entry, config: str, side: str):
+    """The wall under key plus or minus; a file name is relative to the config's folder."""
     from . import io as wio
 
     key = "plus" if side == "+" else "minus"
@@ -259,8 +244,8 @@ def _config_profile(entry, base: Path, side: str):
             "profile with gamma = pi/2"
         )
     if isinstance(entry, str):
-        p = Path(entry)
-        profile = wio.load_profile(p if p.is_absolute() else base / p)
+        # joining an absolute path keeps only that path
+        profile = wio.load_profile(Path(config).parent / entry)
     else:
         profile = wio.profile_from_dict(entry)
     if profile.side != side:
@@ -274,7 +259,8 @@ class _Usage(Exception):
     pass
 
 
-#: the keys cmd_solve reads, (required, optional); any other key is a malformed config
+#: the keys cmd_solve reads, (required, optional); any other key is a malformed
+#: config, and kappa and lambda are required too unless pmc is given
 _SOLVE_KEYS = (
     ("alpha", "plus", "minus"),
     ("m", "n_theta", "r_min", "r_max", "tol", "max_iter", "initial", "pmc", "kappa",
@@ -336,7 +322,8 @@ def cmd_solve(args) -> int:
 
     if args.mms_sizes is not None:
         raise _Usage("--mms-sizes needs --mms")
-    data, base = _load_solve_config(args)
+    if args.config is None:
+        raise _Usage("solve requires --config FILE (or --mms)")
     from . import io as wio
     from .profiles import WedgeGeometry
     from .solver import (
@@ -348,7 +335,12 @@ def cmd_solve(args) -> int:
         solve_pmc,
     )
 
-    wio.json_keys(data, "solve config", *_SOLVE_KEYS)
+    data = wio.read_json(args.config, "solve config")
+    required, optional = _SOLVE_KEYS
+    capillary = not (isinstance(data, dict) and "pmc" in data)
+    if capillary:
+        required += ("kappa", "lambda")
+    wio.json_keys(data, "solve config", required, optional)
     alpha = _config_number(data, "alpha", None)
     geometry = WedgeGeometry(alpha)
     m = _config_number(data, "m", 48, integer=True)
@@ -365,25 +357,21 @@ def cmd_solve(args) -> int:
         m,
         n_theta,
     )
-    plus = _config_profile(data["plus"], base, "+")
-    minus = _config_profile(data["minus"], base, "-")
+    plus = _config_profile(data["plus"], args.config, "+")
+    minus = _config_profile(data["minus"], args.config, "-")
     tol = _config_number(data, "tol", SolverConfig.tol) if args.tol is None else args.tol
     config = SolverConfig(
         tol=tol,
         max_iter=_config_number(data, "max_iter", SolverConfig.max_iter, integer=True),
-        initial=None if data.get("initial") is None else _config_number(data, "initial", None),
+        initial=_config_number(data, "initial", None) if "initial" in data else None,
     )
 
     pmc = data.get("pmc")
-    if pmc is not None and not isinstance(pmc, str):
-        raise ProfileFormatError(
-            f"solve config key 'pmc' must be a string, got {pmc!r}"
-        )
-    if pmc is None and ("kappa" not in data or "lambda" not in data):
-        raise ProfileFormatError("solve config needs kappa and lambda")
+    if not (capillary or isinstance(pmc, str)):
+        raise ProfileFormatError(f"solve config key 'pmc' must be a string, got {pmc!r}")
     kappa = _config_number(data, "kappa", 1.0)
     lam = _config_number(data, "lambda", 0.0)
-    if pmc is None:
+    if capillary:
         field = solve_capillary(mesh, kappa, lam, plus, minus, config)
         physics = {"kappa": kappa, "lambda": lam}
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import ContactProfile, averaged_cos_many, check_window, cos_integral
+from .profiles import ContactProfile, averaged_cos_many, check_angle, check_window, cos_integral
 
 KIND_LOWER = "I"  # liminf flavour
 KIND_UPPER = "S"  # limsup flavour
@@ -112,19 +112,13 @@ class AdhesionEstimate:
             raise ValueError("uncertainty must be zero iff the method is exact")
 
 
-def _sweep(profile, b, sweep):
-    """The sweep's eps grid, its averaged values and the config used."""
-    if sweep is None:
-        sweep = SweepConfig.for_profile(profile, b)
-    eps = sweep.grid()
-    return eps, averaged_cos_many(profile, eps, b), sweep
-
-
 def _envelopes(
     profile: ContactProfile, b: float, sweep: SweepConfig | None
 ) -> tuple[AdhesionEstimate, AdhesionEstimate]:
     """Grid (lower, upper) envelopes of one sweep: the min and max of its values."""
-    _, vals, sweep = _sweep(profile, b, sweep)
+    if sweep is None:
+        sweep = SweepConfig.for_profile(profile, b)
+    _, vals = sweep_table(profile, b, sweep)
     spread = b * sweep.relative_spacing
     return (
         AdhesionEstimate(b, KIND_LOWER, float(np.min(vals)), METHOD_SWEEP, spread),
@@ -149,9 +143,12 @@ def estimate_AS(
 def sweep_table(
     profile: ContactProfile, b: float, sweep: SweepConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, averaged value) pairs of the sweep, for inspection or export."""
-    eps, vals, _ = _sweep(profile, b, sweep)
-    return eps, vals
+    """(eps, averaged value) pairs of the sweep, for inspection or export;
+    the default sweep is ``SweepConfig.for_profile(profile, b)``."""
+    if sweep is None:
+        sweep = SweepConfig.for_profile(profile, b)
+    eps = sweep.grid()
+    return eps, averaged_cos_many(profile, eps, b)
 
 
 def verify_log_periodic(profile: ContactProfile, ratio: float) -> None:
@@ -230,9 +227,8 @@ def exact_A_example1(
     angle dominates the whole window: the lower value is b*cos of the larger
     angle and the upper value is b*cos of the smaller one.
     """
-    for name, g in (("g1", g1), ("g2", g2)):
-        if not (0.0 <= g <= math.pi):
-            raise ValueError(f"{name} must lie in [0, pi], got {g}")
+    check_angle(g1, "g1")
+    check_angle(g2, "g2")
     return (
         AdhesionEstimate(b, KIND_LOWER, b * math.cos(max(g1, g2)), METHOD_SEQUENCE, 0.0),
         AdhesionEstimate(b, KIND_UPPER, b * math.cos(min(g1, g2)), METHOD_SEQUENCE, 0.0),

@@ -75,8 +75,29 @@ _GENERATOR_KEYS = {
 }
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON value in a UTF-8 file; an unreadable file, bytes that are not
+    UTF-8 or text that is not JSON raise ProfileFormatError naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ProfileFormatError(f"cannot read {what} file {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProfileFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def profile_from_dict(data: dict) -> ContactProfile:
-    """Build a wall profile from the JSON-schema dictionary."""
+    """Build a wall profile from the JSON-schema dictionary; a value the
+    profile builders refuse is a format error here, as a malformed key is."""
+    try:
+        return _build_profile(data)
+    except ProfileFormatError:
+        raise
+    except ValueError as exc:
+        raise ProfileFormatError(str(exc)) from exc
+
+
+def _build_profile(data) -> ContactProfile:
     json_keys(data, "profile spec", ("side",), ("s_max",), ("segments", "generator"))
     side = data["side"]
     _require(side in ("+", "-"), f"side must be '+' or '-', got {side!r}")
@@ -97,12 +118,7 @@ def profile_from_dict(data: dict) -> ContactProfile:
             abs(json_number(s_max, "s_max") - breaks[-1]) <= 1e-12 * max(1.0, breaks[-1]),
             "s_max must equal the last segment end",
         )
-        try:
-            return make_piecewise(side, breaks, values)
-        except ProfileFormatError:
-            raise
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc)) from exc
+        return make_piecewise(side, breaks, values)
 
     gen = data["generator"]
     _require(isinstance(gen, dict) and "type" in gen, "'generator' needs a type")
@@ -116,10 +132,7 @@ def profile_from_dict(data: dict) -> ContactProfile:
     if gtype == "constant":
         gamma = json_number(gen["gamma"] if "gamma" in gen else gen["gamma1"], "constant gamma")
         s_max = json_number(data.get("s_max", 1.0), "s_max")
-        try:
-            return constant_profile(side, gamma, s_max)
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc)) from exc
+        return constant_profile(side, gamma, s_max)
     g1 = json_number(gen["gamma1"], "gamma1")
     g2 = json_number(gen["gamma2"], "gamma2")
     # a depth left out is the generator's own default
@@ -129,25 +142,12 @@ def profile_from_dict(data: dict) -> ContactProfile:
         f"{gtype} profiles are parametrized on arclength [0, 1]",
     )
     maker = example1_profile if gtype == "example1" else example2_profile
-    try:
-        prof = maker(g1, g2, **kw)
-    except ValueError as exc:
-        raise ProfileFormatError(str(exc)) from exc
-    return dataclasses.replace(prof, side=side)
+    return dataclasses.replace(maker(g1, g2, **kw), side=side)
 
 
 def load_profile(path: str | Path) -> ContactProfile:
     """Read one wall profile from a JSON file; malformed input raises."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ProfileFormatError(f"cannot read profile file {p}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProfileFormatError(f"profile file {p} is not valid JSON: {exc}") from exc
-    return profile_from_dict(data)
+    return profile_from_dict(read_json(path, "profile"))
 
 
 def profile_summary(profile: ContactProfile) -> dict:

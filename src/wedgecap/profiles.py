@@ -26,6 +26,13 @@ class ProfileFormatError(ValueError):
     """A profile description is structurally malformed (not just out of range)."""
 
 
+def check_angle(gamma, what: str) -> None:
+    """Refuse a contact angle, or an array of them, outside [0, pi] (NaN
+    included); both endpoints are angles."""
+    if not np.all((gamma >= 0.0) & (gamma <= math.pi)):
+        raise ValueError(f"{what} must lie in [0, pi], got {gamma}")
+
+
 @dataclass(frozen=True)
 class WedgeGeometry:
     """Planar wedge of half-opening ``alpha``, corner at the origin.
@@ -56,9 +63,7 @@ class GammaBoundsHypothesis:
 
     def __post_init__(self) -> None:
         for name in ("lower_plus", "upper_plus", "lower_minus", "upper_minus"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= math.pi):
-                raise ValueError(f"{name} must lie in [0, pi], got {v}")
+            check_angle(getattr(self, name), name)
         if self.lower_plus > self.upper_plus or self.lower_minus > self.upper_minus:
             raise ValueError("lower bounds must not exceed upper bounds")
 
@@ -147,15 +152,13 @@ def make_piecewise(
         raise ValueError("breakpoints must be positive")
     if not np.all(np.diff(br) > 0.0):
         raise ValueError("breakpoints must be strictly increasing")
-    if not np.all((vals >= 0.0) & (vals <= math.pi)):  # NaN fails too
-        raise ValueError("contact angles must lie in [0, pi]")
+    check_angle(vals, "contact angles")
     s_max = float(br[-1])
     ann = tuple(sorted((float(s), float(g)) for s, g in annotations))
     for s, g in ann:
         if not (0.0 < s <= s_max):
             raise ValueError(f"annotation point {s} outside (0, s_max]")
-        if not (0.0 <= g <= math.pi):
-            raise ValueError(f"annotation angle {g} outside [0, pi]")
+        check_angle(g, "annotation angle")
     bounds = np.concatenate(([0.0], br))
     return ContactProfile(
         side=side,

@@ -276,6 +276,12 @@ def test_witness_validation():
         for call in (contradiction_witness, limit_difference_table):
             with pytest.raises(ValueError, match="fan width"):
                 call(A, FanCase.I, "+", math.nan, grid)
+    # the witness refuses the grids the all-lambda check refuses
+    short = [1.0, 2.0]
+    with pytest.raises(ValueError, match="at least 3 points"):
+        holds_for_all_lambda(lambda lam: condition_increasing(A, 0.5, lam), 0.5, short)
+    with pytest.raises(ValueError, match="at least 3 points"):
+        contradiction_witness(A, FanCase.I, "+", 0.5, short)
 
 
 def test_witness_complements_admissibility_check():

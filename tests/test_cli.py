@@ -102,17 +102,26 @@ def test_flag_the_subcommand_ignores_exits_1(tmp_path, argv):
 
 
 def test_solve_config_usage_errors(tmp_path, capsys):
-    assert run(["solve", "--config", str(tmp_path / "absent.json")]) == 1
+    """No --config is a usage error (exit 1); a config file that is missing,
+    not UTF-8, not JSON or not an object is a malformed config (exit 2), as
+    the same profile file is."""
+    out = tmp_path / "out"
+    assert run(["solve", "--out", out]) == 1
+    assert "requires --config" in capsys.readouterr().err
+
+    assert run(["solve", "--config", tmp_path / "absent.json", "--out", out]) == 2
     assert "cannot read" in capsys.readouterr().err
 
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]")
-    assert run(["solve", "--config", str(bad)]) == 1
-    assert "JSON object" in capsys.readouterr().err
-
-    notjson = tmp_path / "nj.json"
-    notjson.write_text("{oops")
-    assert run(["solve", "--config", str(notjson)]) == 1
+    for name, content, says in [
+        ("latin1.json", '{"alpha": 1.0, "note": "\u00e9"}'.encode("latin-1"), "not valid JSON"),
+        ("nj.json", b"{oops", "not valid JSON"),
+        ("bad.json", b"[1, 2]", "JSON object"),
+    ]:
+        (tmp_path / name).write_bytes(content)
+        assert run(["solve", "--config", tmp_path / name, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "profile error" in err and says in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +519,29 @@ def test_solve_null_wall_is_a_profile_error(tmp_path, capsys, key):
     "key, value",
     [("alpha", None), ("m", [1]), ("kappa", "x"), ("lambda", "2"),
      ("alpha", True), ("m", 24.7), ("n_radii", 3.9),
-     ("pmc", ["tanh"]), ("pmc", 1), ("n_thetas", 99)],
+     ("pmc", ["tanh"]), ("pmc", 1), ("n_thetas", 99), ("initial", None), ("pmc", None)],
 )
 def test_solve_malformed_number_is_a_config_error(tmp_path, capsys, key, value):
     cfg = solve_config(tmp_path, **{"m": 8, "n_theta": 8, key: value})
     assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert "profile error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("call", ["profile", "bounds", "blowup"])
+def test_profile_file_that_is_not_utf8_exits_2(tmp_path, capsys, call):
+    wall = tmp_path / "wall.json"
+    text = '{"side": "+", "generator": {"type": "constant", "gamma": 1.0}, "note": "\u00e9"}'
+    wall.write_bytes(text.encode("latin-1"))
+    argv = {
+        "profile": ["profile", wall],
+        "bounds": ["bounds", "--plus", wall, "--minus", constant_wall(tmp_path, "-", 2.0)],
+        "blowup": ["blowup", "--case", "I", "--beta", "0.5", "--profile", wall],
+    }[call]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("call", ["profile", "blowup", "bounds", "s_max", "tol", "kappa"])

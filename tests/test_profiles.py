@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wedgecap.bounds import AdhesionFunction
+from wedgecap.functionals import exact_A_example1
 from wedgecap.profiles import (
     CONVEX_OK,
     FAILS,
@@ -81,6 +83,28 @@ def test_make_piecewise_rejects_bad_input():
         make_piecewise("x", [1.0], [0.5])
     with pytest.raises(ProfileFormatError):
         make_piecewise("+", [1.0], [0.5, 0.6])
+
+
+#: every entry point that takes a contact angle, as a function of that angle
+ANGLE_ENTRY_POINTS = {
+    "make_piecewise": lambda g: make_piecewise("+", [1.0], [g]),
+    "annotation": lambda g: make_piecewise("+", [1.0], [1.0], annotations=[(0.5, g)]),
+    "hypothesis": lambda g: GammaBoundsHypothesis(g, g, g, g),
+    "exact_A_example1": lambda g: exact_A_example1(1.0, g, 0.5),
+    "constant_angle": lambda g: AdhesionFunction.constant_angle(g, "I"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+def test_contact_angle_rule_takes_both_endpoints_and_nothing_outside(entry):
+    """0 <= gamma <= pi everywhere an angle enters: the endpoints 0 and pi are
+    the paper's case, and NaN is no angle."""
+    build = ANGLE_ENTRY_POINTS[entry]
+    for gamma in (-0.1, math.pi + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
+            build(gamma)
+    for gamma in (0.0, math.pi):
+        build(gamma)
 
 
 def test_constant_profile():
