@@ -181,7 +181,8 @@ def calls(inputs):
     out.append(("profile-malformed", ["profile", write_json(inputs / "zero_depth.json",
                                                             zero_depth)]))
     # a config file that is missing, not JSON or not an object, a null where a
-    # value belongs, and a profile file that is not UTF-8: malformed (exit 2)
+    # value belongs, and a profile file that is not UTF-8 or nested too
+    # deeply: malformed (exit 2)
     out.append(("solve-config-missing", ["solve", "--config", str(inputs / "absent.json")]))
     for label, text in (("solve-config-not-json", "{oops"), ("solve-config-list", "[1, 2]")):
         (inputs / f"{label}.json").write_text(text)
@@ -194,6 +195,8 @@ def calls(inputs):
     latin1.write_bytes(json.dumps({**constant("+", 1.0), "note": "\u00e9"},
                                   ensure_ascii=False).encode("latin-1"))
     out.append(("profile-not-utf8", ["profile", str(latin1)]))
+    (inputs / "nested.json").write_text("[" * 100_000)
+    out.append(("profile-nested-deep", ["profile", str(inputs / "nested.json")]))
     # the closed-form router's edges: angles 0 and pi, and two equal angles
     out.append(("verify-extremes", ["verify-examples", "--gamma1", "0", "--gamma2", "3.14159"]))
     out.append(("verify-equal", ["verify-examples", "--gamma1", "1.5", "--gamma2", "1.5"]))

@@ -17,10 +17,9 @@ import importlib
 #: every exported name, by the module that defines it
 _EXPORTS = {
     "blowup": (
-        "RescaleSpec", "TriangleComparison", "bc_length", "contradiction_witness",
+        "TriangleComparison", "bc_length", "contradiction_witness",
         "limit_difference_table", "phi_difference", "phi_limit_difference",
-        "psi_difference", "psi_limit_difference", "rescale_solution", "sine_rule_bc",
-        "triangle_omega",
+        "psi_difference", "psi_limit_difference", "sine_rule_bc", "triangle_omega",
     ),
     "bounds": (
         "AdhesionFunction", "FanBoundResult", "FanCase", "InfeasibleScanError",
@@ -38,7 +37,7 @@ _EXPORTS = {
     "profiles": (
         "ContactProfile", "GammaBoundsHypothesis", "ProfileFormatError",
         "WedgeGeometry", "averaged_cos", "averaged_cos_many", "constant_profile",
-        "cos_integral", "essential_range", "example1_profile", "example2_profile",
+        "cos_integral", "example1_profile", "example2_profile",
         "hypothesis_from_profiles", "make_piecewise", "theorem1_applicability",
     ),
     "solver": (

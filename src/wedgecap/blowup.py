@@ -33,40 +33,6 @@ _COLLINEAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class RescaleSpec:
-    """Scale factor and reference height for one blow-up step."""
-
-    eps: float
-    z0: float
-
-    def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise ValueError(f"scale factor must be positive, got {self.eps}")
-        if not math.isfinite(self.z0):
-            raise ValueError("reference height must be finite")
-
-
-def rescale_solution(samples, spec: RescaleSpec, inside=None) -> np.ndarray:
-    """Rescale height samples: (x, y, f(eps*x, eps*y)) -> (x, y, (f - z0)/eps).
-
-    ``samples`` rows carry the solution value already evaluated at the
-    contracted point (eps*x, eps*y); coordinates stay in the blown-up frame.
-    ``inside``, when given, must accept the contracted point and is used to
-    reject samples that left the original domain.
-    """
-    arr = np.atleast_2d(np.asarray(samples, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"samples must be (n, 3)-shaped, got {arr.shape}")
-    if inside is not None:
-        for x, y in arr[:, :2] * spec.eps:
-            if not inside(x, y):
-                raise ValueError(f"sample outside domain at ({x}, {y})")
-    out = arr.copy()
-    out[:, 2] = (arr[:, 2] - spec.z0) / spec.eps
-    return out
-
-
-@dataclass(frozen=True)
 class TriangleComparison:
     """Comparison triangle O=(0,0), B on one wall, C on the unit circle.
 

@@ -38,8 +38,9 @@ LAMBDA_MARGIN = 1e-4
 LAMBDA_POINTS = 512
 #: fan-scan step in beta: the default and the coarsest allowed
 BETA_STEP = 1e-3
-#: beta rows evaluated at once by the fan scan (bounds its memory, not its result)
-_SCAN_ROWS = 64
+#: beta rows evaluated at once by the fan scan, so a temporary holds 16 x 512
+#: doubles (64 KiB); bounds its memory, not its result
+_SCAN_ROWS = 16
 #: lambda column stride of the fan scan's coarse pass (sets its speed, not its result)
 _COARSE_STRIDE = 8
 

@@ -8,6 +8,7 @@ given input always produces byte-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -77,13 +78,16 @@ _GENERATOR_KEYS = {
 
 def read_json(path: str | Path, what: str):
     """The JSON value in a UTF-8 file; an unreadable file, bytes that are not
-    UTF-8 or text that is not JSON raise ProfileFormatError naming ``what``."""
+    UTF-8, text that is not JSON or JSON nested too deeply for the parser
+    raise ProfileFormatError naming ``what``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ProfileFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProfileFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProfileFormatError(f"{what} file {path} is nested too deeply") from exc
 
 
 def profile_from_dict(data: dict) -> ContactProfile:
@@ -179,22 +183,40 @@ def fmt(x) -> str:
     return str(x)
 
 
+#: lines written to a file per write: bounds the text held at once
+_CHUNK_LINES = 4096
+
+
 def _write_lines(path, lines) -> Path:
+    """Write each of ``lines`` and a newline, _CHUNK_LINES lines at a time, so
+    the text held at once does not grow with the file."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text("\n".join(lines) + "\n", newline="")
+    lines = iter(lines)
+    with p.open("w", newline="") as fh:
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            fh.write("\n".join(chunk) + "\n")
     return p
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
     """Comma-joined fmt values; no field wedgecap writes needs CSV quoting."""
-    return _write_lines(path, [",".join(header)] + [",".join(map(fmt, row)) for row in rows])
+    lines = (",".join(map(fmt, row)) for row in rows)
+    return _write_lines(path, itertools.chain([",".join(header)], lines))
+
+
+def _float_lines(columns):
+    """One line of repr-formatted floats per row of ``columns``, which are
+    turned into Python floats _CHUNK_LINES rows at a time."""
+    columns = [np.ravel(c) for c in columns]
+    for start in range(0, min(map(len, columns)), _CHUNK_LINES):
+        chunk = (c[start:start + _CHUNK_LINES].astype(float).tolist() for c in columns)
+        yield from (",".join(map(repr, row)) for row in zip(*chunk))
 
 
 def _write_columns(path, header: str, columns) -> Path:
     """Fast write_csv for float columns."""
-    rows = zip(*(np.ravel(c).astype(float).tolist() for c in columns))
-    return _write_lines(path, [header] + [",".join(map(repr, r)) for r in rows])
+    return _write_lines(path, itertools.chain([header], _float_lines(columns)))
 
 
 def write_sweep_csv(path, eps: np.ndarray, averages: np.ndarray) -> Path:
@@ -220,10 +242,12 @@ def write_solution_csv(path, field: SolutionField) -> Path:
     """One row per node, outer radii first and theta inner; each r and theta
     is formatted once."""
     thetas = [f",{t}," for t in map(repr, field.mesh.thetas.tolist())]
-    lines = ["r,theta,f"]
-    for r, row in zip(map(repr, field.mesh.radii.tolist()), field.values.tolist()):
-        lines += [r + t + f for t, f in zip(thetas, map(repr, row))]
-    return _write_lines(path, lines)
+    nodes = (
+        r + t + f
+        for r, row in zip(map(repr, field.mesh.radii.tolist()), field.values)
+        for t, f in zip(thetas, map(repr, row.tolist()))
+    )
+    return _write_lines(path, itertools.chain(["r,theta,f"], nodes))
 
 
 def write_trace_csv(path, trace: RadialTrace) -> Path:

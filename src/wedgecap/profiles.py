@@ -263,19 +263,6 @@ def averaged_cos_many(profile: ContactProfile, eps: np.ndarray, b: float) -> np.
     return profile.integral_many(b * eps) / eps
 
 
-def essential_range(profile: ContactProfile) -> tuple[float, float]:
-    """Essential (liminf, limsup) of gamma(s) as s -> 0+.
-
-    Generated profiles report the angles of the blocks recurring at every
-    scale.  A hand-built profile is literally constant near 0 (its innermost
-    segment touches the corner), so both limits equal that segment's value.
-    """
-    if profile.recurrent_values:
-        return (min(profile.recurrent_values), max(profile.recurrent_values))
-    v = float(profile.values[0])
-    return (v, v)
-
-
 def hypothesis_from_profiles(
     plus: ContactProfile, minus: ContactProfile
 ) -> GammaBoundsHypothesis:
@@ -295,7 +282,7 @@ def theorem1_applicability(geometry: WedgeGeometry, hyp: GammaBoundsHypothesis) 
     require pi - 2*alpha < lower_plus + lower_minus and
     upper_plus + upper_minus < pi + 2*alpha, both strictly.
     """
-    if geometry.alpha > math.pi / 2.0:
+    if not geometry.convex:
         return NONCONVEX_OK
     lo = hyp.lower_plus + hyp.lower_minus
     hi = hyp.upper_plus + hyp.upper_minus

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wedgecap.blowup import (
-    RescaleSpec,
     TriangleComparison,
     bc_length,
     contradiction_witness,
@@ -15,7 +14,6 @@ from wedgecap.blowup import (
     phi_limit_difference,
     psi_difference,
     psi_limit_difference,
-    rescale_solution,
     sine_rule_bc,
     triangle_omega,
 )
@@ -31,59 +29,6 @@ from wedgecap.bounds import (
 
 def tri(alpha, theta0, b, side="+"):
     return TriangleComparison(alpha=alpha, theta0=theta0, b=b, side=side)
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-
-
-def test_rescale_identity():
-    samples = np.array([[0.5, 0.2, 1.7], [1.0, -0.3, 0.4]])
-    out = rescale_solution(samples, RescaleSpec(eps=1.0, z0=0.0))
-    assert np.array_equal(out, samples)
-
-
-def test_rescale_constant_field_collapses():
-    samples = np.array([[0.5, 0.2, 3.0], [1.0, -0.3, 3.0]])
-    out = rescale_solution(samples, RescaleSpec(eps=0.01, z0=3.0))
-    assert np.all(out[:, 2] == 0.0)
-    assert np.array_equal(out[:, :2], samples[:, :2])
-
-
-def test_rescale_degree_one_field_is_fixed_point():
-    """f(x, y) = x: heights sampled at contracted points rescale to x again."""
-    xy = np.array([[0.4, 0.1], [0.9, -0.5], [0.2, 0.2]])
-    for eps in (1.0, 0.25, 1e-3):
-        samples = np.column_stack([xy, eps * xy[:, 0]])
-        out = rescale_solution(samples, RescaleSpec(eps=eps, z0=0.0))
-        assert out[:, 2] == pytest.approx(xy[:, 0], rel=1e-15)
-
-
-def test_rescale_composition():
-    rng = np.random.default_rng(11)
-    samples = rng.normal(size=(20, 3))
-    e1, z1, e2, z2 = 0.5, 1.2, 0.125, -0.7
-    once = rescale_solution(samples, RescaleSpec(eps=e1, z0=z1))
-    twice = rescale_solution(once, RescaleSpec(eps=e2, z0=z2))
-    combined = rescale_solution(samples, RescaleSpec(eps=e1 * e2, z0=z1 + e1 * z2))
-    assert twice[:, 2] == pytest.approx(combined[:, 2], rel=1e-12, abs=1e-12)
-
-
-def test_rescale_domain_guard():
-    samples = np.array([[2.0, 0.0, 1.0]])
-    inside = lambda x, y: x * x + y * y <= 1.0
-    rescale_solution(samples, RescaleSpec(eps=0.5, z0=0.0), inside=inside)
-    with pytest.raises(ValueError):
-        rescale_solution(samples, RescaleSpec(eps=0.6, z0=0.0), inside=inside)
-
-
-def test_rescale_validation():
-    with pytest.raises(ValueError):
-        RescaleSpec(eps=0.0, z0=0.0)
-    with pytest.raises(ValueError):
-        RescaleSpec(eps=1.0, z0=math.inf)
-    with pytest.raises(ValueError):
-        rescale_solution(np.zeros((3, 2)), RescaleSpec(eps=1.0, z0=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Admissible-fan scans, frozen-slope cross-checks, and effective angles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,18 +216,35 @@ def test_scan_result_brackets_feasibility():
 @pytest.mark.parametrize(
     "wall, cond_kind, beta_step",
     [(w, k, 1e-3) for w in SCAN_WALLS for k in (INCREASING, DECREASING)]
-    + [("sweep", INCREASING, 9e-4)],  # 3,490 rows: 54 full blocks of 64 and 34 left
+    + [("sweep", INCREASING, 9e-4)],  # 3,490 rows: 218 full blocks of 16 and 2 left
 )
 def test_scan_block_size_cannot_change_result(monkeypatch, wall, cond_kind, beta_step):
     import wedgecap.bounds
 
     A = adhesion_from_profile(SCAN_WALLS[wall], required_functional_kind(cond_kind))
     results = []
-    for rows in (1, 7, 64, 10**6):
+    for rows in (1, 7, 16, 64, 10**6):
         monkeypatch.setattr(wedgecap.bounds, "_SCAN_ROWS", rows)
         results.append(min_admissible_fan([(A, cond_kind)], beta_step=beta_step))
     for r in results[1:]:
         assert r == results[0]  # every field, compared with ==
+
+
+def test_fan_scan_working_storage():
+    """tracemalloc peak of one fan_bound_rows call for every case on two
+    sweep-table walls, tables built inside it.  The scan's temporaries hold
+    16 beta rows by 512 lambdas.  The budget lies between the peak so
+    measured (1.1 MB) and that of 64-row blocks (2.9 MB)."""
+    walls = {"+": make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]),
+             "-": make_piecewise("-", [0.3, 0.65, 1.0], [2.5, 0.6, 1.4])}
+    tracemalloc.start()
+    try:
+        rows = fan_bound_rows(walls, list(FanCase))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert {row[3] for row in rows} == {"theorem2_scan"}
+    assert peak < 2.0
 
 
 @pytest.mark.parametrize(
@@ -287,7 +305,7 @@ def test_shared_scan_equals_one_pair_scans(monkeypatch, wall, beta_step):
 
     requests = _four_pairs(wall)
     alone = [min_admissible_fan([req], beta_step=beta_step)[0] for req in requests]
-    for rows in (1, 7, 64, 10**6):
+    for rows in (1, 7, 16, 64, 10**6):
         monkeypatch.setattr(wedgecap.bounds, "_SCAN_ROWS", rows)
         assert min_admissible_fan(requests, beta_step=beta_step) == alone
 

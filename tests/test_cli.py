@@ -544,6 +544,20 @@ def test_profile_file_that_is_not_utf8_exits_2(tmp_path, capsys, call):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("call", ["profile", "solve"])
+def test_json_nested_too_deeply_exits_2(tmp_path, capsys, call):
+    """Python's JSON parser gives up on deep nesting with a RecursionError; the
+    file is malformed input all the same."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = ["profile", deep] if call == "profile" else ["solve", "--config", deep]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "profile error" in err and "nested too deeply" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("call", ["profile", "blowup", "bounds", "s_max", "tol", "kappa"])
 def test_non_finite_json_number_exits_2(tmp_path, capsys, call):
     """JSON's NaN and Infinity are malformed numbers, whichever file holds them."""
@@ -890,24 +904,24 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 PACKAGE_EXPORTS = """
 AdhesionEstimate AdhesionFunction ContactProfile FanBoundResult FanCase
 FanMeasurement GammaBoundsHypothesis InfeasibleScanError ManufacturedCase
-ProfileFormatError RadialTrace RescaleSpec SectorMesh SolutionField SolverConfig
+ProfileFormatError RadialTrace SectorMesh SolutionField SolverConfig
 SweepConfig TriangleComparison WedgeGeometry adhesion_from_profile averaged_cos
 averaged_cos_many bc_length best_estimates build_sector_mesh case_condition_map
 condition_decreasing condition_increasing constant_profile contradiction_witness
-corollary1_bound cos_integral default_lambda_grid effective_angle essential_range
+corollary1_bound cos_integral default_lambda_grid effective_angle
 estimate_AI estimate_AS exact_A_example1 exact_A_log_periodic example1_profile
 example2_profile fans_from_trace holds_for_all_lambda hypothesis_from_profiles
 limit_difference_table load_profile make_piecewise manufactured_case
 manufactured_convergence manufactured_solve measure_fans min_admissible_fan
 phi_difference phi_limit_difference profile_from_dict psi_difference
-psi_limit_difference radial_trace required_functional_kind rescale_solution
+psi_limit_difference radial_trace required_functional_kind
 sine_rule_bc solve_capillary solve_pmc sweep_table theorem1_applicability
 torus_minor_radius triangle_omega verify_log_periodic
 """.split()
 
 
 def test_package_exports_are_their_home_modules_objects():
-    assert len(PACKAGE_EXPORTS) == 67
+    assert len(PACKAGE_EXPORTS) == 64
     assert set(wedgecap.__all__) == set(PACKAGE_EXPORTS)
     for name in wedgecap.__all__:
         value = getattr(wedgecap, name)

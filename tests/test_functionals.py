@@ -26,7 +26,6 @@ from wedgecap.functionals import (
 from wedgecap.profiles import (
     ContactProfile,
     constant_profile,
-    essential_range,
     example1_profile,
     example2_profile,
     make_piecewise,
@@ -205,7 +204,7 @@ def test_two_block_exact_values():
 @given(st.tuples(angles, angles), st.floats(min_value=0.05, max_value=0.95))
 def test_sandwich_between_essential_cosines(gs, b):
     prof = example2_profile(gs[0], gs[1], depth=16)
-    g_lo, g_hi = essential_range(prof)
+    g_lo, g_hi = min(prof.recurrent_values), max(prof.recurrent_values)
     lo, hi = best_estimates(prof, b)
     assert b * math.cos(g_hi) - 1e-9 <= lo.value
     assert lo.value <= hi.value + 1e-12

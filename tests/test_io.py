@@ -8,11 +8,14 @@ import csv
 import io
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wedgecap.io import (
+    _CHUNK_LINES,
     fan_summary,
     fmt,
     load_profile,
@@ -333,6 +336,58 @@ def test_float_writers_match_write_csv_bytes(tmp_path):
     ]
     expect = _csv_module_bytes(["r", "theta", "f"], nodes)
     assert write_solution_csv(tmp_path / "solution.csv", field).read_bytes() == expect
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [0, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, 2 * _CHUNK_LINES + 1],
+)
+def test_chunked_writers_match_write_csv_bytes_at_chunk_edges(tmp_path, n_rows):
+    """Every CSV writer writes what the csv module writes, whether its lines
+    fill no chunk, part of one, one exactly or spill into the next."""
+    rng = np.random.default_rng(n_rows)
+    col = rng.normal(size=n_rows) * 10.0 ** rng.integers(-300, 300, size=n_rows)
+    col[::97] = np.nan
+    cols = (col, col[::-1].copy(), np.cumsum(col))
+    for name, header, write in [
+        ("sweep", ["eps", "averaged_cos"], lambda p: write_sweep_csv(p, *cols[:2])),
+        ("limit", ["lambda", "limit_difference"],
+         lambda p: write_limit_sweep_csv(p, np.column_stack(cols[:2]))),
+        ("trace", ["theta", "Rf", "residual"],
+         lambda p: write_trace_csv(p, SimpleNamespace(thetas=cols[0], rf=cols[1],
+                                                      residual=cols[2]))),
+        ("rows", ["eps", "averaged_cos", "cumsum"],
+         lambda p: write_csv(p, ["eps", "averaged_cos", "cumsum"], zip(*cols))),
+    ]:
+        expect = _csv_module_bytes(header, zip(*cols[:len(header)]))
+        assert write(tmp_path / f"{name}.csv").read_bytes() == expect, name
+    # one theta, so the solution has a line per radius
+    field = SimpleNamespace(mesh=SimpleNamespace(radii=cols[0], thetas=np.array([0.25])),
+                            values=cols[1][:, None])
+    expect = _csv_module_bytes(["r", "theta", "f"], ((r, 0.25, f) for r, f in zip(*cols[:2])))
+    assert write_solution_csv(tmp_path / "solution.csv", field).read_bytes() == expect
+    mixed = [("+", "I", x, "theorem2_scan", x > 0, np.int64(k)) for k, x in enumerate(col)]
+    header = ["side", "case", "x", "method", "flag", "n"]
+    expect = _csv_module_bytes(header, mixed)
+    assert write_csv(tmp_path / "mixed.csv", header, mixed).read_bytes() == expect
+
+
+def test_csv_writer_working_storage(tmp_path):
+    """tracemalloc peak of writing a 200,000-row sweep.  Lines are formatted
+    and written a chunk at a time, so the peak does not grow with the row
+    count.  The budget lies between the peak so measured (1.1 MB) and that of
+    joining the whole file into one string (42 MB)."""
+    eps = np.geomspace(1e-9, 1.0, 200_000)
+    averages = np.cos(1e3 * eps)
+    tracemalloc.start()
+    try:
+        path = write_sweep_csv(tmp_path / "sweep.csv", eps, averages)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == 200_001
+    assert peak < 10.0
 
 
 def test_limit_sweep_csv(tmp_path):

@@ -21,7 +21,6 @@ from wedgecap.profiles import (
     averaged_cos_many,
     constant_profile,
     cos_integral,
-    essential_range,
     example1_profile,
     example2_profile,
     hypothesis_from_profiles,
@@ -278,19 +277,7 @@ def test_averaged_cos_many_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# essential range and applicability
-
-
-def test_essential_range():
-    assert essential_range(example2_profile(math.pi / 3, 2 * math.pi / 3)) == (
-        math.pi / 3,
-        2 * math.pi / 3,
-    )
-    assert essential_range(example1_profile(math.pi / 3, 2 * math.pi / 3)) == (
-        math.pi / 3,
-        2 * math.pi / 3,
-    )
-    assert essential_range(constant_profile("+", 0.4)) == (0.4, 0.4)
+# applicability
 
 
 def test_wedge_geometry():
@@ -311,8 +298,12 @@ def test_theorem1_applicability_tags():
     h = GammaBoundsHypothesis(math.pi / 4, math.pi / 2, math.pi / 4, math.pi / 2)
     assert theorem1_applicability(WedgeGeometry(3 * math.pi / 4), h) == NONCONVEX_OK
     assert theorem1_applicability(WedgeGeometry(math.pi / 3), h) == CONVEX_OK
+    # alpha = pi/2 is convex, so the angle condition applies: it needs
+    # 0 < lower_plus + lower_minus, which zero angles fail
+    assert theorem1_applicability(WedgeGeometry(math.pi / 2), h) == CONVEX_OK
     zero = GammaBoundsHypothesis(0.0, 0.0, 0.0, 0.0)
     assert theorem1_applicability(WedgeGeometry(math.pi / 4), zero) == FAILS
+    assert theorem1_applicability(WedgeGeometry(math.pi / 2), zero) == FAILS
 
 
 @given(
