@@ -5,7 +5,8 @@ The inputs (wall profiles and solve configs) are generated inline, so two
 checkouts given the same script produce comparable listings: diff the output
 of the parent commit against the change to prove a refactor left every
 artifact byte-identical.  Each call's exit code is printed too, alone for
-a call that writes no output directory.
+a call that writes no output directory.  A call writes under OUT_DIR/<label>
+unless it names its own --out.
 
 Usage:
     PYTHONPATH=src python3 scripts/golden_artifacts.py OUT_DIR > golden.txt
@@ -57,7 +58,8 @@ def write_json(path, data):
 
 
 def calls(inputs):
-    """(label, argv without --out) for every call, inputs written on the way."""
+    """(label, argv) for every call, inputs written on the way; only a call
+    that names its own --out has one."""
     rng = random.Random("golden-artifacts")
     walls = {
         "constant": {"+": constant("+", 1.0), "-": constant("-", 2.0)},
@@ -200,6 +202,9 @@ def calls(inputs):
     # the closed-form router's edges: angles 0 and pi, and two equal angles
     out.append(("verify-extremes", ["verify-examples", "--gamma1", "0", "--gamma2", "3.14159"]))
     out.append(("verify-equal", ["verify-examples", "--gamma1", "1.5", "--gamma2", "1.5"]))
+    # an --out that is a file is a usage error found before the solve (exit 1)
+    out.append(("solve-out-a-file", ["solve", "--config", str(inputs / "solve-16.json"),
+                                     "--out", paths["constant", "+"]]))
     return out
 
 
@@ -212,9 +217,11 @@ def main(argv=None) -> int:
     inputs.mkdir(parents=True, exist_ok=True)
     for label, argv_ in calls(inputs):
         out = root / label
+        if "--out" not in argv_:
+            argv_ = argv_ + ["--out", str(out)]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = wedgecap_main(argv_ + ["--out", str(out)])
+            code = wedgecap_main(argv_)
         print(f"exit {code}  {label}")
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}")

@@ -16,6 +16,7 @@ import importlib
 
 #: every exported name, by the module that defines it
 _EXPORTS = {
+    "base": ("ProfileFormatError",),
     "blowup": (
         "TriangleComparison", "bc_length", "contradiction_witness",
         "limit_difference_table", "phi_difference", "phi_limit_difference",
@@ -35,10 +36,10 @@ _EXPORTS = {
     ),
     "io": ("load_profile", "profile_from_dict"),
     "profiles": (
-        "ContactProfile", "GammaBoundsHypothesis", "ProfileFormatError",
-        "WedgeGeometry", "averaged_cos", "averaged_cos_many", "constant_profile",
-        "cos_integral", "example1_profile", "example2_profile",
-        "hypothesis_from_profiles", "make_piecewise", "theorem1_applicability",
+        "ContactProfile", "GammaBoundsHypothesis", "WedgeGeometry", "averaged_cos",
+        "averaged_cos_many", "constant_profile", "cos_integral", "example1_profile",
+        "example2_profile", "hypothesis_from_profiles", "make_piecewise",
+        "theorem1_applicability",
     ),
     "solver": (
         "FanMeasurement", "ManufacturedCase", "RadialTrace", "SectorMesh",

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-# Only what the parser and main need is imported here; each command imports
-# the layers it calls, so a short call runs no module it does not use.
-from .functionals import EPS_FLOOR, POINTS_PER_DECADE
-from .profiles import ProfileFormatError
+# Only what the parser and main need is imported here, and none of it loads
+# numpy.  Each command imports the layers it calls once its usage checks and
+# its input files' JSON checks pass, so a call that fails them, or runs
+# short, loads no module it does not use.
+from .base import EPS_FLOOR, POINTS_PER_DECADE, ProfileFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,6 +72,20 @@ def _add_flags(parser: argparse.ArgumentParser, *shared: str) -> None:
         parser.add_argument(name, **_SHARED_FLAGS[name])
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that cannot become a directory: it, or else the
+    nearest of its ancestors that exists, is not one.  Nothing is made here,
+    so a call that fails later leaves no output directory."""
+    path = Path(out)
+    for p in (path, *path.parents):
+        if os.path.lexists(p):
+            if os.path.isdir(p):
+                return
+            if p == path:
+                raise _Usage(f"--out {out} exists and is not a directory")
+            raise _Usage(f"--out {out} lies under {p}, which is not a directory")
+
+
 def _check_eps_floor(eps_floor: float, s_max: float) -> None:
     if not (0.0 < eps_floor < s_max):
         raise ValueError(f"--eps-floor must lie in (0, s_max={s_max}), got {eps_floor}")
@@ -83,10 +97,11 @@ def _check_eps_floor(eps_floor: float, s_max: float) -> None:
 
 def cmd_profile(args) -> int:
     from . import io as wio
-    from .functionals import SweepConfig, best_estimates, sweep_table
 
     profile = wio.load_profile(args.file)
     _check_eps_floor(args.eps_floor, profile.s_max)
+    from .functionals import SweepConfig, best_estimates, sweep_table
+
     out = Path(args.out)
     cfg = SweepConfig(
         eps_hi=profile.s_max,
@@ -131,10 +146,11 @@ def cmd_profile(args) -> int:
 
 def cmd_bounds(args) -> int:
     from . import io as wio
-    from .bounds import BETA_STEP, FanCase, fan_bound_rows
 
     profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
     _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
+    from .bounds import BETA_STEP, FanCase, fan_bound_rows
+
     beta_step = _angle(args.beta_step, args.degrees, BETA_STEP)
     cases = tuple(FanCase) if args.case == "all" else (FanCase(args.case),)
     rows = fan_bound_rows(profiles, cases, beta_step, eps_lo=args.eps_floor)
@@ -163,6 +179,8 @@ def cmd_bounds(args) -> int:
 
 def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, float, float]]:
     """(label, achieved, allowed) per identity; PASS iff achieved <= allowed."""
+    import numpy as np
+
     from .functionals import SweepConfig, best_estimates, sweep_table
     from .profiles import example1_profile, example2_profile
 
@@ -277,6 +295,8 @@ def _config_number(data: dict, key: str, default, integer: bool = False):
 
 
 def _curvature_for(tag: str, kappa: float, lam: float):
+    import numpy as np
+
     if tag == "tanh":
         return lambda x, y, t: 0.5 * (kappa * np.tanh(t) + lam)
     if tag == "zero":
@@ -285,6 +305,8 @@ def _curvature_for(tag: str, kappa: float, lam: float):
 
 
 def _mirror_profiles(plus, minus) -> bool:
+    import numpy as np
+
     return np.array_equal(plus.bounds, minus.bounds) and np.array_equal(
         plus.values, minus.values
     )
@@ -325,6 +347,15 @@ def cmd_solve(args) -> int:
     if args.config is None:
         raise _Usage("solve requires --config FILE (or --mms)")
     from . import io as wio
+
+    data = wio.read_json(args.config, "solve config")
+    required, optional = _SOLVE_KEYS
+    capillary = not (isinstance(data, dict) and "pmc" in data)
+    if capillary:
+        required += ("kappa", "lambda")
+    wio.json_keys(data, "solve config", required, optional)
+    import numpy as np
+
     from .profiles import WedgeGeometry
     from .solver import (
         SolverConfig,
@@ -335,12 +366,6 @@ def cmd_solve(args) -> int:
         solve_pmc,
     )
 
-    data = wio.read_json(args.config, "solve config")
-    required, optional = _SOLVE_KEYS
-    capillary = not (isinstance(data, dict) and "pmc" in data)
-    if capillary:
-        required += ("kappa", "lambda")
-    wio.json_keys(data, "solve config", required, optional)
     alpha = _config_number(data, "alpha", None)
     geometry = WedgeGeometry(alpha)
     m = _config_number(data, "m", 48, integer=True)
@@ -447,6 +472,16 @@ def cmd_blowup(args) -> int:
     if args.profile is None and args.eps_floor is not None:
         raise _Usage("--eps-floor needs --profile")
     from . import io as wio
+
+    beta = _angle(args.beta, args.degrees, 0.0)
+    if not (0.0 <= beta < math.pi):
+        raise ValueError(f"--beta must lie in [0, pi), got {beta}")
+    if args.points is not None and args.points < 8:
+        raise ValueError(f"--points must be >= 8, got {args.points}")
+    if args.gamma0 is None:
+        profile = wio.load_profile(args.profile)
+        eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
+        _check_eps_floor(eps_floor, profile.s_max)
     from .blowup import contradiction_witness, limit_difference_table
     from .bounds import (
         LAMBDA_POINTS,
@@ -459,12 +494,7 @@ def cmd_blowup(args) -> int:
     )
 
     case = FanCase(args.case)
-    beta = _angle(args.beta, args.degrees, 0.0)
-    if not (0.0 <= beta < math.pi):
-        raise ValueError(f"--beta must lie in [0, pi), got {beta}")
     points = LAMBDA_POINTS if args.points is None else args.points
-    if points < 8:
-        raise ValueError(f"--points must be >= 8, got {points}")
     cond_kind = dict(case_condition_map(case))[args.side]
     kind = required_functional_kind(cond_kind)
     if args.gamma0 is not None:
@@ -472,9 +502,6 @@ def cmd_blowup(args) -> int:
         A = AdhesionFunction.constant_angle(gamma0, kind)
         source = {"constant_gamma": gamma0}
     else:
-        profile = wio.load_profile(args.profile)
-        eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
-        _check_eps_floor(eps_floor, profile.s_max)
         A = adhesion_from_profile(profile, kind, eps_lo=eps_floor)
         source = {"profile": wio.profile_summary(profile)}
 
@@ -583,6 +610,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except _Usage as exc:
         print(f"wedgecap: error: {exc}", file=sys.stderr)

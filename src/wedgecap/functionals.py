@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import EPS_FLOOR, POINTS_PER_DECADE
 from .profiles import ContactProfile, averaged_cos_many, check_angle, check_window, cos_integral
 
 KIND_LOWER = "I"  # liminf flavour
@@ -25,10 +26,6 @@ METHOD_SEQUENCE = "sequence_exact"
 
 #: scale ratio at which the exact routes test a wall for self-similarity
 LOG_PERIODIC_RATIO = 4.0
-#: smallest scale of a sweep unless the caller picks another
-EPS_FLOOR = 1e-10
-#: sweep grid density unless the caller picks another
-POINTS_PER_DECADE = 64
 
 #: admitted relative overshoot of |value| past b before we call it a bug
 _VALUE_SLACK = 1e-9

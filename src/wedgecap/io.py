@@ -3,6 +3,10 @@
 Numbers are written with repr (shortest round-trip form), files end with a
 single newline, and nothing time- or environment-dependent is emitted, so a
 given input always produces byte-identical artifacts.
+
+Importing this module loads no numpy: the JSON reader and its checks run on
+the standard library, a profile's builders are imported once its JSON has
+passed them, and the writers import numpy where they use it.
 """
 
 from __future__ import annotations
@@ -14,18 +18,12 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .profiles import (
-    ContactProfile,
-    ProfileFormatError,
-    constant_profile,
-    example1_profile,
-    example2_profile,
-    make_piecewise,
-)
+from .base import ProfileFormatError
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .profiles import ContactProfile
     from .solver import FanMeasurement, RadialTrace, SolutionField
 
 
@@ -122,6 +120,8 @@ def _build_profile(data) -> ContactProfile:
             abs(json_number(s_max, "s_max") - breaks[-1]) <= 1e-12 * max(1.0, breaks[-1]),
             "s_max must equal the last segment end",
         )
+        from .profiles import make_piecewise
+
         return make_piecewise(side, breaks, values)
 
     gen = data["generator"]
@@ -136,6 +136,8 @@ def _build_profile(data) -> ContactProfile:
     if gtype == "constant":
         gamma = json_number(gen["gamma"] if "gamma" in gen else gen["gamma1"], "constant gamma")
         s_max = json_number(data.get("s_max", 1.0), "s_max")
+        from .profiles import constant_profile
+
         return constant_profile(side, gamma, s_max)
     g1 = json_number(gen["gamma1"], "gamma1")
     g2 = json_number(gen["gamma2"], "gamma2")
@@ -145,6 +147,8 @@ def _build_profile(data) -> ContactProfile:
         abs(json_number(data.get("s_max", 1.0), "s_max") - 1.0) <= 1e-12,
         f"{gtype} profiles are parametrized on arclength [0, 1]",
     )
+    from .profiles import example1_profile, example2_profile
+
     maker = example1_profile if gtype == "example1" else example2_profile
     return dataclasses.replace(maker(g1, g2, **kw), side=side)
 
@@ -174,6 +178,8 @@ def profile_summary(profile: ContactProfile) -> dict:
 
 def fmt(x) -> str:
     """Deterministic scalar formatting: repr for floats, str otherwise."""
+    import numpy as np
+
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (float, np.floating)):
@@ -208,6 +214,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 def _float_lines(columns):
     """One line of repr-formatted floats per row of ``columns``, which are
     turned into Python floats _CHUNK_LINES rows at a time."""
+    import numpy as np
+
     columns = [np.ravel(c) for c in columns]
     for start in range(0, min(map(len, columns)), _CHUNK_LINES):
         chunk = (c[start:start + _CHUNK_LINES].astype(float).tolist() for c in columns)
@@ -235,7 +243,7 @@ def write_bounds_csv(path, rows) -> Path:
 
 
 def write_limit_sweep_csv(path, table: np.ndarray) -> Path:
-    return _write_columns(path, "lambda,limit_difference", np.transpose(table))
+    return _write_columns(path, "lambda,limit_difference", table.T)
 
 
 def write_solution_csv(path, field: SolutionField) -> Path:

@@ -14,16 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import ProfileFormatError
+
 SIDES = ("+", "-")
 
 #: applicability tags for the existence criterion at the corner
 NONCONVEX_OK = "nonconvex_ok"
 CONVEX_OK = "convex_ok"
 FAILS = "fails"
-
-
-class ProfileFormatError(ValueError):
-    """A profile description is structurally malformed (not just out of range)."""
 
 
 def check_angle(gamma, what: str) -> None:

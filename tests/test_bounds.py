@@ -1,7 +1,11 @@
 """Admissible-fan scans, frozen-slope cross-checks, and effective angles."""
 
+import dataclasses
+import importlib.util
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,3 +658,46 @@ def test_sweep_table_adhesion_is_degree_one_up_to_grid():
     bs = np.linspace(0.05, 0.95, 19)
     ratios = A(bs) / bs
     assert np.max(ratios) - np.min(ratios) < 5e-2
+
+
+def _golden_walls(family):
+    """The + and - walls of one golden_artifacts.py family; the irregular
+    ones are drawn as that script draws them, so they are its walls."""
+    path = Path(__file__).parents[1] / "scripts" / "golden_artifacts.py"
+    spec = importlib.util.spec_from_file_location("golden_artifacts", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    rng = random.Random("golden-artifacts")
+    make = {
+        "irregular": lambda s: golden.irregular(rng, s),
+        "example1": lambda s: golden.two_angle(s, "example1", 0.7, 2.2),
+        "example2": lambda s: golden.two_angle(s, "example2", 0.8, 2.0),
+    }[family]
+    return {s: profile_from_dict(make(s)) for s in "+-"}
+
+
+@pytest.mark.parametrize("family, method", [
+    ("irregular", "sweep"), ("example1", "sequence_exact"), ("example2", "log_periodic_exact"),
+])
+def test_one_ulp_in_every_adhesion_value_moves_no_scan_result(family, method):
+    """Roundoff in A(b) cannot move a fan scan: each evaluator's values
+    nudged one ulp up, then one ulp down, give the same beta_min,
+    monotone_flag and worst_lambda on the four pairs of --case all."""
+    walls = _golden_walls(family)
+    pairs = list(dict.fromkeys(p for case in FanCase for p in case_condition_map(case)))
+    requests = [
+        (adhesion_from_profile(walls[side], required_functional_kind(kind)), kind)
+        for side, kind in pairs
+    ]
+    assert {A.method for A, _ in requests} == {method}
+
+    def outcome(reqs):
+        return [(r.beta_min, r.monotone_flag, r.worst_lambda) for r in min_admissible_fan(reqs)]
+
+    want = outcome(requests)
+    for toward in (np.inf, -np.inf):
+        nudged = [
+            (dataclasses.replace(A, fn=lambda b, fn=A.fn: np.nextafter(fn(b), toward)), kind)
+            for A, kind in requests
+        ]
+        assert outcome(nudged) == want

@@ -124,6 +124,37 @@ def test_solve_config_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def call_argv(tmp_path, command):
+    """A valid call of each subcommand, without --out."""
+    plus, minus = constant_wall(tmp_path, "+", 1.0), constant_wall(tmp_path, "-", 2.0)
+    return {
+        "profile": ["profile", plus],
+        "bounds": ["bounds", "--plus", plus, "--minus", minus, "--case", "I"],
+        "blowup": ["blowup", "--case", "I", "--beta", "0.5", "--gamma0", "1.0"],
+        "verify-examples": ["verify-examples"],
+        "solve": ["solve", "--config", solve_config(tmp_path, m=8, n_theta=8)],
+    }[command]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["profile", "bounds", "blowup", "verify-examples", "solve"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, command, under):
+    """An --out that is a file, or lies under one, exits 1 with one line
+    naming it, before the command reads its inputs or computes."""
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    out = taken / "out" if under else taken
+    argv = call_argv(tmp_path, command)
+    assert run(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"wedgecap: error: --out {out} lies under {taken}, which is not a directory" if under
+        else f"wedgecap: error: --out {out} exists and is not a directory"
+    ]
+    assert taken.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # profile command
 
@@ -795,16 +826,15 @@ def test_multi_segment_walls_load_no_numpy_ma(tmp_path, command):
 #: the wedgecap modules a child has loaded, comma-separated, without "wedgecap."
 LOADED = "','.join(sorted(m[9:] for m in sys.modules if m.startswith('wedgecap.')))"
 
-#: the wedgecap modules a call may load beyond cli, functionals and profiles,
-#: and its exit code
+#: the wedgecap modules a call may load beyond base and cli, and its exit code
 IMPORT_BUDGET = {
-    "verify-examples": ((), 0),
+    "verify-examples": (("functionals", "profiles"), 0),
     "solve without --config": ((), 1),
-    "profile": (("io",), 0),
+    "profile": (("io", "functionals", "profiles"), 0),
     "bad profile": (("io",), 2),
-    "bounds": (("io", "bounds"), 0),
-    "blowup --gamma0": (("io", "bounds", "blowup"), 0),
-    "solve --config": (("io", "solver", "elimination"), 0),
+    "bounds": (("io", "functionals", "profiles", "bounds"), 0),
+    "blowup --gamma0": (("io", "functionals", "profiles", "bounds", "blowup"), 0),
+    "solve --config": (("io", "profiles", "solver", "elimination"), 0),
 }
 
 
@@ -822,13 +852,13 @@ def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
         "solve --config": lambda: small_solve_argv(tmp_path),
     }[call]()
     allowed, code = IMPORT_BUDGET[call]
-    loaded = ",".join(sorted({"cli", "functionals", "profiles", *allowed}))
+    loaded = ",".join(sorted({"base", "cli", *allowed}))
     assert run_in_child(argv, LOADED) == f"{code} {loaded}"
 
 
 @pytest.mark.parametrize("module, loaded", [
     ("wedgecap", ""),
-    ("wedgecap.cli", "cli,functionals,profiles"),
+    ("wedgecap.cli", "base,cli"),
 ])
 def test_import_loads_only_what_it_names(module, loaded):
     src = Path(wedgecap.__file__).parents[1]
@@ -841,6 +871,61 @@ def test_import_loads_only_what_it_names(module, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == loaded
+
+
+def stderr_and_numpy_in_child(argv):
+    """Run ``main(argv)`` in a fresh interpreter, argparse's exits included,
+    and return (exit code, last stderr line, whether numpy was loaded)."""
+    argv = [str(a) for a in argv]
+    code = ("import sys; from wedgecap.cli import main\n"
+            f"try: code = main({argv!r})\n"
+            "except SystemExit as exc: code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(wedgecap.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    exit_code, numpy_loaded = result.stdout.splitlines()[-1].split()
+    err = result.stderr.splitlines()
+    return int(exit_code), err[-1] if err else "", numpy_loaded == "True"
+
+
+@pytest.mark.parametrize("call, code, says", [
+    ("--help", 0, ""),
+    ("solve without --config", 1, "wedgecap: error: solve requires --config FILE (or --mms)"),
+    ("unknown flag", 1, "wedgecap: error: unrecognized arguments: --bogus"),
+    ("--out a file", 1, "wedgecap: error: --out {taken} exists and is not a directory"),
+    ("side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
+    ("unknown profile key", 2, "wedgecap: profile error: profile spec has unknown key(s) 'colour'"),
+    ("not JSON", 2, "wedgecap: profile error: profile file {path} is not valid JSON: "
+                    "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("unknown config key", 2, "wedgecap: profile error: solve config has unknown key(s) 'mesh'"),
+])
+def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, says):
+    """Argument parsing, usage checks, --out and the JSON checks of an input
+    file run on the standard library: a call they stop exits as it always
+    did, and numpy is never imported."""
+    wall = {"side": "+", "generator": {"type": "constant", "gamma": 1.0}}
+    taken = write_json(tmp_path / "taken.json", wall)
+    path = tmp_path / "input.json"
+    argv = {
+        "--help": lambda: ["--help"],
+        "solve without --config": lambda: ["solve"],
+        "unknown flag": lambda: ["profile", taken, "--bogus"],
+        "--out a file": lambda: ["solve", "--config", solve_config(tmp_path), "--out", taken],
+        "side x": lambda: ["profile", write_json(path, {**wall, "side": "x"})],
+        "unknown profile key": lambda: ["profile", write_json(path, {**wall, "colour": 1})],
+        "not JSON": lambda: (path.write_text("{oops"), ["profile", path])[1],
+        "unknown config key": lambda: ["solve", "--config", solve_config(tmp_path, mesh=4)],
+    }[call]()
+    if "--out" not in argv:
+        argv += ["--out", tmp_path / "out"]
+    assert stderr_and_numpy_in_child(argv) == (
+        code, says.format(taken=taken, path=path), False)
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
