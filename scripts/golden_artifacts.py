@@ -193,6 +193,16 @@ def calls(inputs):
         cfg = {**configs["solve-16"], key: None}
         out.append((f"solve-{key}-null", ["solve", "--config",
                                           write_json(inputs / f"{key}-null.json", cfg)]))
+    # a malformed count is found before any range check, so "alpha": 5 with
+    # "m": "x" is malformed (exit 2), not out of range; so is a --minus with
+    # side "x" after a good --plus
+    for label, cfg in (("solve-m-string", {**configs["solve-16"], "m": "x"}),
+                       ("solve-alpha-range-m-string",
+                        {**configs["solve-16"], "alpha": 5, "m": "x"})):
+        out.append((label, ["solve", "--config", write_json(inputs / f"{label}.json", cfg)]))
+    side_x = write_json(inputs / "side_x_minus.json", {**constant("-", 2.0), "side": "x"})
+    out.append(("bounds-minus-malformed", ["bounds", "--plus", paths["constant", "+"],
+                                           "--minus", side_x]))
     latin1 = inputs / "latin1_plus.json"
     latin1.write_bytes(json.dumps({**constant("+", 1.0), "note": "\u00e9"},
                                   ensure_ascii=False).encode("latin-1"))

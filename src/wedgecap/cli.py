@@ -147,7 +147,7 @@ def cmd_profile(args) -> int:
 def cmd_bounds(args) -> int:
     from . import io as wio
 
-    profiles = {"+": wio.load_profile(args.plus), "-": wio.load_profile(args.minus)}
+    profiles = dict(zip("+-", wio.load_profiles(args.plus, args.minus)))
     _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
     from .bounds import BETA_STEP, FanCase, fan_bound_rows
 
@@ -179,9 +179,7 @@ def cmd_bounds(args) -> int:
 
 def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, float, float]]:
     """(label, achieved, allowed) per identity; PASS iff achieved <= allowed."""
-    import numpy as np
-
-    from .functionals import SweepConfig, best_estimates, sweep_table
+    from .functionals import _envelopes, best_estimates
     from .profiles import example1_profile, example2_profile
 
     bs = (0.25, 0.5, 0.75)
@@ -201,8 +199,8 @@ def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, flo
 
     def sweep_error(prof, b, want, **kw):
         """Larger error of one sweep's min and max against want = (lower, upper)."""
-        _, vals = sweep_table(prof, b, SweepConfig.for_profile(prof, b, eps_lo=eps_floor, **kw))
-        return max(abs(float(np.min(vals)) - want[0]), abs(float(np.max(vals)) - want[1]))
+        lower, upper = _envelopes(prof, b, eps_lo=eps_floor, **kw)
+        return max(abs(lower.value - want[0]), abs(upper.value - want[1]))
 
     # The sweep's error is a share of the swing b * |c1 - c2| that depends only
     # on the floor (3.1% at the default one), so it is measured against 5% of
@@ -251,47 +249,8 @@ def cmd_verify_examples(args) -> int:
 # solve
 
 
-def _config_profile(entry, config: str, side: str):
-    """The wall under key plus or minus; a file name is relative to the config's folder."""
-    from . import io as wio
-
-    key = "plus" if side == "+" else "minus"
-    if entry is None:
-        raise ProfileFormatError(
-            f"solve config key {key!r} is null; a no-flux wall is a constant "
-            "profile with gamma = pi/2"
-        )
-    if isinstance(entry, str):
-        # joining an absolute path keeps only that path
-        profile = wio.load_profile(Path(config).parent / entry)
-    else:
-        profile = wio.profile_from_dict(entry)
-    if profile.side != side:
-        raise ProfileFormatError(
-            f"profile under solve config key {key!r} declares side {profile.side!r}"
-        )
-    return profile
-
-
 class _Usage(Exception):
     pass
-
-
-#: the keys cmd_solve reads, (required, optional); any other key is a malformed
-#: config, and kappa and lambda are required too unless pmc is given
-_SOLVE_KEYS = (
-    ("alpha", "plus", "minus"),
-    ("m", "n_theta", "r_min", "r_max", "tol", "max_iter", "initial", "pmc", "kappa",
-     "lambda", "n_radii"),
-)
-
-
-def _config_number(data: dict, key: str, default, integer: bool = False):
-    """A solve-config number; counts must be JSON ints, as profile depths are."""
-    from . import io as wio
-
-    value, what = data.get(key, default), f"solve config key {key!r}"
-    return wio.json_int(value, what) if integer else wio.json_number(value, what)
 
 
 def _curvature_for(tag: str, kappa: float, lam: float):
@@ -348,12 +307,7 @@ def cmd_solve(args) -> int:
         raise _Usage("solve requires --config FILE (or --mms)")
     from . import io as wio
 
-    data = wio.read_json(args.config, "solve config")
-    required, optional = _SOLVE_KEYS
-    capillary = not (isinstance(data, dict) and "pmc" in data)
-    if capillary:
-        required += ("kappa", "lambda")
-    wio.json_keys(data, "solve config", required, optional)
+    cfg = wio.read_solve_config(args.config)
     import numpy as np
 
     from .profiles import WedgeGeometry
@@ -366,37 +320,22 @@ def cmd_solve(args) -> int:
         solve_pmc,
     )
 
-    alpha = _config_number(data, "alpha", None)
+    alpha, m, n_theta, n_radii = (cfg[key] for key in ("alpha", "m", "n_theta", "n_radii"))
     geometry = WedgeGeometry(alpha)
-    m = _config_number(data, "m", 48, integer=True)
-    n_theta = _config_number(data, "n_theta", 48, integer=True)
     if m < 2 or n_theta < 2:
         raise ValueError(f"need m, n_theta >= 2, got ({m}, {n_theta})")
-    n_radii = _config_number(data, "n_radii", min(8, m), integer=True)
     if not (2 <= n_radii <= m):
         raise ValueError(f"n_radii must lie in [2, m={m}], got {n_radii}")
-    mesh = build_sector_mesh(
-        geometry,
-        _config_number(data, "r_min", 0.05),
-        _config_number(data, "r_max", 1.0),
-        m,
-        n_theta,
-    )
-    plus = _config_profile(data["plus"], args.config, "+")
-    minus = _config_profile(data["minus"], args.config, "-")
-    tol = _config_number(data, "tol", SolverConfig.tol) if args.tol is None else args.tol
-    config = SolverConfig(
-        tol=tol,
-        max_iter=_config_number(data, "max_iter", SolverConfig.max_iter, integer=True),
-        initial=_config_number(data, "initial", None) if "initial" in data else None,
-    )
+    mesh = build_sector_mesh(geometry, cfg["r_min"], cfg["r_max"], m, n_theta)
+    plus, minus = cfg["plus"], cfg["minus"]
+    # the Newton knobs the config leaves out are SolverConfig's
+    newton = {key: cfg[key] for key in ("tol", "max_iter", "initial") if key in cfg}
+    if args.tol is not None:
+        newton["tol"] = args.tol
+    config = SolverConfig(**newton)
 
-    pmc = data.get("pmc")
-    if not (capillary or isinstance(pmc, str)):
-        raise ProfileFormatError(f"solve config key 'pmc' must be a string, got {pmc!r}")
-    kappa = _config_number(data, "kappa", 1.0)
-    lam = _config_number(data, "lambda", 0.0)
-    if capillary:
+    pmc, kappa, lam = cfg.get("pmc"), cfg["kappa"], cfg["lambda"]
+    if pmc is None:
         field = solve_capillary(mesh, kappa, lam, plus, minus, config)
         physics = {"kappa": kappa, "lambda": lam}
     else:
@@ -436,7 +375,7 @@ def cmd_solve(args) -> int:
                 "minus": wio.profile_summary(minus),
             },
             "solver": {
-                "tol": tol,
+                "tol": config.tol,
                 "max_iter": config.max_iter,
                 "converged": field.converged,
                 "iterations": field.newton_iterations,

@@ -110,11 +110,12 @@ class AdhesionEstimate:
 
 
 def _envelopes(
-    profile: ContactProfile, b: float, sweep: SweepConfig | None
+    profile: ContactProfile, b: float, sweep: SweepConfig | None = None, **kw
 ) -> tuple[AdhesionEstimate, AdhesionEstimate]:
-    """Grid (lower, upper) envelopes of one sweep: the min and max of its values."""
+    """Grid (lower, upper) envelopes of one sweep: the min and max of its
+    values; the default sweep is ``SweepConfig.for_profile(profile, b, **kw)``."""
     if sweep is None:
-        sweep = SweepConfig.for_profile(profile, b)
+        sweep = SweepConfig.for_profile(profile, b, **kw)
     _, vals = sweep_table(profile, b, sweep)
     spread = b * sweep.relative_spacing
     return (
@@ -272,7 +273,4 @@ def best_estimates(
     exact = _exact_estimates(profile, b)
     if exact is not None:
         return exact
-    sweep = SweepConfig.for_profile(
-        profile, b, eps_lo=eps_lo, points_per_decade=points_per_decade
-    )
-    return _envelopes(profile, b, sweep)
+    return _envelopes(profile, b, eps_lo=eps_lo, points_per_decade=points_per_decade)

@@ -1,12 +1,14 @@
-"""File formats: profile JSON, deterministic CSV emitters, run manifests.
+"""File formats: profile and solve-config JSON, deterministic CSV emitters,
+run manifests.
 
 Numbers are written with repr (shortest round-trip form), files end with a
 single newline, and nothing time- or environment-dependent is emitted, so a
 given input always produces byte-identical artifacts.
 
 Importing this module loads no numpy: the JSON reader and its checks run on
-the standard library, a profile's builders are imported once its JSON has
-passed them, and the writers import numpy where they use it.
+the standard library, a profile's builders are imported once its JSON (and,
+in a solve config, all of the config's) has passed them, and the writers
+import numpy where they use it.
 """
 
 from __future__ import annotations
@@ -88,18 +90,9 @@ def read_json(path: str | Path, what: str):
         raise ProfileFormatError(f"{what} file {path} is nested too deeply") from exc
 
 
-def profile_from_dict(data: dict) -> ContactProfile:
-    """Build a wall profile from the JSON-schema dictionary; a value the
-    profile builders refuse is a format error here, as a malformed key is."""
-    try:
-        return _build_profile(data)
-    except ProfileFormatError:
-        raise
-    except ValueError as exc:
-        raise ProfileFormatError(str(exc)) from exc
-
-
-def _build_profile(data) -> ContactProfile:
+def _check_profile(data):
+    """Run a profile spec's JSON checks and return the call that builds it,
+    a function of the ``profiles`` module, which loads numpy."""
     json_keys(data, "profile spec", ("side",), ("s_max",), ("segments", "generator"))
     side = data["side"]
     _require(side in ("+", "-"), f"side must be '+' or '-', got {side!r}")
@@ -120,9 +113,7 @@ def _build_profile(data) -> ContactProfile:
             abs(json_number(s_max, "s_max") - breaks[-1]) <= 1e-12 * max(1.0, breaks[-1]),
             "s_max must equal the last segment end",
         )
-        from .profiles import make_piecewise
-
-        return make_piecewise(side, breaks, values)
+        return lambda profiles: profiles.make_piecewise(side, breaks, values)
 
     gen = data["generator"]
     _require(isinstance(gen, dict) and "type" in gen, "'generator' needs a type")
@@ -136,9 +127,7 @@ def _build_profile(data) -> ContactProfile:
     if gtype == "constant":
         gamma = json_number(gen["gamma"] if "gamma" in gen else gen["gamma1"], "constant gamma")
         s_max = json_number(data.get("s_max", 1.0), "s_max")
-        from .profiles import constant_profile
-
-        return constant_profile(side, gamma, s_max)
+        return lambda profiles: profiles.constant_profile(side, gamma, s_max)
     g1 = json_number(gen["gamma1"], "gamma1")
     g2 = json_number(gen["gamma2"], "gamma2")
     # a depth left out is the generator's own default
@@ -147,15 +136,108 @@ def _build_profile(data) -> ContactProfile:
         abs(json_number(data.get("s_max", 1.0), "s_max") - 1.0) <= 1e-12,
         f"{gtype} profiles are parametrized on arclength [0, 1]",
     )
-    from .profiles import example1_profile, example2_profile
+    # example1_profile and example2_profile make + walls
+    return lambda profiles: dataclasses.replace(
+        getattr(profiles, f"{gtype}_profile")(g1, g2, **kw), side=side
+    )
 
-    maker = example1_profile if gtype == "example1" else example2_profile
-    return dataclasses.replace(maker(g1, g2, **kw), side=side)
+
+def _build_profile(make) -> ContactProfile:
+    """The profile of a spec that passed _check_profile; a value the profile
+    builders refuse is a format error here, as a malformed key is."""
+    from . import profiles
+
+    try:
+        return make(profiles)
+    except ValueError as exc:  # ProfileFormatError included: it keeps its message
+        raise ProfileFormatError(str(exc)) from exc
+
+
+def profile_from_dict(data: dict) -> ContactProfile:
+    """Build a wall profile from the JSON-schema dictionary."""
+    return _build_profile(_check_profile(data))
 
 
 def load_profile(path: str | Path) -> ContactProfile:
     """Read one wall profile from a JSON file; malformed input raises."""
     return profile_from_dict(read_json(path, "profile"))
+
+
+def load_profiles(*paths: str | Path) -> list[ContactProfile]:
+    """Read one wall profile from each file, every file's JSON checks before
+    any build, so a malformed file stops the call before numpy loads."""
+    makes = [_check_profile(read_json(path, "profile")) for path in paths]
+    return [_build_profile(make) for make in makes]
+
+
+def _json_string(x, what: str) -> str:
+    if isinstance(x, str):
+        return x
+    raise ProfileFormatError(f"{what} must be a string, got {x!r}")
+
+
+def _check_wall(entry, key: str, folder: Path):
+    """Check the wall under solve-config key plus or minus and return the
+    call that builds it; a string names a profile file in ``folder``."""
+    _require(entry is not None, f"solve config key {key!r} is null; a no-flux wall is a "
+             "constant profile with gamma = pi/2")
+    if isinstance(entry, str):
+        # joining an absolute path keeps only that path
+        entry = read_json(folder / entry, "profile")
+    make = _check_profile(entry)
+    side = entry["side"]
+    _require(side == ("+" if key == "plus" else "-"),
+             f"profile under solve config key {key!r} declares side {side!r}")
+    return make
+
+
+#: the default of a solve-config key that must be given
+_REQUIRED = object()
+
+#: every solve-config key, in the order its value is checked, with the check
+#: of its kind and its default: a default of None leaves a key not given out
+#: of the config (tol, max_iter and initial are then SolverConfig's), and a
+#: callable one is a function of the keys before it.  kappa and lambda are
+#: required too unless pmc is given.
+_SOLVE_KEYS = {
+    "alpha": (json_number, _REQUIRED),
+    "m": (json_int, 48),
+    "n_theta": (json_int, 48),
+    "n_radii": (json_int, lambda config: min(8, config["m"])),
+    "r_min": (json_number, 0.05),
+    "r_max": (json_number, 1.0),
+    "plus": (_check_wall, _REQUIRED),
+    "minus": (_check_wall, _REQUIRED),
+    "tol": (json_number, None),
+    "max_iter": (json_int, None),
+    "initial": (json_number, None),
+    "pmc": (_json_string, None),
+    "kappa": (json_number, 1.0),
+    "lambda": (json_number, 0.0),
+}
+
+
+def read_solve_config(path: str | Path) -> dict:
+    """The solve config in ``path``: each key of _SOLVE_KEYS that it gives,
+    or else the key's default, with plus and minus built into profiles.
+    Every JSON check, the walls' included, runs before either wall is built,
+    so a malformed config stops the call before numpy loads."""
+    data = read_json(path, "solve config")
+    required = [key for key, (_, default) in _SOLVE_KEYS.items() if default is _REQUIRED]
+    if not (isinstance(data, dict) and "pmc" in data):
+        required += ["kappa", "lambda"]
+    json_keys(data, "solve config", required, _SOLVE_KEYS)
+    config = {}
+    for key, (check, default) in _SOLVE_KEYS.items():
+        if check is _check_wall:
+            config[key] = _check_wall(data[key], key, Path(path).parent)
+        elif key in data:
+            config[key] = check(data[key], f"solve config key {key!r}")
+        elif default is not None:
+            config[key] = default(config) if callable(default) else default
+    for key in ("plus", "minus"):
+        config[key] = _build_profile(config[key])
+    return config
 
 
 def profile_summary(profile: ContactProfile) -> dict:

@@ -531,6 +531,8 @@ def test_solve_config_validation(tmp_path):
 
     badk = solve_config(tmp_path, pmc="nope")
     assert run(["solve", "--config", badk]) == 3
+    negk = solve_config(tmp_path, pmc="tanh", kappa=-1)
+    assert run(["solve", "--config", negk]) == 3
 
     # a tolerance every residual meets would report convergence after 0 steps
     finite = solve_config(tmp_path, m=8, n_theta=8)
@@ -609,6 +611,16 @@ def test_non_finite_json_number_exits_2(tmp_path, capsys, call):
     assert not out.exists()
 
 
+def test_solve_malformed_key_is_found_before_a_range_check(tmp_path, capsys):
+    """Every key's JSON type is checked before any value's range: alpha = 5
+    is out of range (exit 3 alone), but a malformed m after it exits 2."""
+    cfg = solve_config(tmp_path, alpha=5, m="x")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "wedgecap: profile error: solve config key 'm' must be an int, got 'x'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_n_radii_checked_before_the_solve(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran before n_radii was checked")
@@ -634,6 +646,24 @@ def test_solve_nonconvergence_exit_6(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "did not converge" in err
     # artifacts are still written for post-mortems
+    for name in ("solution.csv", "trace.csv", "manifest.txt"):
+        assert (out / name).exists()
+    assert "converged: False" in (out / "manifest.txt").read_text()
+
+
+def test_solve_with_a_singular_newton_matrix_exits_6(tmp_path, monkeypatch, capsys):
+    """A Newton matrix of zeros makes every front singular: the elimination
+    returns NaN, the Newton loop stops before its first step, and the run
+    still writes its artifacts."""
+    from wedgecap import elimination
+
+    solve = elimination.Elimination.solve
+    monkeypatch.setattr(elimination.Elimination, "solve",
+                        lambda plan, data, rhs: solve(plan, np.zeros_like(data), rhs))
+    cfg = solve_config(tmp_path, m=8, n_theta=8, initial=5.0)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 6
+    assert "stopped after 0 of at most 200 iterations" in capsys.readouterr().err
     for name in ("solution.csv", "trace.csv", "manifest.txt"):
         assert (out / name).exists()
     assert "converged: False" in (out / "manifest.txt").read_text()
@@ -903,6 +933,9 @@ def stderr_and_numpy_in_child(argv):
     ("not JSON", 2, "wedgecap: profile error: profile file {path} is not valid JSON: "
                     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("unknown config key", 2, "wedgecap: profile error: solve config has unknown key(s) 'mesh'"),
+    ("config m x", 2, "wedgecap: profile error: solve config key 'm' must be an int, got 'x'"),
+    ("config wall side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
+    ("bounds minus side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
 ])
 def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, says):
     """Argument parsing, usage checks, --out and the JSON checks of an input
@@ -920,6 +953,11 @@ def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, sa
         "unknown profile key": lambda: ["profile", write_json(path, {**wall, "colour": 1})],
         "not JSON": lambda: (path.write_text("{oops"), ["profile", path])[1],
         "unknown config key": lambda: ["solve", "--config", solve_config(tmp_path, mesh=4)],
+        "config m x": lambda: ["solve", "--config", solve_config(tmp_path, m="x")],
+        "config wall side x": lambda: ["solve", "--config",
+                                       solve_config(tmp_path, minus={**wall, "side": "x"})],
+        "bounds minus side x": lambda: ["bounds", "--plus", taken,
+                                        "--minus", write_json(path, {**wall, "side": "x"})],
     }[call]()
     if "--out" not in argv:
         argv += ["--out", tmp_path / "out"]

@@ -402,6 +402,33 @@ def test_plan_rejects_a_parent_without_the_childs_boundary(monkeypatch, border):
         elimination.Elimination(disc.shape, border)
 
 
+@pytest.mark.parametrize("border", [False, True])
+def test_elimination_of_a_singular_matrix_gives_nan(border):
+    """All-zero values make every front singular: the solve returns NaN in
+    every entry, which stops the Newton loop, and does not raise."""
+    plan = elimination.Elimination((12, 8), border)
+    rows, _ = plan.pattern
+    x = plan.solve(np.zeros(rows.size), np.ones(plan.size))
+    assert x.shape == (plan.size,) and np.all(np.isnan(x))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_a_non_finite_newton_step_ends_the_solve_unconverged(monkeypatch, kappa):
+    """A linear solve that returns NaN stops the Newton loop before its first
+    step: the solve reports no convergence and keeps its starting field."""
+    monkeypatch.setattr(solver.spla, "spsolve", lambda jac, rhs: np.full(rhs.size, np.nan))
+    r_min, r_max = 0.05, 1.0
+    walls = example2_walls()
+    # kappa = 0 pins the mean: lambda balances the net wall flux
+    flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
+    lam = 2.0 if kappa else flux / (GEO.alpha * (r_max**2 - r_min**2))
+    mesh = build_sector_mesh(GEO, r_min, r_max, 8, 8)
+    field = solve_capillary(mesh, kappa, lam, *walls, SolverConfig(initial=1.0))
+    assert not field.converged
+    assert field.newton_iterations == 0 and len(field.residual_history) == 1
+    assert np.all(field.values == 1.0)
+
+
 def test_discretization_holds_no_matrix_pattern():
     """A 128^2 discretization holds its geometry factors (0.29 MB measured),
     not the Newton matrix's pattern and colouring (2.8 MB with them): the
