@@ -143,11 +143,16 @@ def calls(inputs):
         "solve-capillary": {**base, "m": 48, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
         "solve-pinned": {**base, "m": 48, "n_theta": 48, "kappa": 0.0,
                          "lambda": flux / (alpha * (r_max**2 - r_min**2))},
-        # the bordered system on a non-square node grid
+        # the pinned system on a non-square node grid
         "solve-pinned-24x12": {**base, "m": 24, "n_theta": 12, "kappa": 0.0,
                                "lambda": flux / (alpha * (r_max**2 - r_min**2))},
         "solve-pmc": {**base, "m": 48, "n_theta": 48, "pmc": "tanh",
                       "kappa": 1.0, "lambda": 0.0},
+        # the other pinned path: zero curvature, whose walls' cos(gamma)
+        # cancel, so the net wall flux balances the zero source
+        "solve-pmc-zero": {**base, "plus": constant("+", 1.0),
+                           "minus": constant("-", math.pi - 1.0),
+                           "m": 24, "n_theta": 12, "pmc": "zero"},
         # neutral walls give a flat solution, so the fan classifier reports
         # a constant trace instead of an unclassified one
         "solve-neutral": {**base, "plus": constant("+", math.pi / 2),
@@ -203,6 +208,9 @@ def calls(inputs):
     side_x = write_json(inputs / "side_x_minus.json", {**constant("-", 2.0), "side": "x"})
     out.append(("bounds-minus-malformed", ["bounds", "--plus", paths["constant", "+"],
                                            "--minus", side_x]))
+    # a - wall given as --plus and a + wall as --minus: the side rule (exit 2)
+    out.append(("bounds-sides-swapped", ["bounds", "--plus", paths["constant", "-"],
+                                         "--minus", paths["constant", "+"], "--case", "I"]))
     latin1 = inputs / "latin1_plus.json"
     latin1.write_bytes(json.dumps({**constant("+", 1.0), "note": "\u00e9"},
                                   ensure_ascii=False).encode("latin-1"))

@@ -147,7 +147,7 @@ def cmd_profile(args) -> int:
 def cmd_bounds(args) -> int:
     from . import io as wio
 
-    profiles = dict(zip("+-", wio.load_profiles(args.plus, args.minus)))
+    profiles = dict(zip("+-", wio.load_walls(args.plus, args.minus)))
     _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
     from .bounds import BETA_STEP, FanCase, fan_bound_rows
 

@@ -132,22 +132,20 @@ class Elimination:
     nested-dissection tree of the node grid: the multifrontal method (Duff &
     Reid 1983) with dense fronts.
 
-    The pattern is the grid's 9-point pattern, followed, when ``border``, by
-    the mean constraint's border column and row; the border unknown is the
-    root's last.  Each subtree's domain is a rectangle of the grid, so its
-    boundary is the one-node ring around it: no cut falls on the second or
-    second-to-last grid line, so the one-sided end stencils, which reach two
-    lines in, stay inside a block or on its separator.  The plan keeps only
-    1-D position maps, and its constructor checks that every matrix entry
-    and every Schur complement entry has a place.  It works in int32 and
-    keeps its maps as numpy's index type, which indexes fastest.
+    The pattern is the grid's 9-point pattern, the one pattern of a mesh: the
+    solver grounds a pinned (pure Neumann) Newton matrix on it.  Each
+    subtree's domain is a rectangle of the grid, so its boundary is the
+    one-node ring around it: no cut falls on the second or second-to-last
+    grid line, so the one-sided end stencils, which reach two lines in, stay
+    inside a block or on its separator.  The plan keeps only 1-D position
+    maps, and its constructor checks that every matrix entry and every Schur
+    complement entry has a place.  It works in int32 and keeps its maps as
+    numpy's index type, which indexes fastest.
     """
 
-    def __init__(self, shape: tuple[int, int], border: bool):
+    def __init__(self, shape: tuple[int, int]):
         ni, nj = self.shape = shape
-        n = ni * nj
-        self.border = border
-        self.size = size = n + border
+        self.size = size = ni * nj
         tree = _dissection_tree(ni, nj)
         r0, r1, c0, c1 = tree[:, :4].T
         ring = np.column_stack(  # the block grown by one node where the grid allows
@@ -158,9 +156,8 @@ class Elimination:
         def area(rects):
             return (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2])
 
-        root = tree[:, 9] < 0
-        o = area(tree[:, 4:8]) + border * root
-        b = area(ring) - area(tree[:, :4]) + border * ~root
+        o = area(tree[:, 4:8])
+        b = area(ring) - area(tree[:, :4])
         # fronts of one height and shape form a stack; stacks go by height
         # (the key is int64: it passes 2**31 from a 128 x 128 grid)
         _, stack = np.unique((tree[:, 8] * (size + 1) + o) * (size + 1) + b, return_inverse=True)
@@ -191,26 +188,20 @@ class Elimination:
         slot = (local % per[stack]).astype(i4)
 
         # every front's unknowns, front after front: its own set row-major in
-        # its rectangle, its boundary in node order; the border unknown is the
-        # last of every front, own at the root
+        # its rectangle, its boundary in node order
         own = _rect_nodes(tree[:, 4:8], nj)
-        if border:
-            own = np.append(own, n)
         owner = np.empty(size, dtype=i4)  # the front eliminating each unknown
         where = np.empty(size, dtype=i4)  # and its row there
         owner[own], where[own] = _ragged(o)
 
         # the boundary is the ring less the block: the strips above, left of,
         # right of and below it.  Keyed by (front, unknown) and sorted once,
-        # the boundary slots list each front's unknowns in node order, the
-        # border unknown n, the largest, last
+        # the boundary slots list each front's unknowns in node order
         (r0, r1, c0, c1), (e0, e1, d0, d1) = tree[:, :4].T, ring.T
         strips = np.array([[e0, r0, d0, d1], [r0, r1, d0, c0], [r0, r1, c1, d1], [r1, e1, d0, d1]])
-        keys = np.repeat(np.arange(rank.size, dtype=np.int64) * size, b - border * (parent >= 0))
+        keys = np.repeat(np.arange(rank.size, dtype=np.int64) * size, b)
         keys += _rect_nodes(strips.transpose(2, 0, 1).reshape(-1, 4), nj)
         del strips
-        if border:
-            keys = np.append(keys, np.flatnonzero(parent >= 0) * size + n)
         keys.sort()
         bnd_at = np.cumsum(b, dtype=np.int64) - b
 
@@ -225,30 +216,18 @@ class Elimination:
             pos[far] = (keys.take(k, mode="clip") == key) * (o[t] + k - bnd_at[t] + 1) - 1
             return pos
 
-        def place(t, r, c):
-            """Batch of the entries at row r, column c of front t, and their
-            offsets in its flattened block."""
-            m = N[t]
-            return batch[t], (slot[t] * m + r) * (m + 1) + c
-
-        def matrix_entries():
-            # a matrix entry belongs to the front that eliminates the first of
-            # its two unknowns (an ancestor always comes later)
-            rows, cols = _grid_pattern(ni, nj)
-            front = np.minimum(owner[rows], owner[cols])
-            r, c = locate(front, rows), locate(front, cols)
-            if np.any(r < 0) or np.any(c < 0):
-                raise AssertionError("matrix entry outside its front")
-            return place(front, r, c)
-
-        # so do the border entries of a grid unknown; the right-hand side
-        # fills the last column of each front's own rows
-        groups = [matrix_entries()]
-        if border:
-            edge = N[owner[:n]] - 1
-            groups += [place(owner[:n], where[:n], edge), place(owner[:n], edge, where[:n])]
-        into, flat = (np.concatenate(g) for g in zip(*groups))
-        del groups
+        # a matrix entry belongs to the front that eliminates the first of its
+        # two unknowns (an ancestor always comes later): its batch there, and
+        # its offset in the flattened block
+        rows, cols = _grid_pattern(ni, nj)
+        front = np.minimum(owner[rows], owner[cols])
+        r, c = locate(front, rows), locate(front, cols)
+        del rows, cols
+        if np.any(r < 0) or np.any(c < 0):
+            raise AssertionError("matrix entry outside its front")
+        m = N[front]
+        into, flat = batch[front], (slot[front] * m + r) * (m + 1) + c
+        del front, r, c, m
         # a stable sort of 8- or 16-bit keys is a radix sort
         sel = np.argsort(into.astype(np.min_scalar_type(batch[-1])), kind="stable")
         cuts = np.cumsum(np.bincount(into))[:-1]
@@ -299,12 +278,7 @@ class Elimination:
     @property
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column of every matrix value, in storage order."""
-        rows, cols = _grid_pattern(*self.shape)
-        if self.border:
-            n = self.size - 1
-            edge, last = np.arange(n), np.full(n, n)
-            rows, cols = np.concatenate([rows, edge, last]), np.concatenate([cols, last, edge])
-        return rows, cols
+        return _grid_pattern(*self.shape)
 
     @property
     def stored_entries(self) -> int:

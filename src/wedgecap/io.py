@@ -163,10 +163,23 @@ def load_profile(path: str | Path) -> ContactProfile:
     return profile_from_dict(read_json(path, "profile"))
 
 
-def load_profiles(*paths: str | Path) -> list[ContactProfile]:
-    """Read one wall profile from each file, every file's JSON checks before
-    any build, so a malformed file stops the call before numpy loads."""
-    makes = [_check_profile(read_json(path, "profile")) for path in paths]
+def _check_side(entry: dict, key: str, where: str) -> None:
+    """The side rule: the wall given as plus declares side '+', the one given
+    as minus '-'; ``where`` names the place it was given."""
+    side = entry["side"]
+    _require(side == ("+" if key == "plus" else "-"),
+             f"profile under {where} declares side {side!r}")
+
+
+def load_walls(plus: str | Path, minus: str | Path) -> list[ContactProfile]:
+    """Read the + and the - wall profile from their files, both files' JSON
+    checks (each wall's side included) before either build, so a malformed
+    file stops the call before numpy loads."""
+    makes = []
+    for key, path in (("plus", plus), ("minus", minus)):
+        entry = read_json(path, "profile")
+        makes.append(_check_profile(entry))
+        _check_side(entry, key, f"--{key}")
     return [_build_profile(make) for make in makes]
 
 
@@ -185,9 +198,7 @@ def _check_wall(entry, key: str, folder: Path):
         # joining an absolute path keeps only that path
         entry = read_json(folder / entry, "profile")
     make = _check_profile(entry)
-    side = entry["side"]
-    _require(side == ("+" if key == "plus" else "-"),
-             f"profile under solve config key {key!r} declares side {side!r}")
+    _check_side(entry, key, f"solve config key {key!r}")
     return make
 
 

@@ -297,7 +297,7 @@ class _Discretization:
             self.arc_outer = _arc_integrals(mesh, case.arc_flux, mesh.r_max)
             self.arc_inner = -_arc_integrals(mesh, case.arc_flux, mesh.r_min)
             self.source = case.source(self.r_col, self.t_row) * self.area
-        self._plans: dict[bool, Elimination] = {}
+        self._plan: Elimination | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -360,9 +360,7 @@ class _Discretization:
             self.rhs_fn(self.r_col, self.t_row, f), dtype=float
         ) * np.ones(self.shape)
 
-    def jacobian(
-        self, f: np.ndarray, base: np.ndarray, border: np.ndarray | None = None
-    ) -> NewtonMatrix:
+    def jacobian(self, f: np.ndarray, base: np.ndarray) -> NewtonMatrix:
         """Forward-difference Jacobian assembled colour by colour.
 
         Residual (i, j) reads exactly the nodes ridx[i] x tidx[j], two
@@ -371,8 +369,7 @@ class _Discretization:
         9) perturbs every node of that colour, and gives the value of each
         residual (i, j) by its node (p, q) of that colour: the difference at
         (i, j) over the step at (p, q).  The values follow the grid's 9-point
-        pattern (``elimination._grid_pattern``).  A ``border`` (the pinned
-        mean's weights) becomes the last column and row.
+        pattern (``elimination._grid_pattern``).
         """
         step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
         vals = np.empty(self.shape + (3, 3))
@@ -384,19 +381,42 @@ class _Discretization:
             # residual (i, j) reads this colour's node at window entry (a[i], b[j])
             a, b = (cr - r0) % 3, (ct - t0) % 3
             vals[i, j, a[:, None], b] = (self.residual(f + bump) - base) / step[r0 + a][:, t0 + b]
-        vals = vals.ravel()
-        if border is not None:
-            vals = np.concatenate([vals, border, border])
-        pinned = border is not None
-        if pinned not in self._plans:  # the mesh's linear-solve plan, built once
-            self._plans[pinned] = Elimination(self.shape, pinned)
-        return NewtonMatrix(self._plans[pinned], vals)
+        if self._plan is None:  # the mesh's linear-solve plan, built once
+            self._plan = Elimination(self.shape)
+        return NewtonMatrix(self._plan, vals.ravel())
+
+
+def _newton_step(
+    disc: _Discretization, f: np.ndarray, res: np.ndarray, weights: np.ndarray | None
+) -> np.ndarray:
+    """The Newton step at f, whose residual is res.
+
+    With ``weights`` w (the area weights), the problem is pure Neumann: its
+    Jacobian J has 1^T J = 0 and J 1 = 0, and the mean constraint
+    w^T (f + delta) = 0 fixes the step:
+    [[J, w], [w^T, 0]] [delta; mu] = [-res; -w^T f].  The step is solved on
+    J itself.  As 1^T J = 0, mu is the sum of -res, and -res - mu w sums to
+    0.  Node (0, 0), whose own entry is the first stored value, is grounded
+    by doubling that entry: the matrix is then regular, and as the
+    right-hand side sums to 0 its solution is 0 at that node and solves
+    J delta = -res - mu w.  The step is then shifted by the constant that
+    sets the weighted mean of f + delta to 0.
+    """
+    jac = disc.jacobian(f, res)
+    rhs = -res.ravel()
+    if weights is not None:
+        rhs -= rhs.sum() * weights
+        jac.data[0] *= 2.0
+    delta = spla.spsolve(jac, rhs)
+    if weights is not None:
+        delta -= weights @ (f.ravel() + delta)
+    return delta.reshape(f.shape)
 
 
 def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
-    """Damped Newton loop; returns (f, converged, history, iterations)."""
+    """Damped Newton loop; returns (f, converged, history, iterations).  A
+    ``pin``ned problem's mean is held at 0 (see _newton_step)."""
     f = f0.copy()
-    n = f.size
     weights = (disc.area / disc.area.sum()).ravel() if pin else None
     res = disc.residual(f)
     norm = float(np.max(np.abs(res)))
@@ -405,11 +425,7 @@ def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, p
     for _ in range(config.max_iter):
         if norm <= config.tol:
             break
-        jac = disc.jacobian(f, res, weights)
-        rhs = -res.ravel()
-        if pin:  # border with the mean constraint, kept as the last unknown
-            rhs = np.append(rhs, -(weights @ f.ravel()))
-        delta = spla.spsolve(jac, rhs)[:n].reshape(f.shape)
+        delta = _newton_step(disc, f, res, weights)
         if not np.all(np.isfinite(delta)):
             break
         t = 1.0

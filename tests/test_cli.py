@@ -509,6 +509,17 @@ def test_solve_pmc_variant(tmp_path):
     rows = read_rows(out / "solution.csv")
     assert {r[2] for r in rows[1:]} == {"0.0"}  # mean-pinned flat solution
 
+    # the tanh curvature 0.5 (kappa tanh(f) + lambda) grows with the height,
+    # so this problem is not pinned
+    cfg = solve_config(tmp_path, pmc="tanh", kappa=1.0, m=16, n_theta=16,
+                       plus={"side": "+", "generator": {"type": "constant", "gamma": 1.0}},
+                       **{"lambda": 0.0})
+    out = tmp_path / "tanh"
+    assert run(["solve", "--config", cfg, "--out", out]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "pmc: tanh" in manifest
+    assert "converged: True" in manifest and "monotone_ok: True" in manifest
+
 
 def test_solve_config_validation(tmp_path):
     missing = solve_config(tmp_path)
@@ -936,6 +947,8 @@ def stderr_and_numpy_in_child(argv):
     ("config m x", 2, "wedgecap: profile error: solve config key 'm' must be an int, got 'x'"),
     ("config wall side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
     ("bounds minus side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
+    ("bounds sides swapped", 2, "wedgecap: profile error: profile under --plus declares side '-'"),
+    ("bounds minus side +", 2, "wedgecap: profile error: profile under --minus declares side '+'"),
 ])
 def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, says):
     """Argument parsing, usage checks, --out and the JSON checks of an input
@@ -958,6 +971,9 @@ def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, sa
                                        solve_config(tmp_path, minus={**wall, "side": "x"})],
         "bounds minus side x": lambda: ["bounds", "--plus", taken,
                                         "--minus", write_json(path, {**wall, "side": "x"})],
+        "bounds sides swapped": lambda: ["bounds", "--plus", write_json(path, {**wall, "side": "-"}),
+                                         "--minus", taken],
+        "bounds minus side +": lambda: ["bounds", "--plus", taken, "--minus", write_json(path, wall)],
     }[call]()
     if "--out" not in argv:
         argv += ["--out", tmp_path / "out"]
@@ -987,7 +1003,7 @@ def test_solve_calls_spsolve_through_solver_spla(monkeypatch):
     r_min, r_max = 0.05, 1.0
     mesh = solver.build_sector_mesh(WedgeGeometry(1.0), r_min, r_max, 8, 8)
     walls = constant_profile("+", 1.1), constant_profile("-", 1.1)
-    # kappa = 0 pins the mean and borders the system; lambda balances the flux
+    # kappa = 0 pins the mean; lambda balances the flux
     flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
     for kappa, lam in [(1.0, 0.5), (0.0, flux / (r_max**2 - r_min**2))]:
         calls.clear()
