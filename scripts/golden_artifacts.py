@@ -165,8 +165,8 @@ def calls(inputs):
         # before the iteration cap (exit 6)
         "solve-stalled": {**base, "plus": constant("+", 0.1), "minus": constant("-", 3.0),
                           "r_min": 5e-4, "m": 79, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
-        # the benchmark's meshes, on which the elimination splits its larger
-        # stacks of fronts into batches
+        # the benchmark's meshes, on which the elimination cuts its larger
+        # stacks of fronts into more than one block
         "solve-capillary-128": {**base, "m": 128, "n_theta": 128, "kappa": 1.0, "lambda": 2.0},
         "solve-pinned-128": {**base, "m": 128, "n_theta": 128, "kappa": 0.0,
                              "lambda": flux / (alpha * (r_max**2 - r_min**2))},
@@ -211,6 +211,9 @@ def calls(inputs):
     # a - wall given as --plus and a + wall as --minus: the side rule (exit 2)
     out.append(("bounds-sides-swapped", ["bounds", "--plus", paths["constant", "-"],
                                          "--minus", paths["constant", "+"], "--case", "I"]))
+    # a - wall given to blowup for the + side: the same rule (exit 2)
+    out.append(("blowup-side-mismatch", ["blowup", "--case", "I", "--side", "+", "--beta", "0.9",
+                                         "--profile", paths["example2", "-"]]))
     latin1 = inputs / "latin1_plus.json"
     latin1.write_bytes(json.dumps({**constant("+", 1.0), "note": "\u00e9"},
                                   ensure_ascii=False).encode("latin-1"))

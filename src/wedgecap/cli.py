@@ -418,7 +418,7 @@ def cmd_blowup(args) -> int:
     if args.points is not None and args.points < 8:
         raise ValueError(f"--points must be >= 8, got {args.points}")
     if args.gamma0 is None:
-        profile = wio.load_profile(args.profile)
+        profile = wio.load_profile(args.profile, args.side)
         eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
         _check_eps_floor(eps_floor, profile.s_max)
     from .blowup import contradiction_witness, limit_difference_table

@@ -18,9 +18,8 @@ import numpy as np
 #: leaves of the dissection tree hold at most this many nodes; from 16 up, no
 #: cut falls on a grid line next to an edge (see Elimination)
 _LEAF_NODES = 16
-#: a stack of fronts is assembled and eliminated in batches of at most this
-#: many doubles of front, or of one front, so that a solve's working storage
-#: stays small beside the fronts Y it keeps
+#: a block holds at most this many doubles of front, or one front, so that a
+#: solve's working storage stays small beside the fronts Y it keeps
 _BATCH_DOUBLES = 2**16
 
 
@@ -45,16 +44,16 @@ def _dissection_tree(ni: int, nj: int) -> np.ndarray:
     One row per tree node, by depth: ``r0, r1, c0, c1``, the rectangle of
     grid nodes in its subtree; ``o0, o1, p0, p1``, the rectangle of those it
     eliminates; its height above the leaves; its parent's row (-1 at the
-    root).  A block is cut across its longer side by a
+    root).  A rectangle is cut across its longer side by a
     one-node-wide separator line, which the node eliminates, and the two
     halves become its children, so eliminating a half fills in nothing
-    outside it and the separator (George 1973).  Blocks of at most
+    outside it and the separator (George 1973).  Rectangles of at most
     ``_LEAF_NODES`` nodes, or with a side shorter than 3, are leaves.
     """
     levels, spans = [], []  # the nodes one depth at a time, and their rows
-    block, parent, start = np.array([[0, ni, 0, nj]]), np.array([-1]), 0
-    while len(block):
-        r0, r1, c0, c1 = block.T
+    rect, parent, start = np.array([[0, ni, 0, nj]]), np.array([-1]), 0
+    while len(rect):
+        r0, r1, c0, c1 = rect.T
         a, b = r1 - r0, c1 - c0
         cut = (a * b > _LEAF_NODES) & (np.minimum(a, b) >= 3)
         rows = a >= b  # the separator is a row line, else a column line
@@ -62,10 +61,10 @@ def _dissection_tree(ni: int, nj: int) -> np.ndarray:
         line = np.where(rows, [k, k + 1, c0, c1], [r0, r1, k, k + 1])
         first = np.where(rows, [r0, k, c0, c1], [r0, r1, c0, k])
         second = np.where(rows, [k + 1, r1, c0, c1], [r0, r1, k + 1, c1])
-        levels.append(np.vstack([block.T, np.where(cut, line, block.T), parent]).T)
-        spans.append((start, start + len(block)))
+        levels.append(np.vstack([rect.T, np.where(cut, line, rect.T), parent]).T)
+        spans.append((start, start + len(rect)))
         ids = start + np.flatnonzero(cut)
-        block, parent = np.hstack([first[:, cut], second[:, cut]]).T, np.concatenate([ids, ids])
+        rect, parent = np.hstack([first[:, cut], second[:, cut]]).T, np.concatenate([ids, ids])
         start += len(cut)
     tree = np.vstack(levels)
     height = np.zeros(len(tree), dtype=tree.dtype)
@@ -91,40 +90,25 @@ def _rect_nodes(rects: np.ndarray, nj: int) -> np.ndarray:
     return (r0[t] + q // w[t]) * nj + c0[t] + q % w[t]
 
 
-def _dissection_order(ni: int, nj: int) -> np.ndarray:
-    """The unknowns of the ni x nj node grid in an order the block
-    elimination can remove them: each tree node's own set, by height."""
-    tree = _dissection_tree(ni, nj)
-    return _rect_nodes(tree[np.argsort(tree[:, 8], kind="stable"), 4:8], nj)
-
-
 @dataclass(frozen=True, eq=False)
-class _Batch:
-    """Fronts ``part`` of a stack, eliminated together in one block."""
-
-    part: slice
-    sel: np.ndarray  # which matrix values are assembled here
-    dst: np.ndarray  # and where, in the flattened (fronts, N, N+1) block
-    # extend-adds of child Schur complements: (child stack, its fronts,
-    # flattened offsets of their rows here, their columns here)
-    updates: list = dc_field(default_factory=list)
-
-
-@dataclass(frozen=True, eq=False)
-class _Stack:
-    """Fronts of one tree height and one shape, eliminated in batches.
+class _Block:
+    """Consecutive fronts of one stack (one tree height and one shape),
+    at most ``_BATCH_DOUBLES`` doubles of them or one, eliminated together.
 
     Front g eliminates the unknowns ``own[g]`` given their boundary
-    ``bnd[g]`` in ancestor separators.  It is an N x (N+1) block, N = o + b,
+    ``bnd[g]`` in ancestor separators.  It is an N x (N+1) array, N = o + b,
     whose rows and columns follow ``own`` then ``bnd`` and whose last column
-    is the right-hand side.  The fronts are assembled in ``batches`` of at
-    most ``_BATCH_DOUBLES`` doubles each, or of one front.
+    is the right-hand side.
     """
 
     own: np.ndarray  # (G, o)
     bnd: np.ndarray  # (G, b)
-    batches: list
-    done: list = dc_field(default_factory=list)  # child stacks used up here
+    sel: np.ndarray  # which matrix values are assembled here
+    dst: np.ndarray  # and where, in the flattened (G, N, N+1) fronts
+    # extend-adds of child Schur complements: (child block, its fronts,
+    # flattened offsets of their rows here, their columns here)
+    updates: list = dc_field(default_factory=list)
+    done: list = dc_field(default_factory=list)  # child blocks used up here
 
 
 class Elimination:
@@ -137,10 +121,15 @@ class Elimination:
     subtree's domain is a rectangle of the grid, so its boundary is the
     one-node ring around it: no cut falls on the second or second-to-last
     grid line, so the one-sided end stencils, which reach two lines in, stay
-    inside a block or on its separator.  The plan keeps only 1-D position
-    maps, and its constructor checks that every matrix entry and every Schur
-    complement entry has a place.  It works in int32 and keeps its maps as
-    numpy's index type, which indexes fastest.
+    inside a rectangle or on its separator.
+
+    The plan's one kind of front group is the block (``_Block``): a run of
+    fronts of one height and shape, cut so that its working storage stays
+    small.  Blocks go up the tree, and a block's Schur complements are freed
+    as soon as the last block that adds them in has done so.  The plan keeps
+    only 1-D position maps, and its constructor checks that every matrix
+    entry and every Schur complement entry has a place.  It works in int32
+    and keeps its maps as numpy's index type, which indexes fastest.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -148,7 +137,7 @@ class Elimination:
         self.size = size = ni * nj
         tree = _dissection_tree(ni, nj)
         r0, r1, c0, c1 = tree[:, :4].T
-        ring = np.column_stack(  # the block grown by one node where the grid allows
+        ring = np.column_stack(  # the rectangle grown by one node where the grid allows
             [np.maximum(r0 - 1, 0), np.minimum(r1 + 1, ni),
              np.maximum(c0 - 1, 0), np.minimum(c1 + 1, nj)]
         )
@@ -162,7 +151,7 @@ class Elimination:
         # (the key is int64: it passes 2**31 from a 128 x 128 grid)
         _, stack = np.unique((tree[:, 8] * (size + 1) + o) * (size + 1) + b, return_inverse=True)
         # within a stack, fronts go by their parent's stack, then by their
-        # parent's place, so that the children of one batch of parents are
+        # parent's place, so that the children of one block of parents are
         # adjacent; siblings keep their order, and with it every sum
         height, up = tree[:, 8], tree[:, 9]
         seat, levels = np.zeros(len(tree), dtype=np.intp), []
@@ -179,12 +168,12 @@ class Elimination:
         local = np.arange(rank.size) - starts[stack]
         N = o + b
 
-        # a stack's fronts are eliminated in batches of at most _BATCH_DOUBLES
-        # doubles, or of one front: per front, its batch and place there
+        # a stack's fronts are cut into blocks of at most _BATCH_DOUBLES
+        # doubles, or of one front: per front, its block and place there
         fronts, width = np.diff(starts), N[starts[:-1]].astype(np.int64)
         per = np.maximum(_BATCH_DOUBLES // (width * (width + 1)), 1)
         count = -(-fronts // per)
-        batch = ((np.cumsum(count) - count)[stack] + local // per[stack]).astype(i4)
+        block = ((np.cumsum(count) - count)[stack] + local // per[stack]).astype(i4)
         slot = (local % per[stack]).astype(i4)
 
         # every front's unknowns, front after front: its own set row-major in
@@ -194,7 +183,7 @@ class Elimination:
         where = np.empty(size, dtype=i4)  # and its row there
         owner[own], where[own] = _ragged(o)
 
-        # the boundary is the ring less the block: the strips above, left of,
+        # the boundary is the ring less the rectangle: the strips above, left of,
         # right of and below it.  Keyed by (front, unknown) and sorted once,
         # the boundary slots list each front's unknowns in node order
         (r0, r1, c0, c1), (e0, e1, d0, d1) = tree[:, :4].T, ring.T
@@ -217,8 +206,8 @@ class Elimination:
             return pos
 
         # a matrix entry belongs to the front that eliminates the first of its
-        # two unknowns (an ancestor always comes later): its batch there, and
-        # its offset in the flattened block
+        # two unknowns (an ancestor always comes later): its block there, and
+        # its offset in the block's flattened fronts
         rows, cols = _grid_pattern(ni, nj)
         front = np.minimum(owner[rows], owner[cols])
         r, c = locate(front, rows), locate(front, cols)
@@ -226,16 +215,14 @@ class Elimination:
         if np.any(r < 0) or np.any(c < 0):
             raise AssertionError("matrix entry outside its front")
         m = N[front]
-        into, flat = batch[front], (slot[front] * m + r) * (m + 1) + c
+        into, flat = block[front], (slot[front] * m + r) * (m + 1) + c
         del front, r, c, m
         # a stable sort of 8- or 16-bit keys is a radix sort
-        sel = np.argsort(into.astype(np.min_scalar_type(batch[-1])), kind="stable")
+        sel = np.argsort(into.astype(np.min_scalar_type(block[-1])), kind="stable")
         cuts = np.cumsum(np.bincount(into))[:-1]
         del into
         dst = flat[sel].astype(np.intp)
         del flat
-        parts = [slice(k, min(k + p, g)) for g, p in zip(fronts, per) for k in range(0, g, p)]
-        batches = [_Batch(*a) for a in zip(parts, np.split(sel, cuts), np.split(dst, cuts))]
 
         # each front's Schur complement is added into its parent's front: the
         # flattened offset of every boundary row there, and the columns,
@@ -248,32 +235,36 @@ class Elimination:
         offsets = ((slot[dad] * N[dad] + pos) * (N[dad] + 1)).astype(np.intp)
         cols = np.insert(pos, (bnd_at + b)[:-1], N[parent[:-1]]).astype(np.intp)
         col_at = bnd_at + np.arange(rank.size)
-        # the fronts of one stack whose parents share a batch are adjacent,
+        own, bnd = own.astype(np.intp), bnd.astype(np.intp)
+        own_at = np.cumsum(o, dtype=np.int64) - o
+        first = np.searchsorted(block, np.arange(block[-1] + 2))  # each block's first front
+        self.blocks = [
+            _Block(
+                own=own[own_at[lo] : own_at[lo] + (hi - lo) * o[lo]].reshape(hi - lo, -1),
+                bnd=bnd[bnd_at[lo] : bnd_at[lo] + (hi - lo) * b[lo]].reshape(hi - lo, -1),
+                sel=s,
+                dst=d,
+            )
+            for lo, hi, s, d in zip(first[:-1], first[1:], np.split(sel, cuts), np.split(dst, cuts))
+        ]
+        # the fronts of one block whose parents share a block are adjacent,
         # and are added in there together
-        to = batch[parent[:-1]]
-        run = np.flatnonzero((np.diff(stack[:-1], prepend=-1) != 0) | (np.diff(to, prepend=-1) != 0))
+        to = block[parent[:-1]]
+        run = np.flatnonzero((np.diff(block[:-1], prepend=-1) != 0) | (np.diff(to, prepend=-1) != 0))
         for lo, hi in zip(run, np.append(run[1:], to.size)):
-            g, k = hi - lo, lo - starts[stack[lo]]
-            batches[to[lo]].updates.append((
-                stack[lo],
+            g, k = hi - lo, lo - first[block[lo]]
+            self.blocks[to[lo]].updates.append((
+                block[lo],
                 slice(k, k + g),
                 offsets[bnd_at[lo] : bnd_at[lo] + g * b[lo]].reshape(g, -1),
                 cols[col_at[lo] : col_at[lo] + g * (b[lo] + 1)].reshape(g, -1),
             ))
-        own, bnd = own.astype(np.intp), bnd.astype(np.intp)
-        own_at, first = np.cumsum(o, dtype=np.int64) - o, np.cumsum(count) - count
-        self.stacks = [
-            _Stack(
-                own=own[own_at[lo] : own_at[lo] + (hi - lo) * o[lo]].reshape(hi - lo, -1),
-                bnd=bnd[bnd_at[lo] : bnd_at[lo] + (hi - lo) * b[lo]].reshape(hi - lo, -1),
-                batches=batches[f : f + c],
-            )
-            for lo, hi, f, c in zip(starts[:-1], starts[1:], first, count)
-        ]
-        last = np.zeros(len(self.stacks), dtype=int)
-        np.maximum.at(last, stack[:-1], stack[parent[:-1]])
-        for s, up in enumerate(last[:-1]):
-            self.stacks[up].done.append(s)
+        # a block's Schur complements are freed once its last parent block
+        # has added them in
+        last = np.zeros(len(self.blocks), dtype=int)
+        np.maximum.at(last, block[:-1], to)
+        for k, up in enumerate(last[:-1]):
+            self.blocks[up].done.append(k)
 
     @property
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,42 +275,39 @@ class Elimination:
     def stored_entries(self) -> int:
         """Doubles kept from elimination to back substitution: every front's
         Y = F11^-1 [F12 | g], own x (bnd + 1) entries."""
-        return sum(st.own.size * (st.bnd.shape[1] + 1) for st in self.stacks)
+        return sum(bl.own.size * (bl.bnd.shape[1] + 1) for bl in self.blocks)
 
     def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs, where A holds ``data`` on the pattern.
 
-        Stacks go up the tree, each in its batches.  In each batch, one
-        stacked LAPACK solve (partial pivoting inside each front) gives
-        Y = F11^-1 [F12 | g] and one stacked product the Schur complement
-        that the parents add in, written straight into the stack's.  Back
-        substitution runs top down as x_own = Y_g - Y_12 x_bnd.  A singular
-        front gives NaN, which stops the Newton iteration.
+        Blocks go up the tree.  In each, one stacked LAPACK solve (partial
+        pivoting inside each front) gives Y = F11^-1 [F12 | g] and one stacked
+        product the Schur complements that the parent blocks add in; they
+        are freed once the last of those has done so.  Back substitution runs
+        top down as x_own = Y_g - Y_12 x_bnd.  A singular front gives NaN,
+        which stops the Newton iteration.
         """
         schur, ys = {}, []
-        for s, st in enumerate(self.stacks):
-            G, o = st.own.shape
-            b = st.bnd.shape[1]
-            N = o + b
-            z = np.empty((G, b, b + 1))
-            for bt in st.batches:
-                F = np.zeros((bt.part.stop - bt.part.start, N, N + 1))
-                flat = F.reshape(-1)
-                flat[bt.dst] = data[bt.sel]
-                F[:, :o, N] = rhs[st.own[bt.part]]
-                for child, take, rows, cols in bt.updates:
-                    idx = rows[:, :, None] + cols[:, None, :]
-                    np.add.at(flat, idx.reshape(-1), schur[child][take].reshape(-1))
-                try:
-                    y = np.linalg.solve(F[:, :o, :o], F[:, :o, o:])
-                except np.linalg.LinAlgError:
-                    return np.full(self.size, np.nan)
-                zb = z[bt.part]
-                np.subtract(F[:, o:, o:], np.matmul(F[:, o:, :o], y, out=zb), out=zb)
-                ys.append((st.own[bt.part], st.bnd[bt.part], y))
-            for child in st.done:
+        for k, bl in enumerate(self.blocks):
+            G, o = bl.own.shape
+            N = o + bl.bnd.shape[1]
+            F = np.zeros((G, N, N + 1))
+            flat = F.reshape(-1)
+            flat[bl.dst] = data[bl.sel]
+            F[:, :o, N] = rhs[bl.own]
+            for child, take, rows, cols in bl.updates:
+                idx = rows[:, :, None] + cols[:, None, :]
+                np.add.at(flat, idx.reshape(-1), schur[child][take].reshape(-1))
+            for child in bl.done:
                 del schur[child]
-            schur[s] = z
+            try:
+                y = np.linalg.solve(F[:, :o, :o], F[:, :o, o:])
+            except np.linalg.LinAlgError:
+                return np.full(self.size, np.nan)
+            z = np.matmul(F[:, o:, :o], y)
+            np.subtract(F[:, o:, o:], z, out=z)
+            schur[k] = z
+            ys.append((bl.own, bl.bnd, y))
         x = np.empty(self.size)
         for own, bnd, y in ys[::-1]:
             b = bnd.shape[1]

@@ -158,9 +158,15 @@ def profile_from_dict(data: dict) -> ContactProfile:
     return _build_profile(_check_profile(data))
 
 
-def load_profile(path: str | Path) -> ContactProfile:
-    """Read one wall profile from a JSON file; malformed input raises."""
-    return profile_from_dict(read_json(path, "profile"))
+def load_profile(path: str | Path, side: str | None = None) -> ContactProfile:
+    """Read one wall profile from a JSON file; malformed input raises.  Given
+    ``side``, the wall given as ``--profile`` for that side must declare it:
+    the side rule, checked with the JSON checks, before numpy loads."""
+    entry = read_json(path, "profile")
+    make = _check_profile(entry)
+    if side is not None:
+        _check_side(entry, "plus" if side == "+" else "minus", "--profile")
+    return _build_profile(make)
 
 
 def _check_side(entry: dict, key: str, where: str) -> None:

@@ -949,6 +949,8 @@ def stderr_and_numpy_in_child(argv):
     ("bounds minus side x", 2, "wedgecap: profile error: side must be '+' or '-', got 'x'"),
     ("bounds sides swapped", 2, "wedgecap: profile error: profile under --plus declares side '-'"),
     ("bounds minus side +", 2, "wedgecap: profile error: profile under --minus declares side '+'"),
+    ("blowup side + wall -", 2, "wedgecap: profile error: profile under --profile declares side '-'"),
+    ("blowup side - wall +", 2, "wedgecap: profile error: profile under --profile declares side '+'"),
 ])
 def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, says):
     """Argument parsing, usage checks, --out and the JSON checks of an input
@@ -974,6 +976,10 @@ def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, sa
         "bounds sides swapped": lambda: ["bounds", "--plus", write_json(path, {**wall, "side": "-"}),
                                          "--minus", taken],
         "bounds minus side +": lambda: ["bounds", "--plus", taken, "--minus", write_json(path, wall)],
+        "blowup side + wall -": lambda: ["blowup", "--case", "I", "--side", "+", "--beta", "0.5",
+                                         "--profile", write_json(path, {**wall, "side": "-"})],
+        "blowup side - wall +": lambda: ["blowup", "--case", "D", "--side", "-", "--beta", "0.5",
+                                         "--profile", taken],
     }[call]()
     if "--out" not in argv:
         argv += ["--out", tmp_path / "out"]
