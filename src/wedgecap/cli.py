@@ -8,8 +8,9 @@ files are always radians.
 
 Exit codes: 0 success, 1 usage error, 2 malformed profile or solve config
 (including a missing, unreadable or non-JSON profile or config file), 3
-numeric-range violation, 4 infeasible fan scan, 5 verification failure, 6
-solver non-convergence (artifacts still written).
+numeric-range violation (a problem too large for memory included), 4
+infeasible fan scan, 5 verification failure, 6 solver non-convergence
+(artifacts still written).
 """
 
 from __future__ import annotations
@@ -322,8 +323,6 @@ def cmd_solve(args) -> int:
 
     alpha, m, n_theta, n_radii = (cfg[key] for key in ("alpha", "m", "n_theta", "n_radii"))
     geometry = WedgeGeometry(alpha)
-    if m < 2 or n_theta < 2:
-        raise ValueError(f"need m, n_theta >= 2, got ({m}, {n_theta})")
     if not (2 <= n_radii <= m):
         raise ValueError(f"n_radii must lie in [2, m={m}], got {n_radii}")
     mesh = build_sector_mesh(geometry, cfg["r_min"], cfg["r_max"], m, n_theta)
@@ -559,6 +558,9 @@ def main(argv=None) -> int:
         return EXIT_PROFILE
     except ValueError as exc:
         print(f"wedgecap: range error: {exc}", file=sys.stderr)
+        return EXIT_RANGE
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"wedgecap: range error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RANGE
     except RuntimeError as exc:
         from .bounds import InfeasibleScanError

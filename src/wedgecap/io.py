@@ -158,34 +158,35 @@ def profile_from_dict(data: dict) -> ContactProfile:
     return _build_profile(_check_profile(data))
 
 
+def _check_wall(entry, key: str | None, where: str, folder: Path | None = None):
+    """Check one wall and return the call that builds it.  ``entry`` is a
+    profile spec, or the name of a profile file (in ``folder`` when given);
+    ``where`` names the place it was given.  The wall given as ``key`` plus
+    must declare side '+', and as minus '-' (no side rule when None)."""
+    _require(entry is not None, f"{where} is null; a no-flux wall is a constant "
+             "profile with gamma = pi/2")
+    if isinstance(entry, (str, Path)):
+        # joining an absolute path keeps only that path
+        entry = read_json(entry if folder is None else folder / entry, "profile")
+    make = _check_profile(entry)
+    side = entry["side"]
+    _require(key is None or side == ("+" if key == "plus" else "-"),
+             f"profile under {where} declares side {side!r}")
+    return make
+
+
 def load_profile(path: str | Path, side: str | None = None) -> ContactProfile:
     """Read one wall profile from a JSON file; malformed input raises.  Given
-    ``side``, the wall given as ``--profile`` for that side must declare it:
-    the side rule, checked with the JSON checks, before numpy loads."""
-    entry = read_json(path, "profile")
-    make = _check_profile(entry)
-    if side is not None:
-        _check_side(entry, "plus" if side == "+" else "minus", "--profile")
-    return _build_profile(make)
-
-
-def _check_side(entry: dict, key: str, where: str) -> None:
-    """The side rule: the wall given as plus declares side '+', the one given
-    as minus '-'; ``where`` names the place it was given."""
-    side = entry["side"]
-    _require(side == ("+" if key == "plus" else "-"),
-             f"profile under {where} declares side {side!r}")
+    ``side``, the wall given as ``--profile`` for that side must declare it."""
+    key = {"+": "plus", "-": "minus"}.get(side)
+    return _build_profile(_check_wall(path, key, "--profile"))
 
 
 def load_walls(plus: str | Path, minus: str | Path) -> list[ContactProfile]:
     """Read the + and the - wall profile from their files, both files' JSON
     checks (each wall's side included) before either build, so a malformed
     file stops the call before numpy loads."""
-    makes = []
-    for key, path in (("plus", plus), ("minus", minus)):
-        entry = read_json(path, "profile")
-        makes.append(_check_profile(entry))
-        _check_side(entry, key, f"--{key}")
+    makes = [_check_wall(path, key, f"--{key}") for key, path in (("plus", plus), ("minus", minus))]
     return [_build_profile(make) for make in makes]
 
 
@@ -193,19 +194,6 @@ def _json_string(x, what: str) -> str:
     if isinstance(x, str):
         return x
     raise ProfileFormatError(f"{what} must be a string, got {x!r}")
-
-
-def _check_wall(entry, key: str, folder: Path):
-    """Check the wall under solve-config key plus or minus and return the
-    call that builds it; a string names a profile file in ``folder``."""
-    _require(entry is not None, f"solve config key {key!r} is null; a no-flux wall is a "
-             "constant profile with gamma = pi/2")
-    if isinstance(entry, str):
-        # joining an absolute path keeps only that path
-        entry = read_json(folder / entry, "profile")
-    make = _check_profile(entry)
-    _check_side(entry, key, f"solve config key {key!r}")
-    return make
 
 
 #: the default of a solve-config key that must be given
@@ -247,7 +235,8 @@ def read_solve_config(path: str | Path) -> dict:
     config = {}
     for key, (check, default) in _SOLVE_KEYS.items():
         if check is _check_wall:
-            config[key] = _check_wall(data[key], key, Path(path).parent)
+            config[key] = _check_wall(data[key], key, f"solve config key {key!r}",
+                                      Path(path).parent)
         elif key in data:
             config[key] = check(data[key], f"solve config key {key!r}")
         elif default is not None:

@@ -121,22 +121,22 @@ def build_sector_mesh(
 class SolutionField:
     """Nodal solution with convergence metadata.
 
-    ``rhs_values`` holds the right-hand side evaluated at the solution
-    (kappa*f + lambda, or 2H(x,y,f) for the prescribed-curvature variant), so
-    magnitude bounds read off the same field either way.  ``kappa``/``lam``
-    are None for the prescribed-curvature variant.
+    ``residual_history`` holds the residual's max norm at the start and after
+    each accepted Newton step, so it fixes the step count, the final residual
+    and, against ``tol``, whether the solve converged.  ``rhs_values`` holds
+    the right-hand side evaluated at the solution (kappa*f + lambda, or
+    2H(x,y,f) for the prescribed-curvature variant), so magnitude bounds read
+    off the same field either way.  ``kappa``/``lam`` are None for the
+    prescribed-curvature variant.
     """
 
     mesh: SectorMesh
     values: np.ndarray  # shape (m+1, n_theta+1)
     kappa: float | None
     lam: float | None
-    converged: bool
-    residual_norm: float
-    newton_iterations: int
     tol: float
     rhs_values: np.ndarray
-    residual_history: tuple = ()
+    residual_history: tuple
     diagnostics: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -145,8 +145,18 @@ class SolutionField:
             raise ValueError(f"field arrays must have shape {shape}")
         if self.kappa is not None and self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-        if self.converged and not (self.residual_norm <= self.tol):
-            raise ValueError("converged field must meet its tolerance")
+
+    @property
+    def residual_norm(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def newton_iterations(self) -> int:
+        return len(self.residual_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.residual_norm <= self.tol
 
 
 def bounds_estimate(field: SolutionField) -> tuple[float, float]:
@@ -252,7 +262,7 @@ class _Discretization:
         case: ManufacturedCase | None = None,
     ):
         if mesh.m < 2 or mesh.n_theta < 2:
-            raise ValueError("solver needs at least 3 nodes per direction")
+            raise ValueError(f"need m, n_theta >= 2, got ({mesh.m}, {mesh.n_theta})")
         self.mesh = mesh
         self.rhs_fn = rhs_fn
         r, t = mesh.radii, mesh.thetas
@@ -414,14 +424,14 @@ def _newton_step(
 
 
 def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
-    """Damped Newton loop; returns (f, converged, history, iterations).  A
-    ``pin``ned problem's mean is held at 0 (see _newton_step)."""
+    """Damped Newton loop; returns (f, history), the residual's max norm at
+    the start and after each accepted step.  A ``pin``ned problem's mean is
+    held at 0 (see _newton_step)."""
     f = f0.copy()
     weights = (disc.area / disc.area.sum()).ravel() if pin else None
     res = disc.residual(f)
     norm = float(np.max(np.abs(res)))
     history = [norm]
-    iterations = 0
     for _ in range(config.max_iter):
         if norm <= config.tol:
             break
@@ -439,9 +449,8 @@ def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, p
         else:
             break  # line search stalled
         f, res, norm = trial, res_t, norm_t
-        iterations += 1
         history.append(norm)
-    return f, norm <= config.tol, history, iterations
+    return f, tuple(history)
 
 
 def _wall_integrals(
@@ -546,7 +555,7 @@ def _solve(
     if total is not None:
         diagnostics["nullspace"] = _PIN_NOTE
         diagnostics["balance_mismatch"] = _check_balance(disc, total)
-    f, ok, history, iters = _newton_solve(disc, f0, config, total is not None)
+    f, history = _newton_solve(disc, f0, config, total is not None)
     if check is not None:
         diagnostics.update(check(disc, f))
     return SolutionField(
@@ -554,12 +563,9 @@ def _solve(
         values=f,
         kappa=kappa,
         lam=lam,
-        converged=ok,
-        residual_norm=history[-1],
-        newton_iterations=iters,
         tol=config.tol,
         rhs_values=disc.rhs_at(f),
-        residual_history=tuple(history),
+        residual_history=history,
         diagnostics=diagnostics,
     )
 

@@ -521,7 +521,7 @@ def test_solve_pmc_variant(tmp_path):
     assert "converged: True" in manifest and "monotone_ok: True" in manifest
 
 
-def test_solve_config_validation(tmp_path):
+def test_solve_config_validation(tmp_path, capsys):
     missing = solve_config(tmp_path)
     data = json.loads(missing.read_text())
     del data["kappa"]
@@ -539,6 +539,10 @@ def test_solve_config_validation(tmp_path):
 
     tiny = solve_config(tmp_path, m=1)
     assert run(["solve", "--config", tiny]) == 3  # mesh too coarse
+    narrow = solve_config(tmp_path, n_theta=1)
+    capsys.readouterr()
+    assert run(["solve", "--config", narrow]) == 3
+    assert capsys.readouterr().err == "wedgecap: range error: need m, n_theta >= 2, got (24, 1)\n"
 
     badk = solve_config(tmp_path, pmc="nope")
     assert run(["solve", "--config", badk]) == 3
@@ -640,6 +644,20 @@ def test_solve_n_radii_checked_before_the_solve(tmp_path, monkeypatch):
     for n_radii in (1, 9):
         cfg = solve_config(tmp_path, m=8, n_theta=8, n_radii=n_radii)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 3
+
+
+@pytest.mark.parametrize("says", ["", "Unable to allocate 74.5 GiB"], ids=["bare", "numpy"])
+def test_solve_out_of_memory_is_a_range_error(tmp_path, monkeypatch, capsys, says):
+    """A problem too large for memory exits 3 with one line, numpy's message
+    when it gives one."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(says)
+
+    monkeypatch.setattr("wedgecap.solver.solve_capillary", no_memory)
+    cfg = solve_config(tmp_path, m=8, n_theta=8)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == f"wedgecap: range error: {says or 'out of memory'}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_nonconvergence_exit_6(tmp_path, capsys):
@@ -951,6 +969,10 @@ def stderr_and_numpy_in_child(argv):
     ("bounds minus side +", 2, "wedgecap: profile error: profile under --minus declares side '+'"),
     ("blowup side + wall -", 2, "wedgecap: profile error: profile under --profile declares side '-'"),
     ("blowup side - wall +", 2, "wedgecap: profile error: profile under --profile declares side '+'"),
+    ("config plus side -", 2,
+     "wedgecap: profile error: profile under solve config key 'plus' declares side '-'"),
+    ("config plus file side -", 2,
+     "wedgecap: profile error: profile under solve config key 'plus' declares side '-'"),
 ])
 def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, says):
     """Argument parsing, usage checks, --out and the JSON checks of an input
@@ -980,6 +1002,10 @@ def test_a_call_that_stops_at_its_checks_loads_no_numpy(tmp_path, call, code, sa
                                          "--profile", write_json(path, {**wall, "side": "-"})],
         "blowup side - wall +": lambda: ["blowup", "--case", "D", "--side", "-", "--beta", "0.5",
                                          "--profile", taken],
+        "config plus side -": lambda: ["solve", "--config",
+                                       solve_config(tmp_path, plus={**wall, "side": "-"})],
+        "config plus file side -": lambda: ["solve", "--config", solve_config(
+            tmp_path, plus=write_json(path, {**wall, "side": "-"}).name)],
     }[call]()
     if "--out" not in argv:
         argv += ["--out", tmp_path / "out"]

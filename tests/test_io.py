@@ -409,11 +409,9 @@ def _tiny_field(m=1, n_theta=1, values=((0.0, 1.0), (2.0, 3.0))):
         values=values,
         kappa=1.0,
         lam=0.0,
-        converged=True,
-        residual_norm=0.0,
-        newton_iterations=0,
         tol=1e-8,
         rhs_values=values.copy(),
+        residual_history=(0.0,),
     )
 
 

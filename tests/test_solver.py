@@ -52,11 +52,9 @@ def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
         values=vals,
         kappa=kappa,
         lam=lam,
-        converged=True,
-        residual_norm=0.0,
-        newton_iterations=0,
         tol=1e-10,
         rhs_values=kappa * vals + lam,
+        residual_history=(0.0,),
         diagnostics={"problem": "synthetic"},
     )
 
@@ -721,7 +719,7 @@ def test_trace_validation():
         radial_trace(fld, 9)
     from dataclasses import replace
 
-    unconverged = replace(fld, converged=False, residual_norm=1.0)
+    unconverged = replace(fld, residual_history=(1.0,))
     with pytest.raises(RuntimeError):
         radial_trace(unconverged, 3)
     tr = radial_trace(unconverged, 3, allow_unconverged=True)
@@ -986,3 +984,38 @@ def test_corner_solve_trace_at_the_default_radii_survives_roundoff(corner_solve_
     amplification, cases = roundoff_probe(corner_solve_field, 8)
     assert amplification <= 1e3
     assert cases[0] == cases[1]
+
+
+# ROADMAP item 15: regression tests of the forward-difference Jacobian, which
+# fail until the Newton Jacobian is exact.
+
+_ITEM_15 = (
+    "known defect, ROADMAP item 15: the forward-difference Jacobian's "
+    "truncation error leaves J.1 != 0 and stalls Newton near the corner"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_15)
+def test_jacobian_annihilates_constants():
+    """The residual reads only differences of f, so at kappa = 0 every row of
+    the Jacobian sums to 0; the pinned Newton step assumes it (6.3e-7 today,
+    with max|J| = 3.25)."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 24, 12)
+    disc = _Discretization(mesh, lambda r, t, z: 0.0 * z + 2.0, *example2_walls())
+    f = np.sin(3.0 * disc.r_col) * np.cos(2.0 * disc.t_row)
+    jac = disc.jacobian(f, disc.residual(f)).toarray()
+    assert np.max(np.abs(jac.sum(axis=1))) <= 1e-14 * np.max(np.abs(jac))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_15)
+@pytest.mark.parametrize("r_min, m, n_theta, max_iter", [
+    (5e-4, 79, 96, 200),  # today: stops after 21 steps at 1.1e-4
+    (1e-6, 144, 48, 30),  # today: 30 steps, unconverged at 2.6e-4
+])
+def test_borderline_constant_walls_converge(r_min, m, n_theta, max_iter):
+    """Constant walls 0.6 / 2.0 (alpha = 1, kappa = 1, lambda = 2): an exact
+    (complex-step) Jacobian converges them in 8 and 19 steps."""
+    mesh = build_sector_mesh(GEO, r_min, 1.0, m, n_theta)
+    walls = constant_profile("+", 0.6), constant_profile("-", 2.0)
+    field = solve_capillary(mesh, 1.0, 2.0, *walls, SolverConfig(max_iter=max_iter))
+    assert field.converged
