@@ -153,6 +153,15 @@ def calls(inputs):
         "solve-pmc-zero": {**base, "plus": constant("+", 1.0),
                            "minus": constant("-", math.pi - 1.0),
                            "m": 24, "n_theta": 12, "pmc": "zero"},
+        # both sides of the pin rule from a start of 20: tanh is flat there
+        # to roundoff but grows with the height, so it is not pinned (Newton
+        # stalls, exit 6); zero curvature is pinned from any start
+        "solve-pmc-far-start": {**base, "plus": constant("+", 1.2), "minus": constant("-", 1.2),
+                                "m": 16, "n_theta": 16, "pmc": "tanh", "kappa": 1.0,
+                                "lambda": 0.0, "initial": 20},
+        "solve-pmc-zero-far-start": {**base, "plus": constant("+", 1.0),
+                                     "minus": constant("-", math.pi - 1.0),
+                                     "m": 24, "n_theta": 12, "pmc": "zero", "initial": 20},
         # neutral walls give a flat solution, so the fan classifier reports
         # a constant trace instead of an unclassified one
         "solve-neutral": {**base, "plus": constant("+", math.pi / 2),

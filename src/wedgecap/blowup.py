@@ -26,7 +26,7 @@ from .bounds import (
     condition_increasing,
     default_lambda_grid,
 )
-from .functionals import KIND_LOWER, KIND_UPPER, check_adhesion_bound
+from .functionals import check_adhesion_bound
 from .profiles import SIDES
 
 _COLLINEAR_TOL = 1e-14
@@ -153,15 +153,11 @@ def psi_difference(cmp: TriangleComparison, a_upper_value: float) -> float:
 
 def phi_limit_difference(A: AdhesionFunction, beta, lam):
     """Limiting + wall gain as C approaches the fan edge: -(increasing cond)."""
-    if A.kind != KIND_LOWER:
-        raise ValueError("the + wall limit consumes a lower (kind 'I') functional")
     return -condition_increasing(A, beta, lam)
 
 
 def psi_limit_difference(A: AdhesionFunction, beta, lam):
     """Limiting - wall gain as C approaches the fan edge: -(decreasing cond)."""
-    if A.kind != KIND_UPPER:
-        raise ValueError("the - wall limit consumes an upper (kind 'S') functional")
     return -condition_decreasing(A, beta, lam)
 
 

@@ -192,6 +192,12 @@ def _geometry(beta, lam):
 
 
 def _condition(A, kind, b, s):
+    """The ``kind`` condition's value at the ratios (b, s).  Every condition
+    value is computed here, so the kind rule (``required_functional_kind``)
+    is checked here."""
+    want = required_functional_kind(kind)
+    if A.kind != want:
+        raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
     out = A(b) + s - 1.0 if kind == INCREASING else s - 1.0 - A(b)
     return float(out) if out.ndim == 0 else out
 
@@ -329,10 +335,6 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     """
     if not (0.0 < beta_step <= BETA_STEP):
         raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
-    for A, kind in requests:
-        want = required_functional_kind(kind)
-        if A.kind != want:
-            raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
     hi = math.pi - LAMBDA_MARGIN
     u = np.linspace(0.0, 1.0, LAMBDA_POINTS)

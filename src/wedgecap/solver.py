@@ -126,14 +126,11 @@ class SolutionField:
     and, against ``tol``, whether the solve converged.  ``rhs_values`` holds
     the right-hand side evaluated at the solution (kappa*f + lambda, or
     2H(x,y,f) for the prescribed-curvature variant), so magnitude bounds read
-    off the same field either way.  ``kappa``/``lam`` are None for the
-    prescribed-curvature variant.
+    off the same field either way; it is all the field keeps of the physics.
     """
 
     mesh: SectorMesh
     values: np.ndarray  # shape (m+1, n_theta+1)
-    kappa: float | None
-    lam: float | None
     tol: float
     rhs_values: np.ndarray
     residual_history: tuple
@@ -143,8 +140,6 @@ class SolutionField:
         shape = (self.mesh.m + 1, self.mesh.n_theta + 1)
         if self.values.shape != shape or self.rhs_values.shape != shape:
             raise ValueError(f"field arrays must have shape {shape}")
-        if self.kappa is not None and self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
 
     @property
     def residual_norm(self) -> float:
@@ -161,8 +156,6 @@ class SolutionField:
 
 def bounds_estimate(field: SolutionField) -> tuple[float, float]:
     """(M1, M2): max nodal |f| and max nodal |right-hand side|."""
-    if field.values.size == 0:
-        raise ValueError("empty field")
     return float(np.max(np.abs(field.values))), float(
         np.max(np.abs(field.rhs_values))
     )
@@ -200,8 +193,6 @@ def _deriv_stencils(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one-sided ones; all are exact for quadratics.
     """
     n = xs.size
-    if n < 3:
-        raise ValueError("derivative stencils need at least 3 nodes")
     idx = _stencil_windows(n)
     a, b, c = xs[idx[:, 0]], xs[idx[:, 1]], xs[idx[:, 2]]
     p = xs
@@ -529,20 +520,20 @@ def _solve(
     config: SolverConfig | None,
     *,
     start: float,
-    pinned_total: Callable[[_Discretization, np.ndarray], float | None],
+    pinned_total: Callable[[_Discretization], float | None],
     check: Callable[[_Discretization, np.ndarray], dict] | None = None,
-    kappa: float | None = None,
-    lam: float | None = None,
     case: ManufacturedCase | None = None,
 ) -> SolutionField:
     """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
 
     ``start`` is the starting constant unless the config sets one.
-    ``pinned_total(disc, f0)`` returns the source integral the boundary flux
-    must balance when the problem is pure Neumann (its mean is then pinned),
-    and None otherwise.  ``check(disc, f)`` returns extra diagnostics read
-    off the solution.  ``case``, when given, supplies the boundary fluxes and
-    the extra source of a manufactured run in place of the profiles.
+    ``pinned_total(disc)`` returns the source integral the boundary flux must
+    balance when the problem is pure Neumann (its right-hand side does not
+    depend on the height; the mean is then pinned), and None otherwise.  It
+    reads the right-hand side alone, so the start cannot change it.
+    ``check(disc, f)`` returns extra diagnostics read off the solution.
+    ``case``, when given, supplies the boundary fluxes and the extra source
+    of a manufactured run in place of the profiles.
     """
     config = config or SolverConfig()
     disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, case)
@@ -551,7 +542,7 @@ def _solve(
     if config.initial is not None:
         start = config.initial
     f0 = np.full(disc.shape, float(start))
-    total = pinned_total(disc, f0)
+    total = pinned_total(disc)
     if total is not None:
         diagnostics["nullspace"] = _PIN_NOTE
         diagnostics["balance_mismatch"] = _check_balance(disc, total)
@@ -561,8 +552,6 @@ def _solve(
     return SolutionField(
         mesh=mesh,
         values=f,
-        kappa=kappa,
-        lam=lam,
         tol=config.tol,
         rhs_values=disc.rhs_at(f),
         residual_history=history,
@@ -598,11 +587,7 @@ def solve_capillary(
         profile_minus,
         config,
         start=-lam / kappa if kappa > 0.0 else 0.0,
-        pinned_total=lambda disc, f0: (
-            lam * float(disc.area.sum()) if kappa == 0.0 else None
-        ),
-        kappa=kappa,
-        lam=lam,
+        pinned_total=lambda disc: lam * float(disc.area.sum()) if kappa == 0.0 else None,
         case=case,
     )
 
@@ -618,22 +603,25 @@ def solve_pmc(
 
     Reduces exactly to solve_capillary when curvature(x,y,t) = (kappa*t+lam)/2
     and the same config (including ``initial``) is used.  Wall fluxes always
-    come from the profiles and both circular arcs are closed.  Monotonicity
-    is the caller's assertion; a sampled check over the solution range lands
-    in diagnostics["monotone_ok"].
+    come from the profiles and both circular arcs are closed.  A curvature
+    whose sampled slope in the height is below 1e-13 at the heights -1, 0
+    and 1 makes the problem pure Neumann: the mean is pinned, and the wall
+    flux must balance the source at height 0, whatever the start.
+    Monotonicity is the caller's assertion; a sampled check over the
+    solution range lands in diagnostics["monotone_ok"].
     """
 
     def rhs_fn(r, t, z):
         return 2.0 * curvature(r * np.cos(t), r * np.sin(t), z)
 
-    def pinned_total(disc, f0):
+    def pinned_total(disc):
         # flat sampled curvature slope means a pure Neumann problem: pin the mean
-        probe = 1e-6
-        rhs0 = disc.rhs_at(f0)
-        slope = np.abs(disc.rhs_at(f0 + probe) - rhs0) / probe
-        if float(np.max(slope)) < 1e-13:
-            return float((rhs0 * disc.area).sum())
-        return None
+        flat, probe = np.zeros(disc.shape), 1e-6
+        for h in (-1.0, 0.0, 1.0):
+            slope = np.abs(disc.rhs_at(flat + (h + probe)) - disc.rhs_at(flat + h)) / probe
+            if not float(np.max(slope)) < 1e-13:
+                return None
+        return float((disc.rhs_at(flat) * disc.area).sum())
 
     def monotone(disc, f):
         lo, hi = float(np.min(f)), float(np.max(f))

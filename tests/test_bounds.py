@@ -93,6 +93,15 @@ def test_sine_subadditivity_makes_full_adhesion_feasible(beta, gap):
     assert condition_decreasing(AdhesionFunction.linear(-1.0, "S"), beta, lam) >= -1e-12
 
 
+def test_condition_refuses_the_other_kind_of_functional():
+    """An increasing condition consumes a lower functional and a decreasing
+    one an upper functional, however the condition is reached."""
+    with pytest.raises(ValueError, match="increasing condition needs a kind-I functional"):
+        condition_increasing(A_ZERO_S, math.pi / 4, math.pi / 2)
+    with pytest.raises(ValueError, match="decreasing condition needs a kind-S functional"):
+        condition_decreasing(A_ZERO_I, math.pi / 4, math.pi / 2)
+
+
 def test_condition_domain_checks():
     with pytest.raises(ValueError):
         condition_increasing(A_ZERO_I, 1.0, 0.5)  # lambda below beta

@@ -521,6 +521,21 @@ def test_solve_pmc_variant(tmp_path):
     assert "converged: True" in manifest and "monotone_ok: True" in manifest
 
 
+def test_solve_pmc_far_start_is_not_pinned(tmp_path, capsys):
+    """tanh looks flat at a start of 20, yet the problem is not pure Neumann,
+    so it does not stop at the flux-balance check (a range error, exit 3).
+    Newton stalls from that start, so the run exits 6 with its artifacts."""
+    wall = {"generator": {"type": "constant", "gamma": 1.2}}
+    cfg = solve_config(tmp_path, pmc="tanh", kappa=1.0, m=16, n_theta=16, initial=20,
+                       plus={"side": "+", **wall}, minus={"side": "-", **wall},
+                       **{"lambda": 0.0})
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 6
+    assert "balance" not in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text()
+    assert "pmc: tanh" in manifest and "nullspace" not in manifest
+
+
 def test_solve_config_validation(tmp_path, capsys):
     missing = solve_config(tmp_path)
     data = json.loads(missing.read_text())

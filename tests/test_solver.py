@@ -43,15 +43,14 @@ NEUTRAL_M = constant_profile("-", math.pi / 2)
 
 
 def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
-    """Field with prescribed nodal values, marked converged; for trace tests."""
+    """Field with prescribed nodal values and right-hand side kappa*f + lam,
+    marked converged; for trace tests."""
     r = mesh.radii[:, None]
     t = mesh.thetas[None, :]
     vals = np.asarray(fn(r, t), dtype=float) * np.ones((mesh.m + 1, mesh.n_theta + 1))
     return SolutionField(
         mesh=mesh,
         values=vals,
-        kappa=kappa,
-        lam=lam,
         tol=1e-10,
         rhs_values=kappa * vals + lam,
         residual_history=(0.0,),
@@ -597,7 +596,7 @@ def test_pmc_reduces_to_capillary_bitwise():
         mesh, lambda x, y, t: 0.5 * (kappa * t + lam), plus, minus, cfg
     )
     assert np.array_equal(a.values, b.values)
-    assert b.kappa is None and b.lam is None
+    assert np.array_equal(a.rhs_values, b.rhs_values)
     assert a.converged and b.converged
 
 
@@ -607,6 +606,22 @@ def test_pmc_zero_curvature_pins_mean():
     assert field.converged
     assert np.all(field.values == 0.0)
     assert "mean" in field.diagnostics["nullspace"]
+
+
+def test_pmc_pinning_is_read_off_the_curvature_not_the_start():
+    """tanh is flat to roundoff at a start of 20, but it grows with the height,
+    so the problem is not pure Neumann and owes no flux balance; a zero
+    curvature is pinned from any start."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
+    plus, minus = constant_profile("+", 1.2), constant_profile("-", 1.2)
+    far = SolverConfig(initial=20.0)
+    field = solve_pmc(mesh, lambda x, y, t: 0.5 * np.tanh(t), plus, minus, far)
+    assert "nullspace" not in field.diagnostics
+    # walls whose cos(gamma) cancel, so the zero source is balanced
+    plus, minus = constant_profile("+", 1.0), constant_profile("-", math.pi - 1.0)
+    field = solve_pmc(mesh, lambda x, y, t: 0.0 * t, plus, minus, far)
+    assert "mean" in field.diagnostics["nullspace"]
+    assert field.converged
 
 
 def test_pmc_tanh_curvature_keeps_zero():
