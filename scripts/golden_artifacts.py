@@ -162,6 +162,14 @@ def calls(inputs):
         "solve-pmc-zero-far-start": {**base, "plus": constant("+", 1.0),
                                      "minus": constant("-", math.pi - 1.0),
                                      "m": 24, "n_theta": 12, "pmc": "zero", "initial": 20},
+        # a pinned start is centred before Newton runs: neutral walls meet the
+        # tolerance at any constant, so this one takes no step and holds mean 0
+        "solve-pmc-neutral-far-start": {**base, "plus": constant("+", math.pi / 2),
+                                        "minus": constant("-", math.pi / 2),
+                                        "m": 16, "n_theta": 16, "pmc": "zero", "initial": 20},
+        "solve-pinned-far-start": {**base, "m": 48, "n_theta": 48, "kappa": 0.0,
+                                   "lambda": flux / (alpha * (r_max**2 - r_min**2)),
+                                   "initial": 20},
         # neutral walls give a flat solution, so the fan classifier reports
         # a constant trace instead of an unclassified one
         "solve-neutral": {**base, "plus": constant("+", math.pi / 2),

@@ -166,20 +166,23 @@ def torus_minor_radius(m2: float) -> float:
 
     Evaluates 1/m2 + 1 - sqrt((1/m2)^2 + 1), which lies in (0, 1]; rational
     inputs whose surd is exact are computed in exact arithmetic so values
-    like 2/3 come out as the nearest float of the true value.
+    like 2/3 come out as the nearest float of the true value.  A negative or
+    non-finite m2 is refused.
     """
-    if m2 < 0.0:
-        raise ValueError(f"curvature bound must be nonnegative, got {m2}")
-    if m2 == 0.0:
+    if not (0.0 <= m2 < math.inf):
+        raise ValueError(f"curvature bound must be nonnegative and finite, got {m2}")
+    if m2 == 0.0 or 1.0 / m2 == math.inf:  # 1/m2 overflows: the radius rounds to 1
         return 1.0
     x = 1 / Fraction(m2)
     s2 = x * x + 1
     ra, rb = math.isqrt(s2.numerator), math.isqrt(s2.denominator)
     if ra * ra == s2.numerator and rb * rb == s2.denominator:
         return float(x + 1 - Fraction(ra, rb))
-    xf = float(x)
-    # stable form of x + 1 - sqrt(x^2 + 1): avoids cancellation for large x
-    return 1.0 - 1.0 / (math.sqrt(xf * xf + 1.0) + xf)
+    xf = 1.0 / m2
+    # x + 1 - s with s = sqrt(x^2 + 1), written without a difference: no
+    # cancellation at either end, and no overflow in s
+    s = math.hypot(xf, 1.0)
+    return xf * (1.0 + 1.0 / (s + xf)) / (1.0 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +417,14 @@ def _newton_step(
     return delta.reshape(f.shape)
 
 
-def _newton_solve(disc: _Discretization, f0: np.ndarray, config: SolverConfig, pin: bool):
+def _newton_solve(
+    disc: _Discretization, f0: np.ndarray, config: SolverConfig, weights: np.ndarray | None
+):
     """Damped Newton loop; returns (f, history), the residual's max norm at
-    the start and after each accepted step.  A ``pin``ned problem's mean is
-    held at 0 (see _newton_step)."""
+    the start and after each accepted step.  With the area ``weights`` the
+    problem is pinned, and each step holds the weighted mean at 0 (see
+    _newton_step); _solve centres the start."""
     f = f0.copy()
-    weights = (disc.area / disc.area.sum()).ravel() if pin else None
     res = disc.residual(f)
     norm = float(np.max(np.abs(res)))
     history = [norm]
@@ -476,15 +481,12 @@ def _arc_integrals(mesh: SectorMesh, flux: Callable, radius: float) -> np.ndarra
     return out
 
 
-def _check_balance(disc: _Discretization, lam_total: float):
-    """Flux/source compatibility for the rank-deficient (pinned) problem."""
-    influx = float(
-        disc.wall_minus.sum()
-        + disc.wall_plus.sum()
-        + disc.arc_outer.sum()
-        + disc.arc_inner.sum()
-    )
-    src = lam_total + float(disc.source.sum())
+def _check_balance(disc: _Discretization):
+    """Flux/source compatibility for the rank-deficient (pinned) problem,
+    whose right-hand side is read at height 0."""
+    boundary = (disc.wall_minus, disc.wall_plus, disc.arc_outer, disc.arc_inner)
+    influx = float(sum(b.sum() for b in boundary))
+    src = float((disc.rhs_at(np.zeros(disc.shape)) * disc.area).sum() + disc.source.sum())
     mismatch = influx - src
     scale = 1.0 + abs(influx) + abs(src)
     if abs(mismatch) > _BALANCE_TOL * scale:
@@ -520,18 +522,17 @@ def _solve(
     config: SolverConfig | None,
     *,
     start: float,
-    pinned_total: Callable[[_Discretization], float | None],
-    check: Callable[[_Discretization, np.ndarray], dict] | None = None,
+    pinned: bool,
     case: ManufacturedCase | None = None,
 ) -> SolutionField:
     """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
 
     ``start`` is the starting constant unless the config sets one.
-    ``pinned_total(disc)`` returns the source integral the boundary flux must
-    balance when the problem is pure Neumann (its right-hand side does not
-    depend on the height; the mean is then pinned), and None otherwise.  It
-    reads the right-hand side alone, so the start cannot change it.
-    ``check(disc, f)`` returns extra diagnostics read off the solution.
+    ``pinned`` says the problem is pure Neumann (its right-hand side does not
+    depend on the height); each solver decides it by its own rule.  A pinned
+    problem's boundary flux must balance its source, read at height 0, and
+    its mean is held at 0: the start is shifted to area-weighted mean 0, and
+    so is each Newton step, so no start moves the solution's mean.
     ``case``, when given, supplies the boundary fluxes and the extra source
     of a manufactured run in place of the profiles.
     """
@@ -542,13 +543,13 @@ def _solve(
     if config.initial is not None:
         start = config.initial
     f0 = np.full(disc.shape, float(start))
-    total = pinned_total(disc)
-    if total is not None:
+    weights = None
+    if pinned:
         diagnostics["nullspace"] = _PIN_NOTE
-        diagnostics["balance_mismatch"] = _check_balance(disc, total)
-    f, history = _newton_solve(disc, f0, config, total is not None)
-    if check is not None:
-        diagnostics.update(check(disc, f))
+        diagnostics["balance_mismatch"] = _check_balance(disc)
+        weights = (disc.area / disc.area.sum()).ravel()
+        f0 -= weights @ f0.ravel()
+    f, history = _newton_solve(disc, f0, config, weights)
     return SolutionField(
         mesh=mesh,
         values=f,
@@ -575,7 +576,7 @@ def solve_capillary(
     the circular arcs are closed (no flux).  A manufactured ``case`` replaces
     all of that: its wall and arc fluxes drive the boundary, the profiles are
     ignored, and its solution-independent source g(r, theta) joins the
-    right-hand side.
+    right-hand side.  kappa = 0 exactly makes the problem pinned.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -587,7 +588,7 @@ def solve_capillary(
         profile_minus,
         config,
         start=-lam / kappa if kappa > 0.0 else 0.0,
-        pinned_total=lambda disc: lam * float(disc.area.sum()) if kappa == 0.0 else None,
+        pinned=kappa == 0.0,
         case=case,
     )
 
@@ -605,42 +606,26 @@ def solve_pmc(
     and the same config (including ``initial``) is used.  Wall fluxes always
     come from the profiles and both circular arcs are closed.  A curvature
     whose sampled slope in the height is below 1e-13 at the heights -1, 0
-    and 1 makes the problem pure Neumann: the mean is pinned, and the wall
-    flux must balance the source at height 0, whatever the start.
-    Monotonicity is the caller's assertion; a sampled check over the
-    solution range lands in diagnostics["monotone_ok"].
+    and 1 (probed on the mesh before the solve) makes the problem pure
+    Neumann: the mean is pinned to 0 from any start, and the wall flux must
+    balance the source at height 0.  Monotonicity is the caller's assertion;
+    a sampled check over the returned field's range lands in
+    diagnostics["monotone_ok"].
     """
 
     def rhs_fn(r, t, z):
         return 2.0 * curvature(r * np.cos(t), r * np.sin(t), z)
 
-    def pinned_total(disc):
-        # flat sampled curvature slope means a pure Neumann problem: pin the mean
-        flat, probe = np.zeros(disc.shape), 1e-6
-        for h in (-1.0, 0.0, 1.0):
-            slope = np.abs(disc.rhs_at(flat + (h + probe)) - disc.rhs_at(flat + h)) / probe
-            if not float(np.max(slope)) < 1e-13:
-                return None
-        return float((disc.rhs_at(flat) * disc.area).sum())
+    def rhs_at(z):  # the right-hand side on the mesh at the constant height z
+        r, t = mesh.radii[:, None], mesh.thetas[None, :]
+        return rhs_fn(r, t, np.full((r.size, t.size), z))
 
-    def monotone(disc, f):
-        lo, hi = float(np.min(f)), float(np.max(f))
-        ts = np.linspace(lo, hi, 5) if hi > lo else np.array([lo, lo + 1.0])
-        samples = [disc.rhs_at(np.full(disc.shape, tv)) for tv in ts]
-        mono = all(
-            np.all(b >= a - 1e-12 * (1.0 + np.abs(a)))
-            for a, b in zip(samples, samples[1:])
-        )
-        if not mono:
-            warnings.warn(
-                "sampled curvature decreases in the height argument on the "
-                "solution range",
-                RuntimeWarning,
-                stacklevel=4,  # the caller of solve_pmc
-            )
-        return {"monotone_ok": bool(mono)}
-
-    return _solve(
+    probe = 1e-6
+    flat = all(
+        float(np.max(np.abs(rhs_at(h + probe) - rhs_at(h)) / probe)) < 1e-13
+        for h in (-1.0, 0.0, 1.0)
+    )
+    field = _solve(
         "pmc",
         mesh,
         rhs_fn,
@@ -648,9 +633,23 @@ def solve_pmc(
         profile_minus,
         config,
         start=0.0,
-        pinned_total=pinned_total,
-        check=monotone,
+        pinned=flat,
     )
+    lo, hi = float(np.min(field.values)), float(np.max(field.values))
+    ts = np.linspace(lo, hi, 5) if hi > lo else np.array([lo, lo + 1.0])
+    samples = [rhs_at(tv) for tv in ts]
+    mono = all(
+        np.all(b >= a - 1e-12 * (1.0 + np.abs(a))) for a, b in zip(samples, samples[1:])
+    )
+    if not mono:
+        warnings.warn(
+            "sampled curvature decreases in the height argument on the "
+            "solution range",
+            RuntimeWarning,
+            stacklevel=2,  # the caller of solve_pmc
+        )
+    field.diagnostics["monotone_ok"] = bool(mono)
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite-volume corner solver, radial traces, and fan classification."""
 
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -40,6 +41,12 @@ from wedgecap.solver import (
 GEO = WedgeGeometry(1.0)
 NEUTRAL_P = constant_profile("+", math.pi / 2)
 NEUTRAL_M = constant_profile("-", math.pi / 2)
+
+
+def area_weights(mesh):
+    """The control volumes' areas over their sum, flattened."""
+    area = _Discretization(mesh, lambda r, t, z: z, NEUTRAL_P, NEUTRAL_M).area
+    return (area / area.sum()).ravel()
 
 
 def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
@@ -111,6 +118,24 @@ def test_torus_minor_radius_exact_values():
     assert torus_minor_radius(4.0 / 3.0) == 0.5
     with pytest.raises(ValueError):
         torus_minor_radius(-0.1)
+
+
+def test_torus_minor_radius_keeps_its_digits_at_both_ends():
+    """Near 1/m2 for a large bound and near 1 for a tiny one, the float path
+    keeps full precision, where the form 1 - 1/(sqrt(x^2 + 1) + x) cancels
+    for a large m2; a non-finite bound is refused."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for m2 in (1e-300, 1e-12, 0.3, 7.0, 1e8, 1e12, 1e16, 1e100, 1e300):
+            x = 1 / decimal.Decimal(m2)
+            s = (x * x + 1).sqrt()
+            want = x * (1 + 1 / (s + x)) / (1 + s)  # x + 1 - s, cancellation-free
+            got = decimal.Decimal(torus_minor_radius(m2))
+            assert abs(got - want) <= decimal.Decimal(4e-16) * want, m2
+    assert torus_minor_radius(5e-324) == 1.0  # 1/m2 overflows
+    for m2 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            torus_minor_radius(m2)
 
 
 def test_torus_minor_radius_range_and_monotonicity():
@@ -423,7 +448,10 @@ def test_a_non_finite_newton_step_ends_the_solve_unconverged(monkeypatch, kappa)
     field = solve_capillary(mesh, kappa, lam, *walls, SolverConfig(initial=1.0))
     assert not field.converged
     assert field.newton_iterations == 0 and len(field.residual_history) == 1
-    assert np.all(field.values == 1.0)
+    start = np.ones(field.values.shape)
+    if not kappa:  # a pinned solve starts at area-weighted mean 0
+        start -= area_weights(mesh) @ start.ravel()
+    assert np.array_equal(field.values, start)
 
 
 def test_discretization_holds_no_matrix_pattern():
@@ -574,6 +602,44 @@ def test_pinned_compatible_problem():
     assert np.all(field.values == 0.0)
     assert "mean" in field.diagnostics["nullspace"]
     assert abs(field.diagnostics["balance_mismatch"]) < 1e-12
+
+
+def test_pinned_solve_from_a_far_start_agrees_with_its_zero_start():
+    """A pinned start is centred before Newton runs, so ``initial`` does not
+    move the solution's mean."""
+    r_min, r_max = 0.05, 1.0
+    walls = example2_walls()
+    flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in walls)
+    lam = flux / (GEO.alpha * (r_max**2 - r_min**2))
+    mesh = build_sector_mesh(GEO, r_min, r_max, 16, 16)
+    near = solve_capillary(mesh, 0.0, lam, *walls)
+    far = solve_capillary(mesh, 0.0, lam, *walls, SolverConfig(initial=20.0))
+    assert near.converged and far.converged
+    assert np.max(np.abs(far.values - near.values)) <= 1e-12
+
+
+def test_pmc_pinned_start_that_meets_the_tolerance_is_centred():
+    """Neutral walls and zero curvature: every constant field meets the
+    tolerance, so the solve takes no step and returns its start, which is
+    centred to mean 0."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
+    field = solve_pmc(
+        mesh, lambda x, y, t: 0.0 * t, NEUTRAL_P, NEUTRAL_M, SolverConfig(initial=20.0)
+    )
+    assert field.converged and field.newton_iterations == 0
+    assert "mean" in field.diagnostics["nullspace"]
+    assert abs(area_weights(mesh) @ field.values.ravel()) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1e-10, 1e-12])
+def test_a_tiny_positive_kappa_is_not_pinned(kappa):
+    """The capillary pin rule is kappa == 0, not a slope probe: a probe's
+    1e-13 threshold would call these problems pinned and refuse them, as
+    lambda = 2 owes the neutral walls' zero flux a balance it cannot meet."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
+    field = solve_capillary(mesh, kappa, 2.0, NEUTRAL_P, NEUTRAL_M)
+    assert "nullspace" not in field.diagnostics
+    assert field.converged
 
 
 def test_pinned_incompatible_problem_raises():
