@@ -178,10 +178,16 @@ def calls(inputs):
         # the paper's regime: contact angles near 0 and pi, 24 rows per decade
         "solve-extreme": {**base, "plus": constant("+", 0.3), "minus": constant("-", 2.8),
                           "r_min": 5e-3, "m": 55, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
-        # angles 0.1 and 3.0 down to r_min = 5e-4: the line search stalls
-        # before the iteration cap (exit 6)
+        # angles 0.1 and 3.0 down to r_min = 5e-4: the residual stops halving
+        # and Newton stops as stalled, long before the iteration cap (exit 6)
         "solve-stalled": {**base, "plus": constant("+", 0.1), "minus": constant("-", 3.0),
                           "r_min": 5e-4, "m": 79, "n_theta": 48, "kappa": 1.0, "lambda": 2.0},
+        # the borderline D walls 0.6 and 2.0 down to r_min = 5e-4 (24 rows per
+        # decade): 8 Newton steps; a forward-difference Jacobian stopped
+        # after 21, unconverged (exit 6)
+        "solve-borderline": {**base, "plus": constant("+", 0.6), "minus": constant("-", 2.0),
+                             "r_min": 5e-4, "m": 79, "n_theta": 96, "kappa": 1.0,
+                             "lambda": 2.0},
         # the benchmark's meshes, on which the elimination cuts its larger
         # stacks of fronts into more than one block
         "solve-capillary-128": {**base, "m": 128, "n_theta": 128, "kappa": 1.0, "lambda": 2.0},

@@ -377,6 +377,7 @@ def cmd_solve(args) -> int:
                 "tol": config.tol,
                 "max_iter": config.max_iter,
                 "converged": field.converged,
+                "stop": field.stop,
                 "iterations": field.newton_iterations,
                 "residual_norm": field.residual_norm,
                 "residual_history": list(field.residual_history),
@@ -395,7 +396,8 @@ def cmd_solve(args) -> int:
     if not field.converged:
         print(
             f"solver did not converge: stopped after {field.newton_iterations} of at "
-            f"most {config.max_iter} iterations (residual {field.residual_norm!r})",
+            f"most {config.max_iter} iterations (stop: {field.stop}, "
+            f"residual {field.residual_norm!r})",
             file=sys.stderr,
         )
         return EXIT_SOLVER

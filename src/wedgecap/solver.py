@@ -6,11 +6,15 @@ each control volume balances the slope fluxes grad f / sqrt(1 + |grad f|^2)
 through its faces against the prescribed right-hand side.  Wall faces carry
 the contact flux cos(gamma(r)) integrated exactly along the face, the two
 circular arcs are closed (a manufactured case supplies all boundary fluxes
-instead), and a damped Newton iteration with a colored finite-difference
-Jacobian (its pattern the product of the radial and angular 3-point
-stencils, 9 colours) drives the residual down.  Each Newton system is solved
-directly by block elimination along a nested dissection of the node grid,
-planned once per mesh, with dense fronts in numpy's LAPACK.
+instead), and a damped Newton iteration drives the residual down.  Its
+Jacobian is the residual's analytic linearisation, written onto the 9-point
+pattern (the product of the radial and angular 3-point stencils), plus a
+central difference of the right-hand side in the height on the diagonal; at
+a right-hand side that does not read the height, 1^T J = J 1 = 0 up to
+roundoff.  Newton stops as stalled once the residual has not halved over 10
+accepted steps.  Each Newton system is solved directly by block elimination
+along a nested dissection of the node grid, planned once per mesh, with dense
+fronts in numpy's LAPACK.
 Radial limits at the corner are then read off by geometric-sequence
 extrapolation and classified into wall fans.
 """
@@ -38,6 +42,12 @@ from .profiles import (
 _PIN_NOTE = "pure Neumann nullspace (mean pinned to 0)"
 #: relative flux/source mismatch a pinned (pure Neumann) problem may carry
 _BALANCE_TOL = 1e-8
+#: the right-hand side's height slope is a central difference with step
+#: _RHS_STEP * max(1, |f|), the step that balances truncation and roundoff
+_RHS_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+#: Newton stops as stalled once the residual has not halved over this many
+#: accepted steps
+_STALL_STEPS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,8 @@ class SolutionField:
 
     ``residual_history`` holds the residual's max norm at the start and after
     each accepted Newton step, so it fixes the step count, the final residual
-    and, against ``tol``, whether the solve converged.  ``rhs_values`` holds
+    and, against ``tol``, whether the solve converged; ``stop`` names why
+    Newton stopped (see _newton_solve).  ``rhs_values`` holds
     the right-hand side evaluated at the solution (kappa*f + lambda, or
     2H(x,y,f) for the prescribed-curvature variant), so magnitude bounds read
     off the same field either way; it is all the field keeps of the physics.
@@ -134,6 +145,7 @@ class SolutionField:
     tol: float
     rhs_values: np.ndarray
     residual_history: tuple
+    stop: str
     diagnostics: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -344,7 +356,7 @@ class _Discretization:
         q_ang[0, :] = ((1.0 - t0) * p[0, :] + t0 * p[1, :]) * self.cond[0]
         q_ang[-1, :] = ((1.0 - tm) * p[-1, :] + tm * p[-2, :]) * self.cond[-1]
 
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, dtype=f.dtype)
         out[1:, :] += q_rad  # outer face of every row but the first
         out[:-1, :] -= q_rad  # inner face of every row but the last
         out[0, :] += self.arc_outer
@@ -354,7 +366,7 @@ class _Discretization:
         out[:, 0] += self.wall_minus
         out[:, -1] += self.wall_plus
 
-        rhs = np.asarray(self.rhs_fn(self.r_col, self.t_row, f), dtype=float)
+        rhs = np.asarray(self.rhs_fn(self.r_col, self.t_row, f), dtype=f.dtype)
         out -= rhs * self.area
         out -= self.source
         return out
@@ -364,49 +376,134 @@ class _Discretization:
             self.rhs_fn(self.r_col, self.t_row, f), dtype=float
         ) * np.ones(self.shape)
 
-    def jacobian(self, f: np.ndarray, base: np.ndarray) -> NewtonMatrix:
-        """Forward-difference Jacobian assembled colour by colour.
+    def jacobian(self, f: np.ndarray) -> NewtonMatrix:
+        """The residual's Jacobian at f, linearised analytically and written
+        onto the grid's 9-point pattern (``elimination._grid_pattern``):
+        vals[i, j, a, b] is the derivative of residual (i, j) by the node
+        (ridx[i, a], tidx[j, b]).
 
-        Residual (i, j) reads exactly the nodes ridx[i] x tidx[j], two
-        windows of 3 consecutive indices, so it reads one node (p, q) of
-        each colour (p % 3, q % 3).  One residual evaluation per colour (of
-        9) perturbs every node of that colour, and gives the value of each
-        residual (i, j) by its node (p, q) of that colour: the difference at
-        (i, j) over the step at (p, q).  The values follow the grid's 9-point
-        pattern (``elimination._grid_pattern``).
+        Each face's flux density is g(a, b) = a / w, w = sqrt(1 + a^2 + b^2),
+        of its normal slope a, read off the face's two nodes, and its
+        tangential slope b, read off both nodes' derivative stencils; so
+        dg/da = (1 + b^2) / w^3 and dg/db = -a b / w^3.  A radial face
+        between rows k and k+1 reads rows k, k+1 x tidx[j], and an angular
+        face between columns l and l+1 reads ridx[i] x columns l, l+1: both
+        inside the windows of the residuals that take it (``_add_faces``).
+        The wall half-faces and the arc rows mix the derivatives as
+        ``residual`` mixes the densities.  The right-hand side adds its slope
+        in the height times the area on the diagonal: one central difference
+        of ``rhs_fn``, step eps^(1/3) max(1, |f|), exactly 0 for a right-hand
+        side that does not read the height.  The fluxes read only differences
+        of f, so with that slope 0 the Jacobian has J 1 = 0 and 1^T J = 0 up
+        to roundoff.
         """
-        step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
-        vals = np.empty(self.shape + (3, 3))
+        r, dth = self.mesh.radii, self.dth
+        ni, nj = self.shape
+        # each line's position in its own stencil window, as a unit vector
+        er = np.arange(ni) - self.ridx[:, 0]
+        et = np.arange(nj) - self.tidx[:, 0]
+        r_unit = (er[:, None] == np.arange(3)).astype(float)
+        t_unit = (et[:, None] == np.arange(3)).astype(float)
+        vals = np.zeros(self.shape + (3, 3))
+
+        # radial faces: dens = s g(a, b), a = fr_face, b = ft_face / s
+        s = self.s_face[:, None]
+        dr = (r[:-1] - r[1:])[:, None]
+        a = (f[:-1, :] - f[1:, :]) / dr
+        ft = self._nodal_dt(f)
+        b = 0.5 * (ft[:-1, :] + ft[1:, :]) / s
+        w3 = np.sqrt(1.0 + a**2 + b**2) ** 3
+        ga = (1.0 + b**2) / w3 * (s * dth / dr)
+        gb = a * b / w3 * (-0.5 * dth)
+        del a, b, ft, w3
+        for c in range(3):  # one column of the angular window at a time
+            hi, lo = _face_derivatives(ga, gb, self.tw[:, c], t_unit[:, c])
+            for d in (lo, hi):  # the wall half-faces, as residual forms them
+                d[:, 0] = (3.0 * d[:, 0] + d[:, 1]) / 8.0
+                d[:, -1] = (3.0 * d[:, -1] + d[:, -2]) / 8.0
+            _add_faces(vals[..., c], lo, hi)
+        del ga, gb
+
+        # angular faces: p = r g(a, b), a = ft_ang / r, b = fr_ang; residual
+        # (i, l) gains the flux and (i, l + 1) loses it
+        a = (f[:, 1:] - f[:, :-1]) / (dth * self.r_col)
+        fr = self._nodal_dr(f)
+        b = 0.5 * (fr[:, 1:] + fr[:, :-1])
+        w3 = np.sqrt(1.0 + a**2 + b**2) ** 3
+        ga = (1.0 + b**2) / w3 / dth
+        gb = a * b / w3 * (-0.5 * self.r_col)
+        del a, b, fr, w3
+        t0, tm = self.arc_interp
+        for c in range(3):  # one row of the radial window at a time
+            lo, hi = _face_derivatives(ga, gb, self.rw[:, c, None], r_unit[:, c, None])
+            for d in (lo, hi):  # the arc rows, as residual interpolates them
+                d[0] = (1.0 - t0) * d[0] + t0 * d[1]
+                d[-1] = (1.0 - tm) * d[-1] + tm * d[-2]
+                d *= -self.cond[:, None]
+            _add_faces(vals[:, :, c].transpose(1, 0, 2), lo.T, hi.T)
+        del ga, gb
+
+        # the right-hand side's slope in the height, on the diagonal
+        h = _RHS_STEP * np.maximum(1.0, np.abs(f))
+        up, down = f + h, f - h
+        slope = (self.rhs_at(up) - self.rhs_at(down)) / (up - down)
         i, j = np.indices(self.shape, sparse=True)
-        r0, t0 = self.ridx[:, 0], self.tidx[:, 0]
-        for cr, ct in np.ndindex(3, 3):  # colour (cr, ct): the nodes f[cr::3, ct::3]
-            bump = np.zeros(self.shape)
-            bump[cr::3, ct::3] = step[cr::3, ct::3]
-            # residual (i, j) reads this colour's node at window entry (a[i], b[j])
-            a, b = (cr - r0) % 3, (ct - t0) % 3
-            vals[i, j, a[:, None], b] = (self.residual(f + bump) - base) / step[r0 + a][:, t0 + b]
+        vals[i, j, er[:, None], et] -= slope * self.area
         if self._plan is None:  # the mesh's linear-solve plan, built once
             self._plan = Elimination(self.shape)
         return NewtonMatrix(self._plan, vals.ravel())
 
 
+def _face_derivatives(ga, gb, weight, unit):
+    """Derivatives of face densities g(a, b) by one node of the other axis'
+    stencil window on each of the two lines of nodes that the face lies
+    between: first on the line that the normal slope a falls with, then on
+    the one it rises with.  ``ga`` is dg/da times |da/df| at the face's own
+    node, and ``unit`` is 1 where that node is the one taken; ``gb`` is dg/db
+    times the mean that the tangential slope b takes of the two lines'
+    stencils, and ``weight`` is the stencil's weight at the node taken."""
+    common = gb * weight
+    own = ga * unit
+    falls = common - own
+    common += own
+    return falls, common
+
+
+def _add_faces(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Add the derivatives of the fluxes q[k] through the faces between grid
+    lines k and k+1, which residual k+1 gains and residual k loses, into
+    vals[line, other, line window]: ``lo`` by line k and ``hi`` by line
+    k+1, each at one node of the other axis' window.  Line k+1 reads lines k,
+    k+1 at window positions 0, 1 (1, 2 for the last line); line k reads them
+    at 1, 2 (0, 1 for the first line)."""
+    vals[1:-1, :, 0] += lo[:-1]
+    vals[1:-1, :, 1] += hi[:-1]
+    vals[-1, :, 1] += lo[-1]
+    vals[-1, :, 2] += hi[-1]
+    vals[1:-1, :, 1] -= lo[1:]
+    vals[1:-1, :, 2] -= hi[1:]
+    vals[0, :, 0] -= lo[0]
+    vals[0, :, 1] -= hi[0]
+
+
 def _newton_step(
     disc: _Discretization, f: np.ndarray, res: np.ndarray, weights: np.ndarray | None
 ) -> np.ndarray:
-    """The Newton step at f, whose residual is res.
+    """The Newton step at f, whose residual is res, on the analytic
+    Jacobian (``_Discretization.jacobian``).
 
     With ``weights`` w (the area weights), the problem is pure Neumann: its
     Jacobian J has 1^T J = 0 and J 1 = 0, and the mean constraint
     w^T (f + delta) = 0 fixes the step:
     [[J, w], [w^T, 0]] [delta; mu] = [-res; -w^T f].  The step is solved on
-    J itself.  As 1^T J = 0, mu is the sum of -res, and -res - mu w sums to
-    0.  Node (0, 0), whose own entry is the first stored value, is grounded
-    by doubling that entry: the matrix is then regular, and as the
-    right-hand side sums to 0 its solution is 0 at that node and solves
-    J delta = -res - mu w.  The step is then shifted by the constant that
+    J itself, whose row and column sums are 0 up to roundoff.  As 1^T J = 0,
+    mu is the sum of -res, and -res - mu w sums to 0.  Node (0, 0), whose
+    own entry is the first stored value, is grounded by doubling that entry:
+    the matrix is then regular, and as the right-hand side sums to 0 its
+    solution is 0 at that node and solves J delta = -res - mu w.  The step is then shifted by the constant that
     sets the weighted mean of f + delta to 0.
     """
-    jac = disc.jacobian(f, res)
+    jac = disc.jacobian(f)
     rhs = -res.ravel()
     if weights is not None:
         rhs -= rhs.sum() * weights
@@ -420,20 +517,29 @@ def _newton_step(
 def _newton_solve(
     disc: _Discretization, f0: np.ndarray, config: SolverConfig, weights: np.ndarray | None
 ):
-    """Damped Newton loop; returns (f, history), the residual's max norm at
-    the start and after each accepted step.  With the area ``weights`` the
+    """Damped Newton loop; returns (f, history, stop): the residual's max
+    norm at the start and after each accepted step, and why it stopped:
+    ``converged`` at the tolerance; ``stalled`` after an accepted step k >=
+    _STALL_STEPS whose residual is above half of that at step k -
+    _STALL_STEPS; ``max_iter`` after config.max_iter steps; ``non_finite``
+    at a Newton step that is not finite; ``line_search`` when 31 step
+    lengths down to 2^-30 find no descent.  With the area ``weights`` the
     problem is pinned, and each step holds the weighted mean at 0 (see
     _newton_step); _solve centres the start."""
     f = f0.copy()
     res = disc.residual(f)
-    norm = float(np.max(np.abs(res)))
-    history = [norm]
-    for _ in range(config.max_iter):
+    history = [float(np.max(np.abs(res)))]
+    while True:
+        norm = history[-1]
         if norm <= config.tol:
-            break
+            return f, tuple(history), "converged"
+        if len(history) > _STALL_STEPS and norm > 0.5 * history[-1 - _STALL_STEPS]:
+            return f, tuple(history), "stalled"
+        if len(history) > config.max_iter:
+            return f, tuple(history), "max_iter"
         delta = _newton_step(disc, f, res, weights)
         if not np.all(np.isfinite(delta)):
-            break
+            return f, tuple(history), "non_finite"
         t = 1.0
         while t >= 2.0**-30:
             trial = f + t * delta
@@ -443,10 +549,9 @@ def _newton_solve(
                 break
             t *= 0.5
         else:
-            break  # line search stalled
-        f, res, norm = trial, res_t, norm_t
-        history.append(norm)
-    return f, tuple(history)
+            return f, tuple(history), "line_search"
+        f, res = trial, res_t
+        history.append(norm_t)
 
 
 def _wall_integrals(
@@ -549,13 +654,14 @@ def _solve(
         diagnostics["balance_mismatch"] = _check_balance(disc)
         weights = (disc.area / disc.area.sum()).ravel()
         f0 -= weights @ f0.ravel()
-    f, history = _newton_solve(disc, f0, config, weights)
+    f, history, stop = _newton_solve(disc, f0, config, weights)
     return SolutionField(
         mesh=mesh,
         values=f,
         tol=config.tol,
         rhs_values=disc.rhs_at(f),
         residual_history=history,
+        stop=stop,
         diagnostics=diagnostics,
     )
 

@@ -475,7 +475,7 @@ def test_solve_neutral_walls(tmp_path, capsys):
 
     manifest = (out / "manifest.txt").read_text()
     assert "command: solve" in manifest
-    assert "converged: True" in manifest
+    assert "converged: True" in manifest and "  stop: converged\n" in manifest
     assert "case: constant" in manifest
     assert "applicable: True" in manifest
     assert "verdict: PASS" in manifest
@@ -688,11 +688,12 @@ def test_solve_nonconvergence_exit_6(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg, "--out", out]) == 6
     err = capsys.readouterr().err
-    assert "did not converge" in err
+    assert "did not converge" in err and "(stop: max_iter," in err
     # artifacts are still written for post-mortems
     for name in ("solution.csv", "trace.csv", "manifest.txt"):
         assert (out / name).exists()
-    assert "converged: False" in (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text()
+    assert "converged: False" in manifest and "  stop: max_iter\n" in manifest
 
 
 def test_solve_with_a_singular_newton_matrix_exits_6(tmp_path, monkeypatch, capsys):
@@ -707,15 +708,18 @@ def test_solve_with_a_singular_newton_matrix_exits_6(tmp_path, monkeypatch, caps
     cfg = solve_config(tmp_path, m=8, n_theta=8, initial=5.0)
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg, "--out", out]) == 6
-    assert "stopped after 0 of at most 200 iterations" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stopped after 0 of at most 200 iterations (stop: non_finite," in err
     for name in ("solution.csv", "trace.csv", "manifest.txt"):
         assert (out / name).exists()
-    assert "converged: False" in (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text()
+    assert "converged: False" in manifest and "  stop: non_finite\n" in manifest
 
 
 def test_solve_nonconvergence_reports_the_iterations_run(tmp_path, capsys):
-    """At contact angles 0.1 and 3.0 down to r_min = 5e-4 the line search
-    stalls long before the iteration cap; the message says when."""
+    """At contact angles 0.1 and 3.0 down to r_min = 5e-4 the residual
+    stalls near 6e-4, and Newton stops long before the iteration cap; the
+    manifest and the message say when and why."""
     cfg = solve_config(
         tmp_path,
         r_min=5e-4,
@@ -728,8 +732,9 @@ def test_solve_nonconvergence_reports_the_iterations_run(tmp_path, capsys):
     assert run(["solve", "--config", cfg, "--out", out]) == 6
     manifest = (out / "manifest.txt").read_text()
     iterations = int(manifest.split("iterations: ")[1].split()[0])
-    assert iterations < 200
-    assert f"after {iterations} of at most 200 iterations" in capsys.readouterr().err
+    assert iterations < 200 and "  stop: stalled\n" in manifest
+    assert (f"after {iterations} of at most 200 iterations (stop: stalled,"
+            in capsys.readouterr().err)
 
 
 def test_solve_mms_study(tmp_path, capsys):

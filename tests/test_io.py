@@ -410,6 +410,7 @@ def _tiny_field(m=1, n_theta=1, values=((0.0, 1.0), (2.0, 3.0))):
         tol=1e-8,
         rhs_values=values.copy(),
         residual_history=(0.0,),
+        stop="converged",
     )
 
 

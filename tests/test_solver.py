@@ -61,6 +61,7 @@ def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
         tol=1e-10,
         rhs_values=kappa * vals + lam,
         residual_history=(0.0,),
+        stop="converged",
         diagnostics={"problem": "synthetic"},
     )
 
@@ -232,33 +233,83 @@ def test_face_averaged_wall_flux():
 
 
 @pytest.mark.parametrize("m, n_theta", [(2, 2), (6, 7), (3, 9), (11, 4)])
-def test_colored_jacobian_matches_column_by_column(m, n_theta):
-    """Residual (i, j) reads only the 3x3 product of the node's radial and
-    angular stencil windows, and nodes sharing a colour are 3 apart in some
-    direction, so no window holds two of them: the coloured Jacobian stores at
-    most 9 entries per row and equals the one perturbing one node at a time."""
+def test_jacobian_matches_complex_step_column_by_column(m, n_theta):
+    """The analytic Jacobian, stored on the 9-point pattern, equals the
+    complex-step Jacobian (h = 1e-30; Squire & Trapp, SIAM Rev. 40, 1998),
+    one column per node, to roundoff: so residual (i, j) reads only the 3x3
+    product of its radial and angular stencil windows.  The right-hand
+    side's height slope on the diagonal is a central difference with step
+    h = eps^(1/3) max(1, |f|); for tanh and |f| <= 1 its truncation
+    h^2 max|tanh'''| / 6 plus its roundoff eps |rhs| / h stay below 4e-11
+    per unit area (1.6e-11 measured)."""
     mesh = build_sector_mesh(GEO, 0.05, 1.0, m, n_theta)
-    disc = _Discretization(
-        mesh,
-        lambda r, t, z: np.tanh(z) + 0.3,
-        *(
-            profile_from_dict(
-                {"side": side, "generator": {"type": "example2", "gamma1": 0.8, "gamma2": 2.0}}
-            )
-            for side in "+-"
-        ),
-    )
+    disc = _Discretization(mesh, lambda r, t, z: np.tanh(z) + 0.3, *example2_walls())
     f = np.sin(3.0 * mesh.radii[:, None]) * np.cos(2.0 * mesh.thetas[None, :])
-    base = disc.residual(f)
-    step = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(f))
     dense = np.empty((f.size, f.size))
     for k in range(f.size):
-        fp = f.copy()
-        fp.flat[k] += step.flat[k]
-        dense[:, k] = (disc.residual(fp) - base).ravel() / step.flat[k]
-    jac = disc.jacobian(f, base)
+        fc = f.astype(complex)
+        fc.flat[k] += 1e-30j
+        dense[:, k] = disc.residual(fc).imag.ravel() / 1e-30
+    jac = disc.jacobian(f)
     assert jac.nnz <= 9 * f.size
-    assert np.array_equal(jac.toarray(), dense)
+    gap = np.abs(jac.toarray() - dense)
+    bound = 1e-12 * np.max(np.abs(dense))
+    assert np.max(gap - np.diag(np.diag(gap))) <= bound
+    assert np.all(np.diag(gap) <= bound + 4e-11 * disc.area.ravel())
+
+
+def test_residual_follows_the_dtype_of_f():
+    """A real f gives a real residual, and f plus an imaginary step a complex
+    one whose real part is the real residual to roundoff."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 6, 7)
+    disc = _Discretization(mesh, lambda r, t, z: np.tanh(z) + 0.3, *example2_walls())
+    f = np.sin(3.0 * disc.r_col) * np.cos(2.0 * disc.t_row)
+    real, cplx = disc.residual(f), disc.residual(f + 1e-30j)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.allclose(cplx.real, real, rtol=0.0, atol=1e-15 * np.max(np.abs(real)))
+
+
+def rhs_slope(disc, f):
+    """The height slope that disc's Jacobian puts on the diagonal: the
+    Jacobian less that of a height-free right-hand side, over the area."""
+    flat = _Discretization(disc.mesh, lambda r, t, z: 0.0 * z, *example2_walls())
+    diff = disc.jacobian(f).toarray() - flat.jacobian(f).toarray()
+    assert np.array_equal(diff, np.diag(np.diag(diff)))
+    return -np.diag(diff).reshape(disc.shape) / disc.area
+
+
+@pytest.mark.parametrize("height", [1.0, 1e3])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 7.5])
+def test_jacobian_diagonal_holds_the_capillary_slope(kappa, height):
+    """solve_capillary's right-hand side kappa f + lambda gives the slope
+    kappa to 1e-9, and exactly 0 at kappa = 0.  The central difference's
+    error is roundoff, about eps |kappa f + lambda| / h with h = eps^(1/3)
+    max(1, |f|): at most 3e-11 kappa here.  A kappa far below 1 next to
+    lambda = 2 keeps that absolute error, not the relative one."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 12, 8)
+    disc = _Discretization(mesh, lambda r, t, z: kappa * z + 2.0, *example2_walls())
+    f = height * np.sin(3.0 * disc.r_col) * np.cos(2.0 * disc.t_row)
+    slope = rhs_slope(disc, f)
+    if kappa:
+        assert np.max(np.abs(slope - kappa)) <= 1e-9 * kappa
+    else:
+        assert np.all(slope == 0.0)
+
+
+def test_jacobian_diagonal_holds_the_tanh_pmc_slope():
+    """solve_pmc's tanh curvature 0.5 (kappa tanh(f) + lambda) makes the
+    right-hand side kappa tanh(f) + lambda, of slope kappa sech^2(f)."""
+    from wedgecap.cli import _curvature_for
+
+    kappa, lam = 1.5, 0.2
+    curvature = _curvature_for("tanh", kappa, lam)
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 12, 8)
+    disc = _Discretization(
+        mesh, lambda r, t, z: 2.0 * curvature(r * np.cos(t), r * np.sin(t), z), *example2_walls()
+    )
+    f = 2.0 * np.sin(3.0 * disc.r_col) * np.cos(2.0 * disc.t_row)
+    want = kappa / np.cosh(f) ** 2
+    assert np.max(np.abs(rhs_slope(disc, f) - want)) <= 1e-9 * kappa
 
 
 @pytest.mark.parametrize("ni, nj", [(3, 3), (3, 17), (17, 3), (13, 25), (129, 129)])
@@ -292,7 +343,7 @@ def test_dissection_order_fills_less_than_colamd():
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 64, 64)
     disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
     f0 = np.full(disc.shape, -2.0)
-    jac = disc.jacobian(f0, disc.residual(f0))
+    jac = disc.jacobian(f0)
     csc = sp.csc_matrix((jac.data, jac.plan.pattern), shape=(f0.size, f0.size))
     p = elimination_order(jac.plan)
     colamd = spla.splu(csc)
@@ -372,7 +423,7 @@ def test_elimination_working_storage():
     disc = _Discretization(mesh, lambda r, t, z: z + 2.0, *example2_walls())
     f = np.full(disc.shape, -2.0)
     res = disc.residual(f)
-    jac = disc.jacobian(f, res)
+    jac = disc.jacobian(f)
     tracemalloc.start()
     try:
         elimination.Elimination(disc.shape)
@@ -446,7 +497,7 @@ def test_a_non_finite_newton_step_ends_the_solve_unconverged(monkeypatch, kappa)
     lam = 2.0 if kappa else flux / (GEO.alpha * (r_max**2 - r_min**2))
     mesh = build_sector_mesh(GEO, r_min, r_max, 8, 8)
     field = solve_capillary(mesh, kappa, lam, *walls, SolverConfig(initial=1.0))
-    assert not field.converged
+    assert not field.converged and field.stop == "non_finite"
     assert field.newton_iterations == 0 and len(field.residual_history) == 1
     start = np.ones(field.values.shape)
     if not kappa:  # a pinned solve starts at area-weighted mean 0
@@ -454,11 +505,24 @@ def test_a_non_finite_newton_step_ends_the_solve_unconverged(monkeypatch, kappa)
     assert np.array_equal(field.values, start)
 
 
+def test_an_uphill_newton_step_ends_the_solve_in_the_line_search(monkeypatch):
+    """A linear solve that returns the Newton step reversed leaves the line
+    search no length that lowers the residual: the solve stops there, at
+    its start, unconverged."""
+    spsolve = solver.spla.spsolve
+    monkeypatch.setattr(solver.spla, "spsolve", lambda jac, rhs: -spsolve(jac, rhs))
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 8, 8)
+    field = solve_capillary(mesh, 1.0, 2.0, *example2_walls(), SolverConfig(initial=1.0))
+    assert not field.converged and field.stop == "line_search"
+    assert field.newton_iterations == 0
+    assert np.array_equal(field.values, np.ones(field.values.shape))
+
+
 def test_discretization_holds_no_matrix_pattern():
     """A 128^2 discretization holds its geometry factors (0.29 MB measured),
     not the Newton matrix's pattern and colouring (2.8 MB with them): the
-    plan derives the pattern from the grid shape, and the Jacobian reads its
-    values colour by colour from the stencil windows."""
+    plan derives the pattern from the grid shape, and the Jacobian writes
+    its values straight into the stencil windows."""
     walls = example2_walls()
     # a small build first, so that the modules it imports are not counted
     _Discretization(build_sector_mesh(GEO, 0.05, 1.0, 4, 4), lambda r, t, z: z, *walls)
@@ -494,7 +558,7 @@ def test_elimination_matches_dense_solve(m, n_theta, walls, kappa):
     disc = _Discretization(mesh, lambda r, t, z: kappa * z + 2.0, *dense_walls(walls))
     f = np.sin(3.0 * mesh.radii[:, None]) * np.cos(2.0 * mesh.thetas[None, :])
     res = disc.residual(f)
-    jac = disc.jacobian(f, res)
+    jac = disc.jacobian(f)
     if not kappa:
         jac.data[0] *= 2.0
     rhs = -res.ravel()
@@ -509,13 +573,11 @@ def test_pinned_newton_step_matches_the_bordered_step(monkeypatch, m, n_theta, w
     """The first step of a pinned solve, from its flat start with lambda
     balancing the wall flux, solved on the grounded Jacobian, is the step of
     the Jacobian bordered by the area weights and the mean constraint,
-    solved densely.  The two differ by the finite-difference Jacobian's
-    departure from 1^T J = 0 and J 1 = 0, about 1e-9 at the flat start (the
-    steps agree to 1.3e-8 here).  Away from it the forward difference's
-    truncation error makes J 1 about 1e-7, and the later steps of these
-    solves differ by up to 5e-6.  The linear solve sees a regular matrix:
-    grounded, its condition number is 1e2 to 1e4 here, and the Jacobian's
-    is 5e10 or more."""
+    solved densely.  The analytic Jacobian has 1^T J = 0 and J 1 = 0 up to
+    roundoff, so the two agree to roundoff (3e-14 here; the forward
+    difference that it replaced left 1.3e-8).  The linear solve sees a
+    regular matrix: grounded, its condition number is 1e2 to 1e4 here, and
+    the Jacobian's is 1e16 or more."""
     r_min, r_max = 0.05, 1.0
     profiles = dense_walls(walls)
     flux = sum(float(np.diff(p.integral_many([r_min, r_max]))[0]) for p in profiles)
@@ -527,7 +589,7 @@ def test_pinned_newton_step_matches_the_bordered_step(monkeypatch, m, n_theta, w
     w = (disc.area / disc.area.sum()).ravel()
     n = f.size
     bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = disc.jacobian(f, res).toarray()
+    bordered[:n, :n] = disc.jacobian(f).toarray()
     bordered[:n, n] = bordered[n, :n] = w
     want = np.linalg.solve(bordered, np.append(-res.ravel(), 0.0))[:n]
     solved, spsolve = [], solver.spla.spsolve
@@ -536,7 +598,7 @@ def test_pinned_newton_step_matches_the_bordered_step(monkeypatch, m, n_theta, w
     )
     step = solver._newton_step(disc, f, res, w).ravel()
     assert np.linalg.cond(solved[0]) < 1e6
-    assert np.linalg.norm(step - want) <= 1e-6 * np.linalg.norm(want)
+    assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
     assert abs(w @ step) <= 1e-15 * np.max(np.abs(step))
 
 
@@ -1067,36 +1129,62 @@ def test_corner_solve_trace_at_the_default_radii_survives_roundoff(corner_solve_
     assert cases[0] == cases[1]
 
 
-# ROADMAP item 15: regression tests of the forward-difference Jacobian, which
-# fail until the Newton Jacobian is exact.
-
-_ITEM_15 = (
-    "known defect, ROADMAP item 15: the forward-difference Jacobian's "
-    "truncation error leaves J.1 != 0 and stalls Newton near the corner"
-)
+# ROADMAP item 15: cells that the forward-difference Jacobian, which this
+# analytic one replaced, could not converge.
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_15)
 def test_jacobian_annihilates_constants():
-    """The residual reads only differences of f, so at kappa = 0 every row of
-    the Jacobian sums to 0; the pinned Newton step assumes it (6.3e-7 today,
-    with max|J| = 3.25)."""
+    """The residual reads only differences of f, so at kappa = 0 every row
+    and every column of the Jacobian sums to 0 up to roundoff; the pinned
+    Newton step assumes it (1.4e-16 max|J| here; the forward difference gave
+    6.3e-7, with max|J| = 3.25)."""
     mesh = build_sector_mesh(GEO, 0.05, 1.0, 24, 12)
     disc = _Discretization(mesh, lambda r, t, z: 0.0 * z + 2.0, *example2_walls())
     f = np.sin(3.0 * disc.r_col) * np.cos(2.0 * disc.t_row)
-    jac = disc.jacobian(f, disc.residual(f)).toarray()
+    jac = disc.jacobian(f).toarray()
     assert np.max(np.abs(jac.sum(axis=1))) <= 1e-14 * np.max(np.abs(jac))
+    assert np.max(np.abs(jac.sum(axis=0))) <= 1e-14 * np.max(np.abs(jac))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_15)
-@pytest.mark.parametrize("r_min, m, n_theta, max_iter", [
-    (5e-4, 79, 96, 200),  # today: stops after 21 steps at 1.1e-4
-    (1e-6, 144, 48, 30),  # today: 30 steps, unconverged at 2.6e-4
+@pytest.mark.parametrize("r_min, m, n_theta, max_iter, steps", [
+    (5e-4, 79, 96, 200, 8),  # the forward difference: stops after 21 steps at 1.1e-4
+    (1e-6, 144, 48, 30, 19),  # the forward difference: 30 steps, unconverged at 2.6e-4
 ])
-def test_borderline_constant_walls_converge(r_min, m, n_theta, max_iter):
-    """Constant walls 0.6 / 2.0 (alpha = 1, kappa = 1, lambda = 2): an exact
-    (complex-step) Jacobian converges them in 8 and 19 steps."""
+def test_borderline_constant_walls_converge(r_min, m, n_theta, max_iter, steps):
+    """Constant walls 0.6 / 2.0 (alpha = 1, kappa = 1, lambda = 2)."""
     mesh = build_sector_mesh(GEO, r_min, 1.0, m, n_theta)
     walls = constant_profile("+", 0.6), constant_profile("-", 2.0)
     field = solve_capillary(mesh, 1.0, 2.0, *walls, SolverConfig(max_iter=max_iter))
+    assert field.converged and field.stop == "converged"
+    assert field.newton_iterations == steps
+
+
+def test_mirrored_example2_walls_converge():
+    """The paper's log-periodic walls at angles 0.3 / 2.8 on the + side and
+    their mirror pi - gamma on the - side, down to r_min = 1e-6 (24 rows per
+    decade, n_theta = 96): 8 steps; the forward difference ran 82 steps
+    while the field blew up.  The angles break Theorem 1's hypothesis at
+    alpha = 1, and the solver says so."""
+    plus = profile_from_dict({"side": "+", "generator": {
+        "type": "example2", "gamma1": 0.3, "gamma2": 2.8}})
+    minus = profile_from_dict({"side": "-", "generator": {
+        "type": "example2", "gamma1": math.pi - 0.3, "gamma2": math.pi - 2.8}})
+    mesh = build_sector_mesh(GEO, 1e-6, 1.0, 144, 96)
+    with pytest.warns(RuntimeWarning, match="corner hypothesis"):
+        field = solve_capillary(mesh, 1.0, 2.0, plus, minus)
     assert field.converged
+    assert field.newton_iterations == 8
+
+
+def test_newton_stops_when_the_residual_stalls():
+    """Walls 0.1 / 3.0 down to r_min = 5e-4 hold the residual near 6e-4
+    from step 5 on; Newton stops as stalled at the first step k >= 10 whose
+    residual is above half of that at step k - 10, long before max_iter."""
+    mesh = build_sector_mesh(GEO, 5e-4, 1.0, 79, 48)
+    walls = constant_profile("+", 0.1), constant_profile("-", 3.0)
+    field = solve_capillary(mesh, 1.0, 2.0, *walls)
+    hist = field.residual_history
+    k = field.newton_iterations
+    assert field.stop == "stalled" and not field.converged
+    assert 10 <= k < 200 and hist[k] > 0.5 * hist[k - 10]
+    assert all(hist[j] <= 0.5 * hist[j - 10] for j in range(10, k))
