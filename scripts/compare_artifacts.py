@@ -4,8 +4,11 @@
 For every file under either directory it prints `same` when the two copies
 are byte-identical; otherwise, for a CSV, the largest |difference| in each
 column (non-numeric cells must match), and for any other file (manifests)
-the lines that differ.  Exits 1 if a file exists on one side only or two
-CSVs differ in shape or in a non-numeric cell.
+the lines that differ.  Then it prints one line per solve manifest whose
+Newton step count or stop reason (``solver.iterations``, ``solver.stop``)
+changed, or one line saying that none did.  Exits 1 if a file exists on one
+side only or two CSVs differ in shape or in a non-numeric cell; a changed
+step count or stop alone does not change the exit code.
 
 Usage:
     python3 scripts/compare_artifacts.py BASE_DIR NEW_DIR
@@ -35,6 +38,21 @@ def csv_moves(a: Path, b: Path) -> str | None:
                 return None
             worst[k] = max(worst[k], d if not math.isnan(d) else math.inf)
     return " ".join(f"{name}={w:.3g}" for name, w in zip(ra[0], worst))
+
+
+def newton_fields(path: Path) -> tuple[str, str] | None:
+    """(iterations, stop) from a manifest's ``solver`` section, or None if
+    the manifest has no Newton step count."""
+    fields, inside = {}, False
+    for line in path.read_text().splitlines():
+        if not line.startswith(" "):
+            inside = line == "solver:"
+        elif inside and not line.startswith("   "):
+            key, _, value = line.strip().partition(": ")
+            fields[key] = value
+    if "iterations" not in fields:
+        return None
+    return fields["iterations"], fields.get("stop", "-")
 
 
 def main(argv=None) -> int:
@@ -67,6 +85,17 @@ def main(argv=None) -> int:
             for line in difflib.unified_diff(*lines, lineterm="", n=0):
                 if not line.startswith(("---", "+++", "@@")):
                     print(f"  {line}")
+    newton_changes = 0
+    for name in sorted(names):
+        a, b = base / name, new / name
+        if not (name.endswith("manifest.txt") and a.is_file() and b.is_file()):
+            continue
+        old, now = newton_fields(a), newton_fields(b)
+        if old and now and old != now:
+            print(f"{name}: iterations {old[0]} -> {now[0]}, stop {old[1]} -> {now[1]}")
+            newton_changes += 1
+    if not newton_changes:
+        print("Newton steps and stops: all same")
     return status
 
 

@@ -6,7 +6,10 @@ each control volume balances the slope fluxes grad f / sqrt(1 + |grad f|^2)
 through its faces against the prescribed right-hand side.  Wall faces carry
 the contact flux cos(gamma(r)) integrated exactly along the face, the two
 circular arcs are closed (a manufactured case supplies all boundary fluxes
-instead), and a damped Newton iteration drives the residual down.  Its
+instead), and a damped Newton iteration drives the residual down.  The two
+face families, radial faces between rows and angular faces between columns,
+are each described once as data (``_FaceFamily``), and the residual and its
+Jacobian each run one loop over them, each family in its own frame.  The
 Jacobian is the residual's analytic linearisation, written onto the 9-point
 pattern (the product of the radial and angular 3-point stencils), plus a
 central difference of the right-hand side in the height on the diagonal; at
@@ -239,6 +242,8 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if self.initial is not None and not math.isfinite(self.initial):
+            raise ValueError(f"starting height must be finite, got {self.initial}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,49 @@ def _spsolve(jac: NewtonMatrix, rhs: np.ndarray) -> np.ndarray:
 #: (perfbench/tracing.py) replaces this attribute to time every Newton solve,
 #: so renaming it or its ``spsolve`` is a benchmark change.
 spla = SimpleNamespace(spsolve=_spsolve)
+
+
+@dataclass(frozen=True, eq=False)
+class _FaceFamily:
+    """One family of faces, seen in its own frame: axis 0 crosses the faces,
+    face k lying between grid lines k and k + 1, and axis 1 runs along them.
+
+    A face's flux density is scale * g(a, b), g = a / w and w = sqrt(1 + a^2
+    + b^2), of its normal slope a, along axis 0, and its tangential slope b,
+    the mean of its two nodes' stencil derivatives along axis 1.  The flux
+    is that density times the face's weight, after each end of axis 1 has
+    mixed its density toward the next one's."""
+
+    spacing: np.ndarray  # arc length from line k to line k + 1
+    stencil: tuple[np.ndarray, np.ndarray]  # derivative along axis 1 (_deriv_stencils)
+    metric: np.ndarray | float  # arc length per unit of the stencil's coordinate
+    scale: np.ndarray  # arc length per unit of the weights' measure
+    weight: np.ndarray  # quadrature weight of each face along axis 1
+    mix: tuple[float, float]  # share of the next density mixed in at each end
+    ends: tuple[np.ndarray, np.ndarray]  # boundary fluxes of lines 0 and -1
+
+    @property
+    def place(self) -> np.ndarray:
+        """Each node's place along axis 1 in its own stencil window."""
+        idx = self.stencil[0]
+        return np.arange(idx.shape[0]) - idx[:, 0]
+
+    def slopes(self, f: np.ndarray):
+        """(a, b, w) on every face, for f in this family's frame."""
+        idx, wts = self.stencil
+        d = np.einsum("jc,kjc->kj", wts, f[:, idx])
+        a = (f[1:] - f[:-1]) / self.spacing
+        b = 0.5 * (d[:-1] + d[1:]) / self.metric
+        return a, b, np.sqrt(1.0 + a**2 + b**2)
+
+    def flux(self, dens: np.ndarray) -> np.ndarray:
+        """The face fluxes of densities, or of their derivatives by nodes at
+        one window place along the faces (the ends' neighbours share their
+        windows).  Mixes ``dens`` in place."""
+        t0, t1 = self.mix
+        dens[:, 0] = (1.0 - t0) * dens[:, 0] + t0 * dens[:, 1]
+        dens[:, -1] = (1.0 - t1) * dens[:, -1] + t1 * dens[:, -2]
+        return dens * self.weight
 
 
 class _Discretization:
@@ -276,96 +324,68 @@ class _Discretization:
         self.t_row = t[None, :]
         # control-volume radial extents (half cells at the two arcs)
         s_face = 0.5 * (r[:-1] + r[1:])  # radial faces, between rows i and i+1
-        self.s_face = s_face
-        self.b_out = np.concatenate([[r[0]], s_face])  # per row
-        self.b_in = np.concatenate([s_face, [r[-1]]])
+        b_out = np.concatenate([[r[0]], s_face])  # per row
+        b_in = np.concatenate([s_face, [r[-1]]])
         # angular spans of the control volumes (half cells at the walls)
         dth = mesh.dtheta
-        w = np.full(mesh.n_theta + 1, dth)
-        w[0] = w[-1] = 0.5 * dth
-        self.dth = dth
-        # nodal derivative stencils
-        self.ridx, self.rw = _deriv_stencils(r)
-        self.tidx, self.tw = _deriv_stencils(t)
+        width = np.full(mesh.n_theta + 1, dth)
+        width[0] = width[-1] = 0.5 * dth
+        self.area = 0.5 * (b_out**2 - b_in**2)[:, None] * width[None, :]
         # conductance of angular faces: exact integral of dr/r across the row
-        self.cond = np.log(self.b_out / self.b_in)
+        cond = np.log(b_out / b_in)
         # interpolation weights moving the arc rows' flux density to the
         # log-mean radius of their half spans
-        rstar0 = (self.b_out[0] - self.b_in[0]) / self.cond[0]
-        rstarm = (self.b_out[-1] - self.b_in[-1]) / self.cond[-1]
-        self.arc_interp = (
-            (r[0] - rstar0) / (r[0] - r[1]),
-            (rstarm - r[-1]) / (r[-2] - r[-1]),
-        )
-        self.area = 0.5 * (self.b_out**2 - self.b_in**2)[:, None] * w[None, :]
+        rstar0 = (b_out[0] - b_in[0]) / cond[0]
+        rstarm = (b_out[-1] - b_in[-1]) / cond[-1]
+        arc_interp = ((r[0] - rstar0) / (r[0] - r[1]), (rstarm - r[-1]) / (r[-2] - r[-1]))
         # boundary face integrals are solution-independent; walls take their
         # flux from the profiles with closed arcs, or all boundary data and
         # the extra source g(r, theta) from a manufactured case
         if case is None:
-            spans = (self.b_in, self.b_out)
-            self.wall_minus = _wall_integrals(spans, profile_minus, mesh.r_max, "-")
-            self.wall_plus = _wall_integrals(spans, profile_plus, mesh.r_max, "+")
-            self.arc_outer = self.arc_inner = np.zeros(mesh.n_theta + 1)
+            spans = (b_in, b_out)
+            walls = (
+                _wall_integrals(spans, profile_minus, mesh.r_max, "-"),
+                _wall_integrals(spans, profile_plus, mesh.r_max, "+"),
+            )
+            arcs = (np.zeros(t.size),) * 2
             self.source = np.zeros(self.shape)
         else:
-            self.wall_minus = self.wall_plus = _gauss2(case.wall_flux, self.b_in, self.b_out)
+            walls = (_gauss2(case.wall_flux, b_in, b_out),) * 2
             # the flux along +r leaves through the outer arc and enters through the inner one
-            self.arc_outer = _arc_integrals(mesh, case.arc_flux, mesh.r_max)
-            self.arc_inner = -_arc_integrals(mesh, case.arc_flux, mesh.r_min)
+            arcs = (
+                _arc_integrals(mesh, case.arc_flux, mesh.r_max),
+                -_arc_integrals(mesh, case.arc_flux, mesh.r_min),
+            )
             self.source = case.source(self.r_col, self.t_row) * self.area
+        # radial faces (arcs between rows, weighed by the control volumes'
+        # angular widths, their density a quarter of the way to the next at
+        # the walls: the integral of its linear reconstruction over the half
+        # face) and angular faces (radial segments between columns, weighed
+        # by cond, the arc rows' density moved to their half spans)
+        s = s_face[:, None]
+        self.families = (
+            _FaceFamily(spacing=(r[:-1] - r[1:])[:, None], stencil=_deriv_stencils(t),
+                        metric=s, scale=s, weight=width, mix=(0.25, 0.25), ends=arcs),
+            _FaceFamily(spacing=dth * r, stencil=_deriv_stencils(r),
+                        metric=1.0, scale=r, weight=cond, mix=arc_interp, ends=walls),
+        )
         self._plan: Elimination | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mesh.m + 1, self.mesh.n_theta + 1
 
-    def _nodal_dr(self, f: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,ikj->ij", self.rw, f[self.ridx, :])
-
-    def _nodal_dt(self, f: np.ndarray) -> np.ndarray:
-        return np.einsum("jk,ijk->ij", self.tw, f[:, self.tidx])
-
     def residual(self, f: np.ndarray) -> np.ndarray:
-        mesh = self.mesh
-        r = mesh.radii
-        fr = self._nodal_dr(f)
-        ft = self._nodal_dt(f)
-
-        # radial faces: slope flux through arcs between consecutive rows
-        dr = (r[:-1] - r[1:])[:, None]
-        fr_face = (f[:-1, :] - f[1:, :]) / dr
-        ft_face = 0.5 * (ft[:-1, :] + ft[1:, :])
-        s = self.s_face[:, None]
-        w_face = np.sqrt(1.0 + fr_face**2 + (ft_face / s) ** 2)
-        dens = (fr_face / w_face) * s
-        q_rad = dens * self.dth
-        # wall half-faces: integrate the linear density reconstruction so the
-        # off-center quadrature point does not cost an order at the boundary
-        q_rad[:, 0] = self.dth * (3.0 * dens[:, 0] + dens[:, 1]) / 8.0
-        q_rad[:, -1] = self.dth * (3.0 * dens[:, -1] + dens[:, -2]) / 8.0
-
-        # angular faces: flux through radial segments between columns
-        ft_ang = (f[:, 1:] - f[:, :-1]) / self.dth
-        fr_ang = 0.5 * (fr[:, 1:] + fr[:, :-1])
-        w_ang = np.sqrt(1.0 + fr_ang**2 + (ft_ang / self.r_col) ** 2)
-        p = ft_ang / w_ang
-        q_ang = p * self.cond[:, None]
-        # arc rows: the face spans only half a cell, so shift the density to
-        # the span's log-mean radius by interpolating toward the next row
-        t0, tm = self.arc_interp
-        q_ang[0, :] = ((1.0 - t0) * p[0, :] + t0 * p[1, :]) * self.cond[0]
-        q_ang[-1, :] = ((1.0 - tm) * p[-1, :] + tm * p[-2, :]) * self.cond[-1]
-
         out = np.zeros(self.shape, dtype=f.dtype)
-        out[1:, :] += q_rad  # outer face of every row but the first
-        out[:-1, :] -= q_rad  # inner face of every row but the last
-        out[0, :] += self.arc_outer
-        out[-1, :] += self.arc_inner
-        out[:, 1:] -= q_ang  # west face of every column but the first
-        out[:, :-1] += q_ang  # east face of every column but the last
-        out[:, 0] += self.wall_minus
-        out[:, -1] += self.wall_plus
-
+        for fam, fv, ov in zip(self.families, (f, f.T), (out, out.T)):
+            a, b, w = fam.slopes(fv)
+            q = fam.flux(a / w * fam.scale)
+            # the flux along axis 0 through face k leaves line k's control
+            # volume and enters line k + 1's
+            ov[1:] -= q
+            ov[:-1] += q
+            ov[0] += fam.ends[0]
+            ov[-1] += fam.ends[1]
         rhs = np.asarray(self.rhs_fn(self.r_col, self.t_row, f), dtype=f.dtype)
         out -= rhs * self.area
         out -= self.source
@@ -379,111 +399,58 @@ class _Discretization:
     def jacobian(self, f: np.ndarray) -> NewtonMatrix:
         """The residual's Jacobian at f, linearised analytically and written
         onto the grid's 9-point pattern (``elimination._grid_pattern``):
-        vals[i, j, a, b] is the derivative of residual (i, j) by the node
-        (ridx[i, a], tidx[j, b]).
+        vals[i, j, a, b] is the derivative of residual (i, j) by the node at
+        place a of row i's radial stencil window and place b of column j's
+        angular one.
 
-        Each face's flux density is g(a, b) = a / w, w = sqrt(1 + a^2 + b^2),
-        of its normal slope a, read off the face's two nodes, and its
-        tangential slope b, read off both nodes' derivative stencils; so
-        dg/da = (1 + b^2) / w^3 and dg/db = -a b / w^3.  A radial face
-        between rows k and k+1 reads rows k, k+1 x tidx[j], and an angular
-        face between columns l and l+1 reads ridx[i] x columns l, l+1: both
-        inside the windows of the residuals that take it (``_add_faces``).
-        The wall half-faces and the arc rows mix the derivatives as
-        ``residual`` mixes the densities.  The right-hand side adds its slope
-        in the height times the area on the diagonal: one central difference
-        of ``rhs_fn``, step eps^(1/3) max(1, |f|), exactly 0 for a right-hand
-        side that does not read the height.  The fluxes read only differences
-        of f, so with that slope 0 the Jacobian has J 1 = 0 and 1^T J = 0 up
-        to roundoff.
+        Each face family runs in its own frame, as ``residual`` runs it (the
+        angular one on the transposed view of vals).  With dg/da = (1 + b^2)
+        / w^3 and dg/db = -a b / w^3, the density of face k at place j
+        along the faces has, by the node at window place c along them on
+        line k + 1, the derivative scale (dg/da unit / spacing + dg/db
+        weight / (2 metric)), with unit 1 where that node is the face's own
+        and weight the stencil's at it; by the node on line k, the dg/da
+        term changes sign.  Every such node lies inside the windows of the
+        two lines that take the face's flux, and ``_FaceFamily.flux`` mixes
+        and weighs these derivatives as it does the densities.  The
+        right-hand side adds its slope in the height times the area on the
+        diagonal: one central difference of ``rhs_fn``, step eps^(1/3)
+        max(1, |f|), exactly 0 for a right-hand side that does not read the
+        height.  The fluxes read only differences of f, so with that slope 0
+        the Jacobian has J 1 = 0 and 1^T J = 0 up to roundoff.
         """
-        r, dth = self.mesh.radii, self.dth
-        ni, nj = self.shape
-        # each line's position in its own stencil window, as a unit vector
-        er = np.arange(ni) - self.ridx[:, 0]
-        et = np.arange(nj) - self.tidx[:, 0]
-        r_unit = (er[:, None] == np.arange(3)).astype(float)
-        t_unit = (et[:, None] == np.arange(3)).astype(float)
         vals = np.zeros(self.shape + (3, 3))
-
-        # radial faces: dens = s g(a, b), a = fr_face, b = ft_face / s
-        s = self.s_face[:, None]
-        dr = (r[:-1] - r[1:])[:, None]
-        a = (f[:-1, :] - f[1:, :]) / dr
-        ft = self._nodal_dt(f)
-        b = 0.5 * (ft[:-1, :] + ft[1:, :]) / s
-        w3 = np.sqrt(1.0 + a**2 + b**2) ** 3
-        ga = (1.0 + b**2) / w3 * (s * dth / dr)
-        gb = a * b / w3 * (-0.5 * dth)
-        del a, b, ft, w3
-        for c in range(3):  # one column of the angular window at a time
-            hi, lo = _face_derivatives(ga, gb, self.tw[:, c], t_unit[:, c])
-            for d in (lo, hi):  # the wall half-faces, as residual forms them
-                d[:, 0] = (3.0 * d[:, 0] + d[:, 1]) / 8.0
-                d[:, -1] = (3.0 * d[:, -1] + d[:, -2]) / 8.0
-            _add_faces(vals[..., c], lo, hi)
-        del ga, gb
-
-        # angular faces: p = r g(a, b), a = ft_ang / r, b = fr_ang; residual
-        # (i, l) gains the flux and (i, l + 1) loses it
-        a = (f[:, 1:] - f[:, :-1]) / (dth * self.r_col)
-        fr = self._nodal_dr(f)
-        b = 0.5 * (fr[:, 1:] + fr[:, :-1])
-        w3 = np.sqrt(1.0 + a**2 + b**2) ** 3
-        ga = (1.0 + b**2) / w3 / dth
-        gb = a * b / w3 * (-0.5 * self.r_col)
-        del a, b, fr, w3
-        t0, tm = self.arc_interp
-        for c in range(3):  # one row of the radial window at a time
-            lo, hi = _face_derivatives(ga, gb, self.rw[:, c, None], r_unit[:, c, None])
-            for d in (lo, hi):  # the arc rows, as residual interpolates them
-                d[0] = (1.0 - t0) * d[0] + t0 * d[1]
-                d[-1] = (1.0 - tm) * d[-1] + tm * d[-2]
-                d *= -self.cond[:, None]
-            _add_faces(vals[:, :, c].transpose(1, 0, 2), lo.T, hi.T)
-        del ga, gb
+        for fam, fv, v in zip(self.families, (f, f.T), (vals, vals.transpose(1, 0, 3, 2))):
+            a, b, w = fam.slopes(fv)
+            w3 = w**3
+            ga = (1.0 + b**2) / w3 * (fam.scale / fam.spacing)
+            gb = a * b / w3 * (-0.5 * fam.scale / fam.metric)
+            for c in range(3):  # one window place along the faces at a time
+                common, own = gb * fam.stencil[1][:, c], ga * (fam.place == c)
+                lo, hi = fam.flux(common - own), fam.flux(common + own)
+                # line k gains flux k and reads lines k, k + 1 at window
+                # places 1, 2 (0, 1 on the first line); line k + 1 loses it
+                # and reads them at 0, 1 (1, 2 on the last line)
+                u = v[..., c]
+                u[0, :, 0] += lo[0]
+                u[0, :, 1] += hi[0]
+                u[1:-1, :, 1] += lo[1:]
+                u[1:-1, :, 2] += hi[1:]
+                u[1:-1, :, 0] -= lo[:-1]
+                u[1:-1, :, 1] -= hi[:-1]
+                u[-1, :, 1] -= lo[-1]
+                u[-1, :, 2] -= hi[-1]
 
         # the right-hand side's slope in the height, on the diagonal
         h = _RHS_STEP * np.maximum(1.0, np.abs(f))
         up, down = f + h, f - h
         slope = (self.rhs_at(up) - self.rhs_at(down)) / (up - down)
+        radial, angular = self.families  # each places the nodes along its faces
         i, j = np.indices(self.shape, sparse=True)
-        vals[i, j, er[:, None], et] -= slope * self.area
+        vals[i, j, angular.place[:, None], radial.place] -= slope * self.area
         if self._plan is None:  # the mesh's linear-solve plan, built once
             self._plan = Elimination(self.shape)
         return NewtonMatrix(self._plan, vals.ravel())
-
-
-def _face_derivatives(ga, gb, weight, unit):
-    """Derivatives of face densities g(a, b) by one node of the other axis'
-    stencil window on each of the two lines of nodes that the face lies
-    between: first on the line that the normal slope a falls with, then on
-    the one it rises with.  ``ga`` is dg/da times |da/df| at the face's own
-    node, and ``unit`` is 1 where that node is the one taken; ``gb`` is dg/db
-    times the mean that the tangential slope b takes of the two lines'
-    stencils, and ``weight`` is the stencil's weight at the node taken."""
-    common = gb * weight
-    own = ga * unit
-    falls = common - own
-    common += own
-    return falls, common
-
-
-def _add_faces(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Add the derivatives of the fluxes q[k] through the faces between grid
-    lines k and k+1, which residual k+1 gains and residual k loses, into
-    vals[line, other, line window]: ``lo`` by line k and ``hi`` by line
-    k+1, each at one node of the other axis' window.  Line k+1 reads lines k,
-    k+1 at window positions 0, 1 (1, 2 for the last line); line k reads them
-    at 1, 2 (0, 1 for the first line)."""
-    vals[1:-1, :, 0] += lo[:-1]
-    vals[1:-1, :, 1] += hi[:-1]
-    vals[-1, :, 1] += lo[-1]
-    vals[-1, :, 2] += hi[-1]
-    vals[1:-1, :, 1] -= lo[1:]
-    vals[1:-1, :, 2] -= hi[1:]
-    vals[0, :, 0] -= lo[0]
-    vals[0, :, 1] -= hi[0]
 
 
 def _newton_step(
@@ -500,8 +467,9 @@ def _newton_step(
     mu is the sum of -res, and -res - mu w sums to 0.  Node (0, 0), whose
     own entry is the first stored value, is grounded by doubling that entry:
     the matrix is then regular, and as the right-hand side sums to 0 its
-    solution is 0 at that node and solves J delta = -res - mu w.  The step is then shifted by the constant that
-    sets the weighted mean of f + delta to 0.
+    solution is 0 at that node and solves J delta = -res - mu w.  The step
+    is then shifted by the constant that sets the weighted mean of f + delta
+    to 0.
     """
     jac = disc.jacobian(f)
     rhs = -res.ravel()
@@ -589,8 +557,7 @@ def _arc_integrals(mesh: SectorMesh, flux: Callable, radius: float) -> np.ndarra
 def _check_balance(disc: _Discretization):
     """Flux/source compatibility for the rank-deficient (pinned) problem,
     whose right-hand side is read at height 0."""
-    boundary = (disc.wall_minus, disc.wall_plus, disc.arc_outer, disc.arc_inner)
-    influx = float(sum(b.sum() for b in boundary))
+    influx = float(sum(end.sum() for fam in disc.families for end in fam.ends))
     src = float((disc.rhs_at(np.zeros(disc.shape)) * disc.area).sum() + disc.source.sum())
     mismatch = influx - src
     scale = 1.0 + abs(influx) + abs(src)

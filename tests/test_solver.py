@@ -269,6 +269,123 @@ def test_residual_follows_the_dtype_of_f():
     assert np.allclose(cplx.real, real, rtol=0.0, atol=1e-15 * np.max(np.abs(real)))
 
 
+def reference_residual(mesh, rhs_fn, f, walls=None, case=None):
+    """The residual computed face by face in plain Python from the
+    documented formulas: control volumes between the mid-radii s_k and
+    the mid-angles; nodal derivatives by the 3-point stencil exact for
+    quadratics on each node's window (centred inside, one-sided at the
+    ends); through a radial face (rows k, k+1) the density s a / w of
+    a = (f_k - f_k+1) / (r_k - r_k+1) and b = the rows' mean angular
+    derivative / s, times dth, and at each wall dth (3 d_0 + d_1) / 8;
+    through an angular face (columns l, l+1) r a / w of a = (f_l+1 - f_l)
+    / (r dth) and b = the columns' mean radial derivative, times
+    log(b_out / b_in), with the arc rows' densities interpolated toward
+    the next row to the log-mean radius of their half spans."""
+    r, t = list(mesh.radii), list(mesh.thetas)
+    m, n, dth = len(r) - 1, len(t) - 1, mesh.dtheta
+
+    def stencil(xs, p):
+        lo = min(max(p - 1, 0), len(xs) - 3)
+        nodes = list(range(lo, lo + 3))
+        x = [xs[q] for q in nodes]
+        vander = [[1.0] * 3, x, [v * v for v in x]]
+        weights = np.linalg.solve(vander, [0.0, 1.0, 2.0 * xs[p]])
+        return list(zip(nodes, weights))
+
+    rows, cols = range(m + 1), range(n + 1)
+    fr = [[sum(w * f[q][j] for q, w in stencil(r, i)) for j in cols] for i in rows]
+    ft = [[sum(w * f[i][q] for q, w in stencil(t, j)) for j in cols] for i in rows]
+    s = [(r[k] + r[k + 1]) / 2 for k in range(m)]
+    b_out = [r[0]] + s
+    b_in = s + [r[m]]
+    width = [dth / 2 if j in (0, n) else dth for j in cols]
+    area = [[(b_out[i] ** 2 - b_in[i] ** 2) / 2 * width[j] for j in cols] for i in rows]
+    out = [[0.0] * (n + 1) for _ in range(m + 1)]
+
+    for k in range(m):  # radial faces: the flux along +r leaves row k + 1
+        dens = []
+        for j in cols:
+            a = (f[k][j] - f[k + 1][j]) / (r[k] - r[k + 1])
+            b = (ft[k][j] + ft[k + 1][j]) / (2 * s[k])
+            dens.append(s[k] * a / math.sqrt(1 + a * a + b * b))
+        for j in cols:
+            q = dth * dens[j]
+            if j in (0, n):
+                q = dth * (3 * dens[j] + dens[1 if j == 0 else n - 1]) / 8
+            out[k + 1][j] += q
+            out[k][j] -= q
+
+    cond = [math.log(b_out[i] / b_in[i]) for i in rows]
+    rstar0 = (b_out[0] - b_in[0]) / cond[0]
+    rstarm = (b_out[m] - b_in[m]) / cond[m]
+    shift = {0: ((r[0] - rstar0) / (r[0] - r[1]), 1),
+             m: ((rstarm - r[m]) / (r[m - 1] - r[m]), m - 1)}
+    for l in range(n):  # angular faces: the flux along +theta leaves column l
+        dens = []
+        for i in rows:
+            a = (f[i][l + 1] - f[i][l]) / (r[i] * dth)
+            b = (fr[i][l] + fr[i][l + 1]) / 2
+            dens.append(r[i] * a / math.sqrt(1 + a * a + b * b))
+        for i in rows:
+            d = dens[i]
+            if i in shift:
+                frac, nxt = shift[i]
+                d = (1 - frac) * d + frac * dens[nxt]
+            out[i][l] += d * cond[i]
+            out[i][l + 1] -= d * cond[i]
+
+    def gauss2(fn, lo, hi):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        return half * (fn(mid - half / math.sqrt(3)) + fn(mid + half / math.sqrt(3)))
+
+    for i in rows:
+        for j, wall in ((0, 1), (n, 0)):  # walls = (plus, minus)
+            if case is None:
+                span = walls[wall].integral_many([b_in[i], b_out[i]])
+                out[i][j] += float(span[1] - span[0])
+            else:
+                out[i][j] += gauss2(case.wall_flux, b_in[i], b_out[i])
+    if case is not None:  # each arc node takes the halves of its two angular cells
+        mids = [(t[l] + t[l + 1]) / 2 for l in range(n)]
+        for i, radius, sign in ((0, r[0], 1.0), (m, r[m], -1.0)):
+            for j in cols:
+                spans = [(mids[j - 1], t[j])] if j > 0 else []
+                spans += [(t[j], mids[j])] if j < n else []
+                for lo, hi in spans:
+                    out[i][j] += sign * radius * gauss2(
+                        lambda x: float(case.arc_flux(radius, x)), lo, hi)
+    for i in rows:
+        for j in cols:
+            source = float(rhs_fn(r[i], t[j], f[i][j]))
+            if case is not None:
+                source += float(case.source(r[i], t[j]))
+            out[i][j] -= source * area[i][j]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m, n_theta", [(5, 4), (3, 6)])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("data", ["example2", "manufactured"])
+def test_residual_matches_a_face_by_face_reference(m, n_theta, alpha, data):
+    """``_Discretization.residual`` equals the plain-Python reference to
+    1e-13 relative, on the example2 walls with the right-hand side
+    tanh(f) + 0.3, and on a manufactured case, whose arcs carry flux and
+    which adds its source to kappa f + lambda."""
+    mesh = build_sector_mesh(WedgeGeometry(alpha), 0.05, 1.0, m, n_theta)
+    f = np.sin(3.0 * mesh.radii[:, None]) * np.cos(2.0 * mesh.thetas[None, :]) + 0.5
+    if data == "example2":
+        walls, case = example2_walls(), None
+        rhs_fn = lambda r, t, z: np.tanh(z) + 0.3
+        disc = _Discretization(mesh, rhs_fn, *walls)
+    else:
+        walls, case = None, manufactured_case(alpha=alpha, kappa=1.5, lam=0.3)
+        rhs_fn = lambda r, t, z: 1.5 * z + 0.3
+        disc = _Discretization(mesh, rhs_fn, None, None, case)
+    want = reference_residual(mesh, rhs_fn, f.tolist(), walls, case)
+    got = disc.residual(f)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def rhs_slope(disc, f):
     """The height slope that disc's Jacobian puts on the diagonal: the
     Jacobian less that of a height-free right-hand side, over the area."""
@@ -641,6 +758,15 @@ def test_solver_input_validation():
         SolverConfig(tol=-1.0)
 
 
+@pytest.mark.parametrize("initial", [math.nan, math.inf, -math.inf])
+def test_solver_config_refuses_a_non_finite_start(initial):
+    """A NaN or infinite start would end every solve unconverged with a NaN
+    field (stop ``non_finite``), so the config refuses it as it refuses a
+    bad tolerance."""
+    with pytest.raises(ValueError, match="starting height must be finite"):
+        SolverConfig(initial=initial)
+
+
 def test_fails_tag_warns():
     mesh = build_sector_mesh(WedgeGeometry(math.pi / 4), 0.1, 1.0, 6, 6)
     wet_p, wet_m = constant_profile("+", 0.0), constant_profile("-", 0.0)
@@ -758,6 +884,36 @@ def test_pmc_tanh_curvature_keeps_zero():
     assert field.converged
     assert float(np.max(np.abs(field.values))) <= 1e-8
     assert field.diagnostics["monotone_ok"]
+
+
+def tanh_walls_1_2(start):
+    """solve_pmc's tanh curvature (kappa = 1, lambda = 0) on constant walls
+    1.2, alpha = 1, 16^2, from the constant ``start``."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
+    walls = constant_profile("+", 1.2), constant_profile("-", 1.2)
+    curvature = lambda x, y, t: 0.5 * np.tanh(t)
+    return solve_pmc(mesh, curvature, *walls, SolverConfig(initial=start))
+
+
+def test_pmc_tanh_converges_from_zero():
+    field = tanh_walls_1_2(0.0)
+    assert field.converged and field.stop == "converged"
+    assert abs(float(np.max(np.abs(field.values))) - 0.954) < 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect, ROADMAP item 3: where tanh' is about 0 the Newton matrix "
+    "is nearly the pure-Neumann one, so each step carries a huge constant that leaves "
+    "the residual unchanged while the shape part still lowers it; Newton stalls with "
+    "f about 1e10 to 1e12 and a range of only 0.17-0.31",
+)
+@pytest.mark.parametrize("start", [3.0, 20.0])
+def test_pmc_tanh_converges_from_a_far_start(start):
+    near, far = tanh_walls_1_2(0.0), tanh_walls_1_2(start)
+    assert far.converged
+    assert np.max(np.abs(far.values - near.values)) <= 1e-8
 
 
 def test_pmc_detects_monotonicity_violation():
