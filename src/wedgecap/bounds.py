@@ -113,7 +113,10 @@ class _SweepTable:
     def __init__(self, profile: ContactProfile, eps_lo: float):
         # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
         # smallest, at this floor and at the default one
-        sweep = SweepConfig(profile.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
+        try:
+            sweep = SweepConfig(profile.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
+        except ValueError as exc:
+            raise ValueError(f"sweep floor {eps_lo!r} leaves no table for the scan: {exc}") from None
         # at b = 1 the sweep's grid is x and its values are F(x)/x
         xs, g = sweep_table(profile, 1.0, sweep)
         # the sweep of window b reads the grid down to b * eps_lo
@@ -156,10 +159,8 @@ class FanBoundResult:
     """Outcome of one admissible-fan scan."""
 
     beta_min: float
-    method: str
     worst_lambda: float | None
     monotone_flag: bool
-    beta_step: float | None = None
 
     def __post_init__(self) -> None:
         check_fan_width(self.beta_min)
@@ -371,11 +372,9 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
         first = int(np.argmax(ok))
         results.append(FanBoundResult(
             beta_min=float(beta[first]),
-            method="theorem2_scan",
             worst_lambda=float(worst[first]),
             # monotone: every row from the first feasible one on is feasible
             monotone_flag=bool(np.count_nonzero(ok) == len(betas) - rows[first]),
-            beta_step=beta_step,
         ))
     return results
 
@@ -464,7 +463,7 @@ def fan_bound_rows(
     ]
     results = min_admissible_fan([(A, k) for A, (_, k) in zip(adhesion, pairs)], beta_step)
     scans = {
-        pair: (r.beta_min, r.method, r.worst_lambda, r.monotone_flag, *effective_angle(A))
+        pair: (r.beta_min, "theorem2_scan", r.worst_lambda, r.monotone_flag, *effective_angle(A))
         for pair, A, r in zip(pairs, adhesion, results)
     }
     return [

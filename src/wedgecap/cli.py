@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     except ProfileFormatError as exc:
         print(f"wedgecap: profile error: {exc}", file=sys.stderr)
         return EXIT_PROFILE
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # an overflow is an input out of range
         print(f"wedgecap: range error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     except MemoryError as exc:  # numpy's names the size it could not allocate

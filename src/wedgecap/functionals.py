@@ -51,6 +51,11 @@ class SweepConfig:
             raise ValueError("need 0 < eps_lo < eps_hi")
         if self.points_per_decade < 8:
             raise ValueError("points_per_decade must be at least 8")
+        if not math.isfinite(self.points_per_decade * math.log10(self.eps_hi / self.eps_lo)):
+            raise ValueError(
+                f"sweep floor {self.eps_lo!r} lies too far below {self.eps_hi!r} "
+                "for a finite number of steps"
+            )
 
     @classmethod
     def for_profile(cls, profile: ContactProfile, b: float, **kw) -> "SweepConfig":

@@ -135,9 +135,9 @@ class SolutionField:
     """Nodal solution with convergence metadata.
 
     ``residual_history`` holds the residual's max norm at the start and after
-    each accepted Newton step, so it fixes the step count, the final residual
-    and, against ``tol``, whether the solve converged; ``stop`` names why
-    Newton stopped (see _newton_solve).  ``rhs_values`` holds
+    each accepted Newton step, so it fixes the step count and the final
+    residual; ``stop`` names why Newton stopped (see _newton_solve), and the
+    solve converged when it stopped at the tolerance.  ``rhs_values`` holds
     the right-hand side evaluated at the solution (kappa*f + lambda, or
     2H(x,y,f) for the prescribed-curvature variant), so magnitude bounds read
     off the same field either way; it is all the field keeps of the physics.
@@ -145,7 +145,6 @@ class SolutionField:
 
     mesh: SectorMesh
     values: np.ndarray  # shape (m+1, n_theta+1)
-    tol: float
     rhs_values: np.ndarray
     residual_history: tuple
     stop: str
@@ -166,7 +165,7 @@ class SolutionField:
 
     @property
     def converged(self) -> bool:
-        return self.residual_norm <= self.tol
+        return self.stop == "converged"
 
 
 def bounds_estimate(field: SolutionField) -> tuple[float, float]:
@@ -625,7 +624,6 @@ def _solve(
     return SolutionField(
         mesh=mesh,
         values=f,
-        tol=config.tol,
         rhs_values=disc.rhs_at(f),
         residual_history=history,
         stop=stop,
@@ -731,19 +729,13 @@ def solve_pmc(
 
 @dataclass(frozen=True, eq=False)
 class RadialTrace:
-    """Solution values on the innermost radii plus extrapolated corner limits."""
+    """Extrapolated corner limits per angle, with the last correction."""
 
-    radii: np.ndarray  # strictly decreasing subset used for extrapolation
     thetas: np.ndarray
-    values: np.ndarray  # shape (len(radii), len(thetas))
     rf: np.ndarray  # extrapolated limit per theta
     residual: np.ndarray  # per-theta extrapolation residual
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.radii) >= 0.0):
-            raise ValueError("trace radii must be strictly decreasing")
-        if self.values.shape != (self.radii.size, self.thetas.size):
-            raise ValueError("trace value shape mismatch")
         if self.rf.shape != self.thetas.shape or self.residual.shape != self.thetas.shape:
             raise ValueError("per-theta arrays must match the theta grid")
 
@@ -762,12 +754,8 @@ def radial_trace(
     mesh = field.mesh
     if not (2 <= n_radii <= mesh.m):
         raise ValueError(f"n_radii must lie in [2, m={mesh.m}], got {n_radii}")
-    radii_desc = mesh.radii[-n_radii:]
-    vals_desc = field.values[-n_radii:, :]
-    xs = radii_desc[::-1]  # ascending from the smallest radius
-    tableau = vals_desc[::-1, :].copy()
-    q = float(xs[1] / xs[0])
-    top_prev = tableau[0].copy()
+    tableau = field.values[-n_radii:][::-1].copy()  # ascending from the smallest radius
+    q = float(mesh.radii[-2] / mesh.radii[-1])
     top = tableau[0].copy()
     for level in range(1, n_radii):
         factor = q**level - 1.0
@@ -776,13 +764,7 @@ def radial_trace(
         top_prev = top
         top = tableau[0].copy()
     residual = np.abs(top - top_prev)
-    return RadialTrace(
-        radii=radii_desc.copy(),
-        thetas=mesh.thetas.copy(),
-        values=vals_desc.copy(),
-        rf=top,
-        residual=residual,
-    )
+    return RadialTrace(thetas=mesh.thetas.copy(), rf=top, residual=residual)
 
 
 # ---------------------------------------------------------------------------

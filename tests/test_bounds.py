@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgecap.bounds import (
+    BETA_STEP,
     DECREASING,
     INCREASING,
     AdhesionFunction,
@@ -193,7 +194,6 @@ def test_scan_matches_frozen_slope_bound(gamma):
     A_lo = AdhesionFunction.constant_angle(gamma, "I")
     (res,) = min_admissible_fan([(A_lo, INCREASING)])
     assert res.beta_min == pytest.approx(corollary1_bound(math.cos(gamma), "a"), abs=2e-3)
-    assert res.method == "theorem2_scan"
     assert res.monotone_flag
 
     A_hi = AdhesionFunction.constant_angle(gamma, "S")
@@ -217,7 +217,7 @@ def test_scan_result_brackets_feasibility():
                                      (DECREASING, condition_decreasing)):
             A = adhesion_from_profile(wall, required_functional_kind(cond_kind))
             (res,) = min_admissible_fan([(A, cond_kind)])
-            below = res.beta_min - res.beta_step
+            below = res.beta_min - BETA_STEP
             assert below >= 0.0
             for beta, feasible in ((res.beta_min, True), (below, False)):
                 ok, _ = holds_for_all_lambda(lambda lam: condition(A, beta, lam), beta)
@@ -404,7 +404,7 @@ def test_zero_functional_fans():
 
 def test_fan_bound_result_validation():
     with pytest.raises(ValueError):
-        FanBoundResult(math.pi, "theorem2_scan", None, True)
+        FanBoundResult(math.pi, None, True)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,29 @@ def test_eps_floor_outside_profile_range_exits_3(tmp_path, command, eps_floor):
     assert run(argv + ["--eps-floor=" + eps_floor, "--out", tmp_path / "out"]) == 3
 
 
+@pytest.mark.parametrize("eps_floor", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("command", ["profile", "verify-examples", "bounds", "blowup"])
+def test_eps_floor_too_small_for_a_finite_sweep_exits_3(tmp_path, capsys, command, eps_floor):
+    """s_max / floor overflows, so the sweep has no finite step count; on the
+    sweep-route walls bounds and blowup scale the floor down further, to 0 at
+    5e-324.  Each call names the floor given, with no traceback."""
+    plus, minus = (
+        write_json(tmp_path / f"{name}.json", {"side": side, "segments": [
+            {"s_end": 0.3, "gamma": g}, {"s_end": 0.65, "gamma": 2.0},
+            {"s_end": 1.0, "gamma": 1.0}]})
+        for name, side, g in (("plus", "+", 0.1), ("minus", "-", 0.5))
+    )
+    argv = {
+        "profile": ["profile", plus],
+        "verify-examples": ["verify-examples"],
+        "bounds": ["bounds", "--plus", plus, "--minus", minus, "--case", "I"],
+        "blowup": ["blowup", "--case", "I", "--beta", "1.2", "--profile", plus],
+    }[command]
+    assert run(argv + ["--eps-floor", eps_floor, "--out", tmp_path / "out"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"wedgecap: range error: sweep floor {eps_floor} ")
+
+
 # ---------------------------------------------------------------------------
 # verify-examples command
 

@@ -81,6 +81,14 @@ def test_sweep_config_validation():
         SweepConfig(eps_hi=1.0, points_per_decade=4)
 
 
+@pytest.mark.parametrize("eps_hi, eps_lo", [(1.0, 1e-310), (1.0, 5e-324), (math.inf, 1e-10)])
+def test_sweep_config_refuses_a_sweep_without_a_finite_step_count(eps_hi, eps_lo):
+    with pytest.raises(ValueError, match=f"sweep floor {eps_lo!r} lies too far below"):
+        SweepConfig(eps_hi=eps_hi, eps_lo=eps_lo)
+    # a floor of 1e-300 still gives a finite grid: 300 decades at 64 points each
+    assert SweepConfig(eps_hi=1.0, eps_lo=1e-300).grid().size == 19201
+
+
 def test_sweep_grid_supersets_bitwise():
     """Doubling density and halving the floor reproduces old nodes exactly."""
     coarse = SweepConfig(eps_hi=2.0, eps_lo=1e-6, points_per_decade=16)

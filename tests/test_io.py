@@ -407,7 +407,6 @@ def _tiny_field(m=1, n_theta=1, values=((0.0, 1.0), (2.0, 3.0))):
     return SolutionField(
         mesh=mesh,
         values=values,
-        tol=1e-8,
         rhs_values=values.copy(),
         residual_history=(0.0,),
         stop="converged",
@@ -428,9 +427,7 @@ def test_write_solution_csv_row_order(tmp_path):
 
 def test_write_trace_csv(tmp_path):
     trace = RadialTrace(
-        radii=np.array([0.2, 0.1]),
         thetas=np.array([-1.0, 0.0, 1.0]),
-        values=np.zeros((2, 3)),
         rf=np.array([0.5, 0.25, 0.125]),
         residual=np.array([0.0, 1e-12, 0.0]),
     )

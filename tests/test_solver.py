@@ -58,7 +58,6 @@ def synthetic_field(mesh, fn, kappa=0.0, lam=0.0):
     return SolutionField(
         mesh=mesh,
         values=vals,
-        tol=1e-10,
         rhs_values=kappa * vals + lam,
         residual_history=(0.0,),
         stop="converged",
@@ -1018,7 +1017,7 @@ def test_trace_validation():
         radial_trace(fld, 9)
     from dataclasses import replace
 
-    unconverged = replace(fld, residual_history=(1.0,))
+    unconverged = replace(fld, residual_history=(1.0,), stop="max_iter")
     with pytest.raises(RuntimeError):
         radial_trace(unconverged, 3)
     tr = radial_trace(unconverged, 3, allow_unconverged=True)
@@ -1193,14 +1192,14 @@ def test_fans_from_trace_tolerance_is_ten_medians(residual):
     """The hand-taken median is the float np.median returns, odd or even."""
     res = np.asarray(residual)
     thetas = np.linspace(-1.0, 1.0, res.size)
-    trace = RadialTrace(np.array([0.1]), thetas, thetas[None, :], thetas.copy(), res)
+    trace = RadialTrace(thetas, thetas.copy(), res)
     assert fans_from_trace(trace).tolerance == max(10.0 * float(np.median(res)), 1e-12)
 
 
 def test_fans_from_trace_rejects_a_nan_residual():
     thetas = np.linspace(-1.0, 1.0, 5)
     res = np.array([1e-9, math.nan, 0.0, 1e-9, 2e-9])
-    trace = RadialTrace(np.array([0.1]), thetas, thetas[None, :], thetas.copy(), res)
+    trace = RadialTrace(thetas, thetas.copy(), res)
     with pytest.raises(ValueError, match="tolerance"):
         fans_from_trace(trace)
 
