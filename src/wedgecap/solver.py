@@ -207,16 +207,22 @@ def _deriv_stencils(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node 3-point first-derivative stencils (indices, weights).
 
     Interior nodes get the nonuniform central stencil, the two ends get
-    one-sided ones; all are exact for quadratics.
+    one-sided ones; all are exact for quadratics.  Nodes too close for
+    finite weights (their spacings' product underflows) raise ValueError.
     """
     n = xs.size
     idx = _stencil_windows(n)
     a, b, c = xs[idx[:, 0]], xs[idx[:, 1]], xs[idx[:, 2]]
     p = xs
     w = np.empty((n, 3))
-    w[:, 0] = (2.0 * p - b - c) / ((a - b) * (a - c))
-    w[:, 1] = (2.0 * p - a - c) / ((b - a) * (b - c))
-    w[:, 2] = (2.0 * p - a - b) / ((c - a) * (c - b))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w[:, 0] = (2.0 * p - b - c) / ((a - b) * (a - c))
+        w[:, 1] = (2.0 * p - a - c) / ((b - a) * (b - c))
+        w[:, 2] = (2.0 * p - a - b) / ((c - a) * (c - b))
+    bad = ~np.all(np.isfinite(w), axis=1)
+    if np.any(bad):
+        near = float(xs[np.argmax(bad)])
+        raise ValueError(f"mesh nodes near {near!r} lie too close for finite derivative weights")
     return idx, w
 
 
@@ -492,9 +498,14 @@ def _newton_solve(
     at a Newton step that is not finite; ``line_search`` when 31 step
     lengths down to 2^-30 find no descent.  With the area ``weights`` the
     problem is pinned, and each step holds the weighted mean at 0 (see
-    _newton_step); _solve centres the start."""
+    _newton_step); _solve centres the start.  A start whose residual is not
+    finite raises ValueError before any step."""
     f = f0.copy()
     res = disc.residual(f)
+    if not np.all(np.isfinite(res)):
+        raise ValueError(
+            f"the residual at the start (max |f| = {float(np.max(np.abs(f)))!r}) is not finite"
+        )
     history = [float(np.max(np.abs(res)))]
     while True:
         norm = history[-1]

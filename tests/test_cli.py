@@ -485,6 +485,20 @@ def solve_config(tmp_path, **overrides):
     return write_json(tmp_path / "config.json", data)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"r_min": 1e-300, "m": 16, "n_theta": 16}, "too close for finite derivative weights"),
+    ({"initial": 1e308, "m": 16, "n_theta": 16}, "residual at the start"),
+])
+def test_solve_that_cannot_be_evaluated_exits_3(tmp_path, capsys, overrides, message):
+    """Not a non-convergence (exit 6): the mesh or the start is out of range,
+    and stderr holds only the one range-error line."""
+    cfg = solve_config(tmp_path, **overrides)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("wedgecap: range error:") and message in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_neutral_walls(tmp_path, capsys):
     cfg = solve_config(tmp_path)
     out = tmp_path / "out"

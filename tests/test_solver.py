@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -764,6 +765,26 @@ def test_solver_config_refuses_a_non_finite_start(initial):
     bad tolerance."""
     with pytest.raises(ValueError, match="starting height must be finite"):
         SolverConfig(initial=initial)
+
+
+def test_a_mesh_too_fine_for_finite_stencils_is_refused_without_warnings():
+    """At r_min = 1e-300 on 16 rows the products of neighbouring radial
+    spacings underflow to 0, so the derivative weights are infinite; the
+    solve is refused before any Newton work, where it ended as stop
+    ``non_finite`` after three divide-by-zero warnings."""
+    mesh = build_sector_mesh(GEO, 1e-300, 1.0, 16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too close for finite derivative weights"):
+            solve_capillary(mesh, 1.0, 2.0, *example2_walls())
+
+
+def test_a_start_with_a_non_finite_residual_is_refused():
+    """A finite start of 1e308 overflows the residual; it is refused rather
+    than reported as a Newton stop."""
+    mesh = build_sector_mesh(GEO, 0.05, 1.0, 16, 16)
+    with pytest.raises(ValueError, match=r"residual at the start \(max \|f\| = 1e\+308\)"):
+        solve_capillary(mesh, 1.0, 2.0, *example2_walls(), SolverConfig(initial=1e308))
 
 
 def test_fails_tag_warns():
