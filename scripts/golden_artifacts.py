@@ -243,6 +243,13 @@ def calls(inputs):
     out.append(("profile-not-utf8", ["profile", str(latin1)]))
     (inputs / "nested.json").write_text("[" * 100_000)
     out.append(("profile-nested-deep", ["profile", str(inputs / "nested.json")]))
+    # inputs out of range in floating point, refused before any work (exit 3):
+    # s_max / floor overflows, so the sweep has no finite step count, and
+    # radial spacings whose products underflow give infinite stencil weights
+    out.append(("profile-floor-tiny", ["profile", paths["irregular", "+"],
+                                       "--eps-floor", "1e-310"]))
+    out.append(("solve-r-min-tiny", ["solve", "--config", write_json(
+        inputs / "solve-r-min-tiny.json", {**configs["solve-16"], "r_min": 1e-300})]))
     # the closed-form router's edges: angles 0 and pi, and two equal angles
     out.append(("verify-extremes", ["verify-examples", "--gamma1", "0", "--gamma2", "3.14159"]))
     out.append(("verify-equal", ["verify-examples", "--gamma1", "1.5", "--gamma2", "1.5"]))

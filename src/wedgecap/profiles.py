@@ -279,6 +279,15 @@ def theorem1_applicability(geometry: WedgeGeometry, hyp: GammaBoundsHypothesis) 
     Reentrant corners (alpha > pi/2) need no angle condition.  Convex corners
     require pi - 2*alpha < lower_plus + lower_minus and
     upper_plus + upper_minus < pi + 2*alpha, both strictly.
+
+    The bounds are whatever ``hyp`` holds; from ``hypothesis_from_profiles``
+    they are the segment-wise extremes of gamma over the whole wall, not
+    bounds near the corner, so a wall that leaves the range only far from
+    the corner fails here.  Only these two sums are checked: nothing asks
+    that gamma stay away from 0 and pi, and the paper's extension to angles
+    that reach 0 or pi is not encoded.  Whether this matches the hypothesis
+    of Lancaster & Siegel (1996) or of the paper is unchecked here (ROADMAP
+    item 19).
     """
     if not geometry.convex:
         return NONCONVEX_OK
