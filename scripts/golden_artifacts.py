@@ -105,6 +105,10 @@ def calls(inputs):
                                    "--gamma1", "50", "--gamma2", "130"]))
     # high angle contrast: the example1 sweep line reads its error against the swing
     out.append(("verify-contrast", ["verify-examples", "--gamma1", "0.3", "--gamma2", "2.9"]))
+    # floors below example2's default depth: its wall is built deep enough
+    # that the sweep never reads the constant tail under the pattern
+    for floor in ("1e-12", "1e-300"):
+        out.append((f"verify-floor-{floor}", ["verify-examples", "--eps-floor", floor]))
 
     for case in ("I", "D", "ID", "DI"):
         for side in "+-":
@@ -250,6 +254,9 @@ def calls(inputs):
                                        "--eps-floor", "1e-310"]))
     out.append(("solve-r-min-tiny", ["solve", "--config", write_json(
         inputs / "solve-r-min-tiny.json", {**configs["solve-16"], "r_min": 1e-300})]))
+    # one radial cell is too coarse a mesh, whatever n_radii defaults to
+    out.append(("solve-m-1", ["solve", "--config", write_json(
+        inputs / "solve-m-1.json", {**configs["solve-16"], "m": 1})]))
     # the closed-form router's edges: angles 0 and pi, and two equal angles
     out.append(("verify-extremes", ["verify-examples", "--gamma1", "0", "--gamma2", "3.14159"]))
     out.append(("verify-equal", ["verify-examples", "--gamma1", "1.5", "--gamma2", "1.5"]))

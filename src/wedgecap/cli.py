@@ -188,7 +188,13 @@ def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, flo
     c1, c2 = math.cos(g1), math.cos(g2)
     want_ex2 = {b: (b * (c1 / 3.0 + 2.0 * c2 / 3.0), b * (2.0 * c1 / 3.0 + c2 / 3.0)) for b in bs}
 
-    prof1, prof2 = example1_profile(g1, g2), example2_profile(g1, g2)
+    # example2's pattern ends at 4^-depth, and the constant tail below it moves
+    # a sweep value at scale eps by up to (2/3) |c1 - c2| 4^-depth / eps, so
+    # the pattern reaches 1e-4 of the floor, or as deep as its breaks allow
+    depth = 24
+    while depth < 537 and math.ldexp(1.0, -2 * depth) > 1e-4 * eps_floor:
+        depth += 1
+    prof1, prof2 = example1_profile(g1, g2), example2_profile(g1, g2, depth)
 
     def exact_errors(prof, want):
         """Worst errors of the router's (lower, upper) values over bs."""
@@ -323,9 +329,9 @@ def cmd_solve(args) -> int:
 
     alpha, m, n_theta, n_radii = (cfg[key] for key in ("alpha", "m", "n_theta", "n_radii"))
     geometry = WedgeGeometry(alpha)
+    mesh = build_sector_mesh(geometry, cfg["r_min"], cfg["r_max"], m, n_theta)
     if not (2 <= n_radii <= m):
         raise ValueError(f"n_radii must lie in [2, m={m}], got {n_radii}")
-    mesh = build_sector_mesh(geometry, cfg["r_min"], cfg["r_max"], m, n_theta)
     plus, minus = cfg["plus"], cfg["minus"]
     # the Newton knobs the config leaves out are SolverConfig's
     newton = {key: cfg[key] for key in ("tol", "max_iter", "initial") if key in cfg}

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
@@ -68,8 +67,12 @@ class SectorMesh:
     def __post_init__(self) -> None:
         r = np.asarray(self.radii, dtype=float)
         t = np.asarray(self.thetas, dtype=float)
-        if r.ndim != 1 or r.size < 2 or t.ndim != 1 or t.size < 2:
-            raise ValueError("mesh needs at least 2 radii and 2 angles")
+        if r.ndim != 1 or t.ndim != 1:
+            raise ValueError("mesh radii and angles must be 1-d arrays")
+        # every consumer needs interior nodes: the 3-point stencils, the
+        # trace's two radii and the fan classification's three angles
+        if r.size < 3 or t.size < 3:
+            raise ValueError(f"need m, n_theta >= 2, got ({r.size - 1}, {t.size - 1})")
         if not (r[-1] > 0.0) or np.any(np.diff(r) >= 0.0):
             raise ValueError("radii must decrease strictly toward r_min > 0")
         ratios = r[1:] / r[:-1]
@@ -178,25 +181,20 @@ def bounds_estimate(field: SolutionField) -> tuple[float, float]:
 def torus_minor_radius(m2: float) -> float:
     """Minor radius of the comparison torus with major radius 2.
 
-    Evaluates 1/m2 + 1 - sqrt((1/m2)^2 + 1), which lies in (0, 1]; rational
-    inputs whose surd is exact are computed in exact arithmetic so values
-    like 2/3 come out as the nearest float of the true value.  A negative or
-    non-finite m2 is refused.
+    Evaluates x + 1 - sqrt(x^2 + 1) with x = 1/m2, which lies in (0, 1], in
+    a form without cancellation: the result is within 4e-16 relative of the
+    true value for m2 from 1e-300 to 1e300.  A negative or non-finite m2 is
+    refused.
     """
     if not (0.0 <= m2 < math.inf):
         raise ValueError(f"curvature bound must be nonnegative and finite, got {m2}")
     if m2 == 0.0 or 1.0 / m2 == math.inf:  # 1/m2 overflows: the radius rounds to 1
         return 1.0
-    x = 1 / Fraction(m2)
-    s2 = x * x + 1
-    ra, rb = math.isqrt(s2.numerator), math.isqrt(s2.denominator)
-    if ra * ra == s2.numerator and rb * rb == s2.denominator:
-        return float(x + 1 - Fraction(ra, rb))
-    xf = 1.0 / m2
+    x = 1.0 / m2
     # x + 1 - s with s = sqrt(x^2 + 1), written without a difference: no
     # cancellation at either end, and no overflow in s
-    s = math.hypot(xf, 1.0)
-    return xf * (1.0 + 1.0 / (s + xf)) / (1.0 + s)
+    s = math.hypot(x, 1.0)
+    return x * (1.0 + 1.0 / (s + x)) / (1.0 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +308,12 @@ class _FaceFamily:
 
 
 class _Discretization:
-    """Precomputed geometry factors and the residual map for one problem."""
+    """Precomputed geometry factors and the residual map for one problem.
+
+    ``applicability`` is the walls' corner-hypothesis tag
+    (``theorem1_applicability``), None for a manufactured case, whose
+    boundary data are not contact angles.
+    """
 
     def __init__(
         self,
@@ -320,8 +323,6 @@ class _Discretization:
         profile_minus: ContactProfile | None,
         case: ManufacturedCase | None = None,
     ):
-        if mesh.m < 2 or mesh.n_theta < 2:
-            raise ValueError(f"need m, n_theta >= 2, got ({mesh.m}, {mesh.n_theta})")
         self.mesh = mesh
         self.rhs_fn = rhs_fn
         r, t = mesh.radii, mesh.thetas
@@ -352,10 +353,14 @@ class _Discretization:
                 _wall_integrals(spans, profile_minus, mesh.r_max, "-"),
                 _wall_integrals(spans, profile_plus, mesh.r_max, "+"),
             )
+            self.applicability = theorem1_applicability(
+                mesh.geometry, hypothesis_from_profiles(profile_plus, profile_minus)
+            )
             arcs = (np.zeros(t.size),) * 2
             self.source = np.zeros(self.shape)
         else:
             walls = (_gauss2(case.wall_flux, b_in, b_out),) * 2
+            self.applicability = None
             # the flux along +r leaves through the outer arc and enters through the inner one
             arcs = (
                 _arc_integrals(mesh, case.arc_flux, mesh.r_max),
@@ -391,15 +396,15 @@ class _Discretization:
             ov[:-1] += q
             ov[0] += fam.ends[0]
             ov[-1] += fam.ends[1]
-        rhs = np.asarray(self.rhs_fn(self.r_col, self.t_row, f), dtype=f.dtype)
-        out -= rhs * self.area
+        out -= self.rhs_at(f) * self.area
         out -= self.source
         return out
 
     def rhs_at(self, f: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            self.rhs_fn(self.r_col, self.t_row, f), dtype=float
-        ) * np.ones(self.shape)
+        """The right-hand side at the nodal heights f, on every node, in f's
+        dtype: the one place ``rhs_fn`` is called."""
+        rhs = self.rhs_fn(self.r_col, self.t_row, f)
+        return np.broadcast_to(rhs, self.shape).astype(f.dtype)
 
     def jacobian(self, f: np.ndarray) -> NewtonMatrix:
         """The residual's Jacobian at f, linearised analytically and written
@@ -579,49 +584,35 @@ def _check_balance(disc: _Discretization):
     return mismatch
 
 
-def _applicability_note(mesh, profile_plus, profile_minus, diagnostics):
-    if profile_plus is None or profile_minus is None:
-        return
-    tag = theorem1_applicability(
-        mesh.geometry, hypothesis_from_profiles(profile_plus, profile_minus)
-    )
-    diagnostics["applicability"] = tag
-    if tag == FAILS:
-        warnings.warn(
-            "contact-angle data violate the corner hypothesis; radial limits "
-            "may not exist",
-            RuntimeWarning,
-            stacklevel=4,  # the caller of the public solver
-        )
-
-
 def _solve(
     problem: str,
-    mesh: SectorMesh,
-    rhs_fn,
-    profile_plus: ContactProfile | None,
-    profile_minus: ContactProfile | None,
+    disc: _Discretization,
     config: SolverConfig | None,
     *,
     start: float,
     pinned: bool,
-    case: ManufacturedCase | None = None,
 ) -> SolutionField:
-    """Newton solve of div(Tf) = rhs_fn(r, theta, f), shared by both solvers.
+    """Newton solve of the problem ``disc`` discretizes, div(Tf) =
+    disc.rhs_fn(r, theta, f), shared by every solver; each builds its own
+    ``disc``.
 
     ``start`` is the starting constant unless the config sets one.
     ``pinned`` says the problem is pure Neumann (its right-hand side does not
     depend on the height); each solver decides it by its own rule.  A pinned
     problem's boundary flux must balance its source, read at height 0, and
     its mean is held at 0: the start is shifted to area-weighted mean 0, and
-    so is each Newton step, so no start moves the solution's mean.
-    ``case``, when given, supplies the boundary fluxes and the extra source
-    of a manufactured run in place of the profiles.
+    so is each Newton step, so no start moves the solution's mean.  The
+    walls' corner-hypothesis tag is recorded, and a FAILS tag warns.
     """
     config = config or SolverConfig()
-    disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus, case)
-    diagnostics: dict = {"problem": problem}
-    _applicability_note(mesh, profile_plus, profile_minus, diagnostics)
+    diagnostics: dict = {"problem": problem, "applicability": disc.applicability}
+    if disc.applicability == FAILS:
+        warnings.warn(
+            "contact-angle data violate the corner hypothesis; radial limits "
+            "may not exist",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of the public solver
+        )
     if config.initial is not None:
         start = config.initial
     f0 = np.full(disc.shape, float(start))
@@ -633,7 +624,7 @@ def _solve(
         f0 -= weights @ f0.ravel()
     f, history, stop = _newton_solve(disc, f0, config, weights)
     return SolutionField(
-        mesh=mesh,
+        mesh=disc.mesh,
         values=f,
         rhs_values=disc.rhs_at(f),
         residual_history=history,
@@ -646,40 +637,38 @@ def solve_capillary(
     mesh: SectorMesh,
     kappa: float,
     lam: float,
-    profile_plus: ContactProfile | None,
-    profile_minus: ContactProfile | None,
+    profile_plus: ContactProfile,
+    profile_minus: ContactProfile,
     config: SolverConfig | None = None,
-    *,
-    case: ManufacturedCase | None = None,
 ) -> SolutionField:
     """Solve div(Tf) = kappa*f + lam with contact-flux walls.
 
     Wall fluxes are exact per-face integrals of the profiles' cos(gamma) and
-    the circular arcs are closed (no flux).  A manufactured ``case`` replaces
-    all of that: its wall and arc fluxes drive the boundary, the profiles are
-    ignored, and its solution-independent source g(r, theta) joins the
-    right-hand side.  kappa = 0 exactly makes the problem pinned.
+    the circular arcs are closed (no flux).  kappa = 0 exactly makes the
+    problem pinned.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return _solve(
-        "capillary",
+    disc = _Discretization(
         mesh,
         lambda r, t, z: kappa * z + lam,
         profile_plus,
         profile_minus,
+    )
+    return _solve(
+        "capillary",
+        disc,
         config,
         start=-lam / kappa if kappa > 0.0 else 0.0,
         pinned=kappa == 0.0,
-        case=case,
     )
 
 
 def solve_pmc(
     mesh: SectorMesh,
     curvature: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    profile_plus: ContactProfile | None,
-    profile_minus: ContactProfile | None,
+    profile_plus: ContactProfile,
+    profile_minus: ContactProfile,
     config: SolverConfig | None = None,
 ) -> SolutionField:
     """Solve div(Tf) = 2 * curvature(x, y, f); curvature weakly increasing in f.
@@ -698,9 +687,10 @@ def solve_pmc(
     def rhs_fn(r, t, z):
         return 2.0 * curvature(r * np.cos(t), r * np.sin(t), z)
 
+    disc = _Discretization(mesh, rhs_fn, profile_plus, profile_minus)
+
     def rhs_at(z):  # the right-hand side on the mesh at the constant height z
-        r, t = mesh.radii[:, None], mesh.thetas[None, :]
-        return rhs_fn(r, t, np.full((r.size, t.size), z))
+        return disc.rhs_at(np.full(disc.shape, z))
 
     probe = 1e-6
     flat = all(
@@ -709,10 +699,7 @@ def solve_pmc(
     )
     field = _solve(
         "pmc",
-        mesh,
-        rhs_fn,
-        profile_plus,
-        profile_minus,
+        disc,
         config,
         start=0.0,
         pinned=flat,
@@ -977,14 +964,21 @@ def manufactured_solve(
     """
     r_min, r_max = 0.1, 1.0
     mesh = build_sector_mesh(WedgeGeometry(case.alpha), r_min, r_max, m, n_theta)
-    field = solve_capillary(
+    # the case's wall and arc fluxes drive the boundary, and its source
+    # g(r, theta) joins the right-hand side kappa*f + lam
+    disc = _Discretization(
         mesh,
-        case.kappa,
-        case.lam,
+        lambda r, t, z: case.kappa * z + case.lam,
         None,
         None,
-        SolverConfig(initial=0.0),
-        case=case,
+        case,
+    )
+    field = _solve(
+        "capillary",
+        disc,
+        SolverConfig(),
+        start=0.0,
+        pinned=case.kappa == 0.0,
     )
     exact = case.exact(mesh.radii[:, None], mesh.thetas[None, :])
     err = float(np.max(np.abs(field.values - exact)))

@@ -299,6 +299,17 @@ def test_verify_examples_default_passes(tmp_path, capsys):
     assert (out / "verify.txt").read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("floor", ["1e-12", "1e-16", "1e-300"])
+def test_verify_examples_passes_at_deep_floors(tmp_path, capsys, floor):
+    """A deeper floor only sharpens the sweeps, so every line still passes.
+    example2's wall must reach below the floor: at its default depth 24
+    (innermost break 4^-24, about 3.6e-15) the sweep reads the constant
+    tail under the pattern and its line fails from a floor of 1e-12 down."""
+    assert run(["verify-examples", "--out", tmp_path, "--eps-floor", floor]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_examples_degraded_sweep_fails(tmp_path, capsys):
     # a shallow eps floor starves the dyadic sweep of the scales where the
     # averages swing, so that line must FAIL while exact identities PASS
@@ -589,10 +600,11 @@ def test_solve_config_validation(tmp_path, capsys):
     sideflip_path = solve_config(tmp_path, plus="wm.json")
     assert run(["solve", "--config", sideflip_path]) == 2
 
-    tiny = solve_config(tmp_path, m=1)
-    assert run(["solve", "--config", tiny]) == 3  # mesh too coarse
-    narrow = solve_config(tmp_path, n_theta=1)
+    tiny = solve_config(tmp_path, m=1)  # its default n_radii is min(8, m) = 1
     capsys.readouterr()
+    assert run(["solve", "--config", tiny]) == 3  # mesh too coarse
+    assert capsys.readouterr().err == "wedgecap: range error: need m, n_theta >= 2, got (1, 24)\n"
+    narrow = solve_config(tmp_path, n_theta=1)
     assert run(["solve", "--config", narrow]) == 3
     assert capsys.readouterr().err == "wedgecap: range error: need m, n_theta >= 2, got (24, 1)\n"
 

@@ -401,7 +401,7 @@ def test_write_csv_creates_parent_dirs(tmp_path):
     assert p.read_text() == "a\n1.0\n"
 
 
-def _tiny_field(m=1, n_theta=1, values=((0.0, 1.0), (2.0, 3.0))):
+def _tiny_field(m=2, n_theta=2, values=((0.0, 1.0, 2.0), (3.0, 4.0, 5.0), (6.0, 7.0, 8.0))):
     mesh = build_sector_mesh(WedgeGeometry(1.0), 0.5, 1.0, m, n_theta)
     values = np.array(values)
     return SolutionField(
@@ -419,9 +419,14 @@ def test_write_solution_csv_row_order(tmp_path):
     assert p.read_text() == (
         "r,theta,f\n"
         "1.0,-1.0,0.0\n"
-        "1.0,1.0,1.0\n"
-        "0.5,-1.0,2.0\n"
-        "0.5,1.0,3.0\n"
+        "1.0,0.0,1.0\n"
+        "1.0,1.0,2.0\n"
+        "0.7071067811865476,-1.0,3.0\n"
+        "0.7071067811865476,0.0,4.0\n"
+        "0.7071067811865476,1.0,5.0\n"
+        "0.5,-1.0,6.0\n"
+        "0.5,0.0,7.0\n"
+        "0.5,1.0,8.0\n"
     )
 
 

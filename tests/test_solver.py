@@ -787,13 +787,19 @@ def test_a_start_with_a_non_finite_residual_is_refused():
         solve_capillary(mesh, 1.0, 2.0, *example2_walls(), SolverConfig(initial=1e308))
 
 
-def test_fails_tag_warns():
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda mesh, walls, cfg: solve_capillary(mesh, 1.0, 0.0, *walls, cfg),
+        lambda mesh, walls, cfg: solve_pmc(mesh, lambda x, y, t: 0.5 * np.tanh(t), *walls, cfg),
+    ],
+    ids=["capillary", "pmc"],
+)
+def test_fails_tag_warns(solve):
     mesh = build_sector_mesh(WedgeGeometry(math.pi / 4), 0.1, 1.0, 6, 6)
-    wet_p, wet_m = constant_profile("+", 0.0), constant_profile("-", 0.0)
+    wet = constant_profile("+", 0.0), constant_profile("-", 0.0)
     with pytest.warns(RuntimeWarning, match="corner hypothesis") as record:
-        field = solve_capillary(
-            mesh, 1.0, 0.0, wet_p, wet_m, SolverConfig(max_iter=2)
-        )
+        field = solve(mesh, wet, SolverConfig(max_iter=2))
     assert field.diagnostics["applicability"] == FAILS
     # attributed to the caller of the public solver
     assert {w.filename for w in record} == {__file__}
