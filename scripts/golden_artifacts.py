@@ -252,6 +252,17 @@ def calls(inputs):
     # radial spacings whose products underflow give infinite stencil weights
     out.append(("profile-floor-tiny", ["profile", paths["irregular", "+"],
                                        "--eps-floor", "1e-310"]))
+    # the floor's range rule, (0, s_max), holds on every route (exit 3), but a
+    # closed-form wall builds no sweep, so a floor too deep for one runs
+    # (exit 0); verify's widest sweep starts at 4.0, so its floor's finite
+    # step edge is about 2.2e-308 (exit 3)
+    out.append(("bounds-constant-floor-at-s-max", ["bounds", "--plus", paths["constant", "+"],
+                                                   "--minus", paths["constant", "-"],
+                                                   "--eps-floor", "1.0"]))
+    out.append(("blowup-constant-floor-tiny", ["blowup", "--case", "I", "--beta", "1.1",
+                                               "--profile", paths["constant", "+"],
+                                               "--eps-floor", "1e-310"]))
+    out.append(("verify-floor-1e-308", ["verify-examples", "--eps-floor", "1e-308"]))
     out.append(("solve-r-min-tiny", ["solve", "--config", write_json(
         inputs / "solve-r-min-tiny.json", {**configs["solve-16"], "r_min": 1e-300})]))
     # one radial cell is too coarse a mesh, whatever n_radii defaults to

@@ -27,7 +27,7 @@ from .bounds import (
     default_lambda_grid,
 )
 from .functionals import check_adhesion_bound
-from .profiles import SIDES
+from .profiles import SIDES, WedgeGeometry
 
 _COLLINEAR_TOL = 1e-14
 
@@ -50,8 +50,7 @@ class TriangleComparison:
     def __post_init__(self) -> None:
         if self.side not in SIDES:
             raise ValueError(f"side must be '+' or '-', got {self.side!r}")
-        if not (0.0 < self.alpha <= math.pi):
-            raise ValueError(f"half-angle must lie in (0, pi], got {self.alpha}")
+        WedgeGeometry(self.alpha)  # the one home of the half-opening rule
         if not (-self.alpha <= self.theta0 <= self.alpha):
             raise ValueError(
                 f"ray angle {self.theta0} outside [-alpha, alpha] for alpha={self.alpha}"

@@ -26,6 +26,7 @@ from .functionals import (
     SweepConfig,
     _exact_estimates,
     check_adhesion_bound,
+    check_floor,
     sweep_table,
 )
 from .profiles import ContactProfile, check_angle
@@ -429,8 +430,10 @@ def adhesion_from_profile(
     running envelopes answers every b by bisection.
     The grid serves every window from sin(LAMBDA_MARGIN) up; a window whose
     sweep would read below it raises ValueError.  Both kinds of one wall
-    share the table.
+    share the table.  A floor outside (0, s_max) raises ValueError on every
+    route.
     """
+    check_floor(eps_lo, profile.s_max)
     exact = _exact_estimates(profile, 1.0)
     if exact is None:
         table = _sweep_table(profile, eps_lo)

@@ -87,11 +87,6 @@ def _check_out(out: str) -> None:
             raise _Usage(f"--out {out} lies under {p}, which is not a directory")
 
 
-def _check_eps_floor(eps_floor: float, s_max: float) -> None:
-    if not (0.0 < eps_floor < s_max):
-        raise ValueError(f"--eps-floor must lie in (0, s_max={s_max}), got {eps_floor}")
-
-
 # ---------------------------------------------------------------------------
 # profile
 
@@ -100,7 +95,6 @@ def cmd_profile(args) -> int:
     from . import io as wio
 
     profile = wio.load_profile(args.file)
-    _check_eps_floor(args.eps_floor, profile.s_max)
     from .functionals import SweepConfig, best_estimates, sweep_table
 
     out = Path(args.out)
@@ -149,7 +143,6 @@ def cmd_bounds(args) -> int:
     from . import io as wio
 
     profiles = dict(zip("+-", wio.load_walls(args.plus, args.minus)))
-    _check_eps_floor(args.eps_floor, min(p.s_max for p in profiles.values()))
     from .bounds import BETA_STEP, FanCase, fan_bound_rows
 
     beta_step = _angle(args.beta_step, args.degrees, BETA_STEP)
@@ -233,7 +226,11 @@ def cmd_verify_examples(args) -> int:
     for name, g in (("gamma1", g1), ("gamma2", g2)):
         if not (0.0 <= g <= math.pi):
             raise ValueError(f"--{name} must lie in [0, pi], got {g}")
-    _check_eps_floor(args.eps_floor, 1.0)  # the example profiles' s_max
+    from .functionals import check_floor
+
+    # the example walls' length: the sweeps alone, up to 1/b, would take
+    # floors above it
+    check_floor(args.eps_floor, 1.0)
 
     report = []
     all_pass = True
@@ -427,7 +424,6 @@ def cmd_blowup(args) -> int:
     if args.gamma0 is None:
         profile = wio.load_profile(args.profile, args.side)
         eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
-        _check_eps_floor(eps_floor, profile.s_max)
     from .blowup import contradiction_witness, limit_difference_table
     from .bounds import (
         LAMBDA_POINTS,

@@ -33,6 +33,12 @@ _VALUE_SLACK = 1e-9
 _STEP_SLACK = 1e-9
 
 
+def check_floor(eps_lo: float, eps_hi: float) -> None:
+    """Refuse a sweep floor outside (0, eps_hi), NaN included."""
+    if not (0.0 < eps_lo < eps_hi):
+        raise ValueError(f"sweep floor {eps_lo!r} must lie in (0, {eps_hi!r})")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Geometric scale grid running from ``eps_hi`` down to ``eps_lo``.
@@ -47,8 +53,7 @@ class SweepConfig:
     points_per_decade: int = POINTS_PER_DECADE
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps_lo < self.eps_hi):
-            raise ValueError("need 0 < eps_lo < eps_hi")
+        check_floor(self.eps_lo, self.eps_hi)
         if self.points_per_decade < 8:
             raise ValueError("points_per_decade must be at least 8")
         if not math.isfinite(self.points_per_decade * math.log10(self.eps_hi / self.eps_lo)):

@@ -1,9 +1,10 @@
 """File formats: profile and solve-config JSON, deterministic CSV emitters,
 run manifests.
 
-Numbers are written with repr (shortest round-trip form), files end with a
-single newline, and nothing time- or environment-dependent is emitted, so a
-given input always produces byte-identical artifacts.
+Numbers are written as str writes them (a float, numpy's included, in its
+shortest round-trip form), files end with a single newline, and nothing
+time- or environment-dependent is emitted, so a given input always produces
+byte-identical artifacts.
 
 Importing this module loads no numpy: the JSON reader and its checks run on
 the standard library, a profile's builders are imported once its JSON (and,
@@ -264,19 +265,6 @@ def profile_summary(profile: ContactProfile) -> dict:
 # CSV / manifest emitters
 
 
-def fmt(x) -> str:
-    """Deterministic scalar formatting: repr for floats, str otherwise."""
-    import numpy as np
-
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 #: lines written to a file per write: bounds the text held at once
 _CHUNK_LINES = 4096
 
@@ -294,8 +282,8 @@ def _write_lines(path, lines) -> Path:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """Comma-joined fmt values; no field wedgecap writes needs CSV quoting."""
-    lines = (",".join(map(fmt, row)) for row in rows)
+    """Comma-joined str values; no field wedgecap writes needs CSV quoting."""
+    lines = (",".join(map(str, row)) for row in rows)
     return _write_lines(path, itertools.chain([",".join(header)], lines))
 
 
@@ -372,14 +360,14 @@ def _render(value, indent: int, lines: list[str]) -> None:
     elif isinstance(value, (list, tuple)):
         items = [("-", item) for item in value]
     else:
-        lines.append(f"{pad}{fmt(value)}")
+        lines.append(f"{pad}{value}")
         return
     for label, item in items:
         if isinstance(item, (dict, list, tuple)):
             lines.append(f"{pad}{label}")
             _render(item, indent + 1, lines)
         else:
-            lines.append(f"{pad}{label} {fmt(item)}")
+            lines.append(f"{pad}{label} {item}")
 
 
 def write_manifest(path, sections: dict) -> Path:

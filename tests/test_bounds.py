@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -658,6 +659,45 @@ def test_sweep_table_is_the_window_one_sweep(wall, eps_lo):
         assert np.isfinite(A(np.array([above, 1.0]))).all()
         with pytest.raises(ValueError, match="below the sweep table"):
             A(np.array([at, 1.0]))
+
+
+#: one wall per route: the three closed forms and the sweep table
+FLOOR_WALLS = {
+    "constant": constant_profile("+", 0.9, s_max=2.0),
+    "example1": example1_profile(0.4, 2.2),
+    "example2": example2_profile(0.4, 2.2),
+    "irregular": IRREGULAR,
+}
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, "s_max", 99.0, math.nan])
+@pytest.mark.parametrize("name", list(FLOOR_WALLS))
+def test_adhesion_from_profile_refuses_a_floor_off_the_wall(name, floor):
+    """Every route refuses a floor outside (0, s_max), NaN included, though a
+    closed form reads no floor and a sweep table would take one at or above
+    s_max."""
+    wall = FLOOR_WALLS[name]
+    eps_lo = wall.s_max if floor == "s_max" else floor
+    message = re.escape(f"sweep floor {eps_lo!r} must lie in (0, {wall.s_max!r})")
+    for kind in "IS":
+        with pytest.raises(ValueError, match=message):
+            adhesion_from_profile(wall, kind, eps_lo=eps_lo)
+
+
+def test_fan_bound_rows_refuses_a_floor_off_the_walls():
+    walls = {"+": IRREGULAR, "-": make_piecewise("-", [0.3, 0.65, 1.0], [2.5, 0.6, 1.4])}
+    with pytest.raises(ValueError, match=re.escape("sweep floor 5.0 must lie in (0, 1.0)")):
+        fan_bound_rows(walls, list(FanCase), eps_lo=5.0)
+
+
+def test_closed_form_wall_takes_a_floor_too_deep_for_a_sweep():
+    """1e-310 lies in (0, s_max), and a closed-form wall builds no sweep, so
+    the finite-step rule, which a sweep at that floor breaks, never runs."""
+    with pytest.raises(ValueError, match="too far below"):
+        SweepConfig(1.0, 1e-310)
+    A = adhesion_from_profile(constant_profile("+", 0.9), "I", eps_lo=1e-310)
+    assert A.method == "constant_angle"
+    assert A(0.5) == 0.5 * math.cos(0.9)
 
 
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():

@@ -286,6 +286,15 @@ def test_eps_floor_too_small_for_a_finite_sweep_exits_3(tmp_path, capsys, comman
     assert line.startswith(f"wedgecap: range error: sweep floor {eps_floor} ")
 
 
+def test_verify_examples_floor_too_small_for_its_widest_sweep_exits_3(tmp_path, capsys):
+    """verify's widest sweep, at window 0.25, starts at s_max / 0.25 = 4.0, so
+    it has a finite step count only down to about 4.0 / 1.8e308 = 2.2e-308.
+    1e-308 lies in (0, s_max) but below that edge (profile runs at it)."""
+    assert run(["verify-examples", "--eps-floor", "1e-308", "--out", tmp_path / "out"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("wedgecap: range error: sweep floor 1e-308 ")
+
+
 # ---------------------------------------------------------------------------
 # verify-examples command
 

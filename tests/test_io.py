@@ -17,7 +17,6 @@ import pytest
 from wedgecap.io import (
     _CHUNK_LINES,
     fan_summary,
-    fmt,
     load_profile,
     profile_from_dict,
     profile_summary,
@@ -247,19 +246,43 @@ def test_profile_summary_contents():
 # scalar formatting and CSV emitters
 
 
-def test_fmt_scalars():
-    assert fmt(0.1) == "0.1"
-    assert fmt(0.1 + 0.2) == "0.30000000000000004"  # shortest round-trip repr
-    assert fmt(np.float64(1.0) / 3.0) == "0.3333333333333333"
-    assert fmt(True) == "True" and fmt(np.bool_(False)) == "False"
-    assert fmt(7) == "7" and fmt(np.int64(-4)) == "-4"
-    assert fmt("theorem2_scan") == "theorem2_scan"
+#: scalars of every kind the writers are given, and how str prints each:
+#: floats (numpy's too) in their shortest round-trip form
+SCALARS = [
+    (0.1 + 0.2, "0.30000000000000004"),
+    (np.float64(1.0) / 3.0, "0.3333333333333333"),
+    (True, "True"),
+    (np.bool_(False), "False"),
+    (7, "7"),
+    (np.int64(-4), "-4"),
+    ("theorem2_scan", "theorem2_scan"),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+]
 
 
-def test_fmt_round_trips_floats():
+def test_writers_print_scalars_as_str(tmp_path):
+    values, texts = zip(*SCALARS)
+    assert [str(x) for x in values] == list(texts)
+    header = [f"c{k:02d}" for k in range(len(values))]  # in the manifest's sorted order
+    lines = write_csv(tmp_path / "row.csv", header, [values]).read_text().splitlines()
+    assert lines == [",".join(header), ",".join(texts)]
+    lines = write_manifest(tmp_path / "manifest.txt", {
+        "list": list(values), **dict(zip(header, values)),
+    }).read_text().splitlines()
+    assert lines == [*(f"{h}: {t}" for h, t in zip(header, texts)), "list:",
+                     *(f"  - {t}" for t in texts)]
+
+
+def test_write_csv_round_trips_floats(tmp_path):
     rng = np.random.default_rng(5)
-    for x in rng.uniform(-1e6, 1e6, size=200):
-        assert float(fmt(float(x))) == x
+    xs = rng.uniform(-1e6, 1e6, size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+    rows = [(x, float(x)) for x in xs]  # numpy's float64 and Python's float
+    lines = write_csv(tmp_path / "floats.csv", ["np", "py"], rows).read_text().splitlines()
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
 def test_write_sweep_csv_golden(tmp_path):
@@ -305,13 +328,15 @@ def _csv_module_bytes(header, rows) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([fmt(x) for x in row] for row in rows)
+    # the csv module writes a float (numpy's float64 too) by repr, which
+    # numpy 2 spells np.float64(...), so each value is given as its str
+    writer.writerows(map(str, row) for row in rows)
     return buf.getvalue().encode()
 
 
 def test_float_writers_match_write_csv_bytes(tmp_path):
     """write_csv and the column path of the all-float writers write what the
-    csv module writes for the same fmt values."""
+    csv module writes for the same str values."""
     col = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-308, 1.0 / 3.0])
     other = col[::-1].copy()
     expect = _csv_module_bytes(["eps", "averaged_cos"], zip(col, other))
