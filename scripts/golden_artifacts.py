@@ -263,6 +263,12 @@ def calls(inputs):
                                                "--profile", paths["constant", "+"],
                                                "--eps-floor", "1e-310"]))
     out.append(("verify-floor-1e-308", ["verify-examples", "--eps-floor", "1e-308"]))
+    # the range rule is the wall's, not the sweep's: 1.2 lies above the example
+    # walls (s_max 1) but below verify's widest sweep top, 4.0, and profile's
+    # sweep, which starts at s_max, refuses a floor there (both exit 3)
+    out.append(("verify-floor-1.2", ["verify-examples", "--eps-floor", "1.2"]))
+    out.append(("profile-floor-at-s-max", ["profile", paths["irregular", "+"],
+                                           "--eps-floor", "1.0"]))
     out.append(("solve-r-min-tiny", ["solve", "--config", write_json(
         inputs / "solve-r-min-tiny.json", {**configs["solve-16"], "r_min": 1e-300})]))
     # one radial cell is too coarse a mesh, whatever n_radii defaults to

@@ -26,7 +26,6 @@ from .functionals import (
     SweepConfig,
     _exact_estimates,
     check_adhesion_bound,
-    check_floor,
     sweep_table,
 )
 from .profiles import ContactProfile, check_angle
@@ -115,7 +114,8 @@ class _SweepTable:
         # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
         # smallest, at this floor and at the default one
         try:
-            sweep = SweepConfig(profile.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
+            floor = min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN)
+            sweep = SweepConfig.for_profile(profile, 1.0, floor)
         except ValueError as exc:
             raise ValueError(f"sweep floor {eps_lo!r} leaves no table for the scan: {exc}") from None
         # at b = 1 the sweep's grid is x and its values are F(x)/x
@@ -433,8 +433,7 @@ def adhesion_from_profile(
     share the table.  A floor outside (0, s_max) raises ValueError on every
     route.
     """
-    check_floor(eps_lo, profile.s_max)
-    exact = _exact_estimates(profile, 1.0)
+    exact = _exact_estimates(profile, 1.0, eps_lo)
     if exact is None:
         table = _sweep_table(profile, eps_lo)
         env = table.upper if kind == KIND_UPPER else table.lower

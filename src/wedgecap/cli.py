@@ -98,10 +98,8 @@ def cmd_profile(args) -> int:
     from .functionals import SweepConfig, best_estimates, sweep_table
 
     out = Path(args.out)
-    cfg = SweepConfig(
-        eps_hi=profile.s_max,
-        eps_lo=args.eps_floor,
-        points_per_decade=args.points_per_decade,
+    cfg = SweepConfig.for_profile(
+        profile, 1.0, args.eps_floor, points_per_decade=args.points_per_decade
     )
     eps, avgs = sweep_table(profile, 1.0, cfg)
     sweep_path = wio.write_sweep_csv(out / "sweep.csv", eps, avgs)
@@ -226,11 +224,6 @@ def cmd_verify_examples(args) -> int:
     for name, g in (("gamma1", g1), ("gamma2", g2)):
         if not (0.0 <= g <= math.pi):
             raise ValueError(f"--{name} must lie in [0, pi], got {g}")
-    from .functionals import check_floor
-
-    # the example walls' length: the sweeps alone, up to 1/b, would take
-    # floors above it
-    check_floor(args.eps_floor, 1.0)
 
     report = []
     all_pass = True

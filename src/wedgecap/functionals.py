@@ -63,10 +63,14 @@ class SweepConfig:
             )
 
     @classmethod
-    def for_profile(cls, profile: ContactProfile, b: float, **kw) -> "SweepConfig":
-        """Default sweep: start where the window fills the wall, descend to EPS_FLOOR."""
+    def for_profile(
+        cls, profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR, **kw
+    ) -> "SweepConfig":
+        """A wall's sweep at window ``b``: from where the window fills the wall
+        down to ``eps_lo``, a floor that must lie on the wall, in (0, s_max)."""
         check_window(b)
-        return cls(eps_hi=profile.s_max / b, **kw)
+        check_floor(eps_lo, profile.s_max)
+        return cls(eps_hi=profile.s_max / b, eps_lo=eps_lo, **kw)
 
     def grid(self) -> np.ndarray:
         p = self.points_per_decade
@@ -244,15 +248,17 @@ def exact_A_example1(
 
 
 def _exact_estimates(
-    profile: ContactProfile, b: float
+    profile: ContactProfile, b: float, eps_lo: float
 ) -> tuple[AdhesionEstimate, AdhesionEstimate] | None:
     """Closed-form (lower, upper) values at ``b``, or None if only a sweep applies.
 
     The one place that routes a wall: example1 walls by their two angles,
     single-segment walls by cos(gamma), and walls self-similar at
-    LOG_PERIODIC_RATIO by the log-periodic closed form.
+    LOG_PERIODIC_RATIO by the log-periodic closed form.  A closed form reads
+    no floor, but the floor ``eps_lo`` must lie on the wall on every route.
     """
     check_window(b)  # before the log-periodic route, whose ValueError means "no closed form"
+    check_floor(eps_lo, profile.s_max)
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
         return exact_A_example1(g1, g2, b)
@@ -278,9 +284,9 @@ def best_estimates(
 
     Profiles with recognized structure (see ``_exact_estimates``) get exact
     values; everything else falls back to a sweep between ``eps_lo`` and the
-    wall.
+    wall.  A floor outside (0, s_max) raises ValueError on every route.
     """
-    exact = _exact_estimates(profile, b)
+    exact = _exact_estimates(profile, b, eps_lo)
     if exact is not None:
         return exact
     return _envelopes(profile, b, eps_lo=eps_lo, points_per_decade=points_per_decade)

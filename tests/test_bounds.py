@@ -674,14 +674,17 @@ FLOOR_WALLS = {
 @pytest.mark.parametrize("name", list(FLOOR_WALLS))
 def test_adhesion_from_profile_refuses_a_floor_off_the_wall(name, floor):
     """Every route refuses a floor outside (0, s_max), NaN included, though a
-    closed form reads no floor and a sweep table would take one at or above
-    s_max."""
+    closed form reads no floor, a sweep table would take one at or above
+    s_max, and a window-b sweep starts at s_max / b.  ``best_estimates`` keeps
+    the same rule as ``adhesion_from_profile``."""
     wall = FLOOR_WALLS[name]
     eps_lo = wall.s_max if floor == "s_max" else floor
     message = re.escape(f"sweep floor {eps_lo!r} must lie in (0, {wall.s_max!r})")
-    for kind in "IS":
+    callees = [lambda k=kind: adhesion_from_profile(wall, k, eps_lo=eps_lo) for kind in "IS"]
+    callees += [lambda b=b: best_estimates(wall, b, eps_lo=eps_lo) for b in (0.5, 1.0)]
+    for call in callees:
         with pytest.raises(ValueError, match=message):
-            adhesion_from_profile(wall, kind, eps_lo=eps_lo)
+            call()
 
 
 def test_fan_bound_rows_refuses_a_floor_off_the_walls():
