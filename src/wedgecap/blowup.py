@@ -5,29 +5,33 @@ for the rescaled limit are built by cutting a triangle O-B-C out of the
 half-plane bounded by a transversal ray.  The energy gain of that cut is a
 finite closed form in the triangle data and one adhesion value, and a fan
 width claimed below the admissible minimum yields a transversal direction
-with strictly positive gain -- the contradiction witness.
+with strictly positive gain -- the contradiction witness.  The fan-edge
+limits run on Python floats without numpy, or on numpy arrays (see
+``bounds._on_grid``); the triangles build numpy vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .base import SIDES, check_adhesion_bound
 from .bounds import (
     FEASIBLE_TOL,
     INCREASING,
     AdhesionFunction,
     FanCase,
+    _on_grid,
     _worst_lambda,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
     default_lambda_grid,
 )
-from .functionals import check_adhesion_bound
-from .profiles import SIDES, WedgeGeometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COLLINEAR_TOL = 1e-14
 
@@ -50,6 +54,8 @@ class TriangleComparison:
     def __post_init__(self) -> None:
         if self.side not in SIDES:
             raise ValueError(f"side must be '+' or '-', got {self.side!r}")
+        from .profiles import WedgeGeometry
+
         WedgeGeometry(self.alpha)  # the one home of the half-opening rule
         if not (-self.alpha <= self.theta0 <= self.alpha):
             raise ValueError(
@@ -64,11 +70,15 @@ class TriangleComparison:
 
     @property
     def vertex_b(self) -> np.ndarray:
+        import numpy as np
+
         a = self.wall_angle
         return self.b * np.array([math.cos(a), math.sin(a)])
 
     @property
     def vertex_c(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([math.cos(self.theta0), math.sin(self.theta0)])
 
     @property
@@ -99,6 +109,8 @@ def triangle_omega(cmp: TriangleComparison) -> float:
     energy formulas consume, and as B slides to the wall-fan edge omega tends
     to the inclination the admissibility conditions quantify over.
     """
+    import numpy as np
+
     _require_nondegenerate(cmp)
     vb = cmp.vertex_b
     u = -vb
@@ -173,7 +185,7 @@ def contradiction_witness(
     case: FanCase,
     side: str,
     beta_claim: float,
-    lambda_grid: np.ndarray | None = None,
+    lambda_grid=None,
 ) -> tuple[float, float] | None:
     """Transversal direction with positive limiting gain, if one exists.
 
@@ -194,11 +206,13 @@ def limit_difference_table(
     case: FanCase,
     side: str,
     beta: float,
-    lambda_grid: np.ndarray | None = None,
-) -> np.ndarray:
-    """(lambda, limiting gain) rows for one wall, ready for CSV output."""
+    lambda_grid=None,
+) -> list[tuple[float, float]]:
+    """(lambda, limiting gain) rows of Python floats for one wall, ready for
+    CSV output; the gains are evaluated as ``bounds._on_grid`` does."""
     fn = _limit_fn_for(case, side)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(beta)
-    grid = np.asarray(lambda_grid, dtype=float)
-    return np.column_stack([grid, np.asarray(fn(A, beta, grid), dtype=float)])
+    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
+    gains = _on_grid(lambda lam: fn(A, beta, lam), grid)
+    if hasattr(grid, "tolist"):
+        grid, gains = grid.tolist(), gains.tolist()
+    return list(zip(grid, gains))

@@ -15,20 +15,15 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from .base import EPS_FLOOR, KIND_LOWER, KIND_UPPER, check_adhesion_bound, check_angle, holds
+from .base import SIDES  # noqa: F401  (re-exported)
 
-from .functionals import (
-    EPS_FLOOR,
-    KIND_LOWER,
-    KIND_UPPER,
-    SweepConfig,
-    _exact_estimates,
-    check_adhesion_bound,
-    sweep_table,
-)
-from .profiles import ContactProfile, check_angle
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .profiles import ContactProfile
 
 #: a refined condition minimum at or above this counts as "holds"
 FEASIBLE_TOL = -1e-12
@@ -74,11 +69,12 @@ class AdhesionFunction:
     the hard bound |A(b)| <= b after a sanity check.  The ``linear`` and
     sweep-table evaluators (see ``adhesion_from_profile``) lie within that
     bound by construction (checked once when they are built), so their
-    values skip both.
+    values skip both, and they take a Python float or a numpy array as it
+    is: the linear one answers a float with a float, without numpy.
     """
 
     kind: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable
     method: str = "custom"
     _bounded: bool = field(default=False, repr=False)
 
@@ -87,11 +83,14 @@ class AdhesionFunction:
             raise ValueError(f"kind must be 'I' or 'S', got {self.kind!r}")
 
     def __call__(self, b):
+        if self._bounded:
+            return self.fn(b)
+        import numpy as np
+
         b_arr = np.asarray(b, dtype=float)
         out = np.asarray(self.fn(b_arr), dtype=float)
-        if not self._bounded:
-            check_adhesion_bound(out, b_arr)
-            out = np.clip(out, -b_arr, b_arr)
+        check_adhesion_bound(out, b_arr)
+        out = np.clip(out, -b_arr, b_arr)
         return float(out) if np.isscalar(b) or out.ndim == 0 else out
 
     @classmethod
@@ -111,6 +110,10 @@ class _SweepTable:
     ``adhesion_from_profile``)."""
 
     def __init__(self, profile: ContactProfile, eps_lo: float):
+        import numpy as np
+
+        from .functionals import SweepConfig, sweep_table
+
         # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
         # smallest, at this floor and at the default one
         try:
@@ -131,10 +134,13 @@ class _SweepTable:
         self.eps_lo = eps_lo
         self._last = (None, None)
 
-    def cut(self, b: np.ndarray) -> np.ndarray:
-        """Envelope index of each window b.  The search of a read-only b that
-        owns its data, as the fan scan's blocks are, is kept, so the wall's
-        two kinds search each block once."""
+    def cut(self, b) -> np.ndarray:
+        """Envelope index of each window b (a float or an array).  The search
+        of a read-only b that owns its data, as the fan scan's blocks are, is
+        kept, so the wall's two kinds search each block once."""
+        import numpy as np
+
+        b = np.asarray(b, dtype=float)
         key, cut = self._last
         if b is not key:
             smallest = float(np.min(b, initial=np.inf))
@@ -167,28 +173,55 @@ class FanBoundResult:
         check_fan_width(self.beta_min)
 
 
+# The pointwise layer below (the conditions, the lambda grid and the search
+# for the worst lambda) is written once for both backends: a single value (a
+# Python float, or a numpy scalar) runs on ``math`` and Python, so a float
+# never loads numpy; a numpy array runs on numpy.  Only these helpers pick.
+
+
+def _sin(x):
+    if not getattr(x, "ndim", 0):
+        return math.sin(x)
+    import numpy as np
+
+    return np.sin(x)
+
+
+def _where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``; elementwise for an array ``cond``."""
+    if not getattr(cond, "ndim", 0):
+        return a if cond else b
+    import numpy as np
+
+    return np.where(cond, a, b)
+
+
+def _on_grid(f, grid):
+    """``f`` over ``grid``: one call on a numpy array, one per point on a
+    sequence of Python floats."""
+    return f(grid) if hasattr(grid, "ndim") else [f(x) for x in grid]
+
+
 def check_fan_width(beta) -> None:
     """Refuse a fan width, or an array of them, outside [0, pi) (NaN included)."""
-    if not np.all((beta >= 0.0) & (beta < math.pi)):
+    if not holds((beta >= 0.0) & (beta < math.pi)):
         raise ValueError(f"fan width must lie in [0, pi), got {beta}")
 
 
 def _check_angles(beta, lam) -> None:
     check_fan_width(beta)
-    if not np.all((beta < lam) & (lam < math.pi)):  # NaN fails too
+    if not holds((beta < lam) & (lam < math.pi)):  # NaN fails too
         raise ValueError("need 0 <= beta < lambda < pi")
 
 
 def _ratios(beta, lam):
     """(b, s) = (sin(lambda-beta), sin(beta)) / sin(lambda)."""
-    sl = np.sin(lam)
-    return np.sin(lam - beta) / sl, np.sin(beta) / sl
+    sl = _sin(lam)
+    return _sin(lam - beta) / sl, _sin(beta) / sl
 
 
 def _geometry(beta, lam):
     """``_ratios`` with the angles checked."""
-    beta = np.asarray(beta, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     _check_angles(beta, lam)
     return _ratios(beta, lam)
 
@@ -200,8 +233,7 @@ def _condition(A, kind, b, s):
     want = required_functional_kind(kind)
     if A.kind != want:
         raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
-    out = A(b) + s - 1.0 if kind == INCREASING else s - 1.0 - A(b)
-    return float(out) if out.ndim == 0 else out
+    return A(b) + s - 1.0 if kind == INCREASING else s - 1.0 - A(b)
 
 
 def condition_increasing(A: AdhesionFunction, beta, lam):
@@ -222,74 +254,85 @@ def condition_decreasing(A: AdhesionFunction, beta, lam):
     return _condition(A, DECREASING, *_geometry(beta, lam))
 
 
-def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> np.ndarray:
+def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> list[float]:
+    """``n`` evenly spaced lambdas from beta + LAMBDA_MARGIN to pi -
+    LAMBDA_MARGIN, as Python floats: bit for bit the points of
+    ``np.linspace``, i * step + lo, with the last one the end itself."""
     check_fan_width(beta)
     lo = beta + LAMBDA_MARGIN
     hi = math.pi - LAMBDA_MARGIN
     if lo >= hi:
         raise ValueError(f"no room for a lambda grid above beta={beta}")
-    return np.linspace(lo, hi, n)
+    if n < 2:
+        raise ValueError(f"a lambda grid needs at least 2 points, got {n}")
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section minimum of f on each bracket [lo[k], hi[k]].
+def _golden_min(f, lo, hi):
+    """Golden-section minimum of f on the bracket [lo, hi], or on each bracket
+    [lo[k], hi[k]] of two arrays.
 
-    ``f`` maps an array of points to an array of values.  Each step evaluates
-    one new probe per bracket, and the search stops once every bracket is
-    narrower than 1e-12.  Returns (argmin, min) arrays.
+    ``f`` maps a point, or an array of points, to its value(s).  Each step
+    evaluates one new probe per bracket, and the search stops once every
+    bracket is narrower than 1e-12.  Returns (argmin, min).
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(b - a > 1e-12):
+    # no bracket end is NaN, so "not all narrow" is "any wide"
+    while not holds(b - a <= 1e-12):
         # left: the minimum lies in [a, d], whose upper probe is the old c
         left = fc <= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        a = _where(left, a, c)
+        b = _where(left, d, b)
+        x = _where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
         fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        c, d = _where(left, x, d), _where(left, c, x)
+        fc, fd = _where(left, fx, fd), _where(left, fc, fx)
     pick = fc <= fd
-    return np.where(pick, c, d), np.where(pick, fc, fd)
+    return _where(pick, c, d), _where(pick, fc, fd)
 
 
 def _keep_lower(x_grid, v_grid, x_golden, v_golden):
     """(point, value) of the golden-section minimum where it is lower than the
     grid one, else of the grid minimum."""
     lower = v_golden < v_grid
-    return np.where(lower, x_golden, x_grid), np.where(lower, v_golden, v_grid)
+    return _where(lower, x_golden, x_grid), _where(lower, v_golden, v_grid)
 
 
 def _worst_lambda(cond, beta: float, lambda_grid) -> tuple[float, float]:
     """The worst lambda of ``cond`` on (beta, pi) and its value there.
 
     ``cond`` is evaluated on ``lambda_grid`` (``default_lambda_grid(beta)``
-    when None, at least 3 points), then golden-section polished between the
-    grid neighbours of the grid minimizer.  ``holds_for_all_lambda`` and
-    ``blowup.contradiction_witness`` both read this one search.
+    when None, at least 3 points; see ``_on_grid``), then golden-section
+    polished between the grid neighbours of the grid minimizer.
+    ``holds_for_all_lambda`` and ``blowup.contradiction_witness`` both read
+    this one search.
     """
     check_fan_width(beta)
-    grid = np.asarray(default_lambda_grid(beta) if lambda_grid is None else lambda_grid, dtype=float)
-    if grid.size < 3:
+    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
+    if len(grid) < 3:
         raise ValueError("lambda grid needs at least 3 points")
-    vals = np.asarray(cond(grid), dtype=float)
-    i = int(np.argmin(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    if not hi > lo:
-        return float(grid[i]), float(vals[i])
-    lam, value = _keep_lower(grid[i], vals[i], *_golden_min(cond, np.array([lo]), np.array([hi])))
-    return float(lam[0]), float(value[0])
+    vals = _on_grid(cond, grid)
+    # the first minimizer, as np.argmin finds it
+    i = int(vals.argmin()) if hasattr(vals, "argmin") else vals.index(min(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    lam, value = float(grid[i]), float(vals[i])
+    if hi > lo:  # polished on Python floats, whatever the grid
+        lam, value = _keep_lower(lam, value, *_golden_min(cond, lo, hi))
+    return float(lam), float(value)
 
 
 def holds_for_all_lambda(
-    cond: Callable[[np.ndarray], np.ndarray],
+    cond: Callable,
     beta: float,
-    lambda_grid: np.ndarray | None = None,
+    lambda_grid=None,
 ) -> tuple[bool, float]:
     """Whether ``cond(lambda) >= -1e-12`` across (beta, pi), by ``_worst_lambda``;
-    returns (verdict, refined worst lambda)."""
+    returns (verdict, refined worst lambda).  ``cond`` takes a Python float
+    (the polish, and every point of a float grid) or a numpy array grid."""
     lam, value = _worst_lambda(cond, beta, lambda_grid)
     return value >= FEASIBLE_TOL, lam
 
@@ -308,6 +351,8 @@ def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
     """Each request's condition minimum over each beta row, on the lambdas at
     fractions ``u`` of the way from beta + LAMBDA_MARGIN to pi - LAMBDA_MARGIN,
     and the index into ``u`` where it falls; ``block_rows`` rows at a time."""
+    import numpy as np
+
     hi = math.pi - LAMBDA_MARGIN
     mins = np.empty((len(requests), len(betas)))
     where = np.empty((len(requests), len(betas)), dtype=np.intp)
@@ -335,6 +380,8 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     never assumed).  One result per request, in order; InfeasibleScanError
     for the first request no width passes.
     """
+    import numpy as np
+
     if not (0.0 < beta_step <= BETA_STEP):
         raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
@@ -401,6 +448,8 @@ def effective_angle(A: AdhesionFunction) -> tuple[float, float]:
     Lower functionals report min A(b)/b, upper ones max A(b)/b; the returned
     angle is the effective constant contact angle matching that slope.
     """
+    import numpy as np
+
     b_grid = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
     ratios = A(b_grid) / b_grid
     m = float(np.min(ratios) if A.kind == KIND_LOWER else np.max(ratios))
@@ -433,6 +482,8 @@ def adhesion_from_profile(
     share the table.  A floor outside (0, s_max) raises ValueError on every
     route.
     """
+    from .functionals import _exact_estimates
+
     exact = _exact_estimates(profile, 1.0, eps_lo)
     if exact is None:
         table = _sweep_table(profile, eps_lo)

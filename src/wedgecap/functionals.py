@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import EPS_FLOOR, POINTS_PER_DECADE
-from .profiles import ContactProfile, averaged_cos_many, check_angle, check_window, cos_integral
-
-KIND_LOWER = "I"  # liminf flavour
-KIND_UPPER = "S"  # limsup flavour
+from .base import EPS_FLOOR, KIND_LOWER, KIND_UPPER, POINTS_PER_DECADE
+from .base import check_adhesion_bound, check_angle
+from .profiles import ContactProfile, averaged_cos_many, check_window, cos_integral
 
 METHOD_SWEEP = "sweep"
 METHOD_LOG_PERIODIC = "log_periodic_exact"
@@ -27,8 +25,6 @@ METHOD_SEQUENCE = "sequence_exact"
 #: scale ratio at which the exact routes test a wall for self-similarity
 LOG_PERIODIC_RATIO = 4.0
 
-#: admitted relative overshoot of |value| past b before we call it a bug
-_VALUE_SLACK = 1e-9
 #: rounding slack of a sweep's step count, so a floor a whole number of steps down is on its grid
 _STEP_SLACK = 1e-9
 
@@ -66,11 +62,16 @@ class SweepConfig:
     def for_profile(
         cls, profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR, **kw
     ) -> "SweepConfig":
-        """A wall's sweep at window ``b``: from where the window fills the wall
-        down to ``eps_lo``, a floor that must lie on the wall, in (0, s_max)."""
+        """A wall's sweep at window ``b``: from where the window fills the wall,
+        s_max/b, down to ``eps_lo``, a floor that must lie on the wall, in
+        (0, s_max), and below s_max/b, which a window above 1 brings down."""
         check_window(b)
         check_floor(eps_lo, profile.s_max)
-        return cls(eps_hi=profile.s_max / b, eps_lo=eps_lo, **kw)
+        eps_hi = profile.s_max / b
+        if not eps_lo < eps_hi:
+            raise ValueError(f"sweep floor {eps_lo!r} leaves no sweep at window b = {b!r}, "
+                             f"which starts at s_max/b = {eps_hi!r}")
+        return cls(eps_hi=eps_hi, eps_lo=eps_lo, **kw)
 
     def grid(self) -> np.ndarray:
         p = self.points_per_decade
@@ -86,13 +87,6 @@ class SweepConfig:
     @property
     def relative_spacing(self) -> float:
         return 10.0 ** (1.0 / self.points_per_decade) - 1.0
-
-
-def check_adhesion_bound(value, b) -> None:
-    """Refuse an adhesion value, or an array of them, past |A(b)| <= b by more
-    than the slack (NaN included)."""
-    if not np.all(np.abs(value) <= b * (1.0 + _VALUE_SLACK)):
-        raise ValueError(f"adhesion value {value} breaks |A(b)| <= b for b = {b}")
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,9 @@ def write_bounds_csv(path, rows) -> Path:
     return write_csv(path, header.split(), rows)
 
 
-def write_limit_sweep_csv(path, table: np.ndarray) -> Path:
-    return _write_columns(path, "lambda,limit_difference", table.T)
+def write_limit_sweep_csv(path, rows) -> Path:
+    """rows: (lambda, gain) pairs of Python floats."""
+    return write_csv(path, ["lambda", "limit_difference"], rows)
 
 
 def write_solution_csv(path, field: SolutionField) -> Path:

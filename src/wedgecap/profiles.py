@@ -14,21 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import ProfileFormatError
-
-SIDES = ("+", "-")
+from .base import SIDES, ProfileFormatError, check_angle
 
 #: applicability tags for the existence criterion at the corner
 NONCONVEX_OK = "nonconvex_ok"
 CONVEX_OK = "convex_ok"
 FAILS = "fails"
-
-
-def check_angle(gamma, what: str) -> None:
-    """Refuse a contact angle, or an array of them, outside [0, pi] (NaN
-    included); both endpoints are angles."""
-    if not np.all((gamma >= 0.0) & (gamma <= math.pi)):
-        raise ValueError(f"{what} must lie in [0, pi], got {gamma}")
 
 
 @dataclass(frozen=True)

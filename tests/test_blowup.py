@@ -18,12 +18,21 @@ from wedgecap.blowup import (
     triangle_omega,
 )
 from wedgecap.bounds import (
+    FEASIBLE_TOL,
+    INCREASING,
+    LAMBDA_MARGIN,
     AdhesionFunction,
     FanCase,
+    _condition,
+    _golden_min,
+    _keep_lower,
+    _ratios,
+    case_condition_map,
     condition_decreasing,
     condition_increasing,
     default_lambda_grid,
     holds_for_all_lambda,
+    required_functional_kind,
 )
 
 
@@ -230,30 +239,71 @@ def test_witness_validation():
 
 
 def test_witness_complements_admissibility_check():
-    """Same grid in, opposite verdicts out -- for any slope and width."""
+    """Same grid in, opposite verdicts out -- for any slope and width, on a
+    grid of Python floats and on the same grid as a numpy array."""
     rng = np.random.default_rng(41)
     for _ in range(100):
         m = rng.uniform(-1.0, 1.0)
         beta = rng.uniform(0.0, 2.8)
-        grid = default_lambda_grid(beta, n=768)
-        A = AdhesionFunction.linear(m, "I")
-        w = contradiction_witness(A, FanCase.I, "+", beta, grid)
-        ok, _ = holds_for_all_lambda(
-            lambda lam: condition_increasing(A, beta, lam), beta, grid
-        )
-        assert (w is None) == ok
-        A = AdhesionFunction.linear(m, "S")
-        w = contradiction_witness(A, FanCase.I, "-", beta, grid)
-        ok, _ = holds_for_all_lambda(
-            lambda lam: condition_decreasing(A, beta, lam), beta, grid
-        )
-        assert (w is None) == ok
+        floats = default_lambda_grid(beta, n=768)
+        for grid in (floats, np.array(floats)):
+            _check_witness_against_admissibility(m, beta, grid)
+
+
+def _check_witness_against_admissibility(m, beta, grid):
+    A = AdhesionFunction.linear(m, "I")
+    w = contradiction_witness(A, FanCase.I, "+", beta, grid)
+    ok, _ = holds_for_all_lambda(
+        lambda lam: condition_increasing(A, beta, lam), beta, grid
+    )
+    assert (w is None) == ok
+    A = AdhesionFunction.linear(m, "S")
+    w = contradiction_witness(A, FanCase.I, "-", beta, grid)
+    ok, _ = holds_for_all_lambda(
+        lambda lam: condition_decreasing(A, beta, lam), beta, grid
+    )
+    assert (w is None) == ok
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+def test_float_grid_matches_array_grid_bit_for_bit(n):
+    """On a grid of Python floats the table and the witness run on ``math``,
+    one point at a time.  Their rows equal the conditions evaluated on the
+    numpy grid, and their witness the grid minimum refined as the fan scan
+    refines it, on the same bracket, bit for bit (compared by repr)."""
+    rng = np.random.default_rng(n)
+    cells = [(-1.0, 0.0), (1.0, 2.9 - 1e-9)] + [
+        (rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.9)) for _ in range(4)
+    ]
+    for case in FanCase:
+        for side, cond_kind in case_condition_map(case):
+            condition = condition_increasing if cond_kind == INCREASING else condition_decreasing
+            for m, beta in cells:
+                A = AdhesionFunction.linear(m, required_functional_kind(cond_kind))
+                grid = default_lambda_grid(beta, n)
+                lams = np.linspace(beta + LAMBDA_MARGIN, math.pi - LAMBDA_MARGIN, n)
+                vals = condition(A, beta, lams)
+                table = limit_difference_table(A, case, side, beta, grid)
+                assert repr(table) == repr(list(zip(lams.tolist(), (-vals).tolist())))
+
+                i = int(np.argmin(vals))
+                bracket = np.array([lams[max(i - 1, 0)]]), np.array([lams[min(i + 1, n - 1)]])
+                rows = np.array([beta])
+                refined = _golden_min(
+                    lambda lam: _condition(A, cond_kind, *_ratios(rows, lam)), *bracket
+                )
+                lam, value = _keep_lower(lams[i], vals[i], *refined)
+                want = (float(lam[0]), -float(value[0])) if value[0] < FEASIBLE_TOL else None
+                assert repr(contradiction_witness(A, case, side, beta, grid)) == repr(want)
 
 
 def test_limit_difference_table_layout():
     A = AdhesionFunction.linear(0.2, "I")
     grid = np.linspace(0.6, 3.0, 11)
-    table = limit_difference_table(A, FanCase.I, "+", 0.5, grid)
-    assert table.shape == (11, 2)
-    assert np.array_equal(table[:, 0], grid)
-    assert table[3, 1] == phi_limit_difference(A, 0.5, grid[3])
+    # (lambda, gain) rows of Python floats, from an array grid or a float one
+    for given in (grid, grid.tolist()):
+        table = limit_difference_table(A, FanCase.I, "+", 0.5, given)
+        assert [len(row) for row in table] == [2] * 11
+        assert all(type(x) is float for row in table for x in row)
+        assert [lam for lam, _ in table] == grid.tolist()
+        assert table[3][1] == phi_limit_difference(A, 0.5, grid[3])

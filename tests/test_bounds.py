@@ -179,7 +179,7 @@ def test_holds_grid_validation():
 
 def test_default_lambda_grid():
     g = default_lambda_grid(0.5)
-    assert g.size >= 512
+    assert len(g) >= 512
     assert g[0] == pytest.approx(0.5 + 1e-4)
     assert g[-1] == pytest.approx(math.pi - 1e-4)
     with pytest.raises(ValueError):

@@ -286,6 +286,26 @@ def test_eps_floor_too_small_for_a_finite_sweep_exits_3(tmp_path, capsys, comman
     assert line.startswith(f"wedgecap: range error: sweep floor {eps_floor} ")
 
 
+@pytest.mark.parametrize("segments", [1, 3])
+def test_profile_floor_above_a_wide_windows_sweep_names_that_window(tmp_path, capsys, segments):
+    """profile's windows run up to b = s_max, and a window above 1 starts its
+    sweep at s_max/b.  On a wall of s_max 2, the floor 1.5 lies on the wall
+    but above the sweep of window 1.4 (which starts at 2/1.4): a wall that
+    must be swept exits 3 naming that window, and a constant wall, whose
+    values are closed forms, runs."""
+    gammas = [0.4, 2.1, 1.0][:segments]
+    wall = write_json(tmp_path / "wall.json", {"side": "+", "segments": [
+        {"s_end": 2.0 * (k + 1) / segments, "gamma": g} for k, g in enumerate(gammas)]})
+    code = run(["profile", wall, "--eps-floor", "1.5", "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    if segments == 1:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 3
+        assert err == ("wedgecap: range error: sweep floor 1.5 leaves no sweep at window "
+                       f"b = 1.4, which starts at s_max/b = {2.0 / 1.4!r}\n")
+
+
 def test_verify_examples_floor_too_small_for_its_widest_sweep_exits_3(tmp_path, capsys):
     """verify's widest sweep, at window 0.25, starts at s_max / 0.25 = 4.0, so
     it has a finite step count only down to about 4.0 / 1.8e308 = 2.2e-308.
@@ -970,7 +990,7 @@ IMPORT_BUDGET = {
     "profile": (("io", "functionals", "profiles"), 0),
     "bad profile": (("io",), 2),
     "bounds": (("io", "functionals", "profiles", "bounds"), 0),
-    "blowup --gamma0": (("io", "functionals", "profiles", "bounds", "blowup"), 0),
+    "blowup --gamma0": (("io", "bounds", "blowup"), 0),
     "solve --config": (("io", "profiles", "solver", "elimination"), 0),
 }
 
@@ -991,6 +1011,17 @@ def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
     allowed, code = IMPORT_BUDGET[call]
     loaded = ",".join(sorted({"base", "cli", *allowed}))
     assert run_in_child(argv, LOADED) == f"{code} {loaded}"
+
+
+@pytest.mark.parametrize("case", ["I", "D", "ID", "DI"])
+@pytest.mark.parametrize("side, beta", [("+", 0.5), ("-", 2.5)])
+def test_blowup_gamma0_loads_no_numpy(tmp_path, case, side, beta):
+    """The constant-angle blow-up runs on Python floats: every case and side
+    exits 0, with a witness or without one, and numpy is never imported."""
+    argv = ["blowup", "--case", case, "--side", side, "--beta", beta, "--gamma0", 1.0,
+            "--out", tmp_path / "out"]
+    assert stderr_and_numpy_in_child(argv) == (0, "", False)
+    assert (tmp_path / "out" / "limit_sweep.csv").is_file()
 
 
 @pytest.mark.parametrize("module, loaded", [
