@@ -80,7 +80,13 @@ def calls(inputs):
     # a subset of the pairs, scanned in a different order than --case all
     out.append(("bounds-D-example1", ["bounds", "--plus", paths["example1", "+"],
                                       "--minus", paths["example1", "-"], "--case", "D"]))
-    # the large-file path of the float CSV writer: 10,241 sweep rows
+    # the closed-form fan bound at its two edges: arccos(0.9), which the scan's
+    # lambda grid let a width just below pass, and pi - 5e-4, above the scan's
+    # last row but below pi
+    for label, gamma in (("bounds-acos-0.9", math.acos(0.9)), ("bounds-near-pi", math.pi - 5e-4)):
+        plus = write_json(inputs / f"{label}_plus.json", constant("+", gamma))
+        out.append((label, ["bounds", "--plus", plus, "--minus", paths["constant", "-"],
+                            "--case", "I"]))
     out.append(("profile-irregular-dense", ["profile", paths["irregular", "+"],
                                             "--points-per-decade", "1024"]))
     out.append(("bounds-ID-step", ["bounds", "--plus", paths["irregular", "+"],

@@ -7,7 +7,8 @@ finite closed form in the triangle data and one adhesion value, and a fan
 width claimed below the admissible minimum yields a transversal direction
 with strictly positive gain -- the contradiction witness.  The fan-edge
 limits run on Python floats without numpy, or on numpy arrays (see
-``bounds._on_grid``); the triangles build numpy vertices.
+``bounds._on_grid``); a sweep table always gets its lambda grid as an array
+(``_lambda_grid``).  The triangles build numpy vertices.
 """
 
 from __future__ import annotations
@@ -180,6 +181,18 @@ def _limit_fn_for(case: FanCase, side: str):
     return psi_limit_difference
 
 
+def _lambda_grid(A: AdhesionFunction, beta: float, lambda_grid):
+    """``lambda_grid``, or ``default_lambda_grid(beta)`` when None; a sweep
+    table gets it as one numpy array, which it answers in one search, where a
+    list of floats would ask it once per lambda."""
+    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
+    if A.method != "sweep":
+        return grid
+    import numpy as np
+
+    return np.asarray(grid, dtype=float)
+
+
 def contradiction_witness(
     A: AdhesionFunction,
     case: FanCase,
@@ -197,7 +210,8 @@ def contradiction_witness(
     exactly when that check fails.
     """
     gain = _limit_fn_for(case, side)
-    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, lambda_grid)
+    grid = _lambda_grid(A, beta_claim, lambda_grid)
+    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, grid)
     return (lam, -value) if value < FEASIBLE_TOL else None
 
 
@@ -211,8 +225,10 @@ def limit_difference_table(
     """(lambda, limiting gain) rows of Python floats for one wall, ready for
     CSV output; the gains are evaluated as ``bounds._on_grid`` does."""
     fn = _limit_fn_for(case, side)
-    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
+    grid = _lambda_grid(A, beta, lambda_grid)
     gains = _on_grid(lambda lam: fn(A, beta, lam), grid)
     if hasattr(grid, "tolist"):
-        grid, gains = grid.tolist(), gains.tolist()
+        # a list the caller gave already holds the grid's Python floats
+        grid = lambda_grid if isinstance(lambda_grid, list) else grid.tolist()
+        gains = gains.tolist()
     return list(zip(grid, gains))

@@ -4,9 +4,11 @@ A bounded solution whose radial limits exist splits the sector into at most
 two wall fans (where the limit is constant) and a strictly monotone middle,
 possibly with an interior plateau.  For each case and wall, one of two
 trigonometric inequalities in a transversal inclination lambda must hold for
-every lambda; the smallest wall-fan width beta for which it does is found by
-an ascending scan.  With the adhesion value frozen to m*b the scan reduces to
-arccos(m) (or its supplement), which serves as a cross-check.
+every lambda; the smallest wall-fan width beta for which it does is the fan
+bound.  On a wall whose adhesion is linear, A(b) = m*b (constant, example1
+and log-periodic walls), that width is arccos(m) or its supplement in closed
+form (Corollary 1).  Any other wall's width is found by an ascending scan,
+which on linear walls serves as the closed form's cross-check.
 """
 
 from __future__ import annotations
@@ -308,8 +310,8 @@ def _worst_lambda(cond, beta: float, lambda_grid) -> tuple[float, float]:
     ``cond`` is evaluated on ``lambda_grid`` (``default_lambda_grid(beta)``
     when None, at least 3 points; see ``_on_grid``), then golden-section
     polished between the grid neighbours of the grid minimizer.
-    ``holds_for_all_lambda`` and ``blowup.contradiction_witness`` both read
-    this one search.
+    ``holds_for_all_lambda``, ``blowup.contradiction_witness`` and the
+    closed-form fan check ``_corollary1_fan`` all read this one search.
     """
     check_fan_width(beta)
     grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
@@ -347,6 +349,15 @@ def required_functional_kind(condition_kind: str) -> str:
     raise ValueError(f"unknown condition kind {condition_kind!r}")
 
 
+def _check_beta_step(beta_step: float) -> None:
+    if not (0.0 < beta_step <= BETA_STEP):
+        raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
+
+
+def _no_fan(kind: str) -> InfeasibleScanError:
+    return InfeasibleScanError(f"no admissible fan width below pi for the {kind} condition")
+
+
 def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
     """Each request's condition minimum over each beta row, on the lambdas at
     fractions ``u`` of the way from beta + LAMBDA_MARGIN to pi - LAMBDA_MARGIN,
@@ -382,8 +393,7 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
     """
     import numpy as np
 
-    if not (0.0 < beta_step <= BETA_STEP):
-        raise ValueError(f"beta_step must lie in (0, {BETA_STEP}]")
+    _check_beta_step(beta_step)
     betas = np.arange(0.0, math.pi - 2.0 * LAMBDA_MARGIN - beta_step, beta_step)
     hi = math.pi - LAMBDA_MARGIN
     u = np.linspace(0.0, 1.0, LAMBDA_POINTS)
@@ -416,7 +426,7 @@ def min_admissible_fan(requests, beta_step: float = BETA_STEP) -> list[FanBoundR
         worst, value = _keep_lower(worst, grid_val, *refined)
         ok = value >= FEASIBLE_TOL
         if not np.any(ok):
-            raise InfeasibleScanError(f"no admissible fan width below pi for the {kind} condition")
+            raise _no_fan(kind)
         first = int(np.argmax(ok))
         results.append(FanBoundResult(
             beta_min=float(beta[first]),
@@ -439,6 +449,35 @@ def corollary1_bound(m: float, variant: str) -> float:
         raise ValueError(f"variant must be one of a, b, c, d, got {variant!r}")
     sigma = math.acos(m)
     return sigma if variant in ("a", "b") else math.pi - sigma
+
+
+def _corollary1_fan(A: AdhesionFunction, kind: str) -> FanBoundResult:
+    """The ``kind`` condition's fan bound on a linear wall, A(b) = m*b, in
+    closed form: arccos(m) (Corollary 1, variant a) for the increasing
+    condition, pi - arccos(m) (variant c) for the decreasing one.
+
+    The bound is exact.  With b = sin(lambda-beta)/sin(lambda) and
+    s = sin(beta)/sin(lambda), sin(lambda) times the increasing condition is
+
+        (m - cos beta) sin(lambda - beta) + sin(beta) (1 - cos(lambda - beta)),
+
+    and times the decreasing one the same with -m in place of m.  At
+    m = cos(beta) (resp. -cos(beta)) it is sin(beta) (1 - cos(lambda - beta)),
+    nonnegative on (beta, pi), and so is every wider fan.  Below the bound the
+    first term, of order lambda - beta, is negative and outweighs the second,
+    of order (lambda - beta)^2, just above lambda = beta.  So feasibility is
+    monotone in beta.  The width is checked as the scan checks a row: its
+    worst lambda (``_worst_lambda`` on the default grid) must hold to
+    FEASIBLE_TOL.  A width that leaves no lambda grid below pi, pi itself
+    included, raises InfeasibleScanError, as the scan does.
+    """
+    beta = corollary1_bound(A(1.0), "a" if kind == INCREASING else "c")
+    if beta >= math.pi - 2.0 * LAMBDA_MARGIN:
+        raise _no_fan(kind)
+    lam, value = _worst_lambda(lambda lam: _condition(A, kind, *_ratios(beta, lam)), beta, None)
+    if value < FEASIBLE_TOL:
+        raise RuntimeError(f"the closed-form width {beta} fails the {kind} condition at {lam}")
+    return FanBoundResult(beta_min=beta, worst_lambda=lam, monotone_flag=True)
 
 
 def effective_angle(A: AdhesionFunction) -> tuple[float, float]:
@@ -506,21 +545,29 @@ def fan_bound_rows(
 
     Each row is (side, case, beta_min, method, worst_lambda, monotone_flag,
     effective_m, effective_sigma), in case order and then in the case's
-    (side, condition) order.  The distinct (side, condition) pairs share one
-    scan; ID and DI repeat the pairs of I and D and reuse their results.
+    (side, condition) order.  A pair on a wall with a linear evaluator takes
+    its width in closed form (``_corollary1_fan``, method ``corollary1``);
+    the pairs on sweep-table walls share one scan (``theorem2_scan``), run
+    only when there are any.  ID and DI repeat the pairs of I and D and reuse
+    their results.
     """
     pairs = list(dict.fromkeys(p for case in cases for p in case_condition_map(case)))
     adhesion = [
         adhesion_from_profile(profiles[side], required_functional_kind(kind), eps_lo=eps_lo)
         for side, kind in pairs
     ]
-    results = min_admissible_fan([(A, k) for A, (_, k) in zip(adhesion, pairs)], beta_step)
-    scans = {
-        pair: (r.beta_min, "theorem2_scan", r.worst_lambda, r.monotone_flag, *effective_angle(A))
-        for pair, A, r in zip(pairs, adhesion, results)
-    }
+    _check_beta_step(beta_step)
+    swept = [(A, kind) for A, (_, kind) in zip(adhesion, pairs) if A.method == "sweep"]
+    scanned = iter(min_admissible_fan(swept, beta_step) if swept else ())
+    rows = {}
+    for pair, A in zip(pairs, adhesion):
+        if A.method == "sweep":
+            r, method = next(scanned), "theorem2_scan"
+        else:
+            r, method = _corollary1_fan(A, pair[1]), "corollary1"
+        rows[pair] = (r.beta_min, method, r.worst_lambda, r.monotone_flag, *effective_angle(A))
     return [
-        (side, case.value, *scans[side, kind])
+        (side, case.value, *rows[side, kind])
         for case in cases
         for side, kind in case_condition_map(case)
     ]

@@ -441,11 +441,6 @@ def cmd_blowup(args) -> int:
         source = {"profile": wio.profile_summary(profile)}
 
     grid = default_lambda_grid(beta, n=points)
-    if args.gamma0 is None:
-        import numpy as np
-
-        # a sweep table answers the whole grid in one numpy call
-        grid = np.array(grid)
     table = limit_difference_table(A, case, args.side, beta, grid)
     witness = contradiction_witness(A, case, args.side, beta, grid)
 

@@ -21,12 +21,15 @@ from wedgecap.bounds import (
     FEASIBLE_TOL,
     INCREASING,
     LAMBDA_MARGIN,
+    LAMBDA_POINTS,
     AdhesionFunction,
     FanCase,
     _condition,
     _golden_min,
     _keep_lower,
     _ratios,
+    _SweepTable,
+    adhesion_from_profile,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
@@ -34,6 +37,7 @@ from wedgecap.bounds import (
     holds_for_all_lambda,
     required_functional_kind,
 )
+from wedgecap.profiles import make_piecewise
 
 
 def tri(alpha, theta0, b, side="+"):
@@ -307,3 +311,25 @@ def test_limit_difference_table_layout():
         assert all(type(x) is float for row in table for x in row)
         assert [lam for lam, _ in table] == grid.tolist()
         assert table[3][1] == phi_limit_difference(A, 0.5, grid[3])
+
+
+def test_sweep_table_reads_the_default_grid_in_one_search(monkeypatch):
+    """Called without a grid on a sweep-table wall, the table and the witness
+    hand the table the whole default grid as one array: one search for the
+    grid, then one per golden-section probe of the witness, not one per
+    lambda."""
+    sizes = []
+    cut = _SweepTable.cut
+
+    def counted(self, b):
+        sizes.append(np.size(b))
+        return cut(self, b)
+
+    monkeypatch.setattr(_SweepTable, "cut", counted)
+    A = adhesion_from_profile(make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]), "I")
+    table = limit_difference_table(A, FanCase.I, "+", 0.7)
+    assert sizes == [LAMBDA_POINTS] and len(table) == LAMBDA_POINTS
+    sizes.clear()
+    contradiction_witness(A, FanCase.I, "+", 0.7)
+    assert sizes[0] == LAMBDA_POINTS and set(sizes[1:]) == {1}
+    assert len(sizes) < LAMBDA_POINTS // 8

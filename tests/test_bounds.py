@@ -202,6 +202,21 @@ def test_scan_matches_frozen_slope_bound(gamma):
     assert res.beta_min == pytest.approx(corollary1_bound(math.cos(gamma), "c"), abs=2e-3)
 
 
+@pytest.mark.parametrize("cond_kind", [INCREASING, DECREASING])
+@pytest.mark.parametrize("m", [float(m) for m in np.linspace(-0.999, 0.999, 41)])
+def test_scan_cross_checks_the_closed_form(m, cond_kind):
+    """On a linear wall, where fan_bound_rows takes Corollary 1, the scan
+    lies within one beta step of it.  At the closed-form width no direction
+    gives a contradiction witness, and one step below it one does."""
+    A = AdhesionFunction.linear(m, required_functional_kind(cond_kind))
+    bound = corollary1_bound(m, "a" if cond_kind == INCREASING else "c")
+    (res,) = min_admissible_fan([(A, cond_kind)])
+    assert abs(res.beta_min - bound) <= BETA_STEP
+    side = {kind: side for side, kind in case_condition_map(FanCase.I)}[cond_kind]
+    assert contradiction_witness(A, FanCase.I, side, bound) is None
+    assert contradiction_witness(A, FanCase.I, side, bound - BETA_STEP) is not None
+
+
 SCAN_WALLS = {
     "constant": constant_profile("+", 1.0),
     "example2": example2_profile(0.4, 2.2),

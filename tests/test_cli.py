@@ -22,7 +22,11 @@ from wedgecap.bounds import (
     FanCase,
     adhesion_from_profile,
     case_condition_map,
+    condition_decreasing,
+    condition_increasing,
+    corollary1_bound,
     effective_angle,
+    holds_for_all_lambda,
     min_admissible_fan,
     required_functional_kind,
 )
@@ -398,6 +402,8 @@ def test_verify_examples_degrees_equivalent(tmp_path):
 
 
 def test_bounds_rows_match_library(tmp_path):
+    """Constant walls take Corollary 1: beta_min is arccos(m) or its
+    supplement, checked at the worst lambda of the default grid."""
     plus = constant_wall(tmp_path, "+", math.pi / 2)
     minus = constant_wall(tmp_path, "-", math.pi / 2)
     out = tmp_path / "out"
@@ -408,47 +414,74 @@ def test_bounds_rows_match_library(tmp_path):
     assert len(rows) == 3  # one row per (side, condition) of the case
 
     profiles = {"+": load_profile(plus), "-": load_profile(minus)}
+    conditions = {"increasing": (condition_increasing, "a"),
+                  "decreasing": (condition_decreasing, "c")}
     for row, (side, cond_kind) in zip(rows[1:], case_condition_map(FanCase.I)):
         kind = required_functional_kind(cond_kind)
         A = adhesion_from_profile(profiles[side], kind)
-        (direct,) = min_admissible_fan([(A, cond_kind)], beta_step=1e-3)
+        condition, variant = conditions[cond_kind]
+        beta = corollary1_bound(A(1.0), variant)
+        ok, worst = holds_for_all_lambda(lambda lam: condition(A, beta, lam), beta)
         m, sigma = effective_angle(A)
         assert row[0] == side and row[1] == "I"
-        assert float(row[2]) == direct.beta_min
-        assert row[3] == "theorem2_scan"
-        assert float(row[4]) == direct.worst_lambda
-        assert row[5] == str(direct.monotone_flag)
+        assert float(row[2]) == beta and ok
+        assert row[3] == "corollary1"
+        assert float(row[4]) == worst
+        assert row[5] == "True"
         assert float(row[6]) == m and float(row[7]) == sigma
         # neutral walls: the admissible fan opens to a right angle
-        assert abs(direct.beta_min - math.pi / 2) <= 2e-3
+        assert abs(beta - math.pi / 2) <= 1e-15
+
+
+def piecewise_wall(tmp_path, side, gammas):
+    """A wall of equal segments on (0, 1], so a sweep table (no closed form)."""
+    name = f"piecewise{side.replace('+', 'p').replace('-', 'm')}.json"
+    return write_json(tmp_path / name, {"side": side, "segments": [
+        {"s_end": (k + 1) / len(gammas), "gamma": g} for k, g in enumerate(gammas)]})
 
 
 def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
     """ID and DI repeat the (side, condition) pairs of I and D: one scan call
-    over the 4 distinct pairs, not 8."""
+    over the distinct pairs on sweep-table walls, 4 on two such walls, not 8.
+    A pair on a constant wall takes Corollary 1 and is never scanned, so two
+    constant walls run no scan."""
     import wedgecap.bounds
 
     scans = []
 
     def counted(requests, *args, **kwargs):
-        scans.append([(A(1.0), kind) for A, kind in requests])  # A(1) = cos(gamma)
+        scans.append([(A(1.0), kind) for A, kind in requests])
         return min_admissible_fan(requests, *args, **kwargs)
 
     monkeypatch.setattr(wedgecap.bounds, "min_admissible_fan", counted)
-    plus = constant_wall(tmp_path, "+", 1.0)
-    minus = constant_wall(tmp_path, "-", 2.0)
-    out = tmp_path / "out"
-    assert run(["bounds", "--plus", plus, "--minus", minus, "--case", "all",
-                "--out", out]) == 0
-    plus_m, minus_m = math.cos(1.0), math.cos(2.0)
-    assert scans == [[(plus_m, "increasing"), (minus_m, "decreasing"),
-                      (minus_m, "increasing"), (plus_m, "decreasing")]]
-    rows = {(r[0], r[1]): r[2:] for r in read_rows(out / "bounds.csv")[1:]}
-    assert len(rows) == 8
-    for mixed in (FanCase.ID, FanCase.DI):
-        for pair in case_condition_map(mixed):
-            pure = next(c for c in (FanCase.I, FanCase.D) if pair in case_condition_map(c))
-            assert rows[pair[0], mixed.value] == rows[pair[0], pure.value]
+    walls = {
+        "sweep": {"+": piecewise_wall(tmp_path, "+", [0.1, 2.0, 1.0]),
+                  "-": piecewise_wall(tmp_path, "-", [2.5, 0.6, 1.4])},
+        "constant": {"+": constant_wall(tmp_path, "+", 1.0),
+                     "-": constant_wall(tmp_path, "-", 2.0)},
+    }
+    pairs = case_condition_map(FanCase.I) + case_condition_map(FanCase.D)
+    for plus, minus in (("sweep", "sweep"), ("sweep", "constant"), ("constant", "constant")):
+        scans.clear()
+        paths = {"+": walls[plus]["+"], "-": walls[minus]["-"]}
+        out = tmp_path / f"out-{plus}-{minus}"
+        assert run(["bounds", "--plus", paths["+"], "--minus", paths["-"], "--case", "all",
+                    "--out", out]) == 0
+        swept = {"+": plus == "sweep", "-": minus == "sweep"}
+        want = [
+            (adhesion_from_profile(load_profile(paths[side]), required_functional_kind(kind))(1.0),
+             kind)
+            for side, kind in pairs if swept[side]
+        ]
+        assert scans == ([want] if want else [])
+        rows = {(r[0], r[1]): r[2:] for r in read_rows(out / "bounds.csv")[1:]}
+        assert len(rows) == 8
+        for (side, _), row in rows.items():
+            assert row[1] == ("theorem2_scan" if swept[side] else "corollary1")
+        for mixed in (FanCase.ID, FanCase.DI):
+            for pair in case_condition_map(mixed):
+                pure = next(c for c in (FanCase.I, FanCase.D) if pair in case_condition_map(c))
+                assert rows[pair[0], mixed.value] == rows[pair[0], pure.value]
 
 
 def fan_scan_walls(seed):
@@ -499,6 +532,47 @@ def test_bounds_infeasible_exit_4(tmp_path, capsys):
                 "--out", tmp_path / "out"])
     assert code == 4
     assert "no admissible fan" in capsys.readouterr().err
+
+
+def test_bounds_never_passes_a_width_below_corollary1(tmp_path):
+    """At arccos(0.9) the scan's lambda grid, which stops LAMBDA_MARGIN short
+    of beta, let a width just below the bound pass (0.451 < 0.4510268)."""
+    plus = constant_wall(tmp_path, "+", math.acos(0.9))
+    minus = constant_wall(tmp_path, "-", 2.0)
+    out = tmp_path / "out"
+    assert run(["bounds", "--plus", plus, "--minus", minus, "--case", "I",
+                "--out", out]) == 0
+    row = read_rows(out / "bounds.csv")[1]
+    assert row[:2] == ["+", "I"]
+    assert float(row[2]) >= corollary1_bound(0.9, "a")
+
+
+def test_bounds_near_pi_takes_the_closed_form(tmp_path):
+    """A + wall at pi - 5e-4: its bound lies above the scan's last row, which
+    exited 4, but below pi, so the closed form reports it."""
+    gamma = math.pi - 5e-4
+    plus = constant_wall(tmp_path, "+", gamma)
+    minus = constant_wall(tmp_path, "-", 2.0)
+    out = tmp_path / "out"
+    assert run(["bounds", "--plus", plus, "--minus", minus, "--case", "I",
+                "--out", out]) == 0
+    row = read_rows(out / "bounds.csv")[1]
+    assert row[:2] == ["+", "I"] and row[3] == "corollary1"
+    assert float(row[2]) == corollary1_bound(math.cos(gamma), "a")
+
+
+@pytest.mark.parametrize("step", ["0", "0.5"])
+@pytest.mark.parametrize("walls", ["constant", "sweep"])
+def test_bounds_refuses_a_beta_step_outside_its_range_on_any_wall(tmp_path, capsys, walls, step):
+    """Only sweep walls are scanned, but --beta-step is checked on every wall."""
+    if walls == "constant":
+        plus, minus = constant_wall(tmp_path, "+", 1.0), constant_wall(tmp_path, "-", 2.0)
+    else:
+        plus = piecewise_wall(tmp_path, "+", [0.1, 2.0, 1.0])
+        minus = piecewise_wall(tmp_path, "-", [2.5, 0.6, 1.4])
+    assert run(["bounds", "--plus", plus, "--minus", minus, "--beta-step", step,
+                "--out", tmp_path / "out"]) == 3
+    assert "beta_step must lie in (0, 0.001]" in capsys.readouterr().err
 
 
 def test_bounds_missing_profile_exit_2(tmp_path):
