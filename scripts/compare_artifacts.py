@@ -3,8 +3,8 @@
 
 For every file under either directory it prints `same` when the two copies
 are byte-identical; otherwise, for a CSV, the largest |difference| in each
-column (non-numeric cells must match), and for any other file (manifests)
-the lines that differ.  Then it prints one line per solve manifest whose
+column and then each column whose non-numeric cells differ, with the count of
+cells that do, and for any other file (manifests) the lines that differ.  Then it prints one line per solve manifest whose
 Newton step count or stop reason (``solver.iterations``, ``solver.stop``)
 changed, or one line saying that none did.  Exits 1 if a file exists on one
 side only or two CSVs differ in shape or in a non-numeric cell; a changed
@@ -22,12 +22,15 @@ import sys
 from pathlib import Path
 
 
-def csv_moves(a: Path, b: Path) -> str | None:
-    """'column=max|delta| ...', or None if the tables do not line up."""
+def csv_moves(a: Path, b: Path) -> tuple[str, bool] | None:
+    """('column=max|delta| ...; text cells differ: column (count) ...', whether
+    any non-numeric cell differs), or None if the tables do not line up.  A
+    column with a differing non-numeric cell is named only after the ';'."""
     ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
     if len(ra) != len(rb) or ra[0] != rb[0] or any(len(x) != len(y) for x, y in zip(ra, rb)):
         return None
     worst = [0.0] * len(ra[0])
+    text = [0] * len(ra[0])
     for x, y in zip(ra[1:], rb[1:]):
         for k, (u, v) in enumerate(zip(x, y)):
             if u == v:
@@ -35,9 +38,14 @@ def csv_moves(a: Path, b: Path) -> str | None:
             try:
                 d = abs(float(u) - float(v))
             except ValueError:
-                return None
+                text[k] += 1
+                continue
             worst[k] = max(worst[k], d if not math.isnan(d) else math.inf)
-    return " ".join(f"{name}={w:.3g}" for name, w in zip(ra[0], worst))
+    report = " ".join(f"{name}={w:.3g}" for name, w, n in zip(ra[0], worst, text) if not n)
+    if any(text):
+        report += "; text cells differ: " + " ".join(
+            f"{name} ({n})" for name, n in zip(ra[0], text) if n)
+    return report, any(text)
 
 
 def newton_fields(path: Path) -> tuple[str, str] | None:
@@ -77,8 +85,12 @@ def main(argv=None) -> int:
             print(f"{name}: same")
         elif name.endswith(".csv"):
             moves = csv_moves(a, b)
-            status |= moves is None
-            print(f"{name}: {'shape or non-numeric cells differ' if moves is None else moves}")
+            if moves is None:
+                print(f"{name}: shape or header differs")
+                status = 1
+            else:
+                print(f"{name}: {moves[0]}")
+                status |= moves[1]
         else:
             print(f"{name}: differs")
             lines = (p.read_text().splitlines() for p in (a, b))

@@ -23,6 +23,7 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
+    _grid_for,
     _on_grid,
     _worst_lambda,
     case_condition_map,
@@ -182,15 +183,9 @@ def _limit_fn_for(case: FanCase, side: str):
 
 
 def _lambda_grid(A: AdhesionFunction, beta: float, lambda_grid):
-    """``lambda_grid``, or ``default_lambda_grid(beta)`` when None; a sweep
-    table gets it as one numpy array, which it answers in one search, where a
-    list of floats would ask it once per lambda."""
-    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
-    if A.method != "sweep":
-        return grid
-    import numpy as np
-
-    return np.asarray(grid, dtype=float)
+    """``lambda_grid``, or ``default_lambda_grid(beta)`` when None, as
+    ``bounds._grid_for`` hands it to ``A``."""
+    return _grid_for(A, default_lambda_grid(beta) if lambda_grid is None else lambda_grid)
 
 
 def contradiction_witness(

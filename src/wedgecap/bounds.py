@@ -204,6 +204,24 @@ def _on_grid(f, grid):
     return f(grid) if hasattr(grid, "ndim") else [f(x) for x in grid]
 
 
+def _grid_for(A: AdhesionFunction, grid):
+    """``grid`` as ``A`` answers it best: a sweep table gets one numpy array,
+    which it answers in one search, where a list of floats would ask it once
+    per point; any other evaluator gets ``grid`` as it is."""
+    if A.method != "sweep":
+        return grid
+    import numpy as np
+
+    return np.asarray(grid, dtype=float)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced Python floats from lo to hi, bit for bit the points
+    of ``np.linspace``: i * step + lo, with the last one hi itself."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def check_fan_width(beta) -> None:
     """Refuse a fan width, or an array of them, outside [0, pi) (NaN included)."""
     if not holds((beta >= 0.0) & (beta < math.pi)):
@@ -258,8 +276,7 @@ def condition_decreasing(A: AdhesionFunction, beta, lam):
 
 def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> list[float]:
     """``n`` evenly spaced lambdas from beta + LAMBDA_MARGIN to pi -
-    LAMBDA_MARGIN, as Python floats: bit for bit the points of
-    ``np.linspace``, i * step + lo, with the last one the end itself."""
+    LAMBDA_MARGIN, as Python floats (``_linspace``)."""
     check_fan_width(beta)
     lo = beta + LAMBDA_MARGIN
     hi = math.pi - LAMBDA_MARGIN
@@ -267,8 +284,7 @@ def default_lambda_grid(beta: float, n: int = LAMBDA_POINTS) -> list[float]:
         raise ValueError(f"no room for a lambda grid above beta={beta}")
     if n < 2:
         raise ValueError(f"a lambda grid needs at least 2 points, got {n}")
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
+    return _linspace(lo, hi, n)
 
 
 def _golden_min(f, lo, hi):
@@ -485,13 +501,13 @@ def effective_angle(A: AdhesionFunction) -> tuple[float, float]:
     its arccos.
 
     Lower functionals report min A(b)/b, upper ones max A(b)/b; the returned
-    angle is the effective constant contact angle matching that slope.
+    angle is the effective constant contact angle matching that slope.  The
+    windows reach A as ``_grid_for`` gives them, so a linear evaluator runs
+    on Python floats.
     """
-    import numpy as np
-
-    b_grid = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
-    ratios = A(b_grid) / b_grid
-    m = float(np.min(ratios) if A.kind == KIND_LOWER else np.max(ratios))
+    b_grid = _grid_for(A, _linspace(1.0 / 33.0, 32.0 / 33.0, 32))
+    ratios = _on_grid(lambda b: A(b) / b, b_grid)
+    m = float(min(ratios) if A.kind == KIND_LOWER else max(ratios))
     return m, math.acos(min(1.0, max(-1.0, m)))
 
 

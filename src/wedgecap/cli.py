@@ -261,11 +261,7 @@ def _curvature_for(tag: str, kappa: float, lam: float):
 
 
 def _mirror_profiles(plus, minus) -> bool:
-    import numpy as np
-
-    return np.array_equal(plus.bounds, minus.bounds) and np.array_equal(
-        plus.values, minus.values
-    )
+    return plus.bounds == minus.bounds and plus.values == minus.values
 
 
 def cmd_solve(args) -> int:

@@ -5,18 +5,25 @@ limsup, as eps -> 0+, of (1/eps) * integral of cos(gamma) over (0, b*eps].
 Sweeps bracket them on a geometric grid of scales; for profiles with special
 structure (constant, dyadic super-blocks, log-periodic) the limits have
 closed forms evaluated exactly.
+
+The closed forms and the floor rule run on Python floats; only a sweep's
+grid (``SweepConfig.grid``) and its values (``sweep_table``) are numpy
+arrays, so a closed-form wall, or a floor refused before its sweep, never
+loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .base import EPS_FLOOR, KIND_LOWER, KIND_UPPER, POINTS_PER_DECADE
 from .base import check_adhesion_bound, check_angle
 from .profiles import ContactProfile, averaged_cos_many, check_window, cos_integral
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METHOD_SWEEP = "sweep"
 METHOD_LOG_PERIODIC = "log_periodic_exact"
@@ -74,6 +81,8 @@ class SweepConfig:
         return cls(eps_hi=eps_hi, eps_lo=eps_lo, **kw)
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         p = self.points_per_decade
         n_steps = math.floor(p * math.log10(self.eps_hi / self.eps_lo) + _STEP_SLACK)
         k = np.arange(n_steps + 1)
@@ -127,8 +136,8 @@ def _envelopes(
     _, vals = sweep_table(profile, b, sweep)
     spread = b * sweep.relative_spacing
     return (
-        AdhesionEstimate(b, KIND_LOWER, float(np.min(vals)), METHOD_SWEEP, spread),
-        AdhesionEstimate(b, KIND_UPPER, float(np.max(vals)), METHOD_SWEEP, spread),
+        AdhesionEstimate(b, KIND_LOWER, float(vals.min()), METHOD_SWEEP, spread),
+        AdhesionEstimate(b, KIND_UPPER, float(vals.max()), METHOD_SWEEP, spread),
     )
 
 
@@ -171,25 +180,19 @@ def verify_log_periodic(profile: ContactProfile, ratio: float) -> None:
     if profile.n_segments == 1:
         return
     s0 = profile.s_max
-    tail_end = float(profile.bounds[1])
+    tail_end = profile.bounds[1]
     if tail_end * ratio**2 > s0 * (1.0 + 1e-9):
         raise ValueError(
             "profile too shallow to verify one full period at the claimed ratio"
         )
     lo = tail_end * ratio
-    inner = profile.breaks[(profile.breaks > tail_end) & (profile.breaks < s0 / ratio)]
-    pts = np.concatenate(
-        (
-            [lo, s0],
-            profile.breaks[(profile.breaks > lo) & (profile.breaks < s0)],
-            inner * ratio,
-        )
-    )
-    # sorted and deduplicated as np.unique would, which imports numpy.ma on first use
-    pts = np.sort(pts)
-    pts = pts[np.append(True, pts[1:] != pts[:-1])]
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    for s in mids:
+    pts = sorted({
+        lo,
+        s0,
+        *(x for x in profile.breaks if lo < x < s0),
+        *(x * ratio for x in profile.breaks if tail_end < x < s0 / ratio),
+    })
+    for s in (0.5 * (a + b) for a, b in zip(pts, pts[1:])):
         if profile.value_at(s) != profile.value_at(s / ratio):
             raise ValueError(
                 f"profile is not self-similar at ratio {ratio}: mismatch near s={s}"
@@ -214,13 +217,11 @@ def exact_A_log_periodic(
     f_lo_trunc = cos_integral(profile, lo)
     period = cos_integral(profile, s0) - f_lo_trunc
     f_lo = period / (ratio - 1.0)  # exact tail sum of the scaled copies
-    inner = profile.breaks[(profile.breaks > lo) & (profile.breaks < s0)]
-    xs = np.concatenate(([lo], inner, [s0]))
-    f_vals = f_lo + (profile.integral_many(xs) - f_lo_trunc)
-    avgs = b * f_vals / xs
+    xs = [lo, *(x for x in profile.breaks if lo < x < s0), s0]
+    avgs = [b * (f_lo + (cos_integral(profile, x) - f_lo_trunc)) / x for x in xs]
     return (
-        AdhesionEstimate(b, KIND_LOWER, float(np.min(avgs)), METHOD_LOG_PERIODIC, 0.0),
-        AdhesionEstimate(b, KIND_UPPER, float(np.max(avgs)), METHOD_LOG_PERIODIC, 0.0),
+        AdhesionEstimate(b, KIND_LOWER, min(avgs), METHOD_LOG_PERIODIC, 0.0),
+        AdhesionEstimate(b, KIND_UPPER, max(avgs), METHOD_LOG_PERIODIC, 0.0),
     )
 
 
@@ -257,7 +258,7 @@ def _exact_estimates(
         g1, g2 = profile.recurrent_values
         return exact_A_example1(g1, g2, b)
     if profile.n_segments == 1:
-        value = b * float(math.cos(profile.values[0]))
+        value = b * math.cos(profile.values[0])
         return (
             AdhesionEstimate(b, KIND_LOWER, value, METHOD_SEQUENCE, 0.0),
             AdhesionEstimate(b, KIND_UPPER, value, METHOD_SEQUENCE, 0.0),

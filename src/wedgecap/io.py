@@ -93,7 +93,7 @@ def read_json(path: str | Path, what: str):
 
 def _check_profile(data):
     """Run a profile spec's JSON checks and return the call that builds it,
-    a function of the ``profiles`` module, which loads numpy."""
+    a function of the ``profiles`` module."""
     json_keys(data, "profile spec", ("side",), ("s_max",), ("segments", "generator"))
     side = data["side"]
     _require(side in ("+", "-"), f"side must be '+' or '-', got {side!r}")

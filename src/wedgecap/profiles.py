@@ -5,16 +5,26 @@ arclength s from the corner, on (0, s_max].  Profiles are piecewise constant
 with finitely many segments, so integrals of cos(gamma) are exact finite sums.
 Oscillation as s -> 0+ is what produces distinct lower/upper scale-averages;
 the two block generators below realize the standard oscillating examples.
+
+A profile holds Python floats, and a pointwise question (the angle at s, the
+integral up to x) runs on ``bisect`` and ``math``, so a wall whose adhesion
+has a closed form never loads numpy.  Only the vectorized integral and the
+scale-averages built on it import numpy, where they use it.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .base import SIDES, ProfileFormatError, check_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: applicability tags for the existence criterion at the corner
 NONCONVEX_OK = "nonconvex_ok"
@@ -62,7 +72,9 @@ class ContactProfile:
     """Piecewise-constant contact angle on (0, s_max].
 
     ``bounds`` holds segment endpoints 0 = b_0 < b_1 < ... < b_n = s_max and
-    ``values[i]`` is the angle on the half-open segment (b_i, b_{i+1}].
+    ``values[i]`` is the angle on the half-open segment (b_i, b_{i+1}].  Both
+    are tuples of Python floats, as are the cosines and prefix integrals the
+    profile keeps.
     ``annotations`` records isolated (s, gamma) points of measure zero; they
     never enter integrals.  ``recurrent_values`` lists angles taken on blocks
     recurring at every scale near s = 0 (set by the generators; used for
@@ -70,27 +82,33 @@ class ContactProfile:
     """
 
     side: str
-    bounds: np.ndarray
-    values: np.ndarray
+    bounds: tuple[float, ...]
+    values: tuple[float, ...]
     annotations: tuple[tuple[float, float], ...] = ()
     recurrent_values: tuple[float, ...] | None = None
     generator: str | None = None
-    _cos: np.ndarray = field(init=False, repr=False)
-    _prefix: np.ndarray = field(init=False, repr=False)
+    _cos: tuple[float, ...] = field(init=False, repr=False)
+    _prefix: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cos_vals = np.cos(self.values)
-        seg_int = np.diff(self.bounds) * cos_vals
-        prefix = np.concatenate(([0.0], np.cumsum(seg_int)))
+        cos_vals = tuple(map(math.cos, self.values))
+        seg_int = ((hi - lo) * c for lo, hi, c in zip(self.bounds, self.bounds[1:], cos_vals))
         object.__setattr__(self, "_cos", cos_vals)
-        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_prefix", (0.0, *itertools.accumulate(seg_int)))
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bounds, cosines and prefix integrals as numpy arrays, made once."""
+        import numpy as np
+
+        return np.array(self.bounds), np.array(self._cos), np.array(self._prefix)
 
     @property
     def s_max(self) -> float:
-        return float(self.bounds[-1])
+        return self.bounds[-1]
 
     @property
-    def breaks(self) -> np.ndarray:
+    def breaks(self) -> tuple[float, ...]:
         return self.bounds[1:]
 
     @property
@@ -101,18 +119,21 @@ class ContactProfile:
         """Angle on the segment containing arclength ``s`` in (0, s_max]."""
         if not (0.0 < s <= self.s_max):
             raise ValueError(f"arclength {s} outside (0, {self.s_max}]")
-        idx = int(np.searchsorted(self.bounds, s, side="left")) - 1
-        return float(self.values[idx])
+        return self.values[bisect.bisect_left(self.bounds, s) - 1]
 
     def integral_many(self, xs: np.ndarray) -> np.ndarray:
-        """Exact integral of cos(gamma) over (0, x] for each x (vectorized)."""
+        """Exact integral of cos(gamma) over (0, x] for each x (vectorized);
+        ``cos_integral`` is the same formula on one Python float."""
+        import numpy as np
+
+        bounds, cos_vals, prefix = self._arrays
         xs = np.asarray(xs, dtype=float)
         if not np.all((xs >= 0.0) & (xs <= self.s_max * (1.0 + 1e-12))):  # NaN fails too
             raise ValueError("integration endpoint outside [0, s_max]")
         xs = np.minimum(xs, self.s_max)
-        idx = np.searchsorted(self.bounds, xs, side="left") - 1
+        idx = np.searchsorted(bounds, xs, side="left") - 1
         idx = np.clip(idx, 0, self.n_segments - 1)
-        return self._prefix[idx] + (xs - self.bounds[idx]) * self._cos[idx]
+        return prefix[idx] + (xs - bounds[idx]) * cos_vals[idx]
 
 
 def make_piecewise(
@@ -131,27 +152,27 @@ def make_piecewise(
     """
     if side not in SIDES:
         raise ProfileFormatError(f"side must be '+' or '-', got {side!r}")
-    br = np.asarray(list(breaks), dtype=float)
-    vals = np.asarray(list(values), dtype=float)
-    if br.size == 0:
+    br = tuple(map(float, breaks))
+    vals = tuple(map(float, values))
+    if not br:
         raise ProfileFormatError("empty segment list")
-    if br.size != vals.size:
-        raise ProfileFormatError(f"{br.size} breaks but {vals.size} values")
-    if not np.all(br > 0.0):
+    if len(br) != len(vals):
+        raise ProfileFormatError(f"{len(br)} breaks but {len(vals)} values")
+    if not all(x > 0.0 for x in br):
         raise ValueError("breakpoints must be positive")
-    if not np.all(np.diff(br) > 0.0):
+    if not all(lo < hi for lo, hi in zip(br, br[1:])):
         raise ValueError("breakpoints must be strictly increasing")
-    check_angle(vals, "contact angles")
-    s_max = float(br[-1])
+    for g in vals:
+        check_angle(g, "contact angles")
+    s_max = br[-1]
     ann = tuple(sorted((float(s), float(g)) for s, g in annotations))
     for s, g in ann:
         if not (0.0 < s <= s_max):
             raise ValueError(f"annotation point {s} outside (0, s_max]")
         check_angle(g, "annotation angle")
-    bounds = np.concatenate(([0.0], br))
     return ContactProfile(
         side=side,
-        bounds=bounds,
+        bounds=(0.0, *br),
         values=vals,
         annotations=ann,
         recurrent_values=recurrent_values,
@@ -227,8 +248,13 @@ def example2_profile(g1: float, g2: float, depth: int = 24) -> ContactProfile:
 
 
 def cos_integral(profile: ContactProfile, x: float) -> float:
-    """Exact integral of cos(gamma(s)) over (0, x], 0 <= x <= s_max."""
-    return float(profile.integral_many(np.asarray([x]))[0])
+    """Exact integral of cos(gamma(s)) over (0, x], 0 <= x <= s_max: the
+    formula of ``integral_many``, bit for bit, on Python floats."""
+    if not 0.0 <= x <= profile.s_max * (1.0 + 1e-12):  # NaN fails too
+        raise ValueError("integration endpoint outside [0, s_max]")
+    x = min(x, profile.s_max)
+    i = min(max(bisect.bisect_left(profile.bounds, x) - 1, 0), profile.n_segments - 1)
+    return float(profile._prefix[i] + (x - profile.bounds[i]) * profile._cos[i])
 
 
 def check_window(b: float) -> None:
@@ -239,12 +265,14 @@ def check_window(b: float) -> None:
 
 def averaged_cos(profile: ContactProfile, eps: float, b: float) -> float:
     """Scale-average (1/eps) * integral of cos(gamma) over (0, b*eps]."""
-    return float(averaged_cos_many(profile, np.asarray([eps]), b)[0])
+    return float(averaged_cos_many(profile, [eps], b)[0])
 
 
 def averaged_cos_many(profile: ContactProfile, eps: np.ndarray, b: float) -> np.ndarray:
     """Vectorized ``averaged_cos`` over an array of scales; every window
     b*eps must lie in (0, s_max]."""
+    import numpy as np
+
     check_window(b)
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0.0):  # NaN fails too
@@ -257,10 +285,10 @@ def hypothesis_from_profiles(
 ) -> GammaBoundsHypothesis:
     """Segment-wise angle bounds for the pair of wall profiles."""
     return GammaBoundsHypothesis(
-        lower_plus=float(np.min(plus.values)),
-        upper_plus=float(np.max(plus.values)),
-        lower_minus=float(np.min(minus.values)),
-        upper_minus=float(np.max(minus.values)),
+        lower_plus=min(plus.values),
+        upper_plus=max(plus.values),
+        lower_minus=min(minus.values),
+        upper_minus=max(minus.values),
     )
 
 

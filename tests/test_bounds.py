@@ -477,6 +477,23 @@ def test_effective_angle_constant():
     assert sigma == pytest.approx(1.234, rel=1e-12)
 
 
+@pytest.mark.parametrize("wall", [
+    lambda: constant_profile("+", 1.234),
+    lambda: example1_profile(0.7, 2.2),
+    lambda: example2_profile(0.8, 2.0),
+    lambda: SCAN_WALLS["sweep"],
+], ids=["constant", "example1", "example2", "sweep"])
+@pytest.mark.parametrize("kind", ["I", "S"])
+def test_effective_angle_is_its_numpy_formula_bit_for_bit(wall, kind):
+    """A linear evaluator's effective angle runs on Python floats, a sweep
+    table's on one numpy array; both equal the numpy evaluation."""
+    A = adhesion_from_profile(wall(), kind)
+    b = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
+    ratios = A(b) / b
+    m = float(np.min(ratios) if kind == "I" else np.max(ratios))
+    assert effective_angle(A) == (m, math.acos(min(1.0, max(-1.0, m))))
+
+
 # ---------------------------------------------------------------------------
 # case plumbing
 

@@ -1065,6 +1065,8 @@ IMPORT_BUDGET = {
     "bad profile": (("io",), 2),
     "bounds": (("io", "functionals", "profiles", "bounds"), 0),
     "blowup --gamma0": (("io", "bounds", "blowup"), 0),
+    "blowup --profile": (("io", "functionals", "profiles", "bounds", "blowup"), 0),
+    "refused floor": (("io", "functionals", "profiles"), 3),
     "solve --config": (("io", "profiles", "solver", "elimination"), 0),
 }
 
@@ -1080,6 +1082,8 @@ def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
         "bad profile": lambda: ["profile", write_json(tmp_path / "bad.json", {"side": "x"}), *out],
         "bounds": lambda: ["bounds", "--plus", plus, "--minus", minus, "--case", "I", *out],
         "blowup --gamma0": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--gamma0", "1.0", *out],
+        "blowup --profile": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--profile", plus, *out],
+        "refused floor": lambda: ["profile", plus, "--eps-floor", "5.0", *out],
         "solve --config": lambda: small_solve_argv(tmp_path),
     }[call]()
     allowed, code = IMPORT_BUDGET[call]
@@ -1096,6 +1100,53 @@ def test_blowup_gamma0_loads_no_numpy(tmp_path, case, side, beta):
             "--out", tmp_path / "out"]
     assert stderr_and_numpy_in_child(argv) == (0, "", False)
     assert (tmp_path / "out" / "limit_sweep.csv").is_file()
+
+
+#: a wall pair of each family whose adhesion has a closed form; the generators
+#: make + walls, so their - walls are built and then given the - side
+CLOSED_FORM_WALLS = {
+    "constant": {"type": "constant", "gamma": 1.0},
+    "example1": {"type": "example1", "gamma1": 0.7, "gamma2": 2.2},
+    "example2": {"type": "example2", "gamma1": 0.8, "gamma2": 2.0},
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_WALLS)
+def test_closed_form_walls_load_no_numpy(tmp_path, family):
+    """On walls with a closed form, bounds (Corollary 1 on every pair) and the
+    blow-up of either wall run on Python floats: numpy is never imported."""
+    walls = {side: write_json(tmp_path / f"wall{i}.json",
+                              {"side": side, "generator": CLOSED_FORM_WALLS[family]})
+             for i, side in enumerate("+-")}
+    argv = ["bounds", "--plus", walls["+"], "--minus", walls["-"], "--case", "all",
+            "--out", tmp_path / "bounds"]
+    assert stderr_and_numpy_in_child(argv) == (0, "", False)
+    assert {row[3] for row in read_rows(tmp_path / "bounds" / "bounds.csv")[1:]} == {"corollary1"}
+    for side, wall in walls.items():
+        argv = ["blowup", "--case", "I", "--side", side, "--beta", "0.5", "--profile", wall,
+                "--out", tmp_path / f"blowup{side}"]
+        assert stderr_and_numpy_in_child(argv) == (0, "", False)
+
+
+def test_bounds_on_sweep_walls_loads_numpy(tmp_path):
+    """The control: a multi-segment wall with no closed form takes the sweep
+    table and the scan, which run on numpy."""
+    walls = [write_json(tmp_path / f"w{i}.json", {"side": side, "segments": [
+        {"s_end": s, "gamma": g} for s, g in zip([1e-6, 3e-5, 0.01, 1.0], [0.4, 2.1, 1.0, 2.6])]})
+        for i, side in enumerate("+-")]
+    argv = ["bounds", "--plus", walls[0], "--minus", walls[1], "--case", "I",
+            "--out", tmp_path / "out"]
+    assert stderr_and_numpy_in_child(argv) == (0, "", True)
+
+
+@pytest.mark.parametrize("floor", ["5.0", "0", "nan"])
+def test_a_refused_floor_loads_no_numpy(tmp_path, floor):
+    """The floor rule runs on Python floats: a floor off the wall exits 3
+    before its sweep, and numpy is never imported."""
+    argv = ["profile", constant_wall(tmp_path, "+", 1.0), "--eps-floor", floor,
+            "--out", tmp_path / "out"]
+    says = f"wedgecap: range error: sweep floor {float(floor)!r} must lie in (0, 1.0)"
+    assert stderr_and_numpy_in_child(argv) == (3, says, False)
 
 
 @pytest.mark.parametrize("module, loaded", [

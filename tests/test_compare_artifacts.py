@@ -68,3 +68,18 @@ def test_unchanged_newton_steps_are_reported_in_one_line(tmp_path, capsys, norm)
     )
     assert status == 0
     assert lines[-1] == "Newton steps and stops: all same"
+
+
+def test_a_renamed_text_cell_keeps_exit_1_and_shows_the_numeric_moves(tmp_path, capsys):
+    """A CSV whose text cells differ still reports how far its numbers moved."""
+    header = "side,case,beta_min,method\n"
+    for root, beta, method in ((tmp_path / "base", "0.451", "theorem2_scan"),
+                               (tmp_path / "new", "0.45102681179626236", "corollary1")):
+        (root / "bounds-x").mkdir(parents=True)
+        (root / "bounds-x" / "bounds.csv").write_text(
+            header + f"+,I,{beta},{method}\n-,I,1.2,{method}\n")
+    status = compare.main([str(tmp_path / "base"), str(tmp_path / "new")])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert lines[0] == ("bounds-x/bounds.csv: side=0 case=0 beta_min=2.68e-05; "
+                        "text cells differ: method (2)")

@@ -26,6 +26,7 @@ from wedgecap.functionals import (
 from wedgecap.profiles import (
     ContactProfile,
     constant_profile,
+    cos_integral,
     example1_profile,
     example2_profile,
     make_piecewise,
@@ -185,7 +186,8 @@ def test_exact_log_periodic_against_dense_offset_oracle():
         lo, hi = exact_A_log_periodic(p, b, 4.0)
         x0 = 4.0 ** -6
         xs = np.geomspace(x0, 4 * x0, 10001)
-        kinks = p.breaks[(p.breaks >= x0) & (p.breaks <= 4 * x0)]
+        breaks = np.asarray(p.breaks)
+        kinks = breaks[(breaks >= x0) & (breaks <= 4 * x0)]
         xs = np.unique(np.concatenate((xs, kinks)))
         ratios = p.integral_many(xs) / xs
         assert lo.value == pytest.approx(b * float(ratios.min()), abs=1e-9)
@@ -262,9 +264,13 @@ def test_closed_form_past_the_bound_is_refused_not_clamped(monkeypatch):
     """Integrals that overshoot by a relative 1e-8 put a log-periodic wall's
     closed form past |A(b)| <= b; the estimate refuses it, as no closed form
     clamps its values."""
+    import wedgecap.functionals
+
     integral_many = ContactProfile.integral_many
     monkeypatch.setattr(ContactProfile, "integral_many",
                         lambda self, xs: integral_many(self, xs) * (1.0 + 1e-8))
+    monkeypatch.setattr(wedgecap.functionals, "cos_integral",
+                        lambda p, x: cos_integral(p, x) * (1.0 + 1e-8))
     with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
         best_estimates(example2_profile(0.0, 0.0), 0.5)
 
@@ -331,3 +337,24 @@ def test_every_entry_point_refuses_a_window_that_is_not_positive(entry, b):
     with one message, not divided by or carried into NaN estimates."""
     with pytest.raises(ValueError, match="window factor must be positive"):
         entry(b)
+
+
+@pytest.mark.parametrize("wall", [
+    lambda: example2_profile(0.8, 2.0),
+    lambda: example2_profile(math.pi / 3, 2 * math.pi / 3, 537),
+    two_block_ratio4,
+], ids=["example2-24", "example2-537", "two-block"])
+def test_exact_log_periodic_is_its_numpy_formula_bit_for_bit(wall):
+    """The closed form on Python floats equals the same formula evaluated on
+    numpy arrays through integral_many."""
+    p = wall()
+    s0 = p.s_max
+    lo = s0 / 4.0
+    f_lo_trunc = float(p.integral_many([lo])[0])
+    f_lo = (float(p.integral_many([s0])[0]) - f_lo_trunc) / 3.0
+    breaks = np.asarray(p.breaks)
+    xs = np.concatenate(([lo], breaks[(breaks > lo) & (breaks < s0)], [s0]))
+    for b in (0.25, 0.5, 1.0):
+        avgs = b * (f_lo + (p.integral_many(xs) - f_lo_trunc)) / xs
+        lower, upper = exact_A_log_periodic(p, b, 4.0)
+        assert (lower.value, upper.value) == (float(np.min(avgs)), float(np.max(avgs)))

@@ -1,6 +1,7 @@
 """Wall-profile construction, exact integration, and applicability tagging."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wedgecap.bounds import AdhesionFunction
 from wedgecap.functionals import exact_A_example1
+from wedgecap.io import load_profile
 from wedgecap.profiles import (
     CONVEX_OK,
     FAILS,
@@ -222,7 +224,8 @@ def test_cos_integral_additive(p, f1, f2):
     assert whole == pytest.approx(parts, abs=1e-14)
     # the increment equals a direct segment-sum over (x, y]
     direct = 0.0
-    edges = np.unique(np.concatenate(([x], p.breaks[(p.breaks > x) & (p.breaks < y)], [y])))
+    breaks = np.asarray(p.breaks)
+    edges = np.unique(np.concatenate(([x], breaks[(breaks > x) & (breaks < y)], [y])))
     for lo, hi in zip(edges[:-1], edges[1:]):
         # (lo, hi] lies in one segment; its midpoint can underflow to lo
         direct += (hi - lo) * math.cos(p.value_at(hi))
@@ -342,3 +345,29 @@ def test_profile_immutability():
     with pytest.raises(Exception):
         p.side = "-"
     assert isinstance(p, ContactProfile)
+
+
+#: walls on which the float integral must be the array one, bit for bit: the
+#: benchmark's irregular wall, example2 at its default depth and at the
+#: deepest depth verify-examples builds, and a constant wall
+BIT_IDENTITY_WALLS = {
+    "irregular": lambda: load_profile(
+        Path(__file__).parents[1] / "perfbench" / "inputs" / "fan-scan" / "irregular_plus.json"),
+    "example2-24": lambda: example2_profile(0.8, 2.0),
+    "example2-537": lambda: example2_profile(math.pi / 3, 2 * math.pi / 3, 537),
+    "constant": lambda: constant_profile("-", 1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("wall", BIT_IDENTITY_WALLS)
+def test_float_integral_is_the_array_integral_bit_for_bit(wall):
+    """cos_integral (bisect on Python floats) equals integral_many (numpy) at
+    every break, segment midpoint and s_max, and the prefix integrals the
+    profile holds are numpy's cumulative sum of the same segment integrals."""
+    p = BIT_IDENTITY_WALLS[wall]()
+    bounds = np.asarray(p.bounds)
+    xs = np.concatenate(([0.0], 0.5 * (bounds[:-1] + bounds[1:]), bounds[1:]))
+    assert [cos_integral(p, x) for x in xs.tolist()] == p.integral_many(xs).tolist()
+    seg_int = np.diff(bounds) * np.asarray(p._cos)
+    assert list(p._prefix) == [0.0, *np.cumsum(seg_int).tolist()]
+    assert all(type(x) is float for x in (*p.bounds, *p.values, *p._cos, *p._prefix))
