@@ -92,10 +92,16 @@ def calls(inputs):
     out.append(("bounds-ID-step", ["bounds", "--plus", paths["irregular", "+"],
                                    "--minus", paths["irregular", "-"], "--case", "ID",
                                    "--beta-step", "0.05", "--degrees"]))
-    # a sweep table at a floor other than the default
+    # sweep envelopes at floors other than the default; at 1e-3 the lower end
+    # b * eps_floor lands inside the walls' segments, not in the innermost one
     out.append(("bounds-irregular-floor", ["bounds", "--plus", paths["irregular", "+"],
                                            "--minus", paths["irregular", "-"], "--case", "all",
                                            "--eps-floor", "1e-8"]))
+    out.append(("profile-irregular-floor-1e-3", ["profile", paths["irregular", "+"],
+                                                 "--eps-floor", "1e-3"]))
+    out.append(("bounds-irregular-floor-1e-3", ["bounds", "--plus", paths["irregular", "+"],
+                                                "--minus", paths["irregular", "-"], "--case", "all",
+                                                "--eps-floor", "1e-3"]))
     # below the default floor: the bounds and blowup windows near sin(1e-4)
     # reach the deep wall's innermost segment at 1e-16
     deep_paths = {s: write_json(inputs / f"deep_{'plus' if s == '+' else 'minus'}.json", w)

@@ -6,9 +6,9 @@ half-plane bounded by a transversal ray.  The energy gain of that cut is a
 finite closed form in the triangle data and one adhesion value, and a fan
 width claimed below the admissible minimum yields a transversal direction
 with strictly positive gain -- the contradiction witness.  The fan-edge
-limits run on Python floats without numpy, or on numpy arrays (see
-``bounds._on_grid``); a sweep table always gets its lambda grid as an array
-(``_lambda_grid``).  The triangles build numpy vertices.
+limits run on Python floats without numpy for a grid of floats, whatever the
+wall, or on numpy for an array grid (see ``bounds._on_grid``).  The
+triangles build numpy vertices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
-    _grid_for,
     _on_grid,
     _worst_lambda,
     case_condition_map,
@@ -182,12 +181,6 @@ def _limit_fn_for(case: FanCase, side: str):
     return psi_limit_difference
 
 
-def _lambda_grid(A: AdhesionFunction, beta: float, lambda_grid):
-    """``lambda_grid``, or ``default_lambda_grid(beta)`` when None, as
-    ``bounds._grid_for`` hands it to ``A``."""
-    return _grid_for(A, default_lambda_grid(beta) if lambda_grid is None else lambda_grid)
-
-
 def contradiction_witness(
     A: AdhesionFunction,
     case: FanCase,
@@ -205,8 +198,7 @@ def contradiction_witness(
     exactly when that check fails.
     """
     gain = _limit_fn_for(case, side)
-    grid = _lambda_grid(A, beta_claim, lambda_grid)
-    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, grid)
+    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, lambda_grid)
     return (lam, -value) if value < FEASIBLE_TOL else None
 
 
@@ -220,10 +212,8 @@ def limit_difference_table(
     """(lambda, limiting gain) rows of Python floats for one wall, ready for
     CSV output; the gains are evaluated as ``bounds._on_grid`` does."""
     fn = _limit_fn_for(case, side)
-    grid = _lambda_grid(A, beta, lambda_grid)
+    grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
     gains = _on_grid(lambda lam: fn(A, beta, lam), grid)
     if hasattr(grid, "tolist"):
-        # a list the caller gave already holds the grid's Python floats
-        grid = lambda_grid if isinstance(lambda_grid, list) else grid.tolist()
-        gains = gains.tolist()
+        grid, gains = grid.tolist(), gains.tolist()
     return list(zip(grid, gains))

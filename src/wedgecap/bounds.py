@@ -13,7 +13,6 @@ which on linear walls serves as the closed form's cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,10 +68,10 @@ class AdhesionFunction:
     ``kind`` "I" marks a lower (liminf) functional, "S" an upper one.  The
     evaluator must accept numpy arrays; every returned value is clipped to
     the hard bound |A(b)| <= b after a sanity check.  The ``linear`` and
-    sweep-table evaluators (see ``adhesion_from_profile``) lie within that
-    bound by construction (checked once when they are built), so their
-    values skip both, and they take a Python float or a numpy array as it
-    is: the linear one answers a float with a float, without numpy.
+    sweep evaluators (see ``adhesion_from_profile``) lie within that bound
+    by construction (checked once when they are built), so their values
+    skip both, and they take a Python float or a numpy array as it is: each
+    answers a float with a float, without numpy.
     """
 
     kind: str
@@ -105,62 +104,6 @@ class AdhesionFunction:
         if not (-1.0 <= m <= 1.0):
             raise ValueError(f"slope must lie in [-1, 1], got {m}")
         return cls(kind=kind, fn=lambda b: m * b, method=method, _bounded=True)
-
-
-class _SweepTable:
-    """Running min and max envelopes of one wall's window-1 sweep (see
-    ``adhesion_from_profile``)."""
-
-    def __init__(self, profile: ContactProfile, eps_lo: float):
-        import numpy as np
-
-        from .functionals import SweepConfig, sweep_table
-
-        # deep enough for every window from sin(LAMBDA_MARGIN), the scan's
-        # smallest, at this floor and at the default one
-        try:
-            floor = min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN)
-            sweep = SweepConfig.for_profile(profile, 1.0, floor)
-        except ValueError as exc:
-            raise ValueError(f"sweep floor {eps_lo!r} leaves no table for the scan: {exc}") from None
-        # at b = 1 the sweep's grid is x and its values are F(x)/x
-        xs, g = sweep_table(profile, 1.0, sweep)
-        # the sweep of window b reads the grid down to b * eps_lo
-        self.reach = sweep.reach
-        # xs descends; envelope over x >= b*eps_lo is a prefix along this order
-        env = np.stack((np.minimum.accumulate(g), np.maximum.accumulate(g)))[:, ::-1]
-        check_adhesion_bound(env, 1.0)
-        # for b > 0, b * clip(env) is the clip of b * env to [-b, b]
-        self.lower, self.upper = np.clip(env, -1.0, 1.0)
-        self.asc = xs[::-1]
-        self.eps_lo = eps_lo
-        self._last = (None, None)
-
-    def cut(self, b) -> np.ndarray:
-        """Envelope index of each window b (a float or an array).  The search
-        of a read-only b that owns its data, as the fan scan's blocks are, is
-        kept, so the wall's two kinds search each block once."""
-        import numpy as np
-
-        b = np.asarray(b, dtype=float)
-        key, cut = self._last
-        if b is not key:
-            smallest = float(np.min(b, initial=np.inf))
-            if smallest * self.eps_lo <= self.reach:
-                raise ValueError(
-                    f"window {smallest!r} lies below the sweep table at eps_lo={self.eps_lo!r}"
-                )
-            cut = np.searchsorted(self.asc, b * self.eps_lo, side="left")
-            cut = np.clip(cut, 0, len(self.asc) - 1)
-            if b.flags.owndata and not b.flags.writeable:
-                self._last = (b, cut)
-        return cut
-
-
-@functools.lru_cache(maxsize=2)
-def _sweep_table(profile: ContactProfile, eps_lo: float) -> _SweepTable:
-    """One table per wall and sweep floor (profiles hash by identity)."""
-    return _SweepTable(profile, eps_lo)
 
 
 @dataclass(frozen=True)
@@ -202,17 +145,6 @@ def _on_grid(f, grid):
     """``f`` over ``grid``: one call on a numpy array, one per point on a
     sequence of Python floats."""
     return f(grid) if hasattr(grid, "ndim") else [f(x) for x in grid]
-
-
-def _grid_for(A: AdhesionFunction, grid):
-    """``grid`` as ``A`` answers it best: a sweep table gets one numpy array,
-    which it answers in one search, where a list of floats would ask it once
-    per point; any other evaluator gets ``grid`` as it is."""
-    if A.method != "sweep":
-        return grid
-    import numpy as np
-
-    return np.asarray(grid, dtype=float)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -388,7 +320,7 @@ def _grid_pass(requests, betas: np.ndarray, u: np.ndarray, block_rows: int):
         beta = betas[block, None]
         lo = beta + LAMBDA_MARGIN
         b, s = _ratios(beta, lo + (hi - lo) * u)
-        b.flags.writeable = False  # every request reads this b; sweep tables key on it
+        b.flags.writeable = False  # every request reads this b; sweep evaluators key on it
         rows = np.arange(len(beta))
         for r, (A, kind) in enumerate(requests):
             vals2d = _condition(A, kind, b, s)
@@ -502,11 +434,9 @@ def effective_angle(A: AdhesionFunction) -> tuple[float, float]:
 
     Lower functionals report min A(b)/b, upper ones max A(b)/b; the returned
     angle is the effective constant contact angle matching that slope.  The
-    windows reach A as ``_grid_for`` gives them, so a linear evaluator runs
-    on Python floats.
+    windows are Python floats, so the package's evaluators run on ``math``.
     """
-    b_grid = _grid_for(A, _linspace(1.0 / 33.0, 32.0 / 33.0, 32))
-    ratios = _on_grid(lambda b: A(b) / b, b_grid)
+    ratios = [A(b) / b for b in _linspace(1.0 / 33.0, 32.0 / 33.0, 32)]
     m = float(min(ratios) if A.kind == KIND_LOWER else max(ratios))
     return m, math.acos(min(1.0, max(-1.0, m)))
 
@@ -528,22 +458,22 @@ def adhesion_from_profile(
     """Best available evaluator for a profile: exact when structure allows.
 
     Walls with a closed form (routed as in ``best_estimates``) get a linear
-    evaluator.  Any other wall gets a sweep table: A(b) over the grid eps in
-    [eps_lo, s_max/b] equals b * (envelope of F(x)/x over x in [b*eps_lo,
-    s_max]), so the window-1 sweep (values F(x)/x at POINTS_PER_DECADE) plus
-    running envelopes answers every b by bisection.
-    The grid serves every window from sin(LAMBDA_MARGIN) up; a window whose
-    sweep would read below it raises ValueError.  Both kinds of one wall
-    share the table.  A floor outside (0, s_max) raises ValueError on every
-    route.
+    evaluator.  Any other wall gets the exact sweep envelope
+    (``functionals.ScaleEnvelope``): A(b), the inf or sup of the scale-averages
+    over eps in [eps_lo, s_max/b], is b times the envelope of F(x)/x over x in
+    [b*eps_lo, s_max], read by bisection.  Both kinds of one wall share the
+    envelope, and its search of a fan-scan block.  A floor outside (0, s_max)
+    raises ValueError on every route, and on this one so does a floor the
+    wall's own sweep (``SweepConfig.for_profile`` at b = 1) refuses.
     """
-    from .functionals import _exact_estimates
+    from .functionals import SweepConfig, _exact_estimates, scale_envelope
 
     exact = _exact_estimates(profile, 1.0, eps_lo)
     if exact is None:
-        table = _sweep_table(profile, eps_lo)
-        env = table.upper if kind == KIND_UPPER else table.lower
-        return AdhesionFunction(kind, lambda b: b * env[table.cut(b)], "sweep", _bounded=True)
+        SweepConfig.for_profile(profile, 1.0, eps_lo)
+        env = scale_envelope(profile)
+        return AdhesionFunction(kind, lambda b: b * env.read(b, eps_lo, kind), "sweep",
+                                _bounded=True)
     # scale-averages are degree-1 homogeneous in b, so the value at b = 1 is the slope
     est = exact[0] if kind == KIND_LOWER else exact[1]
     method = "constant_angle" if profile.n_segments == 1 else est.method
@@ -563,7 +493,7 @@ def fan_bound_rows(
     effective_m, effective_sigma), in case order and then in the case's
     (side, condition) order.  A pair on a wall with a linear evaluator takes
     its width in closed form (``_corollary1_fan``, method ``corollary1``);
-    the pairs on sweep-table walls share one scan (``theorem2_scan``), run
+    the pairs on sweep walls share one scan (``theorem2_scan``), run
     only when there are any.  ID and DI repeat the pairs of I and D and reuse
     their results.
     """

@@ -107,12 +107,7 @@ def cmd_profile(args) -> int:
     rows = []
     for k in range(1, 21):
         b = k * profile.s_max / 20.0
-        lower, upper = best_estimates(
-            profile,
-            b,
-            eps_lo=args.eps_floor,
-            points_per_decade=args.points_per_decade,
-        )
+        lower, upper = best_estimates(profile, b, eps_lo=args.eps_floor)
         rows.append((b, lower.value, upper.value, lower.method, lower.uncertainty))
     fn_path = wio.write_functional_csv(out / "functionals.csv", rows)
 
@@ -195,18 +190,18 @@ def _verify_lines(g1: float, g2: float, eps_floor: float) -> list[tuple[str, flo
     err_exact1 = exact_errors(prof1, want_ex1)
     err_exact2 = exact_errors(prof2, want_ex2)
 
-    def sweep_error(prof, b, want, **kw):
-        """Larger error of one sweep's min and max against want = (lower, upper)."""
-        lower, upper = _envelopes(prof, b, eps_lo=eps_floor, **kw)
+    def sweep_error(prof, b, want):
+        """Larger error of one sweep's inf and sup against want = (lower, upper)."""
+        lower, upper = _envelopes(prof, b, eps_floor)
         return max(abs(lower.value - want[0]), abs(upper.value - want[1]))
 
-    # The sweep's error is a share of the swing b * |c1 - c2| that depends only
-    # on the floor (3.1% at the default one), so it is measured against 5% of
-    # that swing.  Equal angles leave a zero swing and only roundoff, so the
-    # swing is floored at the exact lines' 1e-12.
+    # example1's sweep sees only the blocks above its floor, so its error is a
+    # share of the swing b * |c1 - c2| that depends only on the floor, and is
+    # measured against 5% of that swing.  Equal angles leave a zero swing and only
+    # roundoff, so the swing is floored at the exact lines' 1e-12.
     swing = max(abs(c1 - c2), 1e-12)
     rel1 = max(sweep_error(prof1, b, want_ex1[b]) / (0.05 * b * swing) for b in bs)
-    err2 = max(sweep_error(prof2, b, want_ex2[b], points_per_decade=4096) for b in bs)
+    err2 = max(sweep_error(prof2, b, want_ex2[b]) for b in bs)
 
     return [
         ("example1 exact A_I", err_exact1[0], 1e-12),
@@ -480,7 +475,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile", help="sweep a wall profile and its A curves")
     _add_flags(p, "--eps-floor")
     p.add_argument("file", help="profile JSON file")
-    p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE)
+    p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE,
+                   help="grid density of sweep.csv")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("bounds", help="minimal admissible fan widths per case")

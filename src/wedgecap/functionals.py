@@ -2,18 +2,22 @@
 
 For a window factor b > 0 the quantities of interest are the liminf and
 limsup, as eps -> 0+, of (1/eps) * integral of cos(gamma) over (0, b*eps].
-Sweeps bracket them on a geometric grid of scales; for profiles with special
-structure (constant, dyadic super-blocks, log-periodic) the limits have
-closed forms evaluated exactly.
+On a wall without a closed form they are estimated by the inf and sup over
+the scales from the wall, s_max/b, down to a floor: exact finite extrema
+(``ScaleEnvelope``), since every wall is piecewise constant.  For profiles
+with special structure (constant, dyadic super-blocks, log-periodic) the
+limits have closed forms evaluated exactly.
 
-The closed forms and the floor rule run on Python floats; only a sweep's
-grid (``SweepConfig.grid``) and its values (``sweep_table``) are numpy
-arrays, so a closed-form wall, or a floor refused before its sweep, never
-loads numpy.
+The envelopes, the closed forms and the floor rule run on Python floats; only
+a sweep's grid (``SweepConfig.grid``), its values (``sweep_table``) and an
+envelope read on a numpy array use numpy, so no estimate loads it.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -34,6 +38,9 @@ LOG_PERIODIC_RATIO = 4.0
 
 #: rounding slack of a sweep's step count, so a floor a whole number of steps down is on its grid
 _STEP_SLACK = 1e-9
+#: an envelope's lower end never reads below the smallest positive float, where
+#: the innermost segment's term is its cosine exactly
+_TINY = math.ulp(0.0)
 
 
 def check_floor(eps_lo: float, eps_hi: float) -> None:
@@ -88,22 +95,14 @@ class SweepConfig:
         k = np.arange(n_steps + 1)
         return self.eps_hi * 10.0 ** (-(k / p))
 
-    @property
-    def reach(self) -> float:
-        """A sweep from ``eps_hi`` to a floor at or below this reads past this grid."""
-        return self.eps_hi * 10.0 ** ((_STEP_SLACK - self.grid().size) / self.points_per_decade)
-
-    @property
-    def relative_spacing(self) -> float:
-        return 10.0 ** (1.0 / self.points_per_decade) - 1.0
-
 
 @dataclass(frozen=True)
 class AdhesionEstimate:
     """One estimated or exact adhesion value at window factor ``b``.
 
     ``kind`` is "I" for the lower (liminf) value, "S" for the upper (limsup)
-    one.  ``uncertainty`` is zero exactly for the closed-form methods.
+    one.  A closed form carries zero ``uncertainty``; a sweep-route value
+    carries its drift (see ``_envelopes``).
     """
 
     b: float
@@ -121,38 +120,106 @@ class AdhesionEstimate:
             raise ValueError("uncertainty must be nonnegative")
         check_window(self.b)
         check_adhesion_bound(self.value, self.b)
-        exact = self.method in (METHOD_LOG_PERIODIC, METHOD_SEQUENCE)
-        if exact != (self.uncertainty == 0.0):
-            raise ValueError("uncertainty must be zero iff the method is exact")
+        if self.method != METHOD_SWEEP and self.uncertainty != 0.0:
+            raise ValueError("a closed form carries zero uncertainty")
+
+
+class ScaleEnvelope:
+    """Exact lower and upper envelopes of F(x)/x over x in [t, s_max], as
+    functions of the lower end t; F is the integral of cos(gamma).
+
+    Between two breaks F(x)/x = c + d/x is monotone, so each extreme lies at
+    a break at or above t or at t itself.  The breaks' values F(x_k)/x_k,
+    from the profile's prefix integrals, are checked against |F(x)/x| <= 1,
+    clipped to it, and kept as suffix minima and maxima; t on the segment
+    (x_{j-1}, x_j] adds c_j + d_j/t.  A window b swept from s_max/b down to
+    eps_lo reads x = b*eps, so its inf and sup are b times the envelopes at
+    t = b*eps_lo; a t above s_max reads F(s_max)/s_max.
+    """
+
+    def __init__(self, profile: ContactProfile):
+        bounds, prefix, cos_vals = profile.bounds, profile._prefix, profile._cos
+        ratios = [f / x for f, x in zip(prefix[1:], bounds[1:])]
+        check_adhesion_bound(max(map(abs, ratios)), 1.0)
+        ratios = [min(max(r, -1.0), 1.0) for r in ratios]
+        top = ratios[-1]
+
+        def suffix(pick):
+            return [math.nan, *list(itertools.accumulate(reversed(ratios), pick))[::-1], top]
+
+        # entry j of each list belongs to the segment (bounds[j-1], bounds[j]];
+        # the last one, past s_max, reads F(s_max)/s_max
+        self.lower, self.upper = suffix(min), suffix(max)
+        self.slope = [math.nan, *cos_vals, top]
+        self.offset = [math.nan, *(f - x * c for f, x, c in zip(prefix, bounds, cos_vals)), 0.0]
+        self.bounds = bounds
+        self._last = (None, None, None)
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        import numpy as np
+
+        return tuple(map(np.array, (self.bounds, self.slope, self.offset, self.lower, self.upper)))
+
+    def read(self, b, eps_lo: float, kind: str):
+        """The ``kind`` envelope ("I" lower, "S" upper) at t = b*eps_lo, for a
+        Python float b by ``bisect`` or for a numpy array of windows by one
+        search.  A read-only array that owns its data, as the fan scan's
+        blocks are, keeps its search and end term, so a wall's two kinds
+        search each block once."""
+        if not hasattr(b, "ndim"):
+            t = max(b * eps_lo, _TINY)
+            j = bisect.bisect_left(self.bounds, t)
+            end = min(max(self.slope[j] + self.offset[j] / t, -1.0), 1.0)
+            return min(end, self.lower[j]) if kind == KIND_LOWER else max(end, self.upper[j])
+        import numpy as np
+
+        bounds, slope, offset, lower, upper = self._arrays
+        key, floor, cut = self._last
+        if b is not key or eps_lo != floor:
+            t = np.maximum(b * eps_lo, _TINY)
+            j = np.searchsorted(bounds, t)
+            cut = j, np.clip(slope[j] + offset[j] / t, -1.0, 1.0)
+            if b.flags.owndata and not b.flags.writeable:
+                self._last = (b, eps_lo, cut)
+        j, end = cut
+        return np.minimum(end, lower[j]) if kind == KIND_LOWER else np.maximum(end, upper[j])
+
+
+@functools.lru_cache(maxsize=2)
+def scale_envelope(profile: ContactProfile) -> ScaleEnvelope:
+    """One envelope per wall (profiles hash by identity)."""
+    return ScaleEnvelope(profile)
 
 
 def _envelopes(
-    profile: ContactProfile, b: float, sweep: SweepConfig | None = None, **kw
+    profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR
 ) -> tuple[AdhesionEstimate, AdhesionEstimate]:
-    """Grid (lower, upper) envelopes of one sweep: the min and max of its
-    values; the default sweep is ``SweepConfig.for_profile(profile, b, **kw)``."""
-    if sweep is None:
-        sweep = SweepConfig.for_profile(profile, b, **kw)
-    _, vals = sweep_table(profile, b, sweep)
-    spread = b * sweep.relative_spacing
+    """Exact (lower, upper) envelopes of the sweep at window ``b`` from
+    s_max/b down to ``eps_lo``, whose floor keeps ``SweepConfig.for_profile``'s
+    rules.  Each carries its drift: how far it moves when the floor rises to
+    min(100 * eps_lo, s_max/b)."""
+    SweepConfig.for_profile(profile, b, eps_lo)
+    env = scale_envelope(profile)
+    top = min(100.0 * eps_lo, profile.s_max / b)
+    (lo, hi), (lo_top, hi_top) = (
+        (b * env.read(b, floor, KIND_LOWER), b * env.read(b, floor, KIND_UPPER))
+        for floor in (eps_lo, top)
+    )
     return (
-        AdhesionEstimate(b, KIND_LOWER, float(vals.min()), METHOD_SWEEP, spread),
-        AdhesionEstimate(b, KIND_UPPER, float(vals.max()), METHOD_SWEEP, spread),
+        AdhesionEstimate(b, KIND_LOWER, lo, METHOD_SWEEP, abs(lo_top - lo)),
+        AdhesionEstimate(b, KIND_UPPER, hi, METHOD_SWEEP, abs(hi - hi_top)),
     )
 
 
-def estimate_AI(
-    profile: ContactProfile, b: float, sweep: SweepConfig | None = None
-) -> AdhesionEstimate:
-    """Grid lower envelope of the scale-averages (liminf bracket)."""
-    return _envelopes(profile, b, sweep)[0]
+def estimate_AI(profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR) -> AdhesionEstimate:
+    """Inf of the scale-averages down to ``eps_lo`` (liminf estimate)."""
+    return _envelopes(profile, b, eps_lo)[0]
 
 
-def estimate_AS(
-    profile: ContactProfile, b: float, sweep: SweepConfig | None = None
-) -> AdhesionEstimate:
-    """Grid upper envelope of the scale-averages (limsup bracket)."""
-    return _envelopes(profile, b, sweep)[1]
+def estimate_AS(profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR) -> AdhesionEstimate:
+    """Sup of the scale-averages down to ``eps_lo`` (limsup estimate)."""
+    return _envelopes(profile, b, eps_lo)[1]
 
 
 def sweep_table(
@@ -252,7 +319,7 @@ def _exact_estimates(
     LOG_PERIODIC_RATIO by the log-periodic closed form.  A closed form reads
     no floor, but the floor ``eps_lo`` must lie on the wall on every route.
     """
-    check_window(b)  # before the log-periodic route, whose ValueError means "no closed form"
+    check_window(b)
     check_floor(eps_lo, profile.s_max)
     if profile.generator == "example1" and profile.recurrent_values is not None:
         g1, g2 = profile.recurrent_values
@@ -264,24 +331,21 @@ def _exact_estimates(
             AdhesionEstimate(b, KIND_UPPER, value, METHOD_SEQUENCE, 0.0),
         )
     try:
-        return exact_A_log_periodic(profile, b, LOG_PERIODIC_RATIO)
-    except ValueError:
+        verify_log_periodic(profile, LOG_PERIODIC_RATIO)
+    except ValueError:  # not self-similar: only a sweep applies
         return None
+    return exact_A_log_periodic(profile, b, LOG_PERIODIC_RATIO)
 
 
 def best_estimates(
-    profile: ContactProfile,
-    b: float,
-    eps_lo: float = EPS_FLOOR,
-    points_per_decade: int = POINTS_PER_DECADE,
+    profile: ContactProfile, b: float, eps_lo: float = EPS_FLOOR
 ) -> tuple[AdhesionEstimate, AdhesionEstimate]:
     """(lower, upper) adhesion values via the tightest applicable route.
 
     Profiles with recognized structure (see ``_exact_estimates``) get exact
-    values; everything else falls back to a sweep between ``eps_lo`` and the
-    wall.  A floor outside (0, s_max) raises ValueError on every route.
+    values; everything else gets the exact envelopes of the sweep between
+    ``eps_lo`` and the wall.  A floor outside (0, s_max) raises ValueError on
+    every route.
     """
     exact = _exact_estimates(profile, b, eps_lo)
-    if exact is not None:
-        return exact
-    return _envelopes(profile, b, eps_lo=eps_lo, points_per_decade=points_per_decade)
+    return _envelopes(profile, b, eps_lo) if exact is None else exact

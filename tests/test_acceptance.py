@@ -34,7 +34,6 @@ from wedgecap.bounds import (
     min_admissible_fan,
 )
 from wedgecap.functionals import (
-    SweepConfig,
     estimate_AI,
     estimate_AS,
     exact_A_example1,
@@ -74,9 +73,8 @@ def test_criterion_1_dyadic_block_identities():
             abs(lower.value - b * math.cos(g2)),
             abs(upper.value - b * math.cos(g1)),
         )
-        cfg = SweepConfig.for_profile(prof, b, eps_lo=1e-10)
-        lo = estimate_AI(prof, b, cfg)
-        hi = estimate_AS(prof, b, cfg)
+        lo = estimate_AI(prof, b, 1e-10)
+        hi = estimate_AS(prof, b, 1e-10)
         worst_sweep_rel = max(
             worst_sweep_rel,
             abs(lo.value - b * math.cos(g2)) / (0.05 * b),
@@ -112,11 +110,9 @@ def test_criterion_2_log_periodic_identities():
         worst_exact = max(
             worst_exact, abs(lower.value - want_lo), abs(upper.value - want_hi)
         )
-        # grid fine enough that the kink extrema are hit to ~4e-4, floor deep
-        # enough that the generated tail biases windows by < 1e-7
-        cfg = SweepConfig.for_profile(prof, b, eps_lo=1e-6, points_per_decade=8192)
-        lo = estimate_AI(prof, b, cfg)
-        hi = estimate_AS(prof, b, cfg)
+        # a floor deep enough that the generated tail biases windows by < 1e-7
+        lo = estimate_AI(prof, b, 1e-6)
+        hi = estimate_AS(prof, b, 1e-6)
         worst_sweep = max(
             worst_sweep, abs(lo.value - want_lo), abs(hi.value - want_hi)
         )

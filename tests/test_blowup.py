@@ -21,14 +21,12 @@ from wedgecap.bounds import (
     FEASIBLE_TOL,
     INCREASING,
     LAMBDA_MARGIN,
-    LAMBDA_POINTS,
     AdhesionFunction,
     FanCase,
     _condition,
     _golden_min,
     _keep_lower,
     _ratios,
-    _SweepTable,
     adhesion_from_profile,
     case_condition_map,
     condition_decreasing,
@@ -269,12 +267,18 @@ def _check_witness_against_admissibility(m, beta, grid):
     assert (w is None) == ok
 
 
+#: a wall without a closed form, its breaks over three decades
+SWEEP_WALL = make_piecewise("+", [1e-3, 0.01, 0.05, 0.3, 0.65, 1.0], [0.1, 2.0, 1.0, 2.8, 0.4, 1.7])
+
+
 @pytest.mark.parametrize("n", [8, 512, 4096])
 def test_float_grid_matches_array_grid_bit_for_bit(n):
     """On a grid of Python floats the table and the witness run on ``math``,
     one point at a time.  Their rows equal the conditions evaluated on the
     numpy grid, and their witness the grid minimum refined as the fan scan
-    refines it, on the same bracket, bit for bit (compared by repr)."""
+    refines it, on the same bracket, bit for bit (compared by repr).  On a
+    sweep-route wall the table, the witness and ``holds_for_all_lambda``
+    give the same results on both grids."""
     rng = np.random.default_rng(n)
     cells = [(-1.0, 0.0), (1.0, 2.9 - 1e-9)] + [
         (rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.9)) for _ in range(4)
@@ -300,6 +304,23 @@ def test_float_grid_matches_array_grid_bit_for_bit(n):
                 want = (float(lam[0]), -float(value[0])) if value[0] < FEASIBLE_TOL else None
                 assert repr(contradiction_witness(A, case, side, beta, grid)) == repr(want)
 
+    # a sweep-route wall, at a floor where the windows cross its breaks, reads
+    # its envelope by bisect on the float grid and by one search on the array
+    for case in FanCase:
+        for side, cond_kind in case_condition_map(case):
+            condition = condition_increasing if cond_kind == INCREASING else condition_decreasing
+            A = adhesion_from_profile(SWEEP_WALL, required_functional_kind(cond_kind), eps_lo=1e-2)
+            assert A.method == "sweep"
+            for beta in (0.0, 0.3, 1.1, 2.5):
+                grid = default_lambda_grid(beta, n)
+                results = [
+                    (limit_difference_table(A, case, side, beta, g),
+                     contradiction_witness(A, case, side, beta, g),
+                     holds_for_all_lambda(lambda lam: condition(A, beta, lam), beta, g))
+                    for g in (grid, np.array(grid))
+                ]
+                assert repr(results[0]) == repr(results[1])
+
 
 def test_limit_difference_table_layout():
     A = AdhesionFunction.linear(0.2, "I")
@@ -311,25 +332,3 @@ def test_limit_difference_table_layout():
         assert all(type(x) is float for row in table for x in row)
         assert [lam for lam, _ in table] == grid.tolist()
         assert table[3][1] == phi_limit_difference(A, 0.5, grid[3])
-
-
-def test_sweep_table_reads_the_default_grid_in_one_search(monkeypatch):
-    """Called without a grid on a sweep-table wall, the table and the witness
-    hand the table the whole default grid as one array: one search for the
-    grid, then one per golden-section probe of the witness, not one per
-    lambda."""
-    sizes = []
-    cut = _SweepTable.cut
-
-    def counted(self, b):
-        sizes.append(np.size(b))
-        return cut(self, b)
-
-    monkeypatch.setattr(_SweepTable, "cut", counted)
-    A = adhesion_from_profile(make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]), "I")
-    table = limit_difference_table(A, FanCase.I, "+", 0.7)
-    assert sizes == [LAMBDA_POINTS] and len(table) == LAMBDA_POINTS
-    sizes.clear()
-    contradiction_witness(A, FanCase.I, "+", 0.7)
-    assert sizes[0] == LAMBDA_POINTS and set(sizes[1:]) == {1}
-    assert len(sizes) < LAMBDA_POINTS // 8

@@ -22,7 +22,6 @@ from wedgecap.bounds import (
     FanCase,
     LAMBDA_MARGIN,
     InfeasibleScanError,
-    _sweep_table,
     adhesion_from_profile,
     case_condition_map,
     condition_decreasing,
@@ -37,9 +36,11 @@ from wedgecap.bounds import (
 )
 from wedgecap.blowup import contradiction_witness
 from wedgecap.functionals import (
-    EPS_FLOOR,
+    KIND_LOWER,
+    KIND_UPPER,
     METHOD_LOG_PERIODIC,
     METHOD_SWEEP,
+    ScaleEnvelope,
     SweepConfig,
     best_estimates,
     sweep_table,
@@ -51,6 +52,7 @@ from wedgecap.profiles import (
     constant_profile,
     example1_profile,
     example2_profile,
+    cos_integral,
     make_piecewise,
 )
 
@@ -261,7 +263,7 @@ def test_scan_block_size_cannot_change_result(monkeypatch, wall, cond_kind, beta
 
 def test_fan_scan_working_storage():
     """tracemalloc peak of one fan_bound_rows call for every case on two
-    sweep-table walls, tables built inside it.  The scan's temporaries hold
+    sweep walls, envelopes built inside it.  The scan's temporaries hold
     16 beta rows by 512 lambdas.  The budget lies between the peak so
     measured (1.1 MB) and that of 64-row blocks (2.9 MB)."""
     walls = {"+": make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0]),
@@ -485,8 +487,8 @@ def test_effective_angle_constant():
 ], ids=["constant", "example1", "example2", "sweep"])
 @pytest.mark.parametrize("kind", ["I", "S"])
 def test_effective_angle_is_its_numpy_formula_bit_for_bit(wall, kind):
-    """A linear evaluator's effective angle runs on Python floats, a sweep
-    table's on one numpy array; both equal the numpy evaluation."""
+    """Every evaluator's effective angle runs on Python floats and equals the
+    numpy evaluation bit for bit."""
     A = adhesion_from_profile(wall(), kind)
     b = np.linspace(1.0 / 33.0, 32.0 / 33.0, 32)
     ratios = A(b) / b
@@ -538,34 +540,71 @@ def test_scan_checks_custom_evaluators():
         min_admissible_fan([(bad, INCREASING)])
 
 
-def test_sweep_table_envelope_checked_when_built(monkeypatch):
-    from wedgecap.profiles import ContactProfile
+def test_sweep_table_envelope_checked_when_built():
+    """The sweep envelope checks its break values F(x)/x against the bound
+    |A(b)| <= b once, when it is built, and within the slack clips them, and
+    every end term it reads, to [-1, 1]."""
 
-    def wall():  # a new wall each time, so no table is reused
-        return make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
+    def wall(scale):  # a new wall each time, so no envelope is reused
+        w = make_piecewise("+", [0.3, 0.65, 1.0], [0.0, 0.0, 0.0])
+        object.__setattr__(w, "_prefix", tuple(scale * f for f in w._prefix))
+        return w
 
-    monkeypatch.setattr(ContactProfile, "integral_many", lambda self, xs: (1.0 + 1e-8) * xs)
     for kind in "IS":
         with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
-            adhesion_from_profile(wall(), kind)
-    # within the slack the envelope is clipped once, as each call clipped it
-    monkeypatch.setattr(ContactProfile, "integral_many", lambda self, xs: (1.0 + 5e-10) * xs)
+            adhesion_from_profile(wall(1.0 + 1e-8), kind)
+    A = adhesion_from_profile(wall(1.0 + 5e-10), "S")
     bs = np.linspace(0.05, 3.0, 60)
-    assert np.array_equal(adhesion_from_profile(wall(), "S")(bs), bs)
+    assert np.array_equal(A(bs), bs)
+    assert [A(b) for b in bs.tolist()] == bs.tolist()
 
 
 def test_sweep_table_built_once_per_wall(monkeypatch):
+    """One envelope per wall serves both kinds and best_estimates, built from
+    the profile's prefix integrals without integral_many."""
+    import wedgecap.functionals
     from wedgecap.profiles import ContactProfile
 
-    calls = []
-    integral_many = ContactProfile.integral_many
-    monkeypatch.setattr(ContactProfile, "integral_many",
-                        lambda self, xs: calls.append(len(xs)) or integral_many(self, xs))
+    built = []
+
+    class Counted(ScaleEnvelope):
+        def __init__(self, profile):
+            built.append(profile)
+            super().__init__(profile)
+
+    def no_integral_many(self, xs):
+        raise AssertionError("the envelope reads the prefix integrals")
+
+    monkeypatch.setattr(wedgecap.functionals, "ScaleEnvelope", Counted)
+    monkeypatch.setattr(ContactProfile, "integral_many", no_integral_many)
     irregular = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
     lower, upper = (adhesion_from_profile(irregular, kind) for kind in "IS")
+    best_estimates(irregular, 0.5)
     bs = np.linspace(0.05, 3.0, 60)
-    assert len(calls) == 1
+    assert built == [irregular]
     assert np.all(lower(bs) <= upper(bs))
+
+
+def test_a_walls_two_kinds_search_each_scan_block_once(monkeypatch):
+    """The fan scan hands every request one read-only block of windows, and
+    both kinds of a wall read it through one search; a writable array (a
+    refinement probe) is searched on each read."""
+    read, searches, blocks, writable = ScaleEnvelope.read, [], {}, []
+    searchsorted = np.searchsorted
+
+    def counted_read(self, b, eps_lo, kind):
+        if hasattr(b, "ndim"):  # each array is kept, so no two share an id
+            (writable.append(b) if b.flags.writeable else blocks.setdefault(id(b), b))
+        return read(self, b, eps_lo, kind)
+
+    monkeypatch.setattr(ScaleEnvelope, "read", counted_read)
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *a, **k: searches.append(1) or searchsorted(*a, **k))
+    walls = {"+": IRREGULAR, "-": make_piecewise("-", [0.3, 0.65, 1.0], [2.5, 0.6, 1.4])}
+    rows = fan_bound_rows(walls, list(FanCase))
+    assert {row[3] for row in rows} == {"theorem2_scan"}
+    # each block is read by four requests, two per wall
+    assert len(searches) == 2 * len(blocks) + len(writable)
 
 
 def test_adhesion_function_scalar_and_array():
@@ -645,19 +684,13 @@ DEEP_WALLS = [deep_wall("+", (2.5, 0.5)), deep_wall("-", (0.9, 2.2))]
 @pytest.mark.parametrize("eps_lo", [1e-10, 1e-13, 1e-16])
 @pytest.mark.parametrize("wall", DEEP_WALLS, ids=["plus", "minus"])
 def test_sweep_table_reaches_deep_floors(wall, eps_lo):
-    """The table holds every window the scan asks, down to sin(LAMBDA_MARGIN),
-    at any floor: it gives what a sweep of that window gives."""
+    """The sweep evaluator answers every window the scan asks, down to
+    sin(LAMBDA_MARGIN), at any floor: it gives what a sweep of that window
+    gives."""
     for b in (math.sin(LAMBDA_MARGIN), 1.0 / 33.0, 0.5, 1.0):
         for kind, est in zip("IS", best_estimates(wall, b, eps_lo=eps_lo)):
             A = adhesion_from_profile(wall, kind, eps_lo=eps_lo)
             assert A(b) == pytest.approx(est.value, rel=0.0, abs=1e-12 * b)
-
-
-def test_sweep_table_refuses_a_window_it_cannot_reach():
-    A = adhesion_from_profile(DEEP_WALLS[0], "I", eps_lo=1e-10)
-    A(np.array([math.sin(LAMBDA_MARGIN), 1.0]))
-    with pytest.raises(ValueError, match="below the sweep table"):
-        A(np.array([1e-5, 1.0]))
 
 
 IRREGULAR = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
@@ -666,34 +699,25 @@ IRREGULAR = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
 @pytest.mark.parametrize("eps_lo", [1e-8, 1e-10, 1e-16])
 @pytest.mark.parametrize("wall", [*DEEP_WALLS, IRREGULAR], ids=["plus", "minus", "irregular"])
 def test_sweep_table_is_the_window_one_sweep(wall, eps_lo):
-    """The table is functionals' sweep at b = 1, down to the scan's smallest
-    window at the floor, and refuses a window exactly from SweepConfig's reach."""
-    sweep = SweepConfig(wall.s_max, min(eps_lo, EPS_FLOOR) * math.sin(LAMBDA_MARGIN))
-    xs, g = sweep_table(wall, 1.0, sweep)
-    table = _sweep_table(wall, eps_lo)
-    assert np.array_equal(table.asc, xs[::-1])
-    assert np.array_equal(table.lower, np.minimum.accumulate(g)[::-1])
-    assert np.array_equal(table.upper, np.maximum.accumulate(g)[::-1])
-
-    # a window's sweep reads past the grid once b * eps_lo is at the reach
-    for factor, longer in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
-        window_sweep = SweepConfig.for_profile(wall, sweep.reach * factor / eps_lo, eps_lo=eps_lo)
-        assert (window_sweep.grid().size > xs.size) == longer
-
-    at = sweep.reach / eps_lo
-    while at * eps_lo > sweep.reach:
-        at = np.nextafter(at, 0.0)
-    above = np.nextafter(at, np.inf)
-    while above * eps_lo <= sweep.reach:
-        above = np.nextafter(above, np.inf)
-    for kind in "IS":
-        A = adhesion_from_profile(wall, kind, eps_lo=eps_lo)
-        assert np.isfinite(A(np.array([above, 1.0]))).all()
-        with pytest.raises(ValueError, match="below the sweep table"):
-            A(np.array([at, 1.0]))
+    """A(b) is b times the inf or sup of the window-one sweep's values F(x)/x
+    over x >= b * eps_lo, exactly: the extreme over that end and the breaks
+    above it.  So it brackets every value of window b's 64-per-decade
+    sweep, and a window whose sweep would start below the floor reads
+    F(s_max)/s_max."""
+    lower, upper = (adhesion_from_profile(wall, kind, eps_lo=eps_lo) for kind in "IS")
+    for b in (math.sin(LAMBDA_MARGIN), 1.0 / 33.0, 0.5, 1.0, 3.0):
+        t = b * eps_lo
+        ratios = [cos_integral(wall, x) / x for x in (t, *(x for x in wall.breaks if x >= t))]
+        assert lower(b) == pytest.approx(b * min(ratios), rel=1e-15, abs=1e-15 * b)
+        assert upper(b) == pytest.approx(b * max(ratios), rel=1e-15, abs=1e-15 * b)
+        _, vals = sweep_table(wall, b, SweepConfig.for_profile(wall, b, eps_lo))
+        assert lower(b) <= vals.min() + 1e-15 * b and vals.max() <= upper(b) + 1e-15 * b
+    past = 2.0 * wall.s_max / eps_lo
+    top = cos_integral(wall, wall.s_max) / wall.s_max
+    assert lower(past) == upper(past) == past * top
 
 
-#: one wall per route: the three closed forms and the sweep table
+#: one wall per route: the three closed forms and the sweep envelope
 FLOOR_WALLS = {
     "constant": constant_profile("+", 0.9, s_max=2.0),
     "example1": example1_profile(0.4, 2.2),
@@ -706,7 +730,7 @@ FLOOR_WALLS = {
 @pytest.mark.parametrize("name", list(FLOOR_WALLS))
 def test_adhesion_from_profile_refuses_a_floor_off_the_wall(name, floor):
     """Every route refuses a floor outside (0, s_max), NaN included, though a
-    closed form reads no floor, a sweep table would take one at or above
+    closed form reads no floor, a sweep envelope would read one at or above
     s_max, and a window-b sweep starts at s_max / b.  ``best_estimates`` keeps
     the same rule as ``adhesion_from_profile``."""
     wall = FLOOR_WALLS[name]
@@ -727,14 +751,18 @@ def test_fan_bound_rows_refuses_a_floor_off_the_walls():
 
 def test_closed_form_wall_takes_a_floor_too_deep_for_a_sweep():
     """1e-310 lies in (0, s_max), and a closed-form wall builds no sweep, so
-    the finite-step rule, which a sweep at that floor breaks, never runs."""
+    the finite-step rule, which a sweep at that floor breaks, never runs;
+    a sweep wall keeps that rule."""
     A = adhesion_from_profile(constant_profile("+", 0.9), "I", eps_lo=1e-310)
     assert A.method == "constant_angle"
     assert A(0.5) == 0.5 * math.cos(0.9)
+    with pytest.raises(ValueError, match="sweep floor 1e-310 lies too far below 1.0"):
+        adhesion_from_profile(IRREGULAR, "I", eps_lo=1e-310)
 
 
 def test_sweep_table_adhesion_is_degree_one_up_to_grid():
-    """Sweep-backed A(b) tracks m*b within the grid envelope slack."""
+    """Sweep-backed A(b) tracks m*b: the wall is constant below 0.3, so at
+    the default floor each window's inf reads the same slope."""
     irregular = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
     A = adhesion_from_profile(irregular, "I")
     bs = np.linspace(0.05, 0.95, 19)

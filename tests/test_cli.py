@@ -270,9 +270,9 @@ def test_eps_floor_outside_profile_range_exits_3(tmp_path, command, eps_floor):
 @pytest.mark.parametrize("eps_floor", ["1e-310", "5e-324"])
 @pytest.mark.parametrize("command", ["profile", "verify-examples", "bounds", "blowup"])
 def test_eps_floor_too_small_for_a_finite_sweep_exits_3(tmp_path, capsys, command, eps_floor):
-    """s_max / floor overflows, so the sweep has no finite step count; on the
-    sweep-route walls bounds and blowup scale the floor down further, to 0 at
-    5e-324.  Each call names the floor given, with no traceback."""
+    """s_max / floor overflows, so the sweep has no finite step count; bounds
+    and blowup on sweep-route walls keep that rule of the wall's sweep.  Each
+    call names the floor given, with no traceback."""
     plus, minus = (
         write_json(tmp_path / f"{name}.json", {"side": side, "segments": [
             {"s_end": 0.3, "gamma": g}, {"s_end": 0.65, "gamma": 2.0},
@@ -367,7 +367,7 @@ def test_verify_example1_sweep_error_scales_with_angle_contrast():
 
     pairs = [(math.pi / 3, 2 * math.pi / 3), (0.3, 2.9), (2.9, 0.3), (0.7, 2.2),
              (1.0, 1.2), (0.1, 3.0)]
-    for floor, want in ((1e-6, 1.245081), (1e-10, 0.623229), (1e-12, 0.314877)):
+    for floor, want in ((1e-6, 1.212139), (1e-10, 0.615386), (1e-12, 0.310078)):
         ratios = [sweep_line(g1, g2, floor)[0] for g1, g2 in pairs]
         assert max(ratios) - min(ratios) <= 1e-13 * max(ratios)
         assert ratios[0] == pytest.approx(want, abs=1e-6)
@@ -434,7 +434,7 @@ def test_bounds_rows_match_library(tmp_path):
 
 
 def piecewise_wall(tmp_path, side, gammas):
-    """A wall of equal segments on (0, 1], so a sweep table (no closed form)."""
+    """A wall of equal segments on (0, 1], so a sweep wall (no closed form)."""
     name = f"piecewise{side.replace('+', 'p').replace('-', 'm')}.json"
     return write_json(tmp_path / name, {"side": side, "segments": [
         {"s_end": (k + 1) / len(gammas), "gamma": g} for k, g in enumerate(gammas)]})
@@ -442,7 +442,7 @@ def piecewise_wall(tmp_path, side, gammas):
 
 def test_bounds_all_scans_each_pair_once(tmp_path, monkeypatch):
     """ID and DI repeat the (side, condition) pairs of I and D: one scan call
-    over the distinct pairs on sweep-table walls, 4 on two such walls, not 8.
+    over the distinct pairs on sweep walls, 4 on two such walls, not 8.
     A pair on a constant wall takes Corollary 1 and is never scanned, so two
     constant walls run no scan."""
     import wedgecap.bounds
@@ -1054,26 +1054,33 @@ def test_multi_segment_walls_load_no_numpy_ma(tmp_path, command):
     assert run_in_child(argv, "'numpy.ma' in sys.modules") == "0 False"
 
 
-#: the wedgecap modules a child has loaded, comma-separated, without "wedgecap."
-LOADED = "','.join(sorted(m[9:] for m in sys.modules if m.startswith('wedgecap.')))"
+#: the wedgecap modules a child has loaded, without "wedgecap.", and "numpy"
+#: if it loaded numpy, sorted and comma-separated
+LOADED = ("','.join(sorted([m[9:] for m in sys.modules if m.startswith('wedgecap.')]"
+          " + ['numpy'] * ('numpy' in sys.modules)))")
 
-#: the wedgecap modules a call may load beyond base and cli, and its exit code
+#: the wedgecap modules, and numpy, a call may load beyond base and cli, and
+#: its exit code
 IMPORT_BUDGET = {
     "verify-examples": (("functionals", "profiles"), 0),
     "solve without --config": ((), 1),
-    "profile": (("io", "functionals", "profiles"), 0),
+    "profile": (("io", "functionals", "profiles", "numpy"), 0),
     "bad profile": (("io",), 2),
     "bounds": (("io", "functionals", "profiles", "bounds"), 0),
     "blowup --gamma0": (("io", "bounds", "blowup"), 0),
     "blowup --profile": (("io", "functionals", "profiles", "bounds", "blowup"), 0),
+    "blowup --profile, three segments":
+        (("io", "functionals", "profiles", "bounds", "blowup"), 0),
     "refused floor": (("io", "functionals", "profiles"), 3),
-    "solve --config": (("io", "profiles", "solver", "elimination"), 0),
+    "solve --config": (("io", "profiles", "solver", "elimination", "numpy"), 0),
 }
 
 
 @pytest.mark.parametrize("call", IMPORT_BUDGET)
 def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
     plus, minus = constant_wall(tmp_path, "+", 1.0), constant_wall(tmp_path, "-", 2.0)
+    segments = write_json(tmp_path / "segments.json", {"side": "+", "segments": [
+        {"s_end": s, "gamma": g} for s, g in ((0.3, 0.1), (0.65, 2.0), (1.0, 1.0))]})
     out = ["--out", tmp_path / "out"]
     argv = {
         "verify-examples": lambda: ["verify-examples", *out],
@@ -1083,6 +1090,8 @@ def test_each_call_loads_only_the_layers_it_runs(tmp_path, call):
         "bounds": lambda: ["bounds", "--plus", plus, "--minus", minus, "--case", "I", *out],
         "blowup --gamma0": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--gamma0", "1.0", *out],
         "blowup --profile": lambda: ["blowup", "--case", "I", "--beta", "0.5", "--profile", plus, *out],
+        "blowup --profile, three segments": lambda: ["blowup", "--case", "I", "--beta", "0.5",
+                                                     "--profile", segments, *out],
         "refused floor": lambda: ["profile", plus, "--eps-floor", "5.0", *out],
         "solve --config": lambda: small_solve_argv(tmp_path),
     }[call]()
@@ -1129,8 +1138,8 @@ def test_closed_form_walls_load_no_numpy(tmp_path, family):
 
 
 def test_bounds_on_sweep_walls_loads_numpy(tmp_path):
-    """The control: a multi-segment wall with no closed form takes the sweep
-    table and the scan, which run on numpy."""
+    """The control: a multi-segment wall with no closed form takes the fan
+    scan, which runs on numpy."""
     walls = [write_json(tmp_path / f"w{i}.json", {"side": side, "segments": [
         {"s_end": s, "gamma": g} for s, g in zip([1e-6, 3e-5, 0.01, 1.0], [0.4, 2.1, 1.0, 2.6])]})
         for i, side in enumerate("+-")]

@@ -15,11 +15,13 @@ from wedgecap.functionals import (
     METHOD_SWEEP,
     AdhesionEstimate,
     SweepConfig,
+    _envelopes,
     best_estimates,
     estimate_AI,
     estimate_AS,
     exact_A_example1,
     exact_A_log_periodic,
+    scale_envelope,
     sweep_table,
     verify_log_periodic,
 )
@@ -61,7 +63,8 @@ def test_constant_profile_sweep_is_exact():
             assert lo.value == pytest.approx(b * math.cos(gamma), rel=1e-13, abs=1e-15)
             assert hi.value == pytest.approx(b * math.cos(gamma), rel=1e-13, abs=1e-15)
             assert lo.method == METHOD_SWEEP
-            assert lo.uncertainty > 0.0
+            # a constant wall's envelope does not move with the floor
+            assert lo.uncertainty == hi.uncertainty == 0.0
 
 
 def test_sweep_ai_below_as():
@@ -70,9 +73,11 @@ def test_sweep_ai_below_as():
 
 
 def test_sweep_rejects_window_past_wall():
+    """At window 2 the sweep starts at s_max/2, so a floor of 0.7 on a wall
+    of s_max 1 would read windows past the wall; it is refused."""
     p = constant_profile("+", 1.0, s_max=1.0)
-    with pytest.raises(ValueError):
-        estimate_AI(p, 0.5, SweepConfig(eps_hi=3.0))
+    with pytest.raises(ValueError, match="leaves no sweep at window b = 2.0"):
+        estimate_AI(p, 2.0, 0.7)
 
 
 def test_sweep_config_validation():
@@ -102,16 +107,67 @@ def test_sweep_grid_supersets_bitwise():
 @given(
     st.tuples(angles, angles),
     st.floats(min_value=0.1, max_value=0.9),
-    st.integers(min_value=4, max_value=7),
+    st.floats(min_value=1.0, max_value=1e3),
 )
-def test_sweep_monotone_under_refinement(gs, b, p):
-    """Refining the sweep never raises the lower value nor lowers the upper."""
+def test_sweep_monotone_under_refinement(gs, b, deeper):
+    """Lowering the floor, the sweep's one refinement now that it reads
+    every scale, never raises the lower value nor lowers the upper."""
     prof = example2_profile(gs[0], gs[1], depth=12)
-    ppd = 2 ** p
-    coarse = SweepConfig(eps_hi=prof.s_max / b, eps_lo=1e-5, points_per_decade=ppd)
-    fine = SweepConfig(eps_hi=prof.s_max / b, eps_lo=5e-6, points_per_decade=2 * ppd)
+    coarse, fine = 1e-5, 1e-5 / deeper
     assert estimate_AI(prof, b, fine).value <= estimate_AI(prof, b, coarse).value
     assert estimate_AS(prof, b, fine).value >= estimate_AS(prof, b, coarse).value
+
+
+@st.composite
+def random_walls(draw):
+    """Walls of 2 to 30 segments, their breaks spread over nine decades below
+    s_max = 1, and their angles anywhere in [0, pi]."""
+    inner = draw(st.lists(st.floats(min_value=-9.0, max_value=-0.01), min_size=1, max_size=29))
+    breaks = sorted({10.0**e for e in inner}) + [1.0]
+    values = draw(st.lists(angles, min_size=len(breaks), max_size=len(breaks)))
+    return make_piecewise("+", breaks, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_walls(), st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=-12.0, max_value=-2.0))
+def test_envelope_is_the_extreme_over_its_end_and_breaks(wall, b, log_floor):
+    """At t = b * eps_lo the envelopes are the min and max of F(x)/x over t and
+    the breaks at or above it, they bracket every value of the 64-per-decade
+    sweep, and a numpy array of windows reads them bit for bit."""
+    eps_lo = 10.0**log_floor
+    env = scale_envelope(wall)
+    lower, upper = (env.read(b, eps_lo, kind) for kind in (KIND_LOWER, KIND_UPPER))
+    t = b * eps_lo
+    oracle = [cos_integral(wall, x) / x for x in (t, *(x for x in wall.breaks if x >= t))]
+    assert lower == pytest.approx(min(oracle), rel=1e-15, abs=1e-15)
+    assert upper == pytest.approx(max(oracle), rel=1e-15, abs=1e-15)
+
+    _, vals = sweep_table(wall, b, SweepConfig.for_profile(wall, b, eps_lo))
+    assert np.all(b * lower <= vals + 1e-15 * b)
+    assert np.all(vals <= b * upper + 1e-15 * b)
+
+    windows = np.array([b, b / 3.0, 2.0 * b])
+    for kind in (KIND_LOWER, KIND_UPPER):
+        want = [env.read(w, eps_lo, kind) for w in windows.tolist()]
+        assert env.read(windows, eps_lo, kind).tolist() == want
+
+
+@pytest.mark.parametrize("eps_lo", [1e-8, 1e-10, 1e-12])
+def test_drift_shows_a_floor_that_still_moves_the_value(eps_lo):
+    """The sweep-route uncertainty is the drift: how far a value moves when
+    the floor rises a hundredfold.  example1, forced through the sweep,
+    reaches a new extreme every few decades, so at each of these floors one
+    of its values drifts by at least 0.01 b.  A wall constant below
+    100 * b * eps_lo does not drift."""
+    wall = example1_profile(0.7, 2.2)
+    for b in (0.25, 0.5, 1.0):
+        pair, raised = _envelopes(wall, b, eps_lo), _envelopes(wall, b, 100.0 * eps_lo)
+        for est, top in zip(pair, raised):
+            assert est.uncertainty == abs(top.value - est.value)
+        assert max(est.uncertainty for est in pair) >= 0.01 * b
+        flat = make_piecewise("+", [200.0 * b * eps_lo, 0.5, 1.0], [0.7, 2.2, 1.1])
+        assert [est.uncertainty for est in _envelopes(flat, b, eps_lo)] == [0.0, 0.0]
 
 
 def test_sweep_table_shapes():
@@ -222,18 +278,19 @@ def test_sandwich_between_essential_cosines(gs, b):
 
 
 def test_sweep_agrees_with_exact_within_uncertainty():
-    # truncation of the generated profile biases the deepest windows by
-    # ~2*tail/window, so keep eps_lo moderate and allow 1e-9 one-sidedness
+    # the sweep reads every scale down to its floor, so it differs from the
+    # closed form only by its drift and by the truncation of the generated
+    # profile, which biases the deepest windows by ~2*tail/window: keep
+    # eps_lo moderate and allow 1e-9 for that bias
     for g1, g2, b in [(0.4, 2.0, 0.5), (math.pi / 3, 2 * math.pi / 3, 0.25)]:
         prof = example2_profile(g1, g2)
         exact_lo, exact_hi = exact_A_log_periodic(prof, b, 4.0)
-        sweep = SweepConfig.for_profile(prof, b, eps_lo=1e-4)
-        swept_lo = estimate_AI(prof, b, sweep)
-        swept_hi = estimate_AS(prof, b, sweep)
+        swept_lo = estimate_AI(prof, b, 1e-4)
+        swept_hi = estimate_AS(prof, b, 1e-4)
         assert swept_lo.value >= exact_lo.value - 1e-9
-        assert swept_lo.value - exact_lo.value <= swept_lo.uncertainty
+        assert swept_lo.value - exact_lo.value <= swept_lo.uncertainty + 1e-9
         assert swept_hi.value <= exact_hi.value + 1e-9
-        assert exact_hi.value - swept_hi.value <= swept_hi.uncertainty
+        assert exact_hi.value - swept_hi.value <= swept_hi.uncertainty + 1e-9
 
 
 @given(st.floats(min_value=0.01, max_value=3.13), st.floats(min_value=0.1, max_value=4.0))
@@ -255,9 +312,11 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         AdhesionEstimate(1.0, "I", 0.5, METHOD_SEQUENCE, 0.1)  # exact needs 0
     with pytest.raises(ValueError):
-        AdhesionEstimate(1.0, "I", 0.5, METHOD_SWEEP, 0.0)  # sweep needs > 0
+        AdhesionEstimate(1.0, "I", 0.5, METHOD_SWEEP, -0.1)  # no negative drift
     ok = AdhesionEstimate(1.0, "I", 0.5, METHOD_SEQUENCE, 0.0)
     assert ok.kind == KIND_LOWER
+    # a sweep's drift is zero where the floor moves nothing
+    assert AdhesionEstimate(1.0, "I", 0.5, METHOD_SWEEP, 0.0).uncertainty == 0.0
 
 
 def test_closed_form_past_the_bound_is_refused_not_clamped(monkeypatch):
@@ -272,6 +331,19 @@ def test_closed_form_past_the_bound_is_refused_not_clamped(monkeypatch):
     monkeypatch.setattr(wedgecap.functionals, "cos_integral",
                         lambda p, x: cos_integral(p, x) * (1.0 + 1e-8))
     with pytest.raises(ValueError, match=r"\|A\(b\)\| <= b"):
+        best_estimates(example2_profile(0.0, 0.0), 0.5)
+
+
+def test_closed_form_past_the_bound_raises_instead_of_falling_back(monkeypatch):
+    """Only a wall that is not self-similar falls back to the sweep: with the
+    integrals the closed form reads scaled past |A(b)| <= b, the log-periodic
+    wall's estimate raises, and is not replaced by its sweep envelope, which
+    reads the profile's own prefix integrals."""
+    import wedgecap.functionals
+
+    monkeypatch.setattr(wedgecap.functionals, "cos_integral",
+                        lambda p, x: cos_integral(p, x) * (1.0 + 1e-8))
+    with pytest.raises(ValueError, match=r"breaks \|A\(b\)\| <= b"):
         best_estimates(example2_profile(0.0, 0.0), 0.5)
 
 
@@ -298,7 +370,8 @@ def test_best_estimates_routes():
     irregular = make_piecewise("+", [0.3, 0.65, 1.0], [0.1, 2.0, 1.0])
     lo, hi = best_estimates(irregular, 0.5)
     assert lo.method == METHOD_SWEEP
-    assert lo.uncertainty > 0.0
+    # constant below 0.3, far above 100 * b * floor: the floor moves nothing
+    assert lo.uncertainty == hi.uncertainty == 0.0
     assert lo.kind == KIND_LOWER and hi.kind == KIND_UPPER
 
 
