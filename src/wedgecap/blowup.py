@@ -5,10 +5,12 @@ for the rescaled limit are built by cutting a triangle O-B-C out of the
 half-plane bounded by a transversal ray.  The energy gain of that cut is a
 finite closed form in the triangle data and one adhesion value, and a fan
 width claimed below the admissible minimum yields a transversal direction
-with strictly positive gain -- the contradiction witness.  The fan-edge
-limits run on Python floats without numpy for a grid of floats, whatever the
-wall, or on numpy for an array grid (see ``bounds._on_grid``).  The
-triangles build numpy vertices.
+with strictly positive gain -- the contradiction witness.  The gain on a
+lambda grid is the exact negation of the admissibility condition, so
+``limit_sweep`` evaluates the condition once (``bounds._conditions``) for
+both the table of gains and the witness, the grid's worst lambda polished.
+A grid of Python floats runs without numpy, whatever the wall; an array
+grid runs on numpy.  The triangles build numpy vertices.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .bounds import (
     INCREASING,
     AdhesionFunction,
     FanCase,
-    _on_grid,
-    _worst_lambda,
+    _worst_condition,
     case_condition_map,
     condition_decreasing,
     condition_increasing,
@@ -173,47 +174,44 @@ def psi_limit_difference(A: AdhesionFunction, beta, lam):
     return -condition_decreasing(A, beta, lam)
 
 
-def _limit_fn_for(case: FanCase, side: str):
+def _condition_kind(case: FanCase, side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    if dict(case_condition_map(case))[side] == INCREASING:
-        return phi_limit_difference
-    return psi_limit_difference
+    return dict(case_condition_map(case))[side]
 
 
-def contradiction_witness(
-    A: AdhesionFunction,
-    case: FanCase,
-    side: str,
-    beta_claim: float,
-    lambda_grid=None,
-) -> tuple[float, float] | None:
-    """Transversal direction with positive limiting gain, if one exists.
+def limit_sweep(A: AdhesionFunction, case: FanCase, side: str, beta: float, lambda_grid=None):
+    """The limiting-gain table and the contradiction witness of one wall,
+    from one evaluation of its condition on the grid: (table, witness).
 
-    Returns (lambda, gain) when the claimed fan width ``beta_claim`` is
-    inadmissible for the given case and wall, and None when every direction
-    has nonpositive gain.  The gain is minus the admissibility condition, and
-    the condition's minimum is found by ``bounds._worst_lambda``, the search
-    ``holds_for_all_lambda`` reads, so on the same grid a witness exists
-    exactly when that check fails.
+    The grid is ``lambda_grid`` or ``default_lambda_grid(beta)``.  The table
+    is (lambda, gain) rows of Python floats, ready for CSV output.  The
+    witness is (lambda, gain) when the claimed fan width ``beta`` is
+    inadmissible for the case and wall, and None when every direction has
+    nonpositive gain.  The gain is minus the admissibility condition, whose
+    minimum ``bounds._worst_lambda`` finds, the search
+    ``holds_for_all_lambda`` reads: so on one grid a witness exists exactly
+    when that check fails, and its grid point is the table's first maximum.
     """
-    gain = _limit_fn_for(case, side)
-    lam, value = _worst_lambda(lambda lam: -gain(A, beta_claim, lam), beta_claim, lambda_grid)
-    return (lam, -value) if value < FEASIBLE_TOL else None
-
-
-def limit_difference_table(
-    A: AdhesionFunction,
-    case: FanCase,
-    side: str,
-    beta: float,
-    lambda_grid=None,
-) -> list[tuple[float, float]]:
-    """(lambda, limiting gain) rows of Python floats for one wall, ready for
-    CSV output; the gains are evaluated as ``bounds._on_grid`` does."""
-    fn = _limit_fn_for(case, side)
+    kind = _condition_kind(case, side)
     grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
-    gains = _on_grid(lambda lam: fn(A, beta, lam), grid)
+    conds, lam, value = _worst_condition(A, kind, beta, grid)
     if hasattr(grid, "tolist"):
-        grid, gains = grid.tolist(), gains.tolist()
-    return list(zip(grid, gains))
+        grid, gains = grid.tolist(), (-conds).tolist()
+    else:
+        gains = [-c for c in conds]
+    return list(zip(grid, gains)), ((lam, -value) if value < FEASIBLE_TOL else None)
+
+
+def contradiction_witness(A: AdhesionFunction, case: FanCase, side: str, beta_claim: float,
+                          lambda_grid=None) -> tuple[float, float] | None:
+    """Transversal direction with positive limiting gain, if one exists:
+    ``limit_sweep``'s witness."""
+    return limit_sweep(A, case, side, beta_claim, lambda_grid)[1]
+
+
+def limit_difference_table(A: AdhesionFunction, case: FanCase, side: str, beta: float,
+                           lambda_grid=None) -> list[tuple[float, float]]:
+    """(lambda, limiting gain) rows of Python floats for one wall:
+    ``limit_sweep``'s table."""
+    return limit_sweep(A, case, side, beta, lambda_grid)[0]

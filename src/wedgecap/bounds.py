@@ -121,7 +121,8 @@ class FanBoundResult:
 # The pointwise layer below (the conditions, the lambda grid and the search
 # for the worst lambda) is written once for both backends: a single value (a
 # Python float, or a numpy scalar) runs on ``math`` and Python, so a float
-# never loads numpy; a numpy array runs on numpy.  Only these helpers pick.
+# never loads numpy; a numpy array runs on numpy.  Only these helpers, and
+# the grid evaluators ``_conditions`` and ``_worst_lambda``, pick.
 
 
 def _sin(x):
@@ -139,12 +140,6 @@ def _where(cond, a, b):
     import numpy as np
 
     return np.where(cond, a, b)
-
-
-def _on_grid(f, grid):
-    """``f`` over ``grid``: one call on a numpy array, one per point on a
-    sequence of Python floats."""
-    return f(grid) if hasattr(grid, "ndim") else [f(x) for x in grid]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -178,14 +173,42 @@ def _geometry(beta, lam):
     return _ratios(beta, lam)
 
 
-def _condition(A, kind, b, s):
-    """The ``kind`` condition's value at the ratios (b, s).  Every condition
-    value is computed here, so the kind rule (``required_functional_kind``)
-    is checked here."""
+def _check_kind(A, kind) -> None:
+    """The kind rule (``required_functional_kind``) of every condition value."""
     want = required_functional_kind(kind)
     if A.kind != want:
         raise ValueError(f"{kind} condition needs a kind-{want} functional, got {A.kind}")
+
+
+def _condition(A, kind, b, s):
+    """The ``kind`` condition's value at the ratios (b, s), its kind checked."""
+    _check_kind(A, kind)
     return A(b) + s - 1.0 if kind == INCREASING else s - 1.0 - A(b)
+
+
+def _conditions(A, kind, beta, grid):
+    """The ``kind`` condition at every lambda of ``grid``.
+
+    A numpy grid is one ``_condition`` call.  On a sequence of Python floats
+    beta, every lambda (in any order) and the kind are checked once, before
+    any adhesion value, and each point runs only the arithmetic of
+    ``_ratios`` and ``_condition``, in the same order, so the values are
+    theirs bit for bit; a bounded evaluator's ``fn`` is called directly, and
+    numpy is not imported.
+    """
+    if hasattr(grid, "ndim"):
+        return _condition(A, kind, *_geometry(beta, grid))
+    check_fan_width(beta)
+    if not all(beta < lam < math.pi for lam in grid):  # NaN fails too
+        raise ValueError("need 0 <= beta < lambda < pi")
+    _check_kind(A, kind)
+    fn, sb, increasing = A.fn if A._bounded else A, math.sin(beta), kind == INCREASING
+    vals = []
+    for lam in grid:
+        sl = math.sin(lam)
+        a, s = fn(math.sin(lam - beta) / sl), sb / sl
+        vals.append(a + s - 1.0 if increasing else s - 1.0 - a)
+    return vals
 
 
 def condition_increasing(A: AdhesionFunction, beta, lam):
@@ -252,20 +275,22 @@ def _keep_lower(x_grid, v_grid, x_golden, v_golden):
     return _where(lower, x_golden, x_grid), _where(lower, v_golden, v_grid)
 
 
-def _worst_lambda(cond, beta: float, lambda_grid) -> tuple[float, float]:
+def _worst_lambda(cond, beta: float, lambda_grid, vals=None) -> tuple[float, float]:
     """The worst lambda of ``cond`` on (beta, pi) and its value there.
 
-    ``cond`` is evaluated on ``lambda_grid`` (``default_lambda_grid(beta)``
-    when None, at least 3 points; see ``_on_grid``), then golden-section
-    polished between the grid neighbours of the grid minimizer.
-    ``holds_for_all_lambda``, ``blowup.contradiction_witness`` and the
-    closed-form fan check ``_corollary1_fan`` all read this one search.
+    ``cond``'s values on ``lambda_grid`` (``default_lambda_grid(beta)`` when
+    None, at least 3 points) are ``vals`` when the caller has them, else
+    ``cond`` on a numpy grid or at each Python float.  The grid minimizer is
+    then golden-section polished on ``cond`` between its grid neighbours.
+    ``holds_for_all_lambda``, the blow-up witness and the closed-form fan
+    check ``_corollary1_fan`` all read this one search.
     """
     check_fan_width(beta)
     grid = default_lambda_grid(beta) if lambda_grid is None else lambda_grid
     if len(grid) < 3:
         raise ValueError("lambda grid needs at least 3 points")
-    vals = _on_grid(cond, grid)
+    if vals is None:
+        vals = cond(grid) if hasattr(grid, "ndim") else [cond(x) for x in grid]
     # the first minimizer, as np.argmin finds it
     i = int(vals.argmin()) if hasattr(vals, "argmin") else vals.index(min(vals))
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
@@ -273,6 +298,16 @@ def _worst_lambda(cond, beta: float, lambda_grid) -> tuple[float, float]:
     if hi > lo:  # polished on Python floats, whatever the grid
         lam, value = _keep_lower(lam, value, *_golden_min(cond, lo, hi))
     return float(lam), float(value)
+
+
+def _worst_condition(A, kind, beta: float, grid):
+    """The ``kind`` condition on ``grid`` (``_conditions``), then its worst
+    lambda and value there (``_worst_lambda`` on those values, polished on
+    the arithmetic alone: every probe lies between two checked grid angles).
+    Returns (values, lambda, value)."""
+    vals = _conditions(A, kind, beta, grid)
+    lam, value = _worst_lambda(lambda x: _condition(A, kind, *_ratios(beta, x)), beta, grid, vals)
+    return vals, lam, value
 
 
 def holds_for_all_lambda(
@@ -415,14 +450,14 @@ def _corollary1_fan(A: AdhesionFunction, kind: str) -> FanBoundResult:
     first term, of order lambda - beta, is negative and outweighs the second,
     of order (lambda - beta)^2, just above lambda = beta.  So feasibility is
     monotone in beta.  The width is checked as the scan checks a row: its
-    worst lambda (``_worst_lambda`` on the default grid) must hold to
+    worst lambda (``_worst_condition`` on the default grid) must hold to
     FEASIBLE_TOL.  A width that leaves no lambda grid below pi, pi itself
     included, raises InfeasibleScanError, as the scan does.
     """
     beta = corollary1_bound(A(1.0), "a" if kind == INCREASING else "c")
     if beta >= math.pi - 2.0 * LAMBDA_MARGIN:
         raise _no_fan(kind)
-    lam, value = _worst_lambda(lambda lam: _condition(A, kind, *_ratios(beta, lam)), beta, None)
+    _, lam, value = _worst_condition(A, kind, beta, default_lambda_grid(beta))
     if value < FEASIBLE_TOL:
         raise RuntimeError(f"the closed-form width {beta} fails the {kind} condition at {lam}")
     return FanBoundResult(beta_min=beta, worst_lambda=lam, monotone_flag=True)

@@ -408,7 +408,7 @@ def cmd_blowup(args) -> int:
     if args.gamma0 is None:
         profile = wio.load_profile(args.profile, args.side)
         eps_floor = EPS_FLOOR if args.eps_floor is None else args.eps_floor
-    from .blowup import contradiction_witness, limit_difference_table
+    from .blowup import limit_sweep
     from .bounds import (
         LAMBDA_POINTS,
         AdhesionFunction,
@@ -432,8 +432,7 @@ def cmd_blowup(args) -> int:
         source = {"profile": wio.profile_summary(profile)}
 
     grid = default_lambda_grid(beta, n=points)
-    table = limit_difference_table(A, case, args.side, beta, grid)
-    witness = contradiction_witness(A, case, args.side, beta, grid)
+    table, witness = limit_sweep(A, case, args.side, beta, grid)
 
     out = Path(args.out)
     csv_path = wio.write_limit_sweep_csv(out / "limit_sweep.csv", table)

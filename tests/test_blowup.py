@@ -10,6 +10,7 @@ from wedgecap.blowup import (
     bc_length,
     contradiction_witness,
     limit_difference_table,
+    limit_sweep,
     phi_difference,
     phi_limit_difference,
     psi_difference,
@@ -27,6 +28,7 @@ from wedgecap.bounds import (
     _golden_min,
     _keep_lower,
     _ratios,
+    _worst_lambda,
     adhesion_from_profile,
     case_condition_map,
     condition_decreasing,
@@ -35,7 +37,8 @@ from wedgecap.bounds import (
     holds_for_all_lambda,
     required_functional_kind,
 )
-from wedgecap.profiles import make_piecewise
+from wedgecap.cli import main
+from wedgecap.profiles import constant_profile, example2_profile, make_piecewise
 
 
 def tri(alpha, theta0, b, side="+"):
@@ -332,3 +335,99 @@ def test_limit_difference_table_layout():
         assert all(type(x) is float for row in table for x in row)
         assert [lam for lam, _ in table] == grid.tolist()
         assert table[3][1] == phi_limit_difference(A, 0.5, grid[3])
+
+
+def _counting(A):
+    """A bounded copy of ``A`` whose ``fn`` counts the windows it is given."""
+    calls = [0]
+
+    def fn(b):
+        calls[0] += int(np.size(b))
+        return A.fn(b)
+
+    return AdhesionFunction(A.kind, fn, A.method, _bounded=True), calls
+
+
+def _per_point_reference(A, cond_kind, beta, floats):
+    """The table and the witness of one wall, each point evaluated on its
+    own through the public limit functions, and the witness by the worst
+    lambda search on the negated gain."""
+    gain = phi_limit_difference if cond_kind == INCREASING else psi_limit_difference
+    table = [(lam, gain(A, beta, lam)) for lam in floats]
+    lam, value = _worst_lambda(lambda x: -gain(A, beta, x), beta, floats)
+    return table, ((lam, -value) if value < FEASIBLE_TOL else None)
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+def test_one_evaluation_gives_the_per_point_table_and_witness(n):
+    """``limit_sweep`` evaluates each lambda's condition once for both the
+    table and the witness.  On a constant wall, an example2 wall and a sweep
+    wall, for every case and side, on a float grid and the same grid as a
+    numpy array, both equal the per-point reference bit for bit."""
+    walls = {"constant": constant_profile("+", 1.1), "example2": example2_profile(0.8, 2.0),
+             "sweep": SWEEP_WALL}
+    verdicts = set()
+    for name, wall in walls.items():
+        for case in FanCase:
+            for side, cond_kind in case_condition_map(case):
+                kind = required_functional_kind(cond_kind)
+                A = adhesion_from_profile(wall, kind, eps_lo=1e-2)
+                assert (A.method == "sweep") == (name == "sweep")
+                for beta in (0.3, 2.6):
+                    floats = default_lambda_grid(beta, n)
+                    want = _per_point_reference(A, cond_kind, beta, floats)
+                    verdicts.add(want[1] is None)
+                    for grid in (floats, np.array(floats)):
+                        got = limit_sweep(A, case, side, beta, grid)
+                        assert repr(got) == repr(want)
+                        assert repr(limit_difference_table(A, case, side, beta, grid)) == repr(want[0])
+                        assert repr(contradiction_witness(A, case, side, beta, grid)) == repr(want[1])
+    assert verdicts == {True, False}
+
+
+def test_blowup_evaluates_each_lambda_once(tmp_path, monkeypatch, capsys):
+    """A 4096-point ``blowup --profile`` on a sweep wall calls the wall's
+    evaluator once per grid point, plus the polish's probes (at most 64),
+    for the table and the witness together."""
+    import wedgecap.bounds as bounds
+
+    build, counts = bounds.adhesion_from_profile, []
+
+    def counted_build(*args, **kwargs):
+        A, calls = _counting(build(*args, **kwargs))
+        counts.append(calls)
+        return A
+
+    monkeypatch.setattr(bounds, "adhesion_from_profile", counted_build)
+    wall = tmp_path / "wall.json"
+    wall.write_text('{"side": "+", "segments": [{"s_end": 0.3, "gamma": 0.1}, '
+                    '{"s_end": 0.65, "gamma": 2.0}, {"s_end": 1.0, "gamma": 1.0}]}')
+    for case in FanCase:
+        argv = ["blowup", "--case", case.value, "--side", "+", "--beta", "0.7", "--profile",
+                str(wall), "--points", "4096", "--out", str(tmp_path / case.value)]
+        assert main(argv) == 0
+        assert 4096 <= counts[-1][0] <= 4096 + 64
+    assert "contradiction" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_the_grid_checks_run_before_any_adhesion_value(array):
+    """On an unsorted grid with one bad lambda in the middle, beta, every
+    lambda and the functional's kind are refused, with the per-point
+    messages, before the evaluator is called once."""
+    A, calls = _counting(adhesion_from_profile(SWEEP_WALL, "I", eps_lo=1e-2))
+    beta = 0.5
+
+    def refused(match, grid, beta=beta, A=A, side="+"):
+        grid = np.array(grid) if array else grid
+        for call in (limit_sweep, limit_difference_table, contradiction_witness):
+            with pytest.raises(ValueError, match=match):
+                call(A, FanCase.I, side, beta, grid)
+
+    for bad in (beta, math.pi, math.nan):
+        refused(r"need 0 <= beta < lambda < pi", [2.0, 1.0, 3.0, bad, 1.5, 2.5])
+    for bad_beta in (math.pi, math.nan):
+        refused("fan width", [2.0, 1.0, 3.0], beta=bad_beta)
+    # the - wall of case I needs an upper (kind S) functional
+    refused("decreasing condition needs a kind-S functional", [2.0, 1.0, 3.0], side="-")
+    assert calls[0] == 0
