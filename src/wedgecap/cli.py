@@ -108,7 +108,8 @@ def cmd_profile(args) -> int:
     for k in range(1, 21):
         b = k * profile.s_max / 20.0
         lower, upper = best_estimates(profile, b, eps_lo=args.eps_floor)
-        rows.append((b, lower.value, upper.value, lower.method, lower.uncertainty))
+        rows.append((b, lower.value, upper.value, lower.method, lower.uncertainty,
+                     upper.uncertainty))
     fn_path = wio.write_functional_csv(out / "functionals.csv", rows)
 
     manifest = wio.write_manifest(

@@ -308,8 +308,9 @@ def write_sweep_csv(path, eps: np.ndarray, averages: np.ndarray) -> Path:
 
 
 def write_functional_csv(path, rows) -> Path:
-    """rows: (b, A_I, A_S, method, uncertainty) tuples."""
-    return write_csv(path, ["b", "A_I", "A_S", "method", "uncertainty"], rows)
+    """rows: (b, A_I, A_S, method, uncertainty, uncertainty_S) tuples, the
+    two uncertainties those of A_I and A_S."""
+    return write_csv(path, ["b", "A_I", "A_S", "method", "uncertainty", "uncertainty_S"], rows)
 
 
 def write_bounds_csv(path, rows) -> Path:

@@ -183,7 +183,7 @@ def test_profile_run_and_artifacts(tmp_path, capsys):
         assert (out / name).exists()
 
     rows = read_rows(out / "functionals.csv")
-    assert rows[0] == ["b", "A_I", "A_S", "method", "uncertainty"]
+    assert rows[0] == ["b", "A_I", "A_S", "method", "uncertainty", "uncertainty_S"]
     assert len(rows) == 21
     # generated profile is recognized, so the A values are closed-form exact
     assert {r[3] for r in rows[1:]} == {"log_periodic_exact"}
@@ -196,11 +196,35 @@ def test_profile_run_and_artifacts(tmp_path, capsys):
         assert float(r[2]) == pytest.approx(
             b * (2.0 * math.cos(g1) / 3.0 + math.cos(g2) / 3.0), abs=1e-12
         )
-        assert float(r[4]) == 0.0
+        assert float(r[4]) == float(r[5]) == 0.0
 
     manifest = (out / "manifest.txt").read_text()
     assert "command: profile" in manifest
     assert "generator: example2" in manifest
+
+
+def test_profile_reports_each_functional_drift(tmp_path):
+    """functionals.csv gives A_I's drift in ``uncertainty`` and A_S's in
+    ``uncertainty_S``; on example1's wall, written as plain segments so
+    that it is swept, they differ: at floor 1e-10 and b = 1 A_I does not
+    move and A_S moves by about 0.02."""
+    from wedgecap.functionals import _envelopes
+    from wedgecap.profiles import example1_profile
+
+    ex1 = example1_profile(0.7, 2.2)
+    segments = [{"s_end": s, "gamma": g} for s, g in zip(ex1.breaks, ex1.values)]
+    prof = write_json(tmp_path / "ex1.json", {"side": "+", "segments": segments})
+    out = tmp_path / "out"
+    assert run(["profile", prof, "--out", out, "--eps-floor", "1e-10"]) == 0
+    rows = read_rows(out / "functionals.csv")[1:]
+    wall = load_profile(prof)
+    for r in rows:
+        lower, upper = _envelopes(wall, float(r[0]), 1e-10)
+        assert r[3] == "sweep"
+        assert (r[4], r[5]) == (repr(lower.uncertainty), repr(upper.uncertainty))
+    assert float(rows[-1][0]) == 1.0
+    assert float(rows[-1][4]) == 0.0
+    assert float(rows[-1][5]) == pytest.approx(0.0202, abs=1e-4)
 
 
 def test_profile_constant_values_exact(tmp_path):

@@ -306,11 +306,11 @@ def test_csv_rerun_is_byte_identical(tmp_path):
 
 def test_functional_and_bounds_headers(tmp_path):
     p = write_functional_csv(
-        tmp_path / "f.csv", [(0.5, -0.25, 0.25, "sweep", 1e-3)]
+        tmp_path / "f.csv", [(0.5, -0.25, 0.25, "sweep", 1e-3, 0.0)]
     )
     lines = p.read_text().splitlines()
-    assert lines[0] == "b,A_I,A_S,method,uncertainty"
-    assert lines[1] == "0.5,-0.25,0.25,sweep,0.001"
+    assert lines[0] == "b,A_I,A_S,method,uncertainty,uncertainty_S"
+    assert lines[1] == "0.5,-0.25,0.25,sweep,0.001,0.0"
 
     q = write_bounds_csv(
         tmp_path / "g.csv",
