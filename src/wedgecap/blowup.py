@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from .base import SIDES, check_adhesion_bound
 from .bounds import (
     FEASIBLE_TOL,
-    INCREASING,
     AdhesionFunction,
     FanCase,
     _worst_condition,
